@@ -1,67 +1,17 @@
 #!/usr/bin/env python3
-"""Attribution-metric tables on the built-in benchmarks.
+"""Attribution-metric tables on the built-in benchmarks, as two attr-eval reports.
 
-Part one evaluates saliency, input-x-gradient, integrated gradients, and a
-random baseline on the six-variable analytic test function. Part two repeats
-the evaluation on the token-count classifier and adds the perturbation test
-with each method's own effective complexity as the clamp budget.
+Part one judges saliency, input-x-gradient, integrated gradients, and a random
+baseline on the six-variable analytic test function. Part two explains the
+token-count classifier at the holdout sample ``bench.choose_explained_point``
+picks and adds the perturbation test at each method's effective complexity.
 """
 
 import argparse
-
-import numpy as np
+import sys
 
 from xmeter import bench
-from xmeter.attr_methods import compute_attribution
-from xmeter.attr_metrics import (
-    ExpectationConfig,
-    attribution_report,
-    perturbation_test,
-)
-from xmeter.core import FeatureDistribution, SQUARED_ERROR, ZERO_ONE
-
-METHODS = ("saliency", "inpxgrad", "intgrad", "random")
-
-
-def print_table(title, header, rows):
-    print(f"\n{title}")
-    widths = [max(len(str(r[i])) for r in [header] + rows) for i in range(len(header))]
-    for row in [header] + rows:
-        print("  " + "  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
-
-
-def analytic_function_table(seed, n_mc, epsilon):
-    model = bench.park_model()
-    point = np.asarray(bench.PARK_POINT)
-    cfg = ExpectationConfig(FeatureDistribution.uniform(6), SQUARED_ERROR,
-                            n_mc_samples=n_mc, seed=seed)
-    rows = []
-    for method in METHODS:
-        attr = compute_attribution(method, model, point, seed=seed)
-        rep = attribution_report(attr, model, epsilon, cfg)
-        rows.append([method, rep.complexity, f"{rep.monotonicity:.2f}",
-                     rep.effective_complexity, rep.non_sensitivity])
-    point_text = "(" + ", ".join(f"{v:g}" for v in point) + ")"
-    print_table(f"analytic test function at {point_text} (epsilon={epsilon})",
-                ["method", "C", "M", "EC", "NS"], rows)
-
-
-def token_classifier_table(seed, n_mc, epsilon, pt_n):
-    data, model = bench.token_benchmark(seed)
-    idx = bench.choose_explained_point(data, model)
-    x_star = data.features[idx]
-    cfg = ExpectationConfig(FeatureDistribution.empirical(data), ZERO_ONE,
-                            n_mc_samples=n_mc, seed=seed)
-    rows = []
-    for method in ("saliency", "inpxgrad", "intgrad"):
-        attr = compute_attribution(method, model, x_star, seed=seed)
-        rep = attribution_report(attr, model, epsilon, cfg)
-        pt = perturbation_test(attr, model, rep.effective_complexity, data, pt_n, seed)
-        rows.append([method, rep.complexity, f"{rep.monotonicity:.2f}",
-                     rep.effective_complexity, rep.non_sensitivity, f"{pt:.2f}"])
-    print_table(f"token classifier, explained sample #{idx} (epsilon={epsilon}, "
-                f"perturbations={pt_n})",
-                ["method", "C", "M", "EC", "NS", "PT"], rows)
+from xmeter.cli import main as xmeter
 
 
 def main():
@@ -72,9 +22,21 @@ def main():
     parser.add_argument("--token-epsilon", type=float, default=0.02)
     parser.add_argument("--pt-n", type=int, default=500)
     args = parser.parse_args()
-    analytic_function_table(args.seed, args.n_mc, args.epsilon)
-    token_classifier_table(args.seed, args.n_mc, args.token_epsilon, args.pt_n)
+    common = ["--n-mc", str(args.n_mc), "--seed", str(args.seed)]
+    point = ",".join(map(repr, bench.PARK_POINT))
+    code = xmeter(["attr-eval", "--model", "park", "--point", point,
+                   "--epsilon", repr(args.epsilon)] + common)
+    if code:
+        return code
+    data, model = bench.token_benchmark(args.seed)
+    x_star = data.features[bench.choose_explained_point(data, model)]
+    tokens = f"tokens:seed={args.seed}"
+    return xmeter(["attr-eval", "--model", tokens, "--dataset", tokens,
+                   "--methods", "saliency,inpxgrad,intgrad",
+                   "--point", ",".join(map(repr, x_star.tolist())),
+                   "--epsilon", repr(args.token_epsilon),
+                   "--pt", "ec", "--pt-n", str(args.pt_n)] + common)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

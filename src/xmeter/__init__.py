@@ -4,66 +4,10 @@ Three metric families, plus reference implementations of the explainers they
 judge: mutual-information monitoring for feature extractors, representativeness
 and diversity for example-based explanations, and restriction-loss metrics
 (monotonicity, non-sensitivity, complexity, effective complexity) for feature
-attributions.
+attributions. The API lives in the submodules (``xmeter.core``,
+``xmeter.attr_metrics``, ``xmeter.mi``, ``xmeter.example_based``,
+``xmeter.bench``); the package root imports none of them, so a process that
+needs one module, such as ``python -m xmeter.model_server``, loads only that.
 """
-
-from .attr_methods import (
-    AttributionVector,
-    compute_attribution,
-    input_x_gradient,
-    integrated_gradients,
-    random_attribution,
-    saliency,
-)
-from .attr_metrics import (
-    AttributionMetricsReport,
-    EffectiveComplexityResult,
-    ExpectationConfig,
-    attribution_report,
-    complexity,
-    effective_complexity,
-    expected_restriction_loss,
-    monotonicity,
-    non_sensitivity,
-    perturbation_test,
-    restriction_loss_vector,
-    spearman,
-)
-from .core import (
-    CROSS_ENTROPY,
-    ContractViolation,
-    FeatureDistribution,
-    LossFunction,
-    MetricReport,
-    ModelHandle,
-    SQUARED_ERROR,
-    TabularDataset,
-    UndefinedCorrelation,
-    UnsupportedOperation,
-    ZERO_ONE,
-    evaluate_loss,
-    gradient,
-    restrict_model,
-)
-from .example_based import (
-    ExampleSet,
-    KernelConfig,
-    diversity,
-    non_representativeness,
-    metrics_vs_n,
-    select_kmedoids,
-    select_mmd_critic,
-    select_protodash,
-)
-from .mi import (
-    FeatureExtractor,
-    MIEstimate,
-    apply_extractor,
-    estimate_mi,
-    extractor_report,
-    fit_entropy_discretizer,
-    identity_extractor,
-    random_ood_extractor,
-)
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ those expected losses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .core import (
     ModelHandle,
     TabularDataset,
     UndefinedCorrelation,
+    batch_predictions,
     evaluate_loss_batch,
 )
 
@@ -57,19 +58,13 @@ def _reference_prediction(model: ModelHandle, x_star: np.ndarray, loss: LossFunc
     return y
 
 
-def _batch_predictions(model: ModelHandle, X: np.ndarray, loss: LossFunction) -> np.ndarray:
-    if loss.kind == "zero-one":
-        return model.predict_labels(X)
-    return model.predict_batch(X)
-
-
 def _restriction_loss(model: ModelHandle, x_star: np.ndarray, resample: list[int],
                       cfg: ExpectationConfig, rng: np.random.Generator) -> float:
     """Mean loss after jointly resampling the given coordinates."""
     X = np.tile(x_star, (cfg.n_mc_samples, 1))
     X[:, resample] = cfg.distribution.sample_matrix(resample, cfg.n_mc_samples, rng)
     y_ref = _reference_prediction(model, x_star, cfg.loss)
-    preds = _batch_predictions(model, X, cfg.loss)
+    preds = batch_predictions(model, X, cfg.loss)
     return float(np.mean(evaluate_loss_batch(cfg.loss, y_ref, preds)))
 
 
@@ -245,10 +240,9 @@ class AttributionMetricsReport:
     zero_tolerance: float
     loss: str
     seed: int
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "method": self.method,
             "complexity": self.complexity,
             "monotonicity": self.monotonicity,
@@ -262,8 +256,6 @@ class AttributionMetricsReport:
             "loss": self.loss,
             "seed": self.seed,
         }
-        out.update(self.extras)
-        return out
 
 
 def attribution_report(attr: AttributionVector, model: ModelHandle, epsilon: float,

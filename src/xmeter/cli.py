@@ -102,6 +102,8 @@ class ExternalModel:
 
     def _request(self, payload: dict) -> dict:
         with self._lock:
+            if self._proc.poll() is not None:
+                self._fail(f"child has exited with code {self._proc.returncode}")
             try:
                 self._proc.stdin.write(json.dumps(payload) + "\n")
                 self._proc.stdin.flush()
@@ -110,7 +112,9 @@ class ExternalModel:
             try:
                 line = self._lines.get(timeout=self.timeout)
             except queue.Empty:
-                self._fail(f"no response within {self.timeout} s")
+                # a late reply would be read as the answer to the next request
+                self._kill()
+                self._fail(f"no response within {self.timeout} s; child stopped")
             if line is None:
                 self._fail("child closed its output stream")
         try:
@@ -151,8 +155,6 @@ class ExternalModel:
 
     def gradient(self, x, target=None):
         response = self._request({"op": "gradient", "x": [float(v) for v in np.asarray(x)]})
-        if response.get("error") == "unsupported":
-            raise ContractViolation("external model declared gradient support but refused")
         if "error" in response:
             self._fail(f"gradient failed: {response['error']}")
         g = response.get("g")
@@ -196,11 +198,6 @@ class ExternalModel:
 
     def __exit__(self, *exc):
         self.close()
-
-
-def external_model_adapter(command, timeout: float = PROTOCOL_TIMEOUT) -> ModelHandle:
-    """Spawn the command and wrap it as a ModelHandle (child outlives the call)."""
-    return ExternalModel(command, timeout=timeout).as_model_handle()
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +248,26 @@ _SYNTH_PRESETS = {
 }
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{what} must be an integer, got {text!r}") from None
+
+
+def _tokens_seed(spec: str) -> int:
+    kv = _parse_kv(spec[len("tokens:"):])
+    seed = _parse_int(kv.pop("seed", "0"), "tokens seed")
+    if kv:
+        raise ConfigError(f"unknown tokens keys: {sorted(kv)}")
+    return seed
+
+
 def parse_dataset_spec(spec: str) -> TabularDataset:
     """A CSV path, 'synth:...' generator options, or 'tokens:seed=N'."""
     if spec.startswith("synth:"):
         kv = _parse_kv(spec[len("synth:"):])
-        seed = int(kv.pop("seed", "0"))
+        seed = _parse_int(kv.pop("seed", "0"), "synth seed")
         preset = kv.pop("preset", None)
         if preset is not None:
             if kv:
@@ -264,6 +276,7 @@ def parse_dataset_spec(spec: str) -> TabularDataset:
                 return bench.synth_tabular(_SYNTH_PRESETS[preset], seed)
             except KeyError:
                 raise ConfigError(f"unknown synth preset {preset!r}") from None
+        quantize = kv.pop("quantize", None)
         try:
             gen = bench.SynthSpec(
                 n_samples=int(kv.pop("n", "300")),
@@ -272,7 +285,7 @@ def parse_dataset_spec(spec: str) -> TabularDataset:
                 separation=float(kv.pop("sep", "3.0")),
                 n_noise_features=int(kv.pop("noise", "0")),
                 layout=kv.pop("layout", "spread"),
-                quantize_step=float(kv["quantize"]) if kv.pop("quantize", None) else None,
+                quantize_step=float(quantize) if quantize else None,
             )
         except (ValueError, ContractViolation) as exc:
             raise ConfigError(f"bad synth spec: {exc}") from None
@@ -280,11 +293,7 @@ def parse_dataset_spec(spec: str) -> TabularDataset:
             raise ConfigError(f"unknown synth keys: {sorted(kv)}")
         return bench.synth_tabular(gen, seed)
     if spec.startswith("tokens:"):
-        kv = _parse_kv(spec[len("tokens:"):])
-        seed = int(kv.pop("seed", "0"))
-        if kv:
-            raise ConfigError(f"unknown tokens keys: {sorted(kv)}")
-        return bench.token_benchmark(seed)[0]
+        return bench.token_benchmark(_tokens_seed(spec))[0]
     if not Path(spec).exists():
         raise ConfigError(f"dataset path {spec!r} does not exist")
     return load_dataset_csv(spec)
@@ -295,16 +304,12 @@ def parse_model_spec(spec: str, data: TabularDataset | None):
     if spec == "park":
         return bench.park_model(), None
     if spec == "tree" or spec.startswith("tree:"):
-        depth = int(spec.split(":", 1)[1]) if ":" in spec else 5
+        depth = _parse_int(spec.split(":", 1)[1], "tree depth") if ":" in spec else 5
         if data is None:
             raise ConfigError("the tree model needs a dataset to fit on")
         return bench.fit_decision_tree(data, depth).as_model_handle(), None
     if spec.startswith("tokens:"):
-        kv = _parse_kv(spec[len("tokens:"):])
-        seed = int(kv.pop("seed", "0"))
-        if kv:
-            raise ConfigError(f"unknown tokens keys: {sorted(kv)}")
-        return bench.token_benchmark(seed)[1], None
+        return bench.token_benchmark(_tokens_seed(spec))[1], None
     if spec.startswith("exec:"):
         external = ExternalModel(spec[len("exec:"):])
         return external.as_model_handle(), external.close
@@ -348,15 +353,22 @@ def write_report(out_prefix: str | None, report: dict, csv_header: list[str],
 # Command implementations
 # ---------------------------------------------------------------------------
 
+def _load_json(path: str, what: str):
+    if not Path(path).exists():
+        raise ConfigError(f"{what} {path!r} does not exist")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # malformed JSON or text encoding
+        raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from None
+
+
 def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
     """Config-file values fill options the command line left at defaults."""
     merged = vars(args).copy()
     config_path = merged.pop("config", None)
     if config_path:
-        if not Path(config_path).exists():
-            raise ConfigError(f"config file {config_path!r} does not exist")
-        with open(config_path, encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        loaded = _load_json(config_path, "config file")
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = sorted(set(loaded) - set(parser_defaults))
@@ -386,12 +398,15 @@ def _parse_float_list(text: str) -> list[float]:
 
 def _parse_n_range(text: str) -> list[int]:
     out = []
-    for part in text.split(","):
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+    try:
+        for part in text.split(","):
+            if ".." in part:
+                lo, hi = part.split("..", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(part))
+    except ValueError as exc:
+        raise ConfigError(f"bad budget list {text!r}: {exc}") from None
     return out
 
 
@@ -405,10 +420,7 @@ ATTR_DEFAULTS = {
 
 
 def _load_attr_file(path: str) -> dict:
-    if not Path(path).exists():
-        raise ConfigError(f"attribution file {path!r} does not exist")
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _load_json(path, "attribution file")
     required = {"point", "values", "method"}
     if not isinstance(payload, dict) or set(payload) != required:
         raise ConfigError("attribution file must hold exactly point, values, method")
@@ -455,7 +467,10 @@ def _run_attr_eval(cfg: dict, model: ModelHandle, data: TabularDataset | None) -
     if cfg["dataset"]:
         distribution = FeatureDistribution.empirical(data)
     elif cfg["uniform"]:
-        lo, hi = _parse_float_list(cfg["uniform"])
+        bounds = _parse_float_list(cfg["uniform"])
+        if len(bounds) != 2:
+            raise ConfigError(f"--uniform needs lo,hi, got {cfg['uniform']!r}")
+        lo, hi = bounds
         distribution = FeatureDistribution.uniform(model.arity, lo, hi)
     elif cfg["model"] == "park":
         distribution = FeatureDistribution.uniform(model.arity, 0.0, 1.0)
@@ -472,6 +487,7 @@ def _run_attr_eval(cfg: dict, model: ModelHandle, data: TabularDataset | None) -
     want_pt = cfg["pt"] is not None
     if want_pt and data is None:
         raise ConfigError("the perturbation test needs --dataset as its corpus")
+    pt_k = _parse_int(cfg["pt"], "--pt") if want_pt and cfg["pt"] != "ec" else None
     metrics = {}
     rows = []
     header = ["method", "complexity", "monotonicity", "effective_complexity",
@@ -482,7 +498,7 @@ def _run_attr_eval(cfg: dict, model: ModelHandle, data: TabularDataset | None) -
         row = [method, report.complexity, report.monotonicity,
                report.effective_complexity, report.non_sensitivity]
         if want_pt:
-            k = report.effective_complexity if cfg["pt"] == "ec" else int(cfg["pt"])
+            k = report.effective_complexity if pt_k is None else pt_k
             score = attr_metrics.perturbation_test(attr, model, k, data,
                                                    int(cfg["pt_n"]), int(cfg["seed"]))
             entry["perturbation_test"] = score
@@ -512,23 +528,22 @@ def cmd_example_eval(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, EXAMPLE_DEFAULTS)
     if not cfg["dataset"]:
         raise ConfigError("example-eval needs --dataset")
+    kernel = example_based.KernelConfig(
+        bandwidth=float(cfg["bandwidth"]) if cfg["bandwidth"] is not None else None)
+    selectors = [s.strip() for s in str(cfg["selectors"]).split(",") if s.strip()]
+    for s in selectors:
+        if s not in example_based.SELECTORS:
+            raise ConfigError(f"unknown selector {s!r}")
+    n_values = _parse_n_range(str(cfg["sweep"])) if cfg["sweep"] else [int(cfg["n"])]
     data = parse_dataset_spec(cfg["dataset"])
     if data.labels is None:
         raise ConfigError("example-eval needs a labeled dataset")
     model, closer = parse_model_spec(cfg["model"], data)
     try:
-        kernel = example_based.KernelConfig(
-            bandwidth=float(cfg["bandwidth"]) if cfg["bandwidth"] is not None else None)
-        selectors = [s.strip() for s in str(cfg["selectors"]).split(",") if s.strip()]
-        for s in selectors:
-            if s not in example_based.SELECTORS:
-                raise ConfigError(f"unknown selector {s!r}")
-        n_values = _parse_n_range(str(cfg["sweep"])) if cfg["sweep"] else [int(cfg["n"])]
         metrics = {}
         rows = []
         for selector in selectors:
-            curve = example_based.metrics_vs_n(
-                data, model, selector, n_values, kernel=kernel, seed=int(cfg["seed"]))
+            curve = example_based.metrics_vs_n(data, model, selector, n_values, kernel=kernel)
             metrics[selector] = curve if cfg["sweep"] else curve[0]
             for point in curve:
                 rows.append([selector, point["n"], point["non_representativeness"],
@@ -558,6 +573,8 @@ def cmd_mi(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, MI_DEFAULTS)
     if not cfg["dataset"]:
         raise ConfigError("mi needs --dataset")
+    if int(cfg["runs"]) < 1:
+        raise ConfigError("mi needs --runs >= 1")
     data = parse_dataset_spec(cfg["dataset"])
     model = closer = None
     if cfg["model"]:
@@ -585,10 +602,10 @@ def cmd_mi(args: argparse.Namespace) -> int:
                     extractor = discretizer
                 else:
                     raise ConfigError(f"unknown extractor {name!r}")
-                rep = mi.extractor_report(data, extractor, model, k=int(cfg["k"]),
-                                          seed=run_seed)
-                feature_vals.append(rep.metrics["feature_mi"])
-                target_vals.append(rep.metrics["target_mi"])
+                feature, target = mi.extractor_report(data, extractor, model,
+                                                      k=int(cfg["k"]), seed=run_seed)
+                feature_vals.append(feature.value)
+                target_vals.append(target.value)
             entry = {
                 "feature_mi": float(np.mean(feature_vals)),
                 "target_mi": float(np.mean(target_vals)),

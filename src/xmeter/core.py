@@ -7,8 +7,8 @@ explicit seed or a ``numpy.random.Generator``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Literal, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -81,17 +81,6 @@ class TabularDataset:
             raise ContractViolation("dataset has no labels")
         return int(self.labels.max()) + 1
 
-    def column(self, i: int) -> np.ndarray:
-        return self.features[:, i]
-
-    def filter_class(self, label: int) -> "TabularDataset":
-        if self.labels is None:
-            raise ContractViolation("dataset has no labels")
-        mask = self.labels == label
-        if not mask.any():
-            raise ContractViolation(f"no samples with label {label}")
-        return TabularDataset(self.features[mask], self.labels[mask], self.feature_names)
-
 
 @dataclass(frozen=True)
 class ModelHandle:
@@ -127,9 +116,14 @@ class ModelHandle:
             raise ContractViolation("class-probability output must be nonnegative and sum to 1")
         return p
 
+    def _check_finite(self, y):
+        if not np.all(np.isfinite(np.asarray(y, dtype=float))):
+            raise FloatingPointError(f"model {self.name!r} returned a non-finite output")
+
     def predict(self, x):
         x = self._check_point(x)
         y = self.predict_fn(x)
+        self._check_finite(y)
         if self.output_kind == "scalar":
             return float(y)
         if self.output_kind == "probs":
@@ -144,6 +138,7 @@ class ModelHandle:
             out = np.asarray(self.batch_fn(X))
         else:
             out = np.asarray([self.predict_fn(row) for row in X])
+        self._check_finite(out)
         if self.output_kind == "probs":
             if np.any(out < -PROB_SUM_TOL) or np.any(np.abs(out.sum(axis=1) - 1.0) > PROB_SUM_TOL):
                 raise ContractViolation("class-probability rows must be nonnegative and sum to 1")
@@ -192,7 +187,10 @@ def _is_vector(y) -> bool:
 
 
 def evaluate_loss(loss: LossFunction, y_ref, y) -> float:
-    """Pointwise loss l(y_ref, y); both predictions must share a representation."""
+    """Pointwise loss l(y_ref, y); both predictions must share a representation.
+
+    The reference form of ``evaluate_loss_batch``, which the metrics use.
+    """
     if loss.kind == "zero-one":
         if _is_vector(y_ref) != _is_vector(y):
             raise ContractViolation("zero-one loss needs predictions of the same kind")
@@ -212,6 +210,13 @@ def evaluate_loss(loss: LossFunction, y_ref, y) -> float:
         q = np.clip(np.asarray(y, float), CROSS_ENTROPY_CLIP, None)
         return float(-(np.asarray(y_ref, float) * np.log(q)).sum())
     raise ContractViolation(f"unknown loss kind {loss.kind!r}")
+
+
+def batch_predictions(model: ModelHandle, X, loss: LossFunction) -> np.ndarray:
+    """One batch call, in the representation the loss consumes: labels for zero-one."""
+    if loss.kind == "zero-one":
+        return model.predict_labels(X)
+    return model.predict_batch(X)
 
 
 def evaluate_loss_batch(loss: LossFunction, y_ref, batch: np.ndarray) -> np.ndarray:
@@ -246,10 +251,6 @@ class UniformSampler:
         if not self.high > self.low:
             raise ContractViolation("uniform sampler needs high > low")
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.low, self.high)
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.low, self.high, size=n)
 
@@ -266,24 +267,15 @@ class EmpiricalSampler:
             raise ContractViolation("empirical sampler needs a non-empty 1-D column")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (float(self.values.min()), float(self.values.max()))
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.values[rng.integers(0, self.values.size, size=n)]
 
 
 @dataclass(frozen=True)
 class FeatureDistribution:
-    """Per-feature sampling distributions used by expectation estimates.
-
-    Only marginal (independent per-feature) sampling is implemented;
-    ``mode="conditional"`` is accepted at construction but raises on use.
-    """
+    """Independent per-feature (marginal) sampling used by expectation estimates."""
 
     samplers: tuple
-    mode: Literal["marginal", "conditional"] = "marginal"
 
     @property
     def arity(self) -> int:
@@ -298,65 +290,9 @@ class FeatureDistribution:
         feats = data.features if isinstance(data, TabularDataset) else np.asarray(data, float)
         return cls(tuple(EmpiricalSampler(feats[:, i]) for i in range(feats.shape[1])))
 
-    def _require_marginal(self):
-        if self.mode != "marginal":
-            raise NotImplementedError("conditional (true-to-the-data) sampling is not implemented")
-
-    def sample(self, i: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        self._require_marginal()
-        return self.samplers[i].sample(n, rng)
-
     def sample_matrix(self, indices: Sequence[int], n: int, rng: np.random.Generator) -> np.ndarray:
         """Independent joint draws for the given columns, shape (n, len(indices))."""
-        self._require_marginal()
         return np.column_stack([self.samplers[i].sample(n, rng) for i in indices])
-
-
-def restrict_model(model: ModelHandle, anchor, free_indices) -> ModelHandle:
-    """Clamp every coordinate outside ``free_indices`` to the anchor's value.
-
-    The returned handle takes only the free coordinates, in the order given.
-    Evaluating it at the anchor's own free coordinates reproduces
-    ``model.predict(anchor)`` exactly.
-    """
-    anchor = np.array(anchor, dtype=float)
-    if anchor.shape != (model.arity,):
-        raise ContractViolation("anchor must have the model's full arity")
-    free = [int(i) for i in free_indices]
-    if len(set(free)) != len(free):
-        raise ContractViolation("free_indices must be distinct")
-    for i in free:
-        if not 0 <= i < model.arity:
-            raise ContractViolation(f"feature index {i} out of range for arity {model.arity}")
-    free_arr = np.array(free, dtype=int)
-
-    def embed(z):
-        x = anchor.copy()
-        x[free_arr] = z
-        return x
-
-    def embed_batch(Z):
-        Z = np.asarray(Z, dtype=float)
-        X = np.tile(anchor, (Z.shape[0], 1))
-        X[:, free_arr] = Z
-        return X
-
-    grad_fn = None
-    if model.gradient_capability == "exact" and model.gradient_fn is not None:
-        def grad_fn(z, target=None):
-            full = gradient(model, embed(z), target=target)
-            return full[free_arr]
-
-    return ModelHandle(
-        arity=len(free),
-        output_kind=model.output_kind,
-        predict_fn=lambda z: model.predict_fn(embed(z)),
-        batch_fn=lambda Z: model.predict_batch(embed_batch(Z)),
-        gradient_fn=grad_fn,
-        gradient_capability=model.gradient_capability,
-        n_classes=model.n_classes,
-        name=f"{model.name}[restricted:{','.join(map(str, free))}]",
-    )
 
 
 def _scalar_output(model: ModelHandle, x: np.ndarray, target: int | None) -> float:
@@ -390,21 +326,7 @@ def gradient(model: ModelHandle, x, target: int | None = None) -> np.ndarray:
     if model.output_kind == "probs" and target is None:
         target = int(np.argmax(model.predict(x)))
     if model.gradient_capability == "exact" and model.gradient_fn is not None:
-        return np.asarray(model.gradient_fn(x, target), dtype=float)
+        g = np.asarray(model.gradient_fn(x, target), dtype=float)
+        model._check_finite(g)
+        return g
     return finite_difference_gradient(model, x, target)
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Named metric values plus the settings and seeds that produced them."""
-
-    metrics: Mapping[str, float]
-    settings: Mapping[str, object] = field(default_factory=dict)
-    seeds: Mapping[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "metrics": dict(self.metrics),
-            "settings": dict(self.settings),
-            "seeds": dict(self.seeds),
-        }

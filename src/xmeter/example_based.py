@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import ContractViolation, LossFunction, ModelHandle, TabularDataset, evaluate_loss
+from .core import (
+    ZERO_ONE,
+    ContractViolation,
+    LossFunction,
+    ModelHandle,
+    TabularDataset,
+    batch_predictions,
+    evaluate_loss_batch,
+)
 
 NNLS_ITERATIONS = 500
 NNLS_TOLERANCE = 1e-8
@@ -52,16 +60,12 @@ class KernelConfig:
         return median_bandwidth(X)
 
 
-def pairwise_distances(X, Y=None, metric="euclidean") -> np.ndarray:
-    """Dense distance matrix; metric is 'euclidean' or a callable d(x, y)."""
+def pairwise_distances(X, Y=None) -> np.ndarray:
+    """Dense Euclidean distance matrix."""
     X = np.asarray(X, dtype=float)
     Y = X if Y is None else np.asarray(Y, dtype=float)
-    if metric == "euclidean":
-        diff = X[:, None, :] - Y[None, :, :]
-        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    if callable(metric):
-        return np.array([[float(metric(x, y)) for y in Y] for x in X])
-    raise ContractViolation(f"unknown metric {metric!r}")
+    diff = X[:, None, :] - Y[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
 def median_bandwidth(X) -> float:
@@ -86,29 +90,19 @@ def non_representativeness(examples: ExampleSet, model: ModelHandle,
     """Mean loss between the explained prediction and the model on each example."""
     if examples.examples.shape[1] != model.arity:
         raise ContractViolation("example width does not match the model")
-    y_star = examples.target_prediction
-    total = 0.0
-    for x in examples.examples:
-        if loss.kind == "zero-one":
-            y = model.predict_label(x)
-        else:
-            y = model.predict(x)
-        total += evaluate_loss(loss, y_star, y)
-    return total / examples.size
+    preds = batch_predictions(model, examples.examples, loss)
+    return float(np.mean(evaluate_loss_batch(loss, examples.target_prediction, preds)))
 
 
-def diversity(examples: ExampleSet, metric="euclidean", ordered_pairs: bool = True) -> float:
+def diversity(examples: ExampleSet) -> float:
     """Sum of pairwise distances over ordered pairs, divided by 2 * N_E.
 
-    With ``ordered_pairs=False`` each unordered pair is counted once instead,
-    halving the value. Singletons have diversity 0.
+    Singletons have diversity 0.
     """
     if examples.size < 2:
         return 0.0
-    D = pairwise_distances(examples.examples, metric=metric)
+    D = pairwise_distances(examples.examples)
     total = float(D.sum())  # diagonal is zero; off-diagonal counts both orders
-    if not ordered_pairs:
-        total /= 2.0
     return total / (2.0 * examples.size)
 
 
@@ -131,12 +125,10 @@ def _check_budget(n: int, available: int):
         raise ContractViolation(f"cannot select {n} examples from {available} samples")
 
 
-def select_kmedoids(data: TabularDataset, class_label: int | None, n: int,
-                    metric="euclidean", seed: int = 0) -> ExampleSet:
+def select_kmedoids(data: TabularDataset, class_label: int | None, n: int) -> ExampleSet:
     """PAM: greedy BUILD then best-improvement SWAP passes (at most 100).
 
-    Deterministic: ties always resolve to the lowest candidate index, so the
-    seed does not influence the result.
+    Deterministic: ties always resolve to the lowest candidate index.
     """
     sub, orig_idx = _filtered(data, class_label)
     m = sub.n_samples
@@ -144,7 +136,7 @@ def select_kmedoids(data: TabularDataset, class_label: int | None, n: int,
     target = class_label if class_label is not None else None
     if n == m:
         return ExampleSet(sub.features, target, tuple(orig_idx))
-    D = pairwise_distances(sub.features, metric=metric)
+    D = pairwise_distances(sub.features)
 
     # BUILD: start from the point with the lowest total distance, then add the
     # candidate with the largest reduction of assignment cost.
@@ -265,10 +257,9 @@ SELECTORS = ("kmedoids", "mmd", "protodash")
 
 
 def run_selector(name: str, data: TabularDataset, class_label: int | None, n: int,
-                 metric="euclidean", kernel: KernelConfig = KernelConfig(),
-                 seed: int = 0) -> ExampleSet:
+                 kernel: KernelConfig = KernelConfig()) -> ExampleSet:
     if name == "kmedoids":
-        return select_kmedoids(data, class_label, n, metric=metric, seed=seed)
+        return select_kmedoids(data, class_label, n)
     if name == "mmd":
         return select_mmd_critic(data, class_label, n, kernel=kernel)
     if name == "protodash":
@@ -277,32 +268,28 @@ def run_selector(name: str, data: TabularDataset, class_label: int | None, n: in
 
 
 def class_averaged_metrics(data: TabularDataset, model: ModelHandle, selector: str,
-                           n: int, metric="euclidean", loss: LossFunction | None = None,
-                           kernel: KernelConfig = KernelConfig(), seed: int = 0
-                           ) -> tuple[float, float]:
+                           n: int, loss: LossFunction | None = None,
+                           kernel: KernelConfig = KernelConfig()) -> tuple[float, float]:
     """(NR, D) for one selector at one prototype budget, averaged over classes."""
-    from .core import ZERO_ONE
-
     loss = ZERO_ONE if loss is None else loss
     if data.labels is None:
         raise ContractViolation("per-class selection needs labels")
     nr_vals, d_vals = [], []
     for c in range(data.n_classes):
-        examples = run_selector(selector, data, c, n, metric=metric, kernel=kernel, seed=seed)
+        examples = run_selector(selector, data, c, n, kernel=kernel)
         nr_vals.append(non_representativeness(examples, model, loss))
-        d_vals.append(diversity(examples, metric=metric))
+        d_vals.append(diversity(examples))
     return float(np.mean(nr_vals)), float(np.mean(d_vals))
 
 
 def metrics_vs_n(data: TabularDataset, model: ModelHandle, selector: str,
-                 n_range: Sequence[int], metric="euclidean",
-                 loss: LossFunction | None = None,
-                 kernel: KernelConfig = KernelConfig(), seed: int = 0) -> list[dict]:
+                 n_range: Sequence[int], loss: LossFunction | None = None,
+                 kernel: KernelConfig = KernelConfig()) -> list[dict]:
     """Class-averaged (NR, D) for each prototype budget, for curve plotting."""
     rows = []
     for n in n_range:
-        nr, d = class_averaged_metrics(data, model, selector, int(n), metric=metric,
-                                       loss=loss, kernel=kernel, seed=seed)
+        nr, d = class_averaged_metrics(data, model, selector, int(n), loss=loss,
+                                       kernel=kernel)
         rows.append({"selector": selector, "n": int(n),
                      "non_representativeness": nr, "diversity": d})
     return rows

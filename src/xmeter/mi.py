@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
-from .core import ContractViolation, MetricReport, ModelHandle, TabularDataset
+from .core import ContractViolation, ModelHandle, TabularDataset
 
 JITTER_SCALE = 1e-10
 ZERO_GAIN = 1e-12
@@ -294,8 +294,8 @@ def estimate_mi(a, b, k: int = 3, seed: int = 0,
 
 def extractor_report(data: TabularDataset, g: FeatureExtractor,
                      model: ModelHandle | None = None, k: int = 3,
-                     seed: int = 0) -> MetricReport:
-    """Feature MI(X, Z) and target MI(Z, Y) for one extractor.
+                     seed: int = 0) -> tuple[MIEstimate, MIEstimate]:
+    """The estimates of feature MI(X, Z) and target MI(Z, Y), in that order.
 
     Y is the model's predicted label on each sample when a model is given,
     otherwise the dataset labels.
@@ -311,17 +311,5 @@ def extractor_report(data: TabularDataset, g: FeatureExtractor,
     else:
         raise ContractViolation("need a model or labels to define the target variable")
     z_disc = g.output_discrete
-    mi_xz = estimate_mi(X, Z, k=k, seed=seed, a_discrete=False, b_discrete=z_disc)
-    mi_zy = estimate_mi(Z, y, k=k, seed=seed, a_discrete=z_disc, b_discrete=True)
-    return MetricReport(
-        metrics={"feature_mi": mi_xz.value, "target_mi": mi_zy.value},
-        settings={
-            "extractor": g.kind,
-            "k_neighbors": k,
-            "n_samples": data.n_samples,
-            "feature_mi_estimator": mi_xz.estimator,
-            "target_mi_estimator": mi_zy.estimator,
-            "target_source": "model" if model is not None else "labels",
-        },
-        seeds={"estimator": seed},
-    )
+    return (estimate_mi(X, Z, k=k, seed=seed, a_discrete=False, b_discrete=z_disc),
+            estimate_mi(Z, y, k=k, seed=seed, a_discrete=z_disc, b_discrete=True))

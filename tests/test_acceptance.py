@@ -131,9 +131,9 @@ def test_criterion_4_extractor_mi_phenomenon():
             "entropy": discretizer,
         }
         for name, g in extractors.items():
-            rep = extractor_report(data, g, model, k=3, seed=run)
-            feature_mi[name].append(rep.metrics["feature_mi"])
-            target_mi[name].append(rep.metrics["target_mi"])
+            feature, target = extractor_report(data, g, model, k=3, seed=run)
+            feature_mi[name].append(feature.value)
+            target_mi[name].append(target.value)
     f_mean = {k: float(np.mean(v)) for k, v in feature_mi.items()}
     t_mean = {k: float(np.mean(v)) for k, v in target_mi.items()}
     assert f_mean["identity"] > f_mean["random-ood"] > f_mean["entropy"], f_mean

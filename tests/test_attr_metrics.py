@@ -64,7 +64,7 @@ class TestExpectedRestrictionLoss:
         for i in (0, 2, 3):
             oracle = quad_restriction_loss(i)
             rng = np.random.default_rng([cfg.seed, 3, i])
-            draws = cfg.distribution.sample(i, cfg.n_mc_samples, rng)
+            draws = cfg.distribution.sample_matrix([i], cfg.n_mc_samples, rng)[:, 0]
             X = np.tile(np.asarray(park_point), (cfg.n_mc_samples, 1))
             X[:, i] = draws
             losses = (park.predict_batch(X) - park.predict(park_point)) ** 2
@@ -81,7 +81,7 @@ class TestExpectedRestrictionLoss:
             a = expected_restriction_loss(park, park_point, i, base)
             b = expected_restriction_loss(park, park_point, i, double)
             rng = np.random.default_rng([5, 3, i])
-            draws = base.distribution.sample(i, base.n_mc_samples, rng)
+            draws = base.distribution.sample_matrix([i], base.n_mc_samples, rng)[:, 0]
             X = np.tile(np.asarray(park_point), (base.n_mc_samples, 1))
             X[:, i] = draws
             losses = (park.predict_batch(X) - park.predict(park_point)) ** 2

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from xmeter import bench, estimate_mi
+from xmeter import bench
 from xmeter.core import ContractViolation, TabularDataset, gradient
+from xmeter.mi import estimate_mi
 
 
 class TestParkFunction:

@@ -1,7 +1,9 @@
 import csv
 import json
+import shlex
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from xmeter import bench
 from xmeter.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PROTOCOL,
     ExternalModel,
@@ -22,9 +25,10 @@ from xmeter.cli import (
 FIXTURES = Path(__file__).parent / "fixtures"
 PARK_SERVER = [sys.executable, str(FIXTURES / "park_server.py")]
 BUILTIN_SERVER = [sys.executable, "-m", "xmeter.model_server"]
+PARK_POINT = "0.24,0.48,0.56,0.99,0.68,0.86"
 
 PARK_ARGS = ["attr-eval", "--model", "park",
-             "--point", "0.24,0.48,0.56,0.99,0.68,0.86",
+             "--point", PARK_POINT,
              "--methods", "saliency,inpxgrad,intgrad,random",
              "--n-mc", "2000"]
 
@@ -33,6 +37,17 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def scripted_server(info, predict='{"y": [0.0]}', gradient='{"error": "unsupported"}',
+                    delay=0.0):
+    """Command of a child that answers every request of a kind with one fixed reply."""
+    return [sys.executable, str(FIXTURES / "scripted_server.py"), info, predict, gradient,
+            str(delay)]
+
+
+def exec_spec(command):
+    return "exec:" + shlex.join(command)
 
 
 class TestAttrEvalCommand:
@@ -189,6 +204,42 @@ class TestDatasetLoading:
         ds = parse_dataset_spec("tokens:seed=1")
         assert ds.n_features == bench.TOKEN_VOCAB
 
+    def test_quantized_synth_spec(self, capsys):
+        spec = "synth:n=60,features=2,quantize=0.5,seed=0"
+        ds = parse_dataset_spec(spec)
+        np.testing.assert_array_equal(ds.features * 2.0, np.round(ds.features * 2.0))
+        code, _ = run_cli(["example-eval", "--dataset", spec, "--n", "2"], capsys)
+        assert code == EXIT_OK
+
+
+BAD_INPUTS = {
+    "synth-seed": ["mi", "--dataset", "synth:preset=mi,seed=x"],
+    "tokens-dataset-seed": ["mi", "--dataset", "tokens:seed=x"],
+    "tokens-model-seed": ["attr-eval", "--model", "tokens:seed=x", "--point", "0"],
+    "tree-depth": ["example-eval", "--dataset", "synth:n=60,seed=0", "--model", "tree:x"],
+    "sweep-bound": ["example-eval", "--dataset", "synth:n=60,seed=0", "--sweep", "1..x"],
+    "pt-k": ["attr-eval", "--model", "park", "--point", PARK_POINT, "--methods", "random",
+             "--dataset", "synth:n=60,features=6,seed=0", "--pt", "x", "--n-mc", "100"],
+    "uniform-one-value": ["attr-eval", "--model", "park", "--point", PARK_POINT,
+                          "--methods", "random", "--uniform", "0"],
+    "config-json": ["attr-eval", "--config", "{malformed}"],
+    "zero-runs": ["mi", "--dataset", "synth:preset=mi,seed=0", "--runs", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_is_config_error(name, tmp_path, capsys):
+    args = list(BAD_INPUTS[name])
+    if name == "config-json":
+        path = tmp_path / "cfg.json"
+        path.write_text('{"model": "park",')
+        args[args.index("{malformed}")] = str(path)
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
 
 class TestExternalModelAdapter:
     def test_info_round_trip_on_echo_fixture(self):
@@ -225,10 +276,37 @@ class TestExternalModelAdapter:
 
     def test_unsupported_gradient_response(self):
         with ExternalModel(BUILTIN_SERVER + ["--model", "echo", "--arity", "2"]) as child:
-            from xmeter.core import ContractViolation
-
-            with pytest.raises(ContractViolation):
+            with pytest.raises(ModelProtocolError):
                 child.gradient([0.0, 0.0])
+
+    def test_declared_gradient_refused_is_protocol_error(self, capsys):
+        server = scripted_server('{"arity": 3, "output": "scalar", "gradient": true}')
+        code, _ = run_cli(["attr-eval", "--model", exec_spec(server),
+                           "--point", "0.1,0.2,0.3", "--methods", "saliency",
+                           "--uniform", "0,1", "--n-mc", "200"], capsys)
+        assert code == EXIT_PROTOCOL
+
+    def test_late_reply_is_not_paired_with_the_next_request(self):
+        server = scripted_server('{"arity": 1, "output": "scalar", "gradient": false}',
+                                 predict='{"y": [1.0]}', delay=1.0)
+        with ExternalModel(server, timeout=0.5) as child:
+            with pytest.raises(ModelProtocolError):
+                child.predict([0.0])
+            time.sleep(0.7)  # a child still running has written its late reply by now
+            with pytest.raises(ModelProtocolError):
+                child.predict([0.0])
+
+    @pytest.mark.parametrize("predict,gradient", [('{"y": [NaN]}', "false"),
+                                                  ('{"y": [0.5]}', "true")],
+                             ids=["predict", "gradient"])
+    def test_non_finite_output_is_numeric_failure(self, predict, gradient, capsys):
+        server = scripted_server(f'{{"arity": 3, "output": "scalar", "gradient": {gradient}}}',
+                                 predict=predict, gradient='{"g": [NaN, 0.0, 0.0]}')
+        code, out = run_cli(["attr-eval", "--model", exec_spec(server),
+                             "--point", "0.1,0.2,0.3", "--methods", "saliency",
+                             "--uniform", "0,1", "--n-mc", "200"], capsys)
+        assert code == EXIT_NUMERIC
+        assert "NaN" not in out
 
     def test_concurrent_predicts_are_serialized(self):
         with ExternalModel(PARK_SERVER) as child:
@@ -277,10 +355,10 @@ class TestExternalModelAdapter:
             assert g == pytest.approx([1.0, 0.0, 0.0], abs=1e-6)
 
     def test_cli_exit_code_for_undefined_correlation(self, capsys):
-        from xmeter.cli import EXIT_NUMERIC
-
-        server = f"{sys.executable} {FIXTURES / 'constant_server.py'}"
-        code, _ = run_cli(["attr-eval", "--model", f"exec:{server}",
+        # a constant model: every restriction loss is zero
+        server = scripted_server('{"arity": 3, "output": "scalar", "gradient": false}',
+                                 predict='{"y": [2.5]}')
+        code, _ = run_cli(["attr-eval", "--model", exec_spec(server),
                            "--point", "0.1,0.2,0.3", "--methods", "random",
                            "--uniform", "0,1", "--n-mc", "200"], capsys)
         assert code == EXIT_NUMERIC

@@ -15,7 +15,6 @@ from xmeter.core import (
     evaluate_loss,
     evaluate_loss_batch,
     gradient,
-    restrict_model,
 )
 from conftest import constant_model, linear_model
 
@@ -41,12 +40,6 @@ class TestTabularDataset:
         ds = TabularDataset([[1.0, 2.0]])
         with pytest.raises(ValueError):
             ds.features[0, 0] = 9.0
-
-    def test_filter_class(self):
-        ds = TabularDataset([[0.0], [1.0], [2.0]], labels=[0, 1, 0])
-        sub = ds.filter_class(0)
-        assert sub.n_samples == 2
-        assert list(sub.features[:, 0]) == [0.0, 2.0]
 
 
 class TestLosses:
@@ -113,45 +106,16 @@ class TestModelHandle:
         with pytest.raises(ContractViolation):
             m.predict([1.0])
 
-
-class TestRestrictModel:
-    def test_restriction_at_anchor_reproduces_prediction(self, park, park_point):
-        restricted = restrict_model(park, park_point, [0])
-        assert restricted.predict([park_point[0]]) == pytest.approx(
-            park.predict(park_point), abs=0.0)
-
-    def test_inert_coordinate_is_flat(self, park, park_point):
-        # the test function has no dependence on coordinate 4
-        restricted = restrict_model(park, park_point, [4])
-        f_star = park.predict(park_point)
-        for v in np.linspace(0.0, 0.999, 25):
-            assert restricted.predict([v]) == pytest.approx(f_star, abs=0.0)
-
-    def test_constant_model_restriction(self):
-        m = constant_model(3, value=7.0)
-        restricted = restrict_model(m, [0.1, 0.2, 0.3], [1, 2])
-        assert restricted.predict([0.9, 0.9]) == 7.0
-
-    def test_out_of_range_index_rejected(self, park, park_point):
-        with pytest.raises(ContractViolation):
-            restrict_model(park, park_point, [6])
-
-    def test_composition(self, park, park_point):
-        # restricting to S then to a subset of S equals the direct restriction
-        rng = np.random.default_rng(7)
-        outer = restrict_model(park, park_point, [0, 2, 3])
-        inner = restrict_model(outer, park_point[[0, 2, 3]], [0, 2])   # -> features 0, 3
-        direct = restrict_model(park, park_point, [0, 3])
-        probes = rng.uniform(0, 1, size=(100, 2))
-        np.testing.assert_array_equal(inner.predict_batch(probes),
-                                      direct.predict_batch(probes))
-
-    def test_batch_matches_pointwise(self, park, park_point):
-        restricted = restrict_model(park, park_point, [1, 2])
-        rng = np.random.default_rng(3)
-        Z = rng.uniform(0, 1, size=(20, 2))
-        batch = restricted.predict_batch(Z)
-        assert batch == pytest.approx([restricted.predict(z) for z in Z])
+    @pytest.mark.parametrize("kind,bad", [("scalar", np.nan), ("scalar", np.inf),
+                                          ("probs", [np.nan, 1.0]), ("label", np.nan)],
+                             ids=["scalar-nan", "scalar-inf", "probs-nan", "label-nan"])
+    def test_non_finite_output_rejected(self, kind, bad):
+        m = ModelHandle(2, kind, lambda x: bad,
+                        batch_fn=lambda X: np.array([bad] * len(X)), name="bad")
+        with pytest.raises(FloatingPointError):
+            m.predict([0.0, 0.0])
+        with pytest.raises(FloatingPointError):
+            m.predict_batch(np.zeros((3, 2)))
 
 
 class TestGradient:
@@ -191,28 +155,22 @@ class TestGradient:
 class TestFeatureDistribution:
     def test_deterministic_per_seed(self):
         dist = FeatureDistribution.uniform(3, 0.0, 2.0)
-        a = dist.sample(1, 50, np.random.default_rng(42))
-        b = dist.sample(1, 50, np.random.default_rng(42))
+        a = dist.sample_matrix([1], 50, np.random.default_rng(42))
+        b = dist.sample_matrix([1], 50, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
     def test_uniform_support(self):
         dist = FeatureDistribution.uniform(1, -1.0, 1.0)
-        x = dist.sample(0, 1000, np.random.default_rng(0))
+        x = dist.sample_matrix([0], 1000, np.random.default_rng(0))
         assert x.min() >= -1.0 and x.max() < 1.0
 
     def test_empirical_draws_recorded_values(self):
         data = TabularDataset([[1.0], [2.0], [5.0]])
         dist = FeatureDistribution.empirical(data)
-        x = dist.sample(0, 200, np.random.default_rng(1))
+        x = dist.sample_matrix([0], 200, np.random.default_rng(1))
         assert set(np.unique(x)) <= {1.0, 2.0, 5.0}
 
     def test_sample_matrix_shape(self):
         dist = FeatureDistribution.uniform(4)
         block = dist.sample_matrix([1, 3], 7, np.random.default_rng(0))
         assert block.shape == (7, 2)
-
-    def test_conditional_mode_is_stub(self):
-        dist = FeatureDistribution(
-            FeatureDistribution.uniform(2).samplers, mode="conditional")
-        with pytest.raises(NotImplementedError):
-            dist.sample(0, 10, np.random.default_rng(0))

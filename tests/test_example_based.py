@@ -49,6 +49,20 @@ class TestNonRepresentativeness:
         assert non_representativeness(single, m, ZERO_ONE) == \
             non_representativeness(doubled, m, ZERO_ONE)
 
+    def test_examples_evaluated_in_one_batch(self):
+        from xmeter.core import SQUARED_ERROR, ModelHandle
+
+        batches = []
+
+        def batch(X):
+            batches.append(len(X))
+            return X[:, 0]
+
+        m = ModelHandle(1, "scalar", lambda x: pytest.fail("pointwise predict"), batch_fn=batch)
+        E = ExampleSet([[0.0], [1.0], [3.0]], target_prediction=1.0)
+        assert non_representativeness(E, m, SQUARED_ERROR) == pytest.approx(5.0 / 3.0)
+        assert batches == [3]
+
 
 class TestDiversity:
     def test_hand_computed_pair(self):
@@ -62,10 +76,6 @@ class TestDiversity:
     def test_identical_examples_are_zero(self):
         E = ExampleSet([[1.0, 1.0]] * 4, target_prediction=0)
         assert diversity(E) == 0.0
-
-    def test_unordered_pair_switch_halves_value(self):
-        E = ExampleSet([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]], target_prediction=0)
-        assert diversity(E, ordered_pairs=False) == pytest.approx(diversity(E) / 2.0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.permutations(range(5)))
@@ -101,8 +111,8 @@ class TestKernel:
         assert median_bandwidth(np.ones((4, 2))) == 1.0  # degenerate fallback
 
 
-def brute_force_medoids(X, n, metric="euclidean"):
-    D = pairwise_distances(X, metric=metric)
+def brute_force_medoids(X, n):
+    D = pairwise_distances(X)
     best, best_cost = None, np.inf
     for combo in itertools.combinations(range(len(X)), n):
         cost = D[:, list(combo)].min(axis=1).sum()

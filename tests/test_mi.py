@@ -217,7 +217,7 @@ class TestExtractorReport:
             "entropy": extractor_report(
                 data, fit_entropy_discretizer(data, max_depth=3), model, seed=0),
         }
-        feature_mis = {k: r.metrics["feature_mi"] for k, r in reports.items()}
+        feature_mis = {k: feature.value for k, (feature, _) in reports.items()}
         assert feature_mis["identity"] == max(feature_mis.values())
         assert feature_mis["entropy"] < feature_mis["identity"]
 
@@ -229,18 +229,20 @@ class TestExtractorReport:
         for g in (identity_extractor(),
                   draw_random_ood_extractor(data.n_features, 3, seed=1),
                   fit_entropy_discretizer(data, max_depth=3)):
-            rep = extractor_report(data, g, model, seed=0)
-            assert rep.metrics["target_mi"] <= baseline + 0.05
+            _, target = extractor_report(data, g, model, seed=0)
+            assert target.value <= baseline + 0.05
 
     def test_constant_extractor_carries_no_information(self):
         data, model = _mi_bench_setup()
         g = random_ood_extractor(range(data.n_features), value=-10.0)
-        rep = extractor_report(data, g, model, seed=0)
-        assert rep.metrics["feature_mi"] == pytest.approx(0.0, abs=0.05)
-        assert rep.metrics["target_mi"] == pytest.approx(0.0, abs=0.05)
+        feature, target = extractor_report(data, g, model, seed=0)
+        assert feature.value == pytest.approx(0.0, abs=0.05)
+        assert target.value == pytest.approx(0.0, abs=0.05)
 
     def test_labels_used_when_no_model(self):
         data, _ = _mi_bench_setup()
-        rep = extractor_report(data, identity_extractor(), model=None, seed=0)
-        assert rep.settings["target_source"] == "labels"
-        assert rep.metrics["target_mi"] > 0.5
+        _, target = extractor_report(data, identity_extractor(), model=None, seed=0)
+        from_labels = estimate_mi(data.features, data.labels, k=3, seed=0,
+                                  a_discrete=False, b_discrete=True)
+        assert target == from_labels
+        assert target.value > 0.5
