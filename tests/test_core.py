@@ -16,6 +16,8 @@ from xmeter.core import (
     evaluate_loss_batch,
     gradient,
 )
+from xmeter.attr_metrics import ExpectationConfig, _restriction_loss, expected_restriction_loss
+from xmeter.example_based import _filtered
 from conftest import constant_model, linear_model
 
 
@@ -40,6 +42,13 @@ class TestTabularDataset:
         ds = TabularDataset([[1.0, 2.0]])
         with pytest.raises(ValueError):
             ds.features[0, 0] = 9.0
+
+    def test_filter_class(self):
+        ds = TabularDataset([[0.0], [1.0], [2.0]], labels=[0, 1, 0])
+        sub, idx = _filtered(ds, 0)
+        assert sub.n_samples == 2
+        assert list(sub.features[:, 0]) == [0.0, 2.0]
+        assert list(idx) == [0, 2]
 
 
 class TestLosses:
@@ -116,6 +125,31 @@ class TestModelHandle:
             m.predict([0.0, 0.0])
         with pytest.raises(FloatingPointError):
             m.predict_batch(np.zeros((3, 2)))
+
+
+class TestRestrictModel:
+    """Restriction clamps every coordinate outside a set at the anchor and
+    resamples the set; the metrics do it by tiling in ``_restriction_loss``."""
+
+    def test_inert_coordinate_is_flat(self, park, park_point):
+        # the test function has no dependence on coordinates 4 and 5
+        cfg = ExpectationConfig(FeatureDistribution.uniform(6), SQUARED_ERROR,
+                                n_mc_samples=200, seed=0)
+        rng = np.random.default_rng(0)
+        assert _restriction_loss(park, park_point, [4, 5], cfg, rng) == 0.0
+
+    def test_constant_model_restriction(self):
+        m = constant_model(3, value=7.0)
+        cfg = ExpectationConfig(FeatureDistribution.uniform(3), SQUARED_ERROR,
+                                n_mc_samples=200, seed=0)
+        rng = np.random.default_rng(0)
+        assert _restriction_loss(m, np.array([0.1, 0.2, 0.3]), [1, 2], cfg, rng) == 0.0
+
+    def test_out_of_range_index_rejected(self, park, park_point):
+        cfg = ExpectationConfig(FeatureDistribution.uniform(6), SQUARED_ERROR, seed=0)
+        for i in (6, -1):
+            with pytest.raises(ContractViolation):
+                expected_restriction_loss(park, park_point, i, cfg)
 
 
 class TestGradient:
