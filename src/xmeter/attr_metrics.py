@@ -224,56 +224,22 @@ def perturbation_test(attr: AttributionVector, model: ModelHandle, k: int,
     return float(np.mean(model.predict_labels(X) == label_star))
 
 
-@dataclass(frozen=True)
-class AttributionMetricsReport:
-    """The four attribution metrics for one method at one point."""
-
-    method: str
-    complexity: int
-    monotonicity: float
-    non_sensitivity: int
-    effective_complexity: int
-    ec_saturated: bool
-    epsilon: float
-    e_vector: tuple[float, ...]
-    n_mc_samples: int
-    zero_tolerance: float
-    loss: str
-    seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "complexity": self.complexity,
-            "monotonicity": self.monotonicity,
-            "non_sensitivity": self.non_sensitivity,
-            "effective_complexity": self.effective_complexity,
-            "ec_saturated": self.ec_saturated,
-            "epsilon": self.epsilon,
-            "e_vector": list(self.e_vector),
-            "n_mc_samples": self.n_mc_samples,
-            "zero_tolerance": self.zero_tolerance,
-            "loss": self.loss,
-            "seed": self.seed,
-        }
-
-
 def attribution_report(attr: AttributionVector, model: ModelHandle, epsilon: float,
-                       cfg: ExpectationConfig) -> AttributionMetricsReport:
-    """All four metrics with one shared restriction-loss pass."""
+                       cfg: ExpectationConfig) -> dict:
+    """All four metrics with one shared restriction-loss pass, as a JSON-ready entry."""
     e = restriction_loss_vector(model, attr.point, cfg)
     ec = effective_complexity_detail(attr, model, epsilon, cfg)
-    return AttributionMetricsReport(
-        method=attr.method,
-        complexity=complexity(attr),
-        monotonicity=monotonicity(attr, model, cfg, e_vector=e),
-        non_sensitivity=non_sensitivity(attr, model, cfg, e_vector=e),
-        effective_complexity=ec.k,
-        ec_saturated=ec.saturated,
-        epsilon=epsilon,
-        e_vector=tuple(float(v) for v in e),
-        n_mc_samples=cfg.n_mc_samples,
-        zero_tolerance=cfg.zero_tolerance,
-        loss=cfg.loss.kind,
-        seed=cfg.seed,
-    )
+    return {
+        "method": attr.method,
+        "complexity": complexity(attr),
+        "monotonicity": monotonicity(attr, model, cfg, e_vector=e),
+        "non_sensitivity": non_sensitivity(attr, model, cfg, e_vector=e),
+        "effective_complexity": ec.k,
+        "ec_saturated": ec.saturated,
+        "epsilon": epsilon,
+        "e_vector": [float(v) for v in e],
+        "n_mc_samples": cfg.n_mc_samples,
+        "zero_tolerance": cfg.zero_tolerance,
+        "loss": cfg.loss.kind,
+        "seed": cfg.seed,
+    }

@@ -363,10 +363,17 @@ def _load_json(path: str, what: str):
         raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from None
 
 
+_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number")}
+
+
 def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
-    """Config-file values fill options the command line left at defaults."""
+    """Config-file values fill options the command line left at defaults.
+
+    Each value must have its option's type; it is checked, not converted.
+    """
     merged = vars(args).copy()
     config_path = merged.pop("config", None)
+    option_types = merged.pop("option_types")
     if config_path:
         loaded = _load_json(config_path, "config file")
         if not isinstance(loaded, dict):
@@ -375,6 +382,9 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
         for key, value in loaded.items():
+            types, what = _CONFIG_TYPES.get(option_types[key], ((str,), "a string"))
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
             if merged.get(key) is None:
                 merged[key] = value
     for key, default in parser_defaults.items():
@@ -493,12 +503,11 @@ def _run_attr_eval(cfg: dict, model: ModelHandle, data: TabularDataset | None) -
     header = ["method", "complexity", "monotonicity", "effective_complexity",
               "non_sensitivity"] + (["perturbation_test"] if want_pt else [])
     for method, attr in judged:
-        report = attr_metrics.attribution_report(attr, model, float(cfg["epsilon"]), mc_cfg)
-        entry = report.to_dict()
-        row = [method, report.complexity, report.monotonicity,
-               report.effective_complexity, report.non_sensitivity]
+        entry = attr_metrics.attribution_report(attr, model, float(cfg["epsilon"]), mc_cfg)
+        row = [method, entry["complexity"], entry["monotonicity"],
+               entry["effective_complexity"], entry["non_sensitivity"]]
         if want_pt:
-            k = report.effective_complexity if pt_k is None else pt_k
+            k = entry["effective_complexity"] if pt_k is None else pt_k
             score = attr_metrics.perturbation_test(attr, model, k, data,
                                                    int(cfg["pt_n"]), int(cfg["seed"]))
             entry["perturbation_test"] = score
@@ -683,6 +692,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_mi)
 
+    for p in sub.choices.values():
+        p.set_defaults(option_types={a.dest: a.type for a in p._actions})
     return parser
 
 

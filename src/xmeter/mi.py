@@ -14,10 +14,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
+from .bench import _best_split
 from .core import ContractViolation, ModelHandle, TabularDataset
 
 JITTER_SCALE = 1e-10
-ZERO_GAIN = 1e-12
 
 ExtractorKind = str  # "identity" | "random-ood" | "entropy-discretizer"
 
@@ -65,50 +65,13 @@ def draw_random_ood_extractor(arity: int, n_replaced: int, seed: int,
     return random_ood_extractor(sorted(int(i) for i in idx), value)
 
 
-def _entropy_from_counts(counts: np.ndarray) -> float:
-    n = counts.sum()
-    p = counts[counts > 0] / n
-    return float(-(p * np.log(p)).sum())
-
-
-def _best_entropy_split(values: np.ndarray, labels: np.ndarray, n_classes: int):
-    """Best midpoint threshold by information gain; ties pick the lowest threshold.
-
-    Returns (threshold, gain) or None when no candidate has gain > ZERO_GAIN.
-    """
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    lab = labels[order]
-    cuts = np.nonzero(np.diff(v) > 0)[0]
-    if cuts.size == 0:
-        return None
-    n = len(v)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), lab] = 1.0
-    prefix = np.cumsum(onehot, axis=0)
-    total = prefix[-1]
-    parent = _entropy_from_counts(total)
-    best = None
-    best_gain = ZERO_GAIN
-    for cut in cuts:
-        left = prefix[cut]
-        right = total - left
-        nl = left.sum()
-        child = (nl * _entropy_from_counts(left) + (n - nl) * _entropy_from_counts(right)) / n
-        gain = parent - child
-        if gain > best_gain + ZERO_GAIN:
-            best_gain = gain
-            best = float((v[cut] + v[cut + 1]) / 2.0)
-    if best is None:
-        return None
-    return best, best_gain
-
-
 def fit_entropy_discretizer(data: TabularDataset, max_depth: int) -> FeatureExtractor:
     """Per-feature shallow trees against the labels; split thresholds become bin edges.
 
     Each feature is discretized independently with an information-gain stump
-    grown to ``max_depth``. Constant or uninformative features end up with no
+    grown to ``max_depth``, split by the tree's sweep (``bench._best_split``):
+    the lowest midpoint whose gain per row exceeds 2e-12 and beats every lower
+    one by more than 1e-12. Constant or uninformative features end up with no
     edges (a single bin).
     """
     if data.labels is None:
@@ -120,10 +83,10 @@ def fit_entropy_discretizer(data: TabularDataset, max_depth: int) -> FeatureExtr
     def collect(values, labels, depth, out):
         if depth >= max_depth or len(values) < 2:
             return
-        split = _best_entropy_split(values, labels, n_classes)
+        split = _best_split(values[:, None], labels, n_classes, "entropy")
         if split is None:
             return
-        t, _ = split
+        t = split[1]
         out.append(t)
         mask = values <= t
         collect(values[mask], labels[mask], depth + 1, out)

@@ -294,32 +294,35 @@ class TestPerturbationTest:
 class TestAttributionReport:
     def test_saliency_bundle(self, park, park_point, park_cfg):
         report = attribution_report(saliency(park, park_point), park, 0.01, park_cfg)
-        assert report.complexity == 4
-        assert report.non_sensitivity == 0
-        assert report.effective_complexity == 3
-        assert report.monotonicity >= 0.8
-        assert report.e_vector[4] == 0.0 and report.e_vector[5] == 0.0
+        assert report["complexity"] == 4
+        assert report["non_sensitivity"] == 0
+        assert report["effective_complexity"] == 3
+        assert report["monotonicity"] >= 0.8
+        assert report["e_vector"][4] == 0.0 and report["e_vector"][5] == 0.0
 
     def test_random_bundle(self, park, park_point, park_cfg):
         attr = compute_attribution("random", park, park_point, seed=0)
         report = attribution_report(attr, park, 0.01, park_cfg)
-        assert report.complexity == 6
-        assert report.non_sensitivity == 2
+        assert report["complexity"] == 6
+        assert report["non_sensitivity"] == 2
 
     def test_intgrad_bundle(self, park, park_point, park_cfg):
         attr = compute_attribution("intgrad", park, park_point)
         report = attribution_report(attr, park, 0.01, park_cfg)
-        assert report.complexity == 4
-        assert report.non_sensitivity == 0
-        assert report.effective_complexity == 4
+        assert report["complexity"] == 4
+        assert report["non_sensitivity"] == 0
+        assert report["effective_complexity"] == 4
 
     def test_e_vector_matches_quadrature(self, park, park_point, park_cfg):
         report = attribution_report(saliency(park, park_point), park, 0.01, park_cfg)
         for i in range(4):
-            assert report.e_vector[i] == pytest.approx(quad_restriction_loss(i), rel=0.1)
+            assert report["e_vector"][i] == pytest.approx(quad_restriction_loss(i), rel=0.1)
 
     def test_round_trips_to_dict(self, park, park_point, park_cfg):
         report = attribution_report(saliency(park, park_point), park, 0.01, park_cfg)
-        doc = report.to_dict()
-        assert doc["method"] == "saliency"
-        assert doc["effective_complexity"] == 3
+        assert set(report) == {
+            "method", "complexity", "monotonicity", "non_sensitivity",
+            "effective_complexity", "ec_saturated", "epsilon", "e_vector",
+            "n_mc_samples", "zero_tolerance", "loss", "seed"}
+        assert report["method"] == "saliency"
+        assert report["effective_complexity"] == 3

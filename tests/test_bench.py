@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xmeter import bench
+from xmeter import bench, mi
 from xmeter.core import ContractViolation, TabularDataset, gradient
 from xmeter.mi import estimate_mi
 
@@ -108,6 +110,138 @@ class TestDecisionTree:
             bench.fit_decision_tree(TabularDataset([[1.0], [2.0]]), max_depth=2)
 
 
+# Reference split searches: the per-cut scalar loops that bench._best_split replaced.
+
+def _reference_gini(counts):
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    p = counts / n
+    return float(1.0 - (p * p).sum())
+
+
+def reference_gini_split(X, y, idx, n_classes):
+    parent = _reference_gini(np.bincount(y[idx], minlength=n_classes)) * len(idx)
+    best = None
+    best_impurity = np.inf
+    for f in range(X.shape[1]):
+        vals = X[idx, f]
+        order = np.argsort(vals, kind="stable")
+        sorted_vals = vals[order]
+        sorted_y = y[idx][order]
+        distinct = np.nonzero(np.diff(sorted_vals) > 0)[0]
+        if distinct.size == 0:
+            continue
+        onehot = np.zeros((len(idx), n_classes))
+        onehot[np.arange(len(idx)), sorted_y] = 1.0
+        prefix = np.cumsum(onehot, axis=0)
+        total = prefix[-1]
+        for cut in distinct:
+            left = prefix[cut]
+            right = total - left
+            imp = _reference_gini(left) * left.sum() + _reference_gini(right) * right.sum()
+            if imp < best_impurity - 1e-12:
+                best_impurity = imp
+                best = (f, float((sorted_vals[cut] + sorted_vals[cut + 1]) / 2.0))
+    if best is None or best_impurity >= parent - 1e-12:
+        return None
+    return best
+
+
+def _reference_entropy(counts):
+    n = counts.sum()
+    p = counts[counts > 0] / n
+    return float(-(p * np.log(p)).sum())
+
+
+def reference_entropy_split(values, labels, n_classes):
+    """Normalised information gain; a cut needs gain > 2e-12 and beats the best by 1e-12."""
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    lab = labels[order]
+    cuts = np.nonzero(np.diff(v) > 0)[0]
+    if cuts.size == 0:
+        return None
+    n = len(v)
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), lab] = 1.0
+    prefix = np.cumsum(onehot, axis=0)
+    total = prefix[-1]
+    parent = _reference_entropy(total)
+    best = None
+    best_gain = 1e-12
+    for cut in cuts:
+        left = prefix[cut]
+        right = total - left
+        nl = left.sum()
+        child = (nl * _reference_entropy(left) + (n - nl) * _reference_entropy(right)) / n
+        gain = parent - child
+        if gain > best_gain + 1e-12:
+            best_gain = gain
+            best = float((v[cut] + v[cut + 1]) / 2.0)
+    return best
+
+
+def _reference_split(X, y, n_classes, impurity):
+    if impurity == "gini":
+        return reference_gini_split(X, y, np.arange(len(y)), n_classes)
+    t = reference_entropy_split(X[:, 0], y, n_classes)
+    return None if t is None else (0, t)
+
+
+@st.composite
+def _tie_heavy_split_input(draw, max_columns):
+    n_classes = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, max_columns))
+    n_values = draw(st.integers(1, 4))
+    X = np.array(draw(st.lists(st.integers(0, n_values - 1), min_size=n * d,
+                               max_size=n * d)), dtype=float).reshape(n, d)
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    return X, y, n_classes
+
+
+def _tree_shape(node):
+    if node.is_leaf:
+        return node.distribution.tolist()
+    return (node.feature, node.threshold, _tree_shape(node.left), _tree_shape(node.right))
+
+
+class TestSplitSweep:
+    @settings(max_examples=100, deadline=None)
+    @given(_tie_heavy_split_input(max_columns=3))
+    def test_gini_matches_reference(self, case):
+        X, y, n_classes = case
+        assert bench._best_split(X, y, n_classes, "gini") == _reference_split(
+            X, y, n_classes, "gini")
+
+    @settings(max_examples=100, deadline=None)
+    @given(_tie_heavy_split_input(max_columns=1))
+    def test_entropy_matches_reference(self, case):
+        X, y, n_classes = case
+        assert bench._best_split(X, y, n_classes, "entropy") == _reference_split(
+            X, y, n_classes, "entropy")
+
+    def test_entropy_ignores_rounding_noise_at_many_rows(self):
+        # every cut leaves both classes in equal shares, so every gain is zero;
+        # at 30,010 rows the Gini-style 1e-12 tolerance on weighted sums splits here
+        values = np.repeat(np.arange(5.0), 6002)[:, None]
+        labels = np.tile([0, 1], 15005)
+        assert bench._best_split(values, labels, 2, "entropy") is None
+        assert _reference_split(values, labels, 2, "entropy") is None
+
+    @pytest.mark.parametrize("spec", ["MI_BENCH_SPEC", "CLUSTER_BENCH_SPEC"])
+    def test_fits_match_reference(self, spec, monkeypatch):
+        datasets = [bench.synth_tabular(getattr(bench, spec), seed) for seed in range(3)]
+        fits = [(_tree_shape(bench.fit_decision_tree(d, 5).root),
+                 mi.fit_entropy_discretizer(d, 3).bin_edges) for d in datasets]
+        monkeypatch.setattr(bench, "_best_split", _reference_split)
+        monkeypatch.setattr(mi, "_best_split", _reference_split)
+        for data, fit in zip(datasets, fits):
+            assert fit == (_tree_shape(bench.fit_decision_tree(data, 5).root),
+                           mi.fit_entropy_discretizer(data, 3).bin_edges)
+
+
 class TestSynthTabular:
     def test_bit_reproducible(self):
         spec = bench.SynthSpec(n_samples=100, n_features=4, n_classes=2,
@@ -173,7 +307,7 @@ class TestTokenBenchmark:
 
     def test_reproducible(self):
         d1, m1 = bench.token_benchmark(3)
-        d2, m2 = bench.token_benchmark(3)
+        d2, m2 = bench.token_benchmark.__wrapped__(3)  # a fresh build, not the cached one
         np.testing.assert_array_equal(d1.features, d2.features)
         x = d1.features[5]
         np.testing.assert_array_equal(m1.predict(x), m2.predict(x))

@@ -128,6 +128,19 @@ class TestAttrEvalCommand:
         assert list(report["metrics"]) == ["saliency"]
 
 
+    def test_token_benchmark_trained_once(self, monkeypatch, capsys):
+        calls = []
+        train = bench._train_softmax
+        monkeypatch.setattr(bench, "_train_softmax",
+                            lambda *a, **kw: calls.append(1) or train(*a, **kw))
+        bench.token_benchmark.cache_clear()
+        code, _ = run_cli(["attr-eval", "--model", "tokens:seed=0", "--dataset", "tokens:seed=0",
+                           "--methods", "saliency", "--point", ",".join(["1"] * 30),
+                           "--n-mc", "100"], capsys)
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
+
 class TestExampleEvalCommand:
     def test_selector_table(self, tmp_path, capsys):
         out = str(tmp_path / "ex")
@@ -224,6 +237,17 @@ BAD_INPUTS = {
                           "--methods", "random", "--uniform", "0"],
     "config-json": ["attr-eval", "--config", "{malformed}"],
     "zero-runs": ["mi", "--dataset", "synth:preset=mi,seed=0", "--runs", "0"],
+    # a dict stands for a --config file holding it
+    "config-int-string": ["attr-eval", "--config",
+                          {"model": "park", "point": PARK_POINT, "n_mc": "x"}],
+    "config-int-fraction": ["attr-eval", "--config",
+                            {"model": "park", "point": PARK_POINT, "n_mc": 300.7}],
+    "config-int-bool": ["mi", "--config", {"dataset": "synth:preset=mi,seed=0", "seed": True}],
+    "config-float-bool": ["attr-eval", "--config",
+                          {"model": "park", "point": PARK_POINT, "epsilon": True}],
+    "config-string-list": ["attr-eval", "--config",
+                           {"model": "park", "point": [0.24, 0.48, 0.56, 0.99, 0.68, 0.86]}],
+    "config-string-int": ["mi", "--config", {"dataset": 5}],
 }
 
 
@@ -234,6 +258,11 @@ def test_bad_input_is_config_error(name, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text('{"model": "park",')
         args[args.index("{malformed}")] = str(path)
+    for i, arg in enumerate(args):
+        if isinstance(arg, dict):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(arg))
+            args[i] = str(path)
     code = main(args)
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG
