@@ -48,22 +48,12 @@ class ExpectationConfig:
             raise ContractViolation("zero_tolerance must be >= 0")
 
 
-def _reference_prediction(model: ModelHandle, x_star: np.ndarray, loss: LossFunction):
-    """Prediction representation the loss consumes: labels for zero-one, raw otherwise."""
-    if loss.kind == "zero-one":
-        return model.predict_label(x_star)
-    y = model.predict(x_star)
-    if loss.kind == "cross-entropy" and model.output_kind != "probs":
-        raise ContractViolation("cross-entropy needs a class-probability model")
-    return y
-
-
 def _restriction_loss(model: ModelHandle, x_star: np.ndarray, resample: list[int],
                       cfg: ExpectationConfig, rng: np.random.Generator) -> float:
     """Mean loss after jointly resampling the given coordinates."""
     X = np.tile(x_star, (cfg.n_mc_samples, 1))
     X[:, resample] = cfg.distribution.sample_matrix(resample, cfg.n_mc_samples, rng)
-    y_ref = _reference_prediction(model, x_star, cfg.loss)
+    y_ref = batch_predictions(model, x_star[None, :], cfg.loss)[0]
     preds = batch_predictions(model, X, cfg.loss)
     return float(np.mean(evaluate_loss_batch(cfg.loss, y_ref, preds)))
 

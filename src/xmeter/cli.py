@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import queue
 import shlex
 import subprocess
@@ -26,6 +27,7 @@ from .core import (
     ModelHandle,
     TabularDataset,
     UndefinedCorrelation,
+    UnsupportedOperation,
     loss_by_name,
 )
 
@@ -163,11 +165,12 @@ class ExternalModel:
         return np.asarray(g, dtype=float)
 
     def as_model_handle(self) -> ModelHandle:
+        """A handle whose ``predict_fn`` sends one ``predict`` request per row, in order."""
         has_grad = bool(self.info["gradient"])
         return ModelHandle(
             arity=int(self.info["arity"]),
             output_kind=self.info["output"],
-            predict_fn=self.predict,
+            predict_fn=lambda X: [self.predict(x) for x in X],
             gradient_fn=self.gradient if has_grad else None,
             gradient_capability="exact" if has_grad else "finite-difference",
             name=f"external({' '.join(self.command)})",
@@ -248,16 +251,19 @@ _SYNTH_PRESETS = {
 }
 
 
-def _parse_int(text: str, what: str) -> int:
+def _parse_int(text: str, what: str, minimum: int | None = None) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ConfigError(f"{what} must be an integer, got {text!r}") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{what} must be >= {minimum}, got {value}")
+    return value
 
 
 def _tokens_seed(spec: str) -> int:
     kv = _parse_kv(spec[len("tokens:"):])
-    seed = _parse_int(kv.pop("seed", "0"), "tokens seed")
+    seed = _parse_int(kv.pop("seed", "0"), "tokens seed", minimum=0)
     if kv:
         raise ConfigError(f"unknown tokens keys: {sorted(kv)}")
     return seed
@@ -267,7 +273,7 @@ def parse_dataset_spec(spec: str) -> TabularDataset:
     """A CSV path, 'synth:...' generator options, or 'tokens:seed=N'."""
     if spec.startswith("synth:"):
         kv = _parse_kv(spec[len("synth:"):])
-        seed = _parse_int(kv.pop("seed", "0"), "synth seed")
+        seed = _parse_int(kv.pop("seed", "0"), "synth seed", minimum=0)
         preset = kv.pop("preset", None)
         if preset is not None:
             if kv:
@@ -337,7 +343,10 @@ def _json_ready(obj):
 def write_report(out_prefix: str | None, report: dict, csv_header: list[str],
                  csv_rows: list[list]) -> str:
     """Write PREFIX.json and PREFIX.csv deterministically; returns the JSON text."""
-    text = json.dumps(_json_ready(report), sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(_json_ready(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # NaN and infinities have no JSON form
+        raise FloatingPointError("the report holds a non-finite value") from None
     if out_prefix:
         Path(out_prefix).parent.mkdir(parents=True, exist_ok=True)
         Path(out_prefix + ".json").write_text(text, encoding="utf-8")
@@ -366,10 +375,19 @@ def _load_json(path: str, what: str):
 _CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number")}
 
 
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        return False
+
+
 def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
     """Config-file values fill options the command line left at defaults.
 
     Each value must have its option's type; it is checked, not converted.
+    Float options must be finite and the seed nonnegative, wherever they
+    were set.
     """
     merged = vars(args).copy()
     config_path = merged.pop("config", None)
@@ -390,6 +408,10 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
     for key, default in parser_defaults.items():
         if merged.get(key) is None:
             merged[key] = default
+        elif option_types[key] is float and not _is_finite(merged[key]):
+            raise ConfigError(f"option {key!r} must be finite, got {merged[key]!r}")
+    if merged["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {merged['seed']}")
     return merged
 
 
@@ -401,9 +423,12 @@ def _config_echo(cfg: dict, defaults: dict) -> dict:
 
 def _parse_float_list(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        values = [float(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
         raise ConfigError(f"bad number list {text!r}: {exc}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"number list {text!r} has a non-finite value")
+    return values
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -585,12 +610,13 @@ def cmd_mi(args: argparse.Namespace) -> int:
     if int(cfg["runs"]) < 1:
         raise ConfigError("mi needs --runs >= 1")
     data = parse_dataset_spec(cfg["dataset"])
-    model = closer = None
+    closer = None
     if cfg["model"]:
         model, closer = parse_model_spec(cfg["model"], data)
     elif data.labels is None:
         raise ConfigError("mi needs labels or a model to define the target variable")
     try:
+        y = model.predict_labels(data.features) if cfg["model"] else None
         extractors = [e.strip() for e in str(cfg["extractors"]).split(",") if e.strip()]
         discretizer = None
         metrics = {}
@@ -611,7 +637,7 @@ def cmd_mi(args: argparse.Namespace) -> int:
                     extractor = discretizer
                 else:
                     raise ConfigError(f"unknown extractor {name!r}")
-                feature, target = mi.extractor_report(data, extractor, model,
+                feature, target = mi.extractor_report(data, extractor, y,
                                                       k=int(cfg["k"]), seed=run_seed)
                 feature_vals.append(feature.value)
                 target_vals.append(target.value)
@@ -702,7 +728,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContractViolation) as exc:
+    except (ConfigError, ContractViolation, UnsupportedOperation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ModelProtocolError as exc:

@@ -86,20 +86,20 @@ class TabularDataset:
 class ModelHandle:
     """A black-box predictor plus its declared capabilities.
 
-    ``predict_fn`` maps one point (length ``arity``) to a prediction whose
-    type depends on ``output_kind``: a float for ``scalar``, a probability
-    vector for ``probs``, an integer class index for ``label``.
-    ``gradient_fn``, when present, takes ``(x, target)`` and returns the
-    exact gradient of the scalar output (or of the target-class probability).
+    ``predict_fn`` maps an ``(n, arity)`` matrix of rows to n predictions
+    whose form depends on ``output_kind``: floats for ``scalar``, an
+    ``(n, classes)`` matrix of probability rows for ``probs``, integer class
+    indices for ``label``. It is the one way the model is evaluated; a single
+    point is a one-row batch. ``gradient_fn``, when present, takes
+    ``(x, target)`` and returns the exact gradient of the scalar output (or of
+    the target-class probability).
     """
 
     arity: int
     output_kind: OutputKind
     predict_fn: Callable
-    batch_fn: Callable | None = None
     gradient_fn: Callable | None = None
     gradient_capability: GradientCapability = "none"
-    n_classes: int | None = None
     name: str = "model"
 
     def _check_point(self, x) -> np.ndarray:
@@ -110,54 +110,40 @@ class ModelHandle:
             )
         return x
 
-    def _check_probs(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if p.ndim != 1 or np.any(p < -PROB_SUM_TOL) or abs(p.sum() - 1.0) > PROB_SUM_TOL:
-            raise ContractViolation("class-probability output must be nonnegative and sum to 1")
-        return p
-
     def _check_finite(self, y):
-        if not np.all(np.isfinite(np.asarray(y, dtype=float))):
+        if not np.isfinite(y).all():
             raise FloatingPointError(f"model {self.name!r} returned a non-finite output")
 
     def predict(self, x):
-        x = self._check_point(x)
-        y = self.predict_fn(x)
-        self._check_finite(y)
+        y = self.predict_batch(self._check_point(x)[None, :])[0]
         if self.output_kind == "scalar":
             return float(y)
-        if self.output_kind == "probs":
-            return self._check_probs(y)
-        return int(y)
+        return y if self.output_kind == "probs" else int(y)
 
     def predict_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.arity:
             raise ContractViolation("batch must be (n, arity)")
-        if self.batch_fn is not None:
-            out = np.asarray(self.batch_fn(X))
-        else:
-            out = np.asarray([self.predict_fn(row) for row in X])
+        out = np.asarray(self.predict_fn(X))
         self._check_finite(out)
+        ndim = 2 if self.output_kind == "probs" else 1
+        if out.ndim != ndim or len(out) != len(X):
+            raise ContractViolation(f"model {self.name!r} returned shape {out.shape} "
+                                    f"for {len(X)} rows of {self.output_kind!r} output")
         if self.output_kind == "probs":
             if np.any(out < -PROB_SUM_TOL) or np.any(np.abs(out.sum(axis=1) - 1.0) > PROB_SUM_TOL):
                 raise ContractViolation("class-probability rows must be nonnegative and sum to 1")
         return out
 
     def predict_label(self, x) -> int:
-        y = self.predict(x)
-        if self.output_kind == "label":
-            return int(y)
-        if self.output_kind == "probs":
-            return int(np.argmax(y))  # ties resolve to the lowest index
-        raise ContractViolation("scalar models have no class labels")
+        return int(self.predict_labels(self._check_point(x)[None, :])[0])
 
     def predict_labels(self, X) -> np.ndarray:
         out = self.predict_batch(X)
         if self.output_kind == "label":
             return out.astype(np.int64)
         if self.output_kind == "probs":
-            return np.argmax(out, axis=1).astype(np.int64)
+            return np.argmax(out, axis=1).astype(np.int64)  # ties resolve to the lowest index
         raise ContractViolation("scalar models have no class labels")
 
 
@@ -248,8 +234,8 @@ class UniformSampler:
     high: float
 
     def __post_init__(self):
-        if not self.high > self.low:
-            raise ContractViolation("uniform sampler needs high > low")
+        if not (self.high > self.low and np.isfinite(self.high - self.low)):
+            raise ContractViolation("uniform sampler needs finite bounds with high > low")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.low, self.high, size=n)
@@ -295,25 +281,21 @@ class FeatureDistribution:
         return np.column_stack([self.samplers[i].sample(n, rng) for i in indices])
 
 
-def _scalar_output(model: ModelHandle, x: np.ndarray, target: int | None) -> float:
-    if model.output_kind == "scalar":
-        return model.predict(x)
-    return float(model.predict(x)[target])
-
-
 def finite_difference_gradient(model: ModelHandle, x, target: int | None = None) -> np.ndarray:
-    """Central finite differences with per-coordinate step 1e-5 * max(1, |x_i|)."""
+    """Central finite differences with per-coordinate step 1e-5 * max(1, |x_i|).
+
+    All 2 * arity points go to the model as one batch, in the order
+    x + h_0 e_0, x - h_0 e_0, x + h_1 e_1, ...
+    """
     x = np.array(x, dtype=float)
     if model.output_kind == "probs" and target is None:
         target = int(np.argmax(model.predict(x)))
-    g = np.empty(x.size)
-    for i in range(x.size):
-        h = 1e-5 * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (_scalar_output(model, xp, target) - _scalar_output(model, xm, target)) / (2 * h)
-    return g
+    h = 1e-5 * np.maximum(1.0, np.abs(x))
+    steps = np.diag(h)
+    y = model.predict_batch(x + np.stack([steps, -steps], axis=1).reshape(-1, x.size))
+    if model.output_kind == "probs":
+        y = y[:, target]
+    return (y[0::2] - y[1::2]) / (2 * h)
 
 
 def gradient(model: ModelHandle, x, target: int | None = None) -> np.ndarray:

@@ -51,8 +51,9 @@ class KernelConfig:
     bandwidth: float | None = None
 
     def __post_init__(self):
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ContractViolation("bandwidth must be positive")
+        # the kernel divides by 2 * bandwidth**2, which must be a positive finite float
+        if self.bandwidth is not None and not 1e-150 <= self.bandwidth <= 1e150:
+            raise ContractViolation("bandwidth must be in [1e-150, 1e150]")
 
     def resolve_bandwidth(self, X: np.ndarray) -> float:
         if self.bandwidth is not None:

@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 from scipy.special import digamma
 
 from .bench import _best_split
-from .core import ContractViolation, ModelHandle, TabularDataset
+from .core import ContractViolation, TabularDataset
 
 JITTER_SCALE = 1e-10
 
@@ -256,23 +256,18 @@ def estimate_mi(a, b, k: int = 3, seed: int = 0,
 
 
 def extractor_report(data: TabularDataset, g: FeatureExtractor,
-                     model: ModelHandle | None = None, k: int = 3,
+                     y: np.ndarray | None = None, k: int = 3,
                      seed: int = 0) -> tuple[MIEstimate, MIEstimate]:
     """The estimates of feature MI(X, Z) and target MI(Z, Y), in that order.
 
-    Y is the model's predicted label on each sample when a model is given,
-    otherwise the dataset labels.
+    Y is the given target labels, one per sample (for example a model's
+    predicted labels), otherwise the dataset labels.
     """
-    if model is not None and model.arity != data.n_features:
-        raise ContractViolation("model arity does not match data width")
+    y = data.labels if y is None else y
+    if y is None:
+        raise ContractViolation("need target labels or a labeled dataset")
     X = data.features
     Z = apply_extractor(g, data).features
-    if model is not None:
-        y = model.predict_labels(X)
-    elif data.labels is not None:
-        y = data.labels
-    else:
-        raise ContractViolation("need a model or labels to define the target variable")
     z_disc = g.output_discrete
     return (estimate_mi(X, Z, k=k, seed=seed, a_discrete=False, b_discrete=z_disc),
             estimate_mi(Z, y, k=k, seed=seed, a_discrete=z_disc, b_discrete=True))

@@ -32,8 +32,7 @@ def constant_model(arity, value=2.5):
     return ModelHandle(
         arity=arity,
         output_kind="scalar",
-        predict_fn=lambda x: value,
-        batch_fn=lambda X: np.full(len(X), value),
+        predict_fn=lambda X: np.full(len(X), value),
         gradient_fn=lambda x, target=None: np.zeros(arity),
         gradient_capability="exact",
         name="constant",
@@ -47,8 +46,7 @@ def linear_model(weights):
     return ModelHandle(
         arity=w.size,
         output_kind="scalar",
-        predict_fn=lambda x: float(w @ x),
-        batch_fn=lambda X: X @ w,
+        predict_fn=lambda X: X @ w,
         gradient_fn=lambda x, target=None: w.copy(),
         gradient_capability="exact",
         name="linear",

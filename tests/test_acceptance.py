@@ -120,6 +120,7 @@ def test_criterion_3_mi_estimator_calibration():
 def test_criterion_4_extractor_mi_phenomenon():
     data = bench.synth_tabular(bench.MI_BENCH_SPEC, seed=0)
     model = bench.fit_decision_tree(data, max_depth=5).as_model_handle()
+    y = model.predict_labels(data.features)
     discretizer = fit_entropy_discretizer(data, max_depth=3)
     runs = 50
     feature_mi = {name: [] for name in ("identity", "random-ood", "entropy")}
@@ -131,7 +132,7 @@ def test_criterion_4_extractor_mi_phenomenon():
             "entropy": discretizer,
         }
         for name, g in extractors.items():
-            feature, target = extractor_report(data, g, model, k=3, seed=run)
+            feature, target = extractor_report(data, g, y, k=3, seed=run)
             feature_mi[name].append(feature.value)
             target_mi[name].append(target.value)
     f_mean = {k: float(np.mean(v)) for k, v in feature_mi.items()}

@@ -32,7 +32,7 @@ class TestSaliency:
         assert attr.values == pytest.approx([0.0] * 4)
 
     def test_requires_gradient_capability(self):
-        m = ModelHandle(2, "scalar", lambda x: 1.0, gradient_capability="none")
+        m = ModelHandle(2, "scalar", lambda X: np.ones(len(X)), gradient_capability="none")
         with pytest.raises(UnsupportedOperation):
             saliency(m, [0.0, 0.0])
 

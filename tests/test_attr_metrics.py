@@ -265,8 +265,7 @@ class TestPerturbationTest:
         probs = np.array([0.1, 0.9])
         from xmeter.core import ModelHandle
 
-        m = ModelHandle(3, "probs", lambda x: probs,
-                        batch_fn=lambda X: np.tile(probs, (len(X), 1)), n_classes=2)
+        m = ModelHandle(3, "probs", lambda X: np.tile(probs, (len(X), 1)))
         corpus = TabularDataset(np.random.default_rng(0).uniform(0, 1, (30, 3)))
         attr = AttributionVector(np.zeros(3), probs, [0.5, -0.2, 0.1], "probe")
         assert perturbation_test(attr, m, 1, corpus, 300, seed=4) == 1.0

@@ -66,20 +66,21 @@ class TestDecisionTree:
         tree = bench.fit_decision_tree(data, max_depth=1)
         assert tree.root.feature == 0
         assert tree.root.threshold == pytest.approx(0.5)
-        preds = [tree.predict_label(x) for x in data.features]
+        handle = tree.as_model_handle()
+        preds = [handle.predict_label(x) for x in data.features]
         assert preds == list(data.labels)
 
     def test_depth_zero_is_majority_class(self):
         data = TabularDataset([[0.0], [1.0], [2.0]], labels=[1, 1, 0])
         tree = bench.fit_decision_tree(data, max_depth=0)
         assert tree.root.is_leaf
-        assert tree.predict_label([5.0]) == 1
+        assert tree.as_model_handle().predict_label([5.0]) == 1
 
     def test_pure_data_is_constant(self):
         data = TabularDataset([[0.0], [1.0], [2.0]], labels=[2, 2, 2])
         tree = bench.fit_decision_tree(data, max_depth=5)
         assert tree.root.is_leaf
-        assert tree.predict_label([9.0]) == 2
+        assert tree.as_model_handle().predict_label([9.0]) == 2
 
     def test_leaf_distributions_sum_to_one(self):
         data = bench.synth_tabular(
@@ -229,6 +230,13 @@ class TestSplitSweep:
         labels = np.tile([0, 1], 15005)
         assert bench._best_split(values, labels, 2, "entropy") is None
         assert _reference_split(values, labels, 2, "entropy") is None
+
+    def test_gini_ignores_rounding_noise_at_many_rows(self):
+        # every value holds the classes in shares 1:2:3, so every gain is zero;
+        # at 162,054 rows a 1e-12 tolerance on count-weighted Gini sums splits here
+        values = np.repeat(np.arange(3.0), 54018)[:, None]
+        labels = np.tile(np.repeat([0, 1, 2], [9003, 18006, 27009]), 3)
+        assert bench._best_split(values, labels, 3, "gini") is None
 
     @pytest.mark.parametrize("spec", ["MI_BENCH_SPEC", "CLUSTER_BENCH_SPEC"])
     def test_fits_match_reference(self, spec, monkeypatch):

@@ -1,13 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import shlex
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from xmeter import bench
 from xmeter.cli import (
@@ -127,6 +132,15 @@ class TestAttrEvalCommand:
         report = json.loads(Path(out + ".json").read_text())
         assert list(report["metrics"]) == ["saliency"]
 
+
+    @pytest.mark.filterwarnings("ignore")  # the domain and overflow warnings are expected
+    def test_overflowing_loss_is_numeric_failure(self, capsys):
+        # finite predictions whose squared differences overflow to infinity
+        code, out = run_cli(["attr-eval", "--model", "park", "--methods", "random",
+                             "--point", "0.8,0.0,8.7e190,2.5e14,0.5,0.5", "--n-mc", "100"],
+                            capsys)
+        assert code == EXIT_NUMERIC
+        assert out == ""
 
     def test_token_benchmark_trained_once(self, monkeypatch, capsys):
         calls = []
@@ -248,6 +262,31 @@ BAD_INPUTS = {
     "config-string-list": ["attr-eval", "--config",
                            {"model": "park", "point": [0.24, 0.48, 0.56, 0.99, 0.68, 0.86]}],
     "config-string-int": ["mi", "--config", {"dataset": 5}],
+    # non-finite floats, negative seeds and missing gradients
+    "uniform-inf": ["attr-eval", "--model", "park", "--point", PARK_POINT,
+                    "--uniform", "0,inf"],
+    "uniform-range-overflow": ["attr-eval", "--model", "park", "--point", PARK_POINT,
+                               "--methods", "random", "--uniform=-1e308,1e308"],
+    "point-nan": ["attr-eval", "--model", "park", "--point", "0.2,0.4,0.5,0.9,0.6,nan"],
+    "tree-gradient": ["attr-eval", "--model", "tree:2", "--dataset", "synth:n=60",
+                      "--point", "0,0"],
+    "bandwidth-nan": ["example-eval", "--dataset", "synth:n=60", "--bandwidth", "nan"],
+    "bandwidth-inf": ["example-eval", "--dataset", "synth:n=60", "--bandwidth", "inf"],
+    "bandwidth-underflow": ["example-eval", "--dataset", "synth:n=60", "--bandwidth", "1e-190"],
+    "bandwidth-overflow": ["example-eval", "--dataset", "synth:n=60", "--bandwidth", "1e200"],
+    "epsilon-inf": ["attr-eval", "--model", "park", "--point", PARK_POINT,
+                    "--epsilon", "inf"],
+    "attr-seed-negative": ["attr-eval", "--model", "park", "--point", PARK_POINT,
+                           "--seed", "-1"],
+    "mi-seed-negative": ["mi", "--dataset", "synth:n=60", "--seed", "-1"],
+    "synth-seed-negative": ["mi", "--dataset", "synth:n=60,seed=-1"],
+    "tokens-seed-negative": ["mi", "--dataset", "tokens:seed=-1"],
+    "config-epsilon-inf": ["attr-eval", "--config",
+                           {"model": "park", "point": PARK_POINT, "epsilon": float("inf")}],
+    "config-bandwidth-nan": ["example-eval", "--config",
+                             {"dataset": "synth:n=60", "bandwidth": float("nan")}],
+    "config-float-huge-int": ["attr-eval", "--config",
+                              {"model": "park", "point": PARK_POINT, "epsilon": 10 ** 400}],
 }
 
 
@@ -268,6 +307,109 @@ def test_bad_input_is_config_error(name, tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+# The property below draws commands from these. Every value is one argparse
+# accepts, so each outcome comes from xmeter itself. Half the commands use
+# only sane values; the other half mix in wild ones (NaN, infinities, huge or
+# negative numbers, unknown names).
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _csv(values):
+    return ",".join(str(v) for v in values)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _subset(names):
+    return st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True).map(_csv)
+
+
+@st.composite
+def _commands(draw):
+    wild = draw(st.booleans())
+
+    def choose(sane, strange):
+        return st.one_of(sane, strange) if wild else sane
+
+    def pick(sane, strange):
+        return draw(choose(sane, strange))
+
+    def options(spec):
+        chosen = draw(st.lists(st.sampled_from(sorted(spec)), unique=True))
+        return [f"--{name}={pick(*spec[name])}" for name in sorted(chosen)]
+
+    wild_float = _ANY_FLOAT.map(repr)
+    seed = (_ints(0, 3), _ints(-2, -1))
+    command = draw(st.sampled_from(["attr-eval", "example-eval", "mi"]))
+    models = ["tree", "tokens:seed=0"] + (["park"] if command == "attr-eval" else [])
+    model = pick(st.sampled_from(models), st.sampled_from(["park", "tree:x", "tree:-1", "linear"]))
+    # a dataset that fits the model, unless the command is wild
+    kinds = {"park": ["synth6", "none"], "tokens:seed=0": ["tokens"]}.get(
+        model, ["synth", "clusters", "tokens"])
+    kind = draw(st.sampled_from(kinds + (["synth", "none"] if wild else [])))
+    width = {"synth6": 6, "clusters": 2, "tokens": 30}.get(kind) or draw(st.integers(1, 4))
+    dataset = {"clusters": f"synth:preset=clusters,seed={pick(*seed)}",
+               "tokens": "tokens:seed=0", "none": None}.get(kind)
+    if kind.startswith("synth"):
+        keys = options({
+            "n": (_ints(20, 60), _ints(-1, 19)), "classes": (_ints(1, 3), _ints(0, 0)),
+            "sep": (_floats(0, 5), wild_float), "noise": (_ints(0, width - 1), _ints(-1, 7)),
+            "layout": (st.just("spread"), st.sampled_from(["ring", "x"])),
+            "quantize": (_floats(0.1, 2), wild_float), "seed": seed})
+        dataset = "synth:" + _csv([f"features={width}"] + [k[2:] for k in keys])
+    argv = [command] + ([f"--dataset={dataset}"] if dataset else [])
+    if command == "attr-eval":
+        arity = {"park": 6, "tokens:seed=0": 30}.get(model, width)
+        coordinate = choose(st.floats(0, 1, exclude_max=True), _ANY_FLOAT)
+        point = _csv(draw(st.lists(coordinate, min_size=arity, max_size=arity)))
+        n_mc = pick(_ints(100, 150), _ints(1, 99))
+        methods = ["random"] if model == "tree" else ["saliency", "inpxgrad", "intgrad", "random"]
+        argv += [f"--model={model}", f"--point={point}", f"--n-mc={n_mc}",
+                 f"--methods={pick(_subset(methods), st.just('saliency,x'))}"]
+        argv += options({
+            "loss": (st.sampled_from(["zero-one", "squared-error", "cross-entropy"]),) * 2,
+            "epsilon": (_floats(1e-4, 1), wild_float),
+            "zero-tolerance": (_floats(0, 1e-3), wild_float),
+            "steps": (_ints(1, 4), _ints(-1, 0)),
+            "uniform": (st.just("-1,2"), st.lists(wild_float, max_size=3).map(_csv)),
+            "pt": (st.one_of(st.just("ec"), _ints(1, arity)), _ints(-1, 40)),
+            "pt-n": (_ints(1, 30), _ints(-1, 0)), "seed": seed})
+    elif command == "example-eval":
+        argv += [f"--model={model}"] if draw(st.booleans()) else []
+        argv += options({
+            "selectors": (_subset(["kmedoids", "mmd", "protodash"]), st.just("x")),
+            "n": (_ints(1, 4), _ints(-1, 0)), "sweep": (st.just("1..3"), st.just("2,0")),
+            "bandwidth": (_floats(0.1, 5), wild_float), "seed": seed})
+    else:
+        argv += [f"--model={model}"] if draw(st.booleans()) else []
+        argv += ["--runs=1"] + options({
+            "extractors": (_subset(["identity", "random-ood", "entropy"]), st.just("x")),
+            "k": (_ints(1, 4), _ints(-1, 0)), "ood-count": (_ints(1, width), _ints(-1, 40)),
+            "ood-value": (_floats(-20, 20), wild_float), "max-depth": (_ints(1, 3), _ints(-1, 0)),
+            "seed": seed})
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_commands())
+def test_generated_commands_keep_the_exit_code_contract(argv):
+    """Any spec and option string: a documented exit code, and no non-finite JSON token."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PROTOCOL, EXIT_NUMERIC), (code, err.getvalue())
+    assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
 
 
 class TestExternalModelAdapter:

@@ -102,12 +102,12 @@ class TestLosses:
 
 class TestModelHandle:
     def test_probs_must_sum_to_one(self):
-        bad = ModelHandle(2, "probs", lambda x: np.array([0.5, 0.2]), name="bad")
+        bad = ModelHandle(2, "probs", lambda X: np.tile([0.5, 0.2], (len(X), 1)), name="bad")
         with pytest.raises(ContractViolation):
             bad.predict([0.0, 0.0])
 
     def test_argmax_tie_takes_lowest_index(self):
-        tie = ModelHandle(1, "probs", lambda x: np.array([0.5, 0.5]), n_classes=2)
+        tie = ModelHandle(1, "probs", lambda X: np.full((len(X), 2), 0.5))
         assert tie.predict_label([0.0]) == 0
 
     def test_wrong_arity_rejected(self):
@@ -119,8 +119,7 @@ class TestModelHandle:
                                           ("probs", [np.nan, 1.0]), ("label", np.nan)],
                              ids=["scalar-nan", "scalar-inf", "probs-nan", "label-nan"])
     def test_non_finite_output_rejected(self, kind, bad):
-        m = ModelHandle(2, kind, lambda x: bad,
-                        batch_fn=lambda X: np.array([bad] * len(X)), name="bad")
+        m = ModelHandle(2, kind, lambda X: np.array([bad] * len(X)), name="bad")
         with pytest.raises(FloatingPointError):
             m.predict([0.0, 0.0])
         with pytest.raises(FloatingPointError):
@@ -170,7 +169,7 @@ class TestGradient:
             assert gradient(m, rng.uniform(-1, 1, 3)) == pytest.approx(w)
 
     def test_finite_difference_matches_exact(self, park):
-        fd_park = ModelHandle(6, "scalar", park.predict_fn, batch_fn=park.batch_fn,
+        fd_park = ModelHandle(6, "scalar", park.predict_fn,
                               gradient_capability="finite-difference", name="park-fd")
         rng = np.random.default_rng(11)
         for _ in range(100):
@@ -180,8 +179,29 @@ class TestGradient:
             scale = max(1.0, float(np.max(np.abs(exact))))
             assert np.max(np.abs(approx - exact)) / scale < 1e-5
 
+    def test_finite_difference_is_one_batch(self, park, park_point):
+        calls = []
+
+        def predict(X):
+            calls.append(X.copy())
+            return park.predict_fn(X)
+
+        fd_park = ModelHandle(6, "scalar", predict,
+                              gradient_capability="finite-difference", name="park-fd")
+        g = gradient(fd_park, park_point)
+        assert [len(X) for X in calls] == [12]
+        # rows come in the order x + h0 e0, x - h0 e0, x + h1 e1, ...
+        expected = []
+        for i in range(6):
+            for sign in (1.0, -1.0):
+                row = park_point.copy()
+                row[i] += sign * 1e-5 * max(1.0, abs(park_point[i]))
+                expected.append(row)
+        np.testing.assert_array_equal(calls[0], expected)
+        assert g == pytest.approx(gradient(park, park_point), abs=1e-8)
+
     def test_no_capability_raises(self):
-        m = ModelHandle(2, "scalar", lambda x: 0.0, gradient_capability="none")
+        m = ModelHandle(2, "scalar", lambda X: np.zeros(len(X)), gradient_capability="none")
         with pytest.raises(UnsupportedOperation):
             gradient(m, [0.0, 0.0])
 

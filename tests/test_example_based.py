@@ -25,10 +25,10 @@ from xmeter.example_based import (
 from conftest import constant_model
 
 
-def label_model(fn, arity, n_classes=2):
+def label_model(fn, arity):
     from xmeter.core import ModelHandle
 
-    return ModelHandle(arity, "label", lambda x: int(fn(x)), n_classes=n_classes)
+    return ModelHandle(arity, "label", lambda X: np.array([int(fn(x)) for x in X]))
 
 
 class TestNonRepresentativeness:
@@ -54,11 +54,11 @@ class TestNonRepresentativeness:
 
         batches = []
 
-        def batch(X):
+        def predict(X):
             batches.append(len(X))
             return X[:, 0]
 
-        m = ModelHandle(1, "scalar", lambda x: pytest.fail("pointwise predict"), batch_fn=batch)
+        m = ModelHandle(1, "scalar", predict)
         E = ExampleSet([[0.0], [1.0], [3.0]], target_prediction=1.0)
         assert non_representativeness(E, m, SQUARED_ERROR) == pytest.approx(5.0 / 3.0)
         assert batches == [3]

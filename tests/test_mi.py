@@ -204,44 +204,43 @@ class TestEstimateMI:
 def _mi_bench_setup(seed=0):
     data = bench.synth_tabular(bench.MI_BENCH_SPEC, seed=seed)
     model = bench.fit_decision_tree(data, max_depth=5).as_model_handle()
-    return data, model
+    return data, model.predict_labels(data.features)
 
 
 class TestExtractorReport:
     def test_identity_feature_mi_is_maximal(self):
-        data, model = _mi_bench_setup()
+        data, y = _mi_bench_setup()
         reports = {
-            "identity": extractor_report(data, identity_extractor(), model, seed=0),
+            "identity": extractor_report(data, identity_extractor(), y, seed=0),
             "random-ood": extractor_report(
-                data, draw_random_ood_extractor(data.n_features, 3, seed=0), model, seed=0),
+                data, draw_random_ood_extractor(data.n_features, 3, seed=0), y, seed=0),
             "entropy": extractor_report(
-                data, fit_entropy_discretizer(data, max_depth=3), model, seed=0),
+                data, fit_entropy_discretizer(data, max_depth=3), y, seed=0),
         }
         feature_mis = {k: feature.value for k, (feature, _) in reports.items()}
         assert feature_mis["identity"] == max(feature_mis.values())
         assert feature_mis["entropy"] < feature_mis["identity"]
 
     def test_data_processing_inequality(self):
-        data, model = _mi_bench_setup()
-        y = model.predict_labels(data.features)
+        data, y = _mi_bench_setup()
         baseline = estimate_mi(data.features, y, k=3, seed=0,
                                a_discrete=False, b_discrete=True).value
         for g in (identity_extractor(),
                   draw_random_ood_extractor(data.n_features, 3, seed=1),
                   fit_entropy_discretizer(data, max_depth=3)):
-            _, target = extractor_report(data, g, model, seed=0)
+            _, target = extractor_report(data, g, y, seed=0)
             assert target.value <= baseline + 0.05
 
     def test_constant_extractor_carries_no_information(self):
-        data, model = _mi_bench_setup()
+        data, y = _mi_bench_setup()
         g = random_ood_extractor(range(data.n_features), value=-10.0)
-        feature, target = extractor_report(data, g, model, seed=0)
+        feature, target = extractor_report(data, g, y, seed=0)
         assert feature.value == pytest.approx(0.0, abs=0.05)
         assert target.value == pytest.approx(0.0, abs=0.05)
 
     def test_labels_used_when_no_model(self):
         data, _ = _mi_bench_setup()
-        _, target = extractor_report(data, identity_extractor(), model=None, seed=0)
+        _, target = extractor_report(data, identity_extractor(), seed=0)
         from_labels = estimate_mi(data.features, data.labels, k=3, seed=0,
                                   a_discrete=False, b_discrete=True)
         assert target == from_labels

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -30,6 +32,26 @@ def test_attr_table_script_prints_the_cli_reports(capsys):
                  "--point", ",".join(map(repr, x_star.tolist())), "--epsilon", "0.02",
                  "--pt", "ec", "--pt-n", "50", "--n-mc", "200", "--seed", "0"]) == 0
     assert result.stdout[cut:] == capsys.readouterr().out
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    # perfbench/tracing.py wraps xmeter functions and methods by name; a rename
+    # would otherwise break only the traced benchmark run
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {name: importlib.import_module(name) for name in tracing.MODULES}
+    originals = {name: dict(vars(module)) for name, module in modules.items()}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(modules)
+        patched = {(owner, attr) for owner, attr, _ in tracer._patches}
+        assert len(patched) >= len(tracing.SPANS)
+    finally:
+        tracer.restore()
+    assert {name: dict(vars(module)) for name, module in modules.items()} == originals
+    for owner, attr in patched:
+        assert not hasattr(vars(owner)[attr], "__wrapped__"), (owner, attr)
 
 
 def test_model_server_import_loads_no_scipy():
