@@ -14,10 +14,8 @@ class AttributionVector:
     """Signed per-feature importances for one explained point."""
 
     point: np.ndarray
-    prediction: object  # f(x*): float, probability vector, or class index
     values: np.ndarray
     method: str
-    seed: int | None = None
 
     def __post_init__(self):
         point = np.array(self.point, dtype=float)
@@ -46,14 +44,14 @@ def saliency(model: ModelHandle, x_star) -> AttributionVector:
     """Plain gradient of the explained output at the point."""
     x = np.asarray(x_star, dtype=float)
     g = gradient(model, x, target=_target_class(model, x))
-    return AttributionVector(x, model.predict(x), g, "saliency")
+    return AttributionVector(x, g, "saliency")
 
 
 def input_x_gradient(model: ModelHandle, x_star) -> AttributionVector:
     """Gradient multiplied coordinatewise by the input."""
     x = np.asarray(x_star, dtype=float)
     g = gradient(model, x, target=_target_class(model, x))
-    return AttributionVector(x, model.predict(x), x * g, "input-x-gradient")
+    return AttributionVector(x, x * g, "input-x-gradient")
 
 
 def integrated_gradients(model: ModelHandle, x_star, baseline=None,
@@ -75,39 +73,31 @@ def integrated_gradients(model: ModelHandle, x_star, baseline=None,
         alpha = (t + 0.5) / steps
         acc += gradient(model, b + alpha * (x - b), target=target)
     values = (x - b) * acc / steps
-    return AttributionVector(x, model.predict(x), values, "integrated-gradients")
+    return AttributionVector(x, values, "integrated-gradients")
 
 
-def random_attribution(arity: int, seed: int) -> AttributionVector:
+def random_attribution(x_star, seed: int) -> AttributionVector:
     """I.i.d. uniform [-1, 1] attributions with exact zeros resampled away."""
-    if arity < 1:
+    x = np.asarray(x_star, dtype=float)
+    if x.size < 1:
         raise ContractViolation("arity must be >= 1")
     rng = np.random.default_rng([seed, 21])
-    values = rng.uniform(-1.0, 1.0, size=arity)
+    values = rng.uniform(-1.0, 1.0, size=x.size)
     while np.any(values == 0.0):
         zeros = values == 0.0
         values[zeros] = rng.uniform(-1.0, 1.0, size=int(zeros.sum()))
-    return AttributionVector(np.zeros(arity), None, values, "random", seed=seed)
-
-
-METHODS = {
-    "saliency": saliency,
-    "inpxgrad": input_x_gradient,
-    "intgrad": integrated_gradients,
-}
+    return AttributionVector(x, values, "random")
 
 
 def compute_attribution(method: str, model: ModelHandle, x_star,
                         seed: int = 0, steps: int = 64) -> AttributionVector:
-    """Dispatch by method name; 'random' ignores the model beyond its arity."""
-    if method == "random":
-        attr = random_attribution(model.arity, seed)
-        x = np.asarray(x_star, dtype=float)
-        return AttributionVector(x, model.predict(x), attr.values, "random", seed=seed)
+    """Dispatch by method name; 'random' ignores the model."""
+    if method == "saliency":
+        return saliency(model, x_star)
+    if method == "inpxgrad":
+        return input_x_gradient(model, x_star)
     if method == "intgrad":
         return integrated_gradients(model, x_star, steps=steps)
-    try:
-        fn = METHODS[method]
-    except KeyError:
-        raise ContractViolation(f"unknown attribution method {method!r}") from None
-    return fn(model, x_star)
+    if method == "random":
+        return random_attribution(x_star, seed)
+    raise ContractViolation(f"unknown attribution method {method!r}")

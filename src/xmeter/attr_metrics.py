@@ -11,6 +11,7 @@ those expected losses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -48,31 +49,24 @@ class ExpectationConfig:
             raise ContractViolation("zero_tolerance must be >= 0")
 
 
-def _restriction_loss(model: ModelHandle, x_star: np.ndarray, resample: list[int],
+def _restriction_loss(model: ModelHandle, x_star: np.ndarray, y_ref, resample: list[int],
                       cfg: ExpectationConfig, rng: np.random.Generator) -> float:
-    """Mean loss after jointly resampling the given coordinates."""
+    """Mean loss against y_ref = f(x*) after jointly resampling the given coordinates."""
     X = np.tile(x_star, (cfg.n_mc_samples, 1))
     X[:, resample] = cfg.distribution.sample_matrix(resample, cfg.n_mc_samples, rng)
-    y_ref = batch_predictions(model, x_star[None, :], cfg.loss)[0]
     preds = batch_predictions(model, X, cfg.loss)
     return float(np.mean(evaluate_loss_batch(cfg.loss, y_ref, preds)))
 
 
-def expected_restriction_loss(model: ModelHandle, x_star, i: int,
-                              cfg: ExpectationConfig) -> float:
-    """E[l(y*, f_i(X_i)) | x*_{-i}]: resample feature i, clamp the rest at x*."""
+def restriction_loss_vector(model: ModelHandle, x_star, cfg: ExpectationConfig) -> np.ndarray:
+    """e_i = E[l(f(x*), f_i(X_i)) | x*_{-i}]: resample feature i (stream
+    ``[seed, 3, i]``), clamp the rest at x*; f(x*) is predicted once."""
     x_star = np.asarray(x_star, dtype=float)
-    if not 0 <= i < model.arity:
-        raise ContractViolation(f"feature index {i} out of range")
     if cfg.distribution.arity != model.arity:
         raise ContractViolation("distribution arity does not match the model")
-    rng = np.random.default_rng([cfg.seed, 3, i])
-    return _restriction_loss(model, x_star, [i], cfg, rng)
-
-
-def restriction_loss_vector(model: ModelHandle, x_star, cfg: ExpectationConfig) -> np.ndarray:
-    """The per-feature expected restriction losses e_i, one shared pass."""
-    return np.array([expected_restriction_loss(model, x_star, i, cfg)
+    y_ref = batch_predictions(model, x_star[None, :], cfg.loss)[0]
+    return np.array([_restriction_loss(model, x_star, y_ref, [i], cfg,
+                                       np.random.default_rng([cfg.seed, 3, i]))
                      for i in range(model.arity)])
 
 
@@ -111,13 +105,10 @@ def spearman(x, y) -> float:
     return float((dx @ dy) / np.sqrt(sx * sy))
 
 
-def attribution_zero_threshold(values: np.ndarray) -> float:
-    peak = float(np.max(np.abs(values))) if values.size else 0.0
-    return ZERO_ATTRIBUTION_REL * peak if peak > 0.0 else ZERO_ATTRIBUTION_REL
-
-
 def zero_attribution_set(attr: AttributionVector) -> set[int]:
-    thresh = attribution_zero_threshold(attr.values)
+    """Features with |a_i| <= ZERO_ATTRIBUTION_REL * max |a| (or the bare
+    floor when every attribution is zero)."""
+    thresh = ZERO_ATTRIBUTION_REL * (float(np.abs(attr.values).max(initial=0.0)) or 1.0)
     return {i for i, v in enumerate(attr.values) if abs(v) <= thresh}
 
 
@@ -126,21 +117,18 @@ def complexity(attr: AttributionVector) -> int:
     return attr.arity - len(zero_attribution_set(attr))
 
 
-def monotonicity(attr: AttributionVector, model: ModelHandle, cfg: ExpectationConfig,
-                 e_vector: np.ndarray | None = None) -> float:
-    """Spearman correlation between |attributions| and expected restriction losses."""
+def monotonicity(attr: AttributionVector, e: np.ndarray) -> float:
+    """Spearman correlation between |attributions| and the restriction losses e."""
     if attr.arity < 2:
         raise ContractViolation("monotonicity needs arity >= 2")
-    e = restriction_loss_vector(model, attr.point, cfg) if e_vector is None else e_vector
     return spearman(np.abs(attr.values), e)
 
 
-def non_sensitivity(attr: AttributionVector, model: ModelHandle, cfg: ExpectationConfig,
-                    e_vector: np.ndarray | None = None) -> int:
-    """|A0 symmetric-difference X0|: zero-attributed vs functionally inert features."""
-    e = restriction_loss_vector(model, attr.point, cfg) if e_vector is None else e_vector
+def non_sensitivity(attr: AttributionVector, e: np.ndarray, zero_tolerance: float) -> int:
+    """|A0 symmetric-difference X0|: zero-attributed features vs features whose
+    restriction loss in e is at most zero_tolerance (functionally inert)."""
     a_zero = zero_attribution_set(attr)
-    x_zero = {i for i, v in enumerate(e) if v <= cfg.zero_tolerance}
+    x_zero = {i for i, v in enumerate(e) if v <= zero_tolerance}
     return len(a_zero ^ x_zero)
 
 
@@ -168,24 +156,20 @@ def effective_complexity_detail(attr: AttributionVector, model: ModelHandle,
         raise ContractViolation("epsilon must be positive")
     if cfg.distribution.arity != model.arity:
         raise ContractViolation("distribution arity does not match the model")
+    y_ref = batch_predictions(model, attr.point[None, :], cfg.loss)[0]
     order = importance_order(attr.values)
     losses: list[float] = []
     for k in range(1, attr.arity + 1):
         rest = sorted(order[k:])
         if rest:
             rng = np.random.default_rng([cfg.seed, 7, k])
-            loss = _restriction_loss(model, attr.point, rest, cfg, rng)
+            loss = _restriction_loss(model, attr.point, y_ref, rest, cfg, rng)
         else:
             loss = 0.0
         losses.append(loss)
         if loss < epsilon:
             return EffectiveComplexityResult(k=k, saturated=False, losses=tuple(losses))
     return EffectiveComplexityResult(k=attr.arity, saturated=True, losses=tuple(losses))
-
-
-def effective_complexity(attr: AttributionVector, model: ModelHandle,
-                         epsilon: float, cfg: ExpectationConfig) -> int:
-    return effective_complexity_detail(attr, model, epsilon, cfg).k
 
 
 def perturbation_test(attr: AttributionVector, model: ModelHandle, k: int,
@@ -214,22 +198,34 @@ def perturbation_test(attr: AttributionVector, model: ModelHandle, k: int,
     return float(np.mean(model.predict_labels(X) == label_star))
 
 
-def attribution_report(attr: AttributionVector, model: ModelHandle, epsilon: float,
-                       cfg: ExpectationConfig) -> dict:
-    """All four metrics with one shared restriction-loss pass, as a JSON-ready entry."""
-    e = restriction_loss_vector(model, attr.point, cfg)
-    ec = effective_complexity_detail(attr, model, epsilon, cfg)
-    return {
-        "method": attr.method,
-        "complexity": complexity(attr),
-        "monotonicity": monotonicity(attr, model, cfg, e_vector=e),
-        "non_sensitivity": non_sensitivity(attr, model, cfg, e_vector=e),
-        "effective_complexity": ec.k,
-        "ec_saturated": ec.saturated,
-        "epsilon": epsilon,
-        "e_vector": [float(v) for v in e],
-        "n_mc_samples": cfg.n_mc_samples,
-        "zero_tolerance": cfg.zero_tolerance,
-        "loss": cfg.loss.kind,
-        "seed": cfg.seed,
-    }
+def attribution_report(attrs: Sequence[AttributionVector], model: ModelHandle,
+                       epsilon: float, cfg: ExpectationConfig) -> list[dict]:
+    """JSON-ready metric entries for attributions of one explained point, in order.
+
+    The restriction losses e depend only on the model, the point and the
+    sampling distribution, so one e-vector serves every attribution.
+    """
+    if not attrs:
+        return []
+    x_star = attrs[0].point
+    if any(not np.array_equal(attr.point, x_star) for attr in attrs):
+        raise ContractViolation("the attributions explain different points")
+    e = restriction_loss_vector(model, x_star, cfg)
+    entries = []
+    for attr in attrs:
+        ec = effective_complexity_detail(attr, model, epsilon, cfg)
+        entries.append({
+            "method": attr.method,
+            "complexity": complexity(attr),
+            "monotonicity": monotonicity(attr, e),
+            "non_sensitivity": non_sensitivity(attr, e, cfg.zero_tolerance),
+            "effective_complexity": ec.k,
+            "ec_saturated": ec.saturated,
+            "epsilon": epsilon,
+            "e_vector": [float(v) for v in e],
+            "n_mc_samples": cfg.n_mc_samples,
+            "zero_tolerance": cfg.zero_tolerance,
+            "loss": cfg.loss.kind,
+            "seed": cfg.seed,
+        })
+    return entries

@@ -47,6 +47,17 @@ class ModelProtocolError(RuntimeError):
     """The external model child violated the line-delimited JSON protocol."""
 
 
+def _json_reals(value) -> np.ndarray | None:
+    """A JSON list of numbers as floats, else None (also for a bool or an int
+    beyond the float range)."""
+    if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+        try:
+            return np.array(value, dtype=float)
+        except OverflowError:
+            pass
+    return None
+
+
 # ---------------------------------------------------------------------------
 # External model adapter (JSON lines over a child process's standard streams)
 # ---------------------------------------------------------------------------
@@ -65,6 +76,7 @@ class ExternalModel:
         self.timeout = timeout
         self._lock = threading.Lock()
         self._stderr: list[str] = []
+        self._classes = 0  # probability-row length
         try:
             self._proc = subprocess.Popen(
                 self.command,
@@ -145,24 +157,31 @@ class ExternalModel:
         response = self._request({"op": "predict", "x": [float(v) for v in np.asarray(x)]})
         if "error" in response:
             self._fail(f"predict failed: {response['error']}")
+        # 'y' holds one number (scalar), one class index (label), or one
+        # probability per class, with the same class count in every reply
         y = response.get("y")
-        if not isinstance(y, list) or not y:
-            self._fail(f"predict returned no 'y' list: {response!r}")
+        values = _json_reals(y)
         kind = self.info["output"]
-        if kind == "scalar":
-            return float(y[0])
-        if kind == "label":
-            return int(y[0])
-        return np.asarray(y, dtype=float)
+        if (values is None or values.size == 0 or (kind != "probs" and values.size != 1)
+                or (kind == "label" and not (type(y[0]) is int and 0 <= y[0] < 2**63))):
+            self._fail(f"predict returned a malformed 'y': {response!r}")
+        if kind != "probs":
+            return float(values[0]) if kind == "scalar" else y[0]
+        with self._lock:  # set once, by the first probs reply
+            self._classes = self._classes or values.size
+        if values.size != self._classes:
+            self._fail(f"predict returned {values.size} class probabilities "
+                       f"after {self._classes}: {response!r}")
+        return values
 
     def gradient(self, x, target=None):
         response = self._request({"op": "gradient", "x": [float(v) for v in np.asarray(x)]})
         if "error" in response:
             self._fail(f"gradient failed: {response['error']}")
-        g = response.get("g")
-        if not isinstance(g, list) or len(g) != self.info["arity"]:
+        g = _json_reals(response.get("g"))
+        if g is None or g.size != self.info["arity"]:
             self._fail(f"gradient returned a malformed 'g': {response!r}")
-        return np.asarray(g, dtype=float)
+        return g
 
     def as_model_handle(self) -> ModelHandle:
         """A handle whose ``predict_fn`` sends one ``predict`` request per row, in order."""
@@ -476,28 +495,24 @@ def cmd_attr_eval(args: argparse.Namespace) -> int:
 
 
 def _run_attr_eval(cfg: dict, model: ModelHandle, data: TabularDataset | None) -> int:
-    judged: list[tuple[str, attr_methods.AttributionVector]] = []
     if cfg["attr_file"]:
         payload = _load_attr_file(cfg["attr_file"])
-        point = np.asarray(payload["point"], dtype=float)
-        attr = attr_methods.AttributionVector(
-            point, model.predict(point), np.asarray(payload["values"], dtype=float),
-            str(payload["method"]))
-        judged.append((attr.method, attr))
-    else:
-        if not cfg["point"]:
-            raise ConfigError("attr-eval needs --point (or --attr-file)")
+        point, values = _json_reals(payload["point"]), _json_reals(payload["values"])
+        if point is None or values is None:
+            raise ConfigError("attribution file point and values must be lists of numbers")
+    elif cfg["point"]:
         point = np.asarray(_parse_float_list(cfg["point"]), dtype=float)
-        if point.size != model.arity:
-            raise ConfigError(f"point has {point.size} coordinates, model takes {model.arity}")
-        for method in [m.strip() for m in str(cfg["methods"]).split(",") if m.strip()]:
-            try:
-                attr = attr_methods.compute_attribution(method, model, point,
-                                                        seed=int(cfg["seed"]),
-                                                        steps=int(cfg["steps"]))
-            except ContractViolation as exc:
-                raise ConfigError(str(exc)) from None
-            judged.append((method, attr))
+    else:
+        raise ConfigError("attr-eval needs --point (or --attr-file)")
+    if point.size != model.arity:
+        raise ConfigError(f"point has {point.size} coordinates, model takes {model.arity}")
+    if cfg["attr_file"]:
+        names = [str(payload["method"])]
+        attrs = [attr_methods.AttributionVector(point, values, names[0])]
+    else:
+        names = [m.strip() for m in str(cfg["methods"]).split(",") if m.strip()]
+        attrs = [attr_methods.compute_attribution(m, model, point, seed=int(cfg["seed"]),
+                                                  steps=int(cfg["steps"])) for m in names]
 
     if cfg["dataset"]:
         distribution = FeatureDistribution.empirical(data)
@@ -527,8 +542,8 @@ def _run_attr_eval(cfg: dict, model: ModelHandle, data: TabularDataset | None) -
     rows = []
     header = ["method", "complexity", "monotonicity", "effective_complexity",
               "non_sensitivity"] + (["perturbation_test"] if want_pt else [])
-    for method, attr in judged:
-        entry = attr_metrics.attribution_report(attr, model, float(cfg["epsilon"]), mc_cfg)
+    entries = attr_metrics.attribution_report(attrs, model, float(cfg["epsilon"]), mc_cfg)
+    for method, attr, entry in zip(names, attrs, entries):
         row = [method, entry["complexity"], entry["monotonicity"],
                entry["effective_complexity"], entry["non_sensitivity"]]
         if want_pt:

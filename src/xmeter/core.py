@@ -285,11 +285,10 @@ def finite_difference_gradient(model: ModelHandle, x, target: int | None = None)
     """Central finite differences with per-coordinate step 1e-5 * max(1, |x_i|).
 
     All 2 * arity points go to the model as one batch, in the order
-    x + h_0 e_0, x - h_0 e_0, x + h_1 e_1, ...
+    x + h_0 e_0, x - h_0 e_0, x + h_1 e_1, ... A ``probs`` model needs the
+    target class; ``gradient`` resolves it.
     """
     x = np.array(x, dtype=float)
-    if model.output_kind == "probs" and target is None:
-        target = int(np.argmax(model.predict(x)))
     h = 1e-5 * np.maximum(1.0, np.abs(x))
     steps = np.diag(h)
     y = model.predict_batch(x + np.stack([steps, -steps], axis=1).reshape(-1, x.size))

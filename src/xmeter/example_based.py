@@ -134,9 +134,8 @@ def select_kmedoids(data: TabularDataset, class_label: int | None, n: int) -> Ex
     sub, orig_idx = _filtered(data, class_label)
     m = sub.n_samples
     _check_budget(n, m)
-    target = class_label if class_label is not None else None
     if n == m:
-        return ExampleSet(sub.features, target, tuple(orig_idx))
+        return ExampleSet(sub.features, class_label, tuple(orig_idx))
     D = pairwise_distances(sub.features)
 
     # BUILD: start from the point with the lowest total distance, then add the
@@ -167,7 +166,7 @@ def select_kmedoids(data: TabularDataset, class_label: int | None, n: int) -> Ex
             break
         medoids[best_swap[0]] = best_swap[1]
     medoids = sorted(medoids)
-    return ExampleSet(sub.features[medoids], target, tuple(orig_idx[medoids]))
+    return ExampleSet(sub.features[medoids], class_label, tuple(orig_idx[medoids]))
 
 
 def _mmd_objective(K: np.ndarray, colmean: np.ndarray, chosen: Sequence[int]) -> float:
@@ -209,8 +208,7 @@ def select_mmd_critic(data: TabularDataset, class_label: int | None, n: int,
                 best_val = val
                 best_j = j
         chosen.append(best_j)
-    target = class_label if class_label is not None else None
-    return ExampleSet(sub.features[chosen], target, tuple(orig_idx[chosen]))
+    return ExampleSet(sub.features[chosen], class_label, tuple(orig_idx[chosen]))
 
 
 def _project_nonnegative_ls(K: np.ndarray, mu: np.ndarray, w0: np.ndarray) -> np.ndarray:
@@ -250,8 +248,7 @@ def select_protodash(data: TabularDataset, class_label: int | None, n: int,
         chosen.append(j)
         Ks = K[np.ix_(chosen, chosen)]
         w = _project_nonnegative_ls(Ks, mu[chosen], np.concatenate([w, [0.0]]))
-    target = class_label if class_label is not None else None
-    return ExampleSet(sub.features[chosen], target, tuple(orig_idx[chosen])), w
+    return ExampleSet(sub.features[chosen], class_label, tuple(orig_idx[chosen])), w
 
 
 SELECTORS = ("kmedoids", "mmd", "protodash")

@@ -17,7 +17,7 @@ from xmeter.attr_methods import compute_attribution, random_attribution
 from xmeter.attr_metrics import (
     ExpectationConfig,
     complexity,
-    effective_complexity,
+    effective_complexity_detail,
     non_sensitivity,
     perturbation_test,
     restriction_loss_vector,
@@ -62,7 +62,7 @@ def test_criterion_1_table_3a_exact_cells(park, park_point):
     cfg = park_cfg(seed=0)
     e = restriction_loss_vector(park, park_point, cfg)
     attrs = park_attributions(park, park_point)
-    cells = {m: (complexity(a), non_sensitivity(a, park, cfg, e_vector=e))
+    cells = {m: (complexity(a), non_sensitivity(a, e, cfg.zero_tolerance))
              for m, a in attrs.items()}
     elapsed = time.time() - start
     for m in GRADIENT_METHODS:
@@ -84,12 +84,13 @@ def test_criterion_2_table_3a_orderings(park, park_point):
         mono = {m: spearman(np.abs(attrs[m].values), e) for m in ALL_METHODS}
         if mono["saliency"] > mono["inpxgrad"] > mono["intgrad"] > mono["random"]:
             mono_hits += 1
-        ecs = {m: effective_complexity(attrs[m], park, 0.01, cfg) for m in ALL_METHODS}
+        ecs = {m: effective_complexity_detail(attrs[m], park, 0.01, cfg).k
+               for m in ALL_METHODS}
         if ecs == ec_expected:
             ec_hits += 1
     # informational: the distribution under freshly drawn random attributions
-    redraw = [effective_complexity(compute_attribution("random", park, park_point, seed=s),
-                                   park, 0.01, park_cfg(seed=s)) for s in seeds]
+    redraw = [effective_complexity_detail(compute_attribution("random", park, park_point, seed=s),
+                                          park, 0.01, park_cfg(seed=s)).k for s in seeds]
     assert mono_hits >= 8, f"monotonicity ordering held for {mono_hits}/10 seeds"
     assert ec_hits >= 8, f"EC pattern held for {ec_hits}/10 seeds"
     print(f"\n[acceptance 2] PASS: monotonicity ordering {mono_hits}/10, "
@@ -172,7 +173,7 @@ def test_criterion_6_perturbation_test_phenomenon():
     cfg = ExpectationConfig(FeatureDistribution.empirical(data), ZERO_ONE,
                             n_mc_samples=4000, seed=0)
     attrs = {m: compute_attribution(m, model, x_star) for m in GRADIENT_METHODS}
-    ecs = {m: effective_complexity(attrs[m], model, 0.02, cfg) for m in GRADIENT_METHODS}
+    ecs = {m: effective_complexity_detail(attrs[m], model, 0.02, cfg).k for m in GRADIENT_METHODS}
     spread = max(ecs.values()) - min(ecs.values())
     assert spread >= 4, f"EC spread {spread} < 4 positions: {ecs}"
     worst = 0.0

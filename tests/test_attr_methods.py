@@ -20,7 +20,6 @@ class TestSaliency:
     def test_park_reference_values(self, park, park_point):
         attr = saliency(park, park_point)
         assert attr.values == pytest.approx(PARK_GRAD, abs=1e-12)
-        assert attr.prediction == pytest.approx(1.4037478044875842)
 
     def test_linear_model_gives_weights(self):
         w = [1.0, -2.0, 3.0]
@@ -106,19 +105,19 @@ class TestIntegratedGradients:
 
 class TestRandomAttribution:
     def test_same_seed_is_identical(self):
-        a = random_attribution(6, seed=9)
-        b = random_attribution(6, seed=9)
+        a = random_attribution(np.zeros(6), seed=9)
+        b = random_attribution(np.ones(6), seed=9)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_entries_nonzero_and_bounded(self):
         for seed in range(20):
-            attr = random_attribution(6, seed=seed)
+            attr = random_attribution(np.zeros(6), seed=seed)
             assert np.all(attr.values != 0.0)
             assert np.all(np.abs(attr.values) <= 1.0)
 
     def test_different_seeds_differ(self):
-        a = random_attribution(6, seed=0)
-        b = random_attribution(6, seed=1)
+        a = random_attribution(np.zeros(6), seed=0)
+        b = random_attribution(np.zeros(6), seed=1)
         assert np.any(a.values != b.values)
 
     def test_zero_attributions_tracked_at_inert_features(self, park, park_point):
@@ -136,6 +135,9 @@ class TestDispatch:
         with pytest.raises(ContractViolation):
             compute_attribution("shapley", park, park_point)
 
-    def test_random_records_prediction(self, park, park_point):
-        attr = compute_attribution("random", park, park_point, seed=3)
-        assert attr.prediction == pytest.approx(park.predict(park_point))
+    def test_random_explains_the_given_point_without_the_model(self, park_point):
+        m = ModelHandle(6, "scalar", lambda X: pytest.fail("random evaluated the model"))
+        attr = compute_attribution("random", m, park_point, seed=3)
+        np.testing.assert_array_equal(attr.point, park_point)
+        np.testing.assert_array_equal(attr.values,
+                                      random_attribution(np.zeros(6), seed=3).values)

@@ -15,9 +15,7 @@ from xmeter.attr_metrics import (
     ExpectationConfig,
     attribution_report,
     complexity,
-    effective_complexity,
     effective_complexity_detail,
-    expected_restriction_loss,
     importance_order,
     monotonicity,
     non_sensitivity,
@@ -51,16 +49,17 @@ def quad_restriction_loss(i, point=bench.PARK_POINT):
 
 class TestExpectedRestrictionLoss:
     def test_inert_coordinates_are_exactly_zero(self, park, park_point, park_cfg):
-        assert expected_restriction_loss(park, park_point, 4, park_cfg) == 0.0
-        assert expected_restriction_loss(park, park_point, 5, park_cfg) == 0.0
+        e = restriction_loss_vector(park, park_point, park_cfg)
+        assert e[4] == 0.0 and e[5] == 0.0
 
     def test_constant_model_is_zero(self, park_cfg):
         m = constant_model(6)
-        assert expected_restriction_loss(m, np.zeros(6), 0, park_cfg) == 0.0
+        assert restriction_loss_vector(m, np.zeros(6), park_cfg)[0] == 0.0
 
     def test_matches_quadrature_within_three_standard_errors(self, park, park_point):
         cfg = ExpectationConfig(FeatureDistribution.uniform(6), SQUARED_ERROR,
                                 n_mc_samples=10000, seed=0)
+        e = restriction_loss_vector(park, park_point, cfg)
         for i in (0, 2, 3):
             oracle = quad_restriction_loss(i)
             rng = np.random.default_rng([cfg.seed, 3, i])
@@ -69,17 +68,17 @@ class TestExpectedRestrictionLoss:
             X[:, i] = draws
             losses = (park.predict_batch(X) - park.predict(park_point)) ** 2
             stderr = losses.std(ddof=1) / np.sqrt(cfg.n_mc_samples)
-            estimate = expected_restriction_loss(park, park_point, i, cfg)
-            assert abs(estimate - oracle) <= 3 * stderr
+            assert abs(e[i] - oracle) <= 3 * stderr
 
     def test_doubling_samples_is_consistent(self, park, park_point):
         base = ExpectationConfig(FeatureDistribution.uniform(6), SQUARED_ERROR,
                                  n_mc_samples=4000, seed=5)
         double = ExpectationConfig(FeatureDistribution.uniform(6), SQUARED_ERROR,
                                    n_mc_samples=8000, seed=6)
+        e_base = restriction_loss_vector(park, park_point, base)
+        e_double = restriction_loss_vector(park, park_point, double)
         for i in (0, 3):
-            a = expected_restriction_loss(park, park_point, i, base)
-            b = expected_restriction_loss(park, park_point, i, double)
+            a, b = e_base[i], e_double[i]
             rng = np.random.default_rng([5, 3, i])
             draws = base.distribution.sample_matrix([i], base.n_mc_samples, rng)[:, 0]
             X = np.tile(np.asarray(park_point), (base.n_mc_samples, 1))
@@ -88,14 +87,10 @@ class TestExpectedRestrictionLoss:
             se = losses.std(ddof=1) / np.sqrt(base.n_mc_samples)
             assert abs(a - b) < 3 * np.hypot(se, se / np.sqrt(2))
 
-    def test_out_of_range_feature_rejected(self, park, park_point, park_cfg):
-        with pytest.raises(ContractViolation):
-            expected_restriction_loss(park, park_point, 6, park_cfg)
-
     def test_arity_mismatch_rejected(self, park, park_point):
         cfg = ExpectationConfig(FeatureDistribution.uniform(4), SQUARED_ERROR, seed=0)
         with pytest.raises(ContractViolation):
-            expected_restriction_loss(park, park_point, 0, cfg)
+            restriction_loss_vector(park, park_point, cfg)
 
 
 # Frozen reference values for the rank correlation, including tied ranks.
@@ -137,7 +132,7 @@ class TestSpearman:
 
 class TestMonotonicity:
     def test_identical_ordering(self, park, park_cfg):
-        attr = AttributionVector(np.zeros(3), None, [1.0, 2.0, 3.0], "probe")
+        attr = AttributionVector(np.zeros(3), [1.0, 2.0, 3.0], "probe")
         assert spearman(np.abs(attr.values), [10.0, 20.0, 30.0]) == 1.0
 
     def test_reversed_ordering(self):
@@ -148,63 +143,68 @@ class TestMonotonicity:
         expected = {"saliency": 0.985184366143778,
                     "inpxgrad": 0.823529411764706,
                     "intgrad": 0.5882352941176471}
+        e = restriction_loss_vector(park, park_point, park_cfg)
         for method, value in expected.items():
             attr = compute_attribution(method, park, park_point)
-            assert monotonicity(attr, park, park_cfg) == pytest.approx(value, abs=1e-9)
+            assert monotonicity(attr, e) == pytest.approx(value, abs=1e-9)
 
     def test_saliency_beats_random(self, park, park_point, park_cfg):
-        sal = monotonicity(saliency(park, park_point), park, park_cfg)
-        rnd = monotonicity(compute_attribution("random", park, park_point, seed=0),
-                           park, park_cfg)
+        e = restriction_loss_vector(park, park_point, park_cfg)
+        sal = monotonicity(saliency(park, park_point), e)
+        rnd = monotonicity(compute_attribution("random", park, park_point, seed=0), e)
         assert sal >= 0.8 and sal > rnd
 
     def test_constant_model_raises_undefined(self, park_cfg):
         m = constant_model(6)
-        attr = AttributionVector(np.zeros(6), 2.5, [1, 2, 3, 4, 5, 6], "probe")
+        attr = AttributionVector(np.zeros(6), [1, 2, 3, 4, 5, 6], "probe")
         with pytest.raises(UndefinedCorrelation):
-            monotonicity(attr, m, park_cfg)
+            monotonicity(attr, restriction_loss_vector(m, attr.point, park_cfg))
 
 
 class TestNonSensitivityAndComplexity:
     def test_saliency_on_park(self, park, park_point, park_cfg):
         attr = saliency(park, park_point)
-        assert non_sensitivity(attr, park, park_cfg) == 0
+        e = restriction_loss_vector(park, park_point, park_cfg)
+        assert non_sensitivity(attr, e, park_cfg.zero_tolerance) == 0
         assert complexity(attr) == 4
 
     def test_random_on_park(self, park, park_point, park_cfg):
         attr = compute_attribution("random", park, park_point, seed=0)
-        assert non_sensitivity(attr, park, park_cfg) == 2
+        e = restriction_loss_vector(park, park_point, park_cfg)
+        assert non_sensitivity(attr, e, park_cfg.zero_tolerance) == 2
         assert complexity(attr) == 6
 
     def test_all_zero_attribution_on_constant_model(self, park_cfg):
         m = constant_model(6)
-        attr = AttributionVector(np.zeros(6), 2.5, np.zeros(6), "zeros")
-        assert non_sensitivity(attr, m, park_cfg) == 0
+        attr = AttributionVector(np.zeros(6), np.zeros(6), "zeros")
+        e = restriction_loss_vector(m, attr.point, park_cfg)
+        assert non_sensitivity(attr, e, park_cfg.zero_tolerance) == 0
         assert complexity(attr) == 0
 
 
 class TestEffectiveComplexity:
     def test_gradient_methods_on_park(self, park, park_point, park_cfg):
-        assert effective_complexity(saliency(park, park_point), park, 0.01, park_cfg) == 3
-        assert effective_complexity(
-            compute_attribution("inpxgrad", park, park_point), park, 0.01, park_cfg) == 3
-        assert effective_complexity(
-            compute_attribution("intgrad", park, park_point), park, 0.01, park_cfg) == 4
+        assert effective_complexity_detail(
+            saliency(park, park_point), park, 0.01, park_cfg).k == 3
+        assert effective_complexity_detail(
+            compute_attribution("inpxgrad", park, park_point), park, 0.01, park_cfg).k == 3
+        assert effective_complexity_detail(
+            compute_attribution("intgrad", park, park_point), park, 0.01, park_cfg).k == 4
 
     def test_random_majority_six_over_ten_seeds(self, park, park_point, park_cfg):
-        values = [effective_complexity(
-            compute_attribution("random", park, park_point, seed=s), park, 0.01, park_cfg)
+        values = [effective_complexity_detail(
+            compute_attribution("random", park, park_point, seed=s), park, 0.01, park_cfg).k
             for s in range(10)]
         assert sum(1 for v in values if v == 6) > 5
 
     def test_constant_model_is_one(self, park_cfg):
         m = constant_model(6)
-        attr = AttributionVector(np.zeros(6), 2.5, [1, 2, 3, 4, 5, 6], "probe")
-        assert effective_complexity(attr, m, 0.01, park_cfg) == 1
+        attr = AttributionVector(np.zeros(6), [1, 2, 3, 4, 5, 6], "probe")
+        assert effective_complexity_detail(attr, m, 0.01, park_cfg).k == 1
 
     def test_non_increasing_in_epsilon(self, park, park_point, park_cfg):
         attr = compute_attribution("intgrad", park, park_point)
-        ks = [effective_complexity(attr, park, eps, park_cfg)
+        ks = [effective_complexity_detail(attr, park, eps, park_cfg).k
               for eps in (1e-4, 1e-3, 0.01, 0.1, 1.0)]
         assert all(a >= b for a, b in zip(ks, ks[1:]))
 
@@ -214,8 +214,8 @@ class TestEffectiveComplexity:
         # result caps at 6 without saturating
         cfg = ExpectationConfig(FeatureDistribution.uniform(6), SQUARED_ERROR,
                                 n_mc_samples=500, seed=0)
-        attr = AttributionVector(np.asarray(park_point), park.predict(park_point),
-                                 [1.0, 1.0, 1.0, 1.0, 2.0, 2.0], "probe")
+        attr = AttributionVector(np.asarray(park_point), [1.0, 1.0, 1.0, 1.0, 2.0, 2.0],
+                                 "probe")
         detail = effective_complexity_detail(attr, park, 1e-12, cfg)
         assert detail.k == 6
         assert detail.saturated is False
@@ -226,7 +226,7 @@ class TestEffectiveComplexity:
 
     def test_epsilon_must_be_positive(self, park, park_point, park_cfg):
         with pytest.raises(ContractViolation):
-            effective_complexity(saliency(park, park_point), park, 0.0, park_cfg)
+            effective_complexity_detail(saliency(park, park_point), park, 0.0, park_cfg).k
 
 
 class TestScaleInvariance:
@@ -236,16 +236,14 @@ class TestScaleInvariance:
         cfg = ExpectationConfig(FeatureDistribution.uniform(6), SQUARED_ERROR,
                                 n_mc_samples=500, seed=1)
         base = compute_attribution("inpxgrad", park, park_point)
-        scaled = AttributionVector(base.point, base.prediction,
-                                   base.values * scale, "scaled")
+        scaled = AttributionVector(base.point, base.values * scale, "scaled")
         e = restriction_loss_vector(park, park_point, cfg)
         assert complexity(scaled) == complexity(base)
-        assert monotonicity(scaled, park, cfg, e_vector=e) == pytest.approx(
-            monotonicity(base, park, cfg, e_vector=e))
-        assert non_sensitivity(scaled, park, cfg, e_vector=e) == \
-            non_sensitivity(base, park, cfg, e_vector=e)
-        assert effective_complexity(scaled, park, 0.01, cfg) == \
-            effective_complexity(base, park, 0.01, cfg)
+        assert monotonicity(scaled, e) == pytest.approx(monotonicity(base, e))
+        assert non_sensitivity(scaled, e, cfg.zero_tolerance) == \
+            non_sensitivity(base, e, cfg.zero_tolerance)
+        assert effective_complexity_detail(scaled, park, 0.01, cfg).k == \
+            effective_complexity_detail(base, park, 0.01, cfg).k
 
 
 def _token_setup():
@@ -267,7 +265,7 @@ class TestPerturbationTest:
 
         m = ModelHandle(3, "probs", lambda X: np.tile(probs, (len(X), 1)))
         corpus = TabularDataset(np.random.default_rng(0).uniform(0, 1, (30, 3)))
-        attr = AttributionVector(np.zeros(3), probs, [0.5, -0.2, 0.1], "probe")
+        attr = AttributionVector(np.zeros(3), [0.5, -0.2, 0.1], "probe")
         assert perturbation_test(attr, m, 1, corpus, 300, seed=4) == 1.0
 
     def test_scalar_model_rejected(self, park, park_point):
@@ -292,7 +290,7 @@ class TestPerturbationTest:
 
 class TestAttributionReport:
     def test_saliency_bundle(self, park, park_point, park_cfg):
-        report = attribution_report(saliency(park, park_point), park, 0.01, park_cfg)
+        report = attribution_report([saliency(park, park_point)], park, 0.01, park_cfg)[0]
         assert report["complexity"] == 4
         assert report["non_sensitivity"] == 0
         assert report["effective_complexity"] == 3
@@ -301,27 +299,52 @@ class TestAttributionReport:
 
     def test_random_bundle(self, park, park_point, park_cfg):
         attr = compute_attribution("random", park, park_point, seed=0)
-        report = attribution_report(attr, park, 0.01, park_cfg)
+        report = attribution_report([attr], park, 0.01, park_cfg)[0]
         assert report["complexity"] == 6
         assert report["non_sensitivity"] == 2
 
     def test_intgrad_bundle(self, park, park_point, park_cfg):
         attr = compute_attribution("intgrad", park, park_point)
-        report = attribution_report(attr, park, 0.01, park_cfg)
+        report = attribution_report([attr], park, 0.01, park_cfg)[0]
         assert report["complexity"] == 4
         assert report["non_sensitivity"] == 0
         assert report["effective_complexity"] == 4
 
     def test_e_vector_matches_quadrature(self, park, park_point, park_cfg):
-        report = attribution_report(saliency(park, park_point), park, 0.01, park_cfg)
+        report = attribution_report([saliency(park, park_point)], park, 0.01, park_cfg)[0]
         for i in range(4):
             assert report["e_vector"][i] == pytest.approx(quad_restriction_loss(i), rel=0.1)
 
     def test_round_trips_to_dict(self, park, park_point, park_cfg):
-        report = attribution_report(saliency(park, park_point), park, 0.01, park_cfg)
+        report = attribution_report([saliency(park, park_point)], park, 0.01, park_cfg)[0]
         assert set(report) == {
             "method", "complexity", "monotonicity", "non_sensitivity",
             "effective_complexity", "ec_saturated", "epsilon", "e_vector",
             "n_mc_samples", "zero_tolerance", "loss", "seed"}
         assert report["method"] == "saliency"
         assert report["effective_complexity"] == 3
+
+    def test_one_e_vector_serves_every_attribution(self, park, park_point, park_cfg,
+                                                    monkeypatch):
+        import xmeter.attr_metrics as attr_metrics
+
+        attrs = [compute_attribution(m, park, park_point) for m in ("intgrad", "saliency")]
+        attrs.append(random_attribution(park_point, seed=0))
+        calls = []
+        original = attr_metrics.restriction_loss_vector
+        monkeypatch.setattr(attr_metrics, "restriction_loss_vector",
+                            lambda *args: calls.append(args) or original(*args))
+        entries = attribution_report(attrs, park, 0.01, park_cfg)
+        assert len(calls) == 1
+        assert [entry["method"] for entry in entries] == [
+            "integrated-gradients", "saliency", "random"]
+        assert [entry["effective_complexity"] for entry in entries] == [4, 3, 6]
+        e = original(park, park_point, park_cfg)
+        assert all(entry["e_vector"] == e.tolist() for entry in entries)
+        assert attribution_report([], park, 0.01, park_cfg) == []
+
+    def test_attributions_of_different_points_rejected(self, park, park_point, park_cfg):
+        other = np.asarray(park_point) + 0.01
+        with pytest.raises(ContractViolation):
+            attribution_report([saliency(park, park_point), saliency(park, other)],
+                               park, 0.01, park_cfg)

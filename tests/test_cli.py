@@ -104,6 +104,21 @@ class TestAttrEvalCommand:
         report = json.loads(Path(out + ".json").read_text())
         assert report["metrics"]["external-method"]["complexity"] == 4
 
+    @pytest.mark.parametrize("point,message", [
+        ([0.24, 0.48, 0.56, 0.99, 0.68], "point has 5 coordinates, model takes 6"),
+        ("0.24,0.48,0.56,0.99,0.68,0.86", "must be lists of numbers"),
+        ([0.24, 0.48, 0.56, 0.99, 0.68, "x"], "must be lists of numbers"),
+    ], ids=["five-coordinates", "string", "string-coordinate"])
+    def test_attr_file_point_is_checked(self, point, message, tmp_path, capsys):
+        attr_path = tmp_path / "attr.json"
+        attr_path.write_text(json.dumps({"point": point, "values": [1.0, 0.5, 0.2, 0.1, 0.0],
+                                         "method": "m"}))
+        code = main(["attr-eval", "--model", "park", "--attr-file", str(attr_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
     def test_attr_file_with_extra_keys_rejected(self, tmp_path, capsys):
         attr_path = tmp_path / "attr.json"
         attr_path.write_text(json.dumps({"point": [0.0], "values": [1.0],
@@ -478,6 +493,61 @@ class TestExternalModelAdapter:
                              "--uniform", "0,1", "--n-mc", "200"], capsys)
         assert code == EXIT_NUMERIC
         assert "NaN" not in out
+
+    @pytest.mark.parametrize("output,predict,gradient", [
+        ("scalar", '{"y": ["a"]}', "false"),
+        ("scalar", '{"y": [null]}', "false"),
+        ("scalar", '{"y": [true]}', "false"),
+        ("scalar", '{"y": [0.5, 0.5]}', "false"),
+        ("scalar", '{"y": [%s]}' % ("9" * 400), "false"),
+        ("scalar", '{"y": [0.5]}', "true"),
+        ("label", '{"y": [1.7]}', "false"),
+        ("label", '{"y": [-1]}', "false"),
+        ("probs", '{"y": [[0.5, 0.5]]}', "false"),
+        ("probs", '{"y": [0.5, 0.5]}\n{"y": [0.2, 0.3, 0.5]}', "false"),
+    ], ids=["string", "null", "bool", "two-scalars", "huge-integer", "gradient-string",
+            "label-fraction", "label-negative", "probs-nested", "probs-ragged"])
+    def test_reply_of_the_wrong_type_is_protocol_error(self, output, predict, gradient,
+                                                       capsys):
+        server = scripted_server(
+            f'{{"arity": 2, "output": "{output}", "gradient": {gradient}}}',
+            predict=predict, gradient='{"g": ["a", 1]}')
+        code = main(["attr-eval", "--model", exec_spec(server), "--point", "0.1,0.2",
+                     "--methods", "saliency" if gradient == "true" else "random",
+                     "--uniform", "0,1", "--n-mc", "100"])
+        captured = capsys.readouterr()
+        assert code == EXIT_PROTOCOL
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_one_restriction_pass_per_point(self, monkeypatch, capsys):
+        """e is estimated once for all judged methods, f(x*) once per estimate pass."""
+        from xmeter import attr_metrics
+
+        passes = []
+        estimate = attr_metrics.restriction_loss_vector
+        monkeypatch.setattr(attr_metrics, "restriction_loss_vector",
+                            lambda *a: passes.append(1) or estimate(*a))
+        requests = {"predict": 0, "gradient": 0}
+        send = ExternalModel._request
+
+        def counting(self, payload):
+            requests[payload["op"]] = requests.get(payload["op"], 0) + 1
+            return send(self, payload)
+
+        monkeypatch.setattr(ExternalModel, "_request", counting)
+        server = exec_spec(BUILTIN_SERVER + ["--model", "park"])
+        code, out = run_cli(["attr-eval", "--model", server,
+                             "--methods", "saliency,inpxgrad,intgrad,random",
+                             "--point", PARK_POINT, "--uniform", "0,1", "--n-mc", "100"], capsys)
+        assert code == EXIT_OK
+        assert len(passes) == 1
+        metrics = json.loads(out)["metrics"]
+        # prefixes 1..k of each effective-complexity search; the full prefix has no rest
+        prefixes = sum(min(entry["effective_complexity"], 5) for entry in metrics.values())
+        f_star = 1 + len(metrics)  # one for e, one per effective-complexity search
+        assert requests["predict"] == 6 * 100 + prefixes * 100 + f_star
+        assert requests["gradient"] == 1 + 1 + 64  # saliency, inpxgrad, intgrad
 
     def test_concurrent_predicts_are_serialized(self):
         with ExternalModel(PARK_SERVER) as child:

@@ -16,7 +16,7 @@ from xmeter.core import (
     evaluate_loss_batch,
     gradient,
 )
-from xmeter.attr_metrics import ExpectationConfig, _restriction_loss, expected_restriction_loss
+from xmeter.attr_metrics import ExpectationConfig, _restriction_loss
 from xmeter.example_based import _filtered
 from conftest import constant_model, linear_model
 
@@ -135,20 +135,15 @@ class TestRestrictModel:
         cfg = ExpectationConfig(FeatureDistribution.uniform(6), SQUARED_ERROR,
                                 n_mc_samples=200, seed=0)
         rng = np.random.default_rng(0)
-        assert _restriction_loss(park, park_point, [4, 5], cfg, rng) == 0.0
+        y_ref = park.predict(park_point)
+        assert _restriction_loss(park, park_point, y_ref, [4, 5], cfg, rng) == 0.0
 
     def test_constant_model_restriction(self):
         m = constant_model(3, value=7.0)
         cfg = ExpectationConfig(FeatureDistribution.uniform(3), SQUARED_ERROR,
                                 n_mc_samples=200, seed=0)
         rng = np.random.default_rng(0)
-        assert _restriction_loss(m, np.array([0.1, 0.2, 0.3]), [1, 2], cfg, rng) == 0.0
-
-    def test_out_of_range_index_rejected(self, park, park_point):
-        cfg = ExpectationConfig(FeatureDistribution.uniform(6), SQUARED_ERROR, seed=0)
-        for i in (6, -1):
-            with pytest.raises(ContractViolation):
-                expected_restriction_loss(park, park_point, i, cfg)
+        assert _restriction_loss(m, np.array([0.1, 0.2, 0.3]), 7.0, [1, 2], cfg, rng) == 0.0
 
 
 class TestGradient:

@@ -34,12 +34,17 @@ def test_attr_table_script_prints_the_cli_reports(capsys):
     assert result.stdout[cut:] == capsys.readouterr().out
 
 
-def test_benchmark_tracer_finds_every_name_it_patches():
-    # perfbench/tracing.py wraps xmeter functions and methods by name; a rename
-    # would otherwise break only the traced benchmark run
+def load_tracing():
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    # perfbench/tracing.py wraps xmeter functions and methods by name; a rename
+    # would otherwise break only the traced benchmark run
+    tracing = load_tracing()
     modules = {name: importlib.import_module(name) for name in tracing.MODULES}
     originals = {name: dict(vars(module)) for name, module in modules.items()}
     tracer = tracing.Tracer()
@@ -52,6 +57,29 @@ def test_benchmark_tracer_finds_every_name_it_patches():
     assert {name: dict(vars(module)) for name, module in modules.items()} == originals
     for owner, attr in patched:
         assert not hasattr(vars(owner)[attr], "__wrapped__"), (owner, attr)
+
+
+def test_benchmark_tracer_reads_the_attribution_layers(capsys):
+    # the tracer's annotations read the arguments and results of
+    # restriction_loss_vector and effective_complexity_detail; a signature
+    # change would otherwise break only the traced benchmark run
+    tracing = load_tracing()
+    modules = {name: importlib.import_module(name) for name in tracing.MODULES}
+    tracer = tracing.Tracer()
+    tracer.install(modules)
+    tracer.command = 0
+    try:
+        code = modules["xmeter.cli"].main(["attr-eval", "--model", "park",
+                                           "--point", "0.24,0.48,0.56,0.99,0.68,0.86",
+                                           "--n-mc", "100"])
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert code == 0
+    layers = tracing.layer_metrics(tracer.spans, 1, 0.0, 0.0, 0.065)
+    assert layers["attr_metrics.restriction_loss_vector.calls"] == 1
+    assert layers["attr_metrics.restriction_loss_vector.useful_ratio"] == 1.0
+    assert layers["attr_metrics.effective_complexity.prefixes"] > 0
 
 
 def test_model_server_import_loads_no_scipy():
