@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config/usage error, 3 model-protocol error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -19,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attr_metrics, attr_methods, bench, example_based, mi
+from . import attr_metrics, attr_methods, bench, example_based
 from .core import (
+    PROB_SUM_TOL,
     ContractViolation,
     FeatureDistribution,
-    LossFunction,
     ModelHandle,
     TabularDataset,
     UndefinedCorrelation,
@@ -158,7 +159,8 @@ class ExternalModel:
         if "error" in response:
             self._fail(f"predict failed: {response['error']}")
         # 'y' holds one number (scalar), one class index (label), or one
-        # probability per class, with the same class count in every reply
+        # probability per class, with the same class count in every reply and
+        # a row that is nonnegative and sums to 1
         y = response.get("y")
         values = _json_reals(y)
         kind = self.info["output"]
@@ -172,6 +174,9 @@ class ExternalModel:
         if values.size != self._classes:
             self._fail(f"predict returned {values.size} class probabilities "
                        f"after {self._classes}: {response!r}")
+        if np.any(values < -PROB_SUM_TOL) or abs(values.sum() - 1.0) > PROB_SUM_TOL:
+            self._fail(f"predict returned a negative class probability or a row "
+                       f"that does not sum to 1: {response!r}")
         return values
 
     def gradient(self, x, target=None):
@@ -324,20 +329,21 @@ def parse_dataset_spec(spec: str) -> TabularDataset:
     return load_dataset_csv(spec)
 
 
-def parse_model_spec(spec: str, data: TabularDataset | None):
-    """Returns (ModelHandle, closer) where closer shuts down external children."""
+def parse_model_spec(spec: str, data: TabularDataset | None,
+                     stack: contextlib.ExitStack) -> ModelHandle:
+    """The model a spec names; an ``exec:`` child is entered into ``stack``,
+    whose closing stops it."""
     if spec == "park":
-        return bench.park_model(), None
+        return bench.park_model()
     if spec == "tree" or spec.startswith("tree:"):
         depth = _parse_int(spec.split(":", 1)[1], "tree depth") if ":" in spec else 5
         if data is None:
             raise ConfigError("the tree model needs a dataset to fit on")
-        return bench.fit_decision_tree(data, depth).as_model_handle(), None
+        return bench.fit_decision_tree(data, depth).as_model_handle()
     if spec.startswith("tokens:"):
-        return bench.token_benchmark(_tokens_seed(spec))[1], None
+        return bench.token_benchmark(_tokens_seed(spec))[1]
     if spec.startswith("exec:"):
-        external = ExternalModel(spec[len("exec:"):])
-        return external.as_model_handle(), external.close
+        return stack.enter_context(ExternalModel(spec[len("exec:"):])).as_model_handle()
     raise ConfigError(f"unknown model spec {spec!r}")
 
 
@@ -401,7 +407,7 @@ def _is_finite(value) -> bool:
         return False
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
+def _merge_config(args: argparse.Namespace) -> dict:
     """Config-file values fill options the command line left at defaults.
 
     Each value must have its option's type; it is checked, not converted.
@@ -411,6 +417,7 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
     merged = vars(args).copy()
     config_path = merged.pop("config", None)
     option_types = merged.pop("option_types")
+    parser_defaults = merged.pop("option_defaults")
     if config_path:
         loaded = _load_json(config_path, "config file")
         if not isinstance(loaded, dict):
@@ -434,10 +441,12 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
     return merged
 
 
-def _config_echo(cfg: dict, defaults: dict) -> dict:
-    """The resolved options, minus the output destination (reports must be
-    byte-identical regardless of where they are written)."""
-    return {k: cfg[k] for k in sorted(defaults) if k != "out"}
+def _parse_names(text, what: str) -> list[str]:
+    """A comma-separated list of names; an empty list is an error."""
+    names = [n.strip() for n in str(text).split(",") if n.strip()]
+    if not names:
+        raise ConfigError(f"the {what} list {text!r} names none")
+    return names
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -452,15 +461,15 @@ def _parse_float_list(text: str) -> list[float]:
 
 def _parse_n_range(text: str) -> list[int]:
     out = []
-    try:
-        for part in text.split(","):
-            if ".." in part:
-                lo, hi = part.split("..", 1)
-                out.extend(range(int(lo), int(hi) + 1))
-            else:
-                out.append(int(part))
-    except ValueError as exc:
-        raise ConfigError(f"bad budget list {text!r}: {exc}") from None
+    for part in text.split(","):
+        lo, sep, hi = part.partition("..")
+        try:
+            budgets = range(int(lo), int(hi if sep else lo) + 1)
+        except ValueError as exc:
+            raise ConfigError(f"bad budget list {text!r}: {exc}") from None
+        if not budgets:
+            raise ConfigError(f"budget range {part!r} is empty")
+        out.extend(budgets)
     return out
 
 
@@ -481,20 +490,15 @@ def _load_attr_file(path: str) -> dict:
     return payload
 
 
-def cmd_attr_eval(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, ATTR_DEFAULTS)
+# Each command returns the report's metrics, the CSV header and the CSV rows.
+Table = tuple[dict, list[str], list[list]]
+
+
+def cmd_attr_eval(cfg: dict, stack: contextlib.ExitStack) -> Table:
     if not cfg["model"]:
         raise ConfigError("attr-eval needs --model")
     data = parse_dataset_spec(cfg["dataset"]) if cfg["dataset"] else None
-    model, closer = parse_model_spec(cfg["model"], data)
-    try:
-        return _run_attr_eval(cfg, model, data)
-    finally:
-        if closer:
-            closer()
-
-
-def _run_attr_eval(cfg: dict, model: ModelHandle, data: TabularDataset | None) -> int:
+    model = parse_model_spec(cfg["model"], data, stack)
     if cfg["attr_file"]:
         payload = _load_attr_file(cfg["attr_file"])
         point, values = _json_reals(payload["point"]), _json_reals(payload["values"])
@@ -510,9 +514,9 @@ def _run_attr_eval(cfg: dict, model: ModelHandle, data: TabularDataset | None) -
         names = [str(payload["method"])]
         attrs = [attr_methods.AttributionVector(point, values, names[0])]
     else:
-        names = [m.strip() for m in str(cfg["methods"]).split(",") if m.strip()]
-        attrs = [attr_methods.compute_attribution(m, model, point, seed=int(cfg["seed"]),
-                                                  steps=int(cfg["steps"])) for m in names]
+        names = _parse_names(cfg["methods"], "method")
+        attrs = [attr_methods.compute_attribution(m, model, point, seed=cfg["seed"],
+                                                  steps=cfg["steps"]) for m in names]
 
     if cfg["dataset"]:
         distribution = FeatureDistribution.empirical(data)
@@ -527,12 +531,12 @@ def _run_attr_eval(cfg: dict, model: ModelHandle, data: TabularDataset | None) -
     else:
         raise ConfigError("need --dataset or --uniform to define the sampling distribution")
     if cfg["loss"]:
-        loss = loss_by_name(str(cfg["loss"]))
+        loss = loss_by_name(cfg["loss"])
     else:
         loss = loss_by_name("squared-error" if model.output_kind == "scalar" else "zero-one")
     mc_cfg = attr_metrics.ExpectationConfig(
-        distribution=distribution, loss=loss, n_mc_samples=int(cfg["n_mc"]),
-        zero_tolerance=float(cfg["zero_tolerance"]), seed=int(cfg["seed"]))
+        distribution=distribution, loss=loss, n_mc_samples=cfg["n_mc"],
+        zero_tolerance=float(cfg["zero_tolerance"]), seed=cfg["seed"])
 
     want_pt = cfg["pt"] is not None
     if want_pt and data is None:
@@ -548,22 +552,13 @@ def _run_attr_eval(cfg: dict, model: ModelHandle, data: TabularDataset | None) -
                entry["effective_complexity"], entry["non_sensitivity"]]
         if want_pt:
             k = entry["effective_complexity"] if pt_k is None else pt_k
-            score = attr_metrics.perturbation_test(attr, model, k, data,
-                                                   int(cfg["pt_n"]), int(cfg["seed"]))
+            score = attr_metrics.perturbation_test(attr, model, k, data, cfg["pt_n"], cfg["seed"])
             entry["perturbation_test"] = score
             entry["pt_k"] = k
             row.append(score)
         metrics[method] = entry
         rows.append(row)
-
-    report_doc = {
-        "config": _config_echo(cfg, ATTR_DEFAULTS),
-        "metrics": metrics,
-        "seeds": {"master": int(cfg["seed"])},
-    }
-    text = write_report(cfg["out"], report_doc, header, rows)
-    sys.stdout.write(text)
-    return EXIT_OK
+    return metrics, header, rows
 
 
 EXAMPLE_DEFAULTS = {
@@ -573,42 +568,29 @@ EXAMPLE_DEFAULTS = {
 }
 
 
-def cmd_example_eval(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, EXAMPLE_DEFAULTS)
+def cmd_example_eval(cfg: dict, stack: contextlib.ExitStack) -> Table:
     if not cfg["dataset"]:
         raise ConfigError("example-eval needs --dataset")
     kernel = example_based.KernelConfig(
         bandwidth=float(cfg["bandwidth"]) if cfg["bandwidth"] is not None else None)
-    selectors = [s.strip() for s in str(cfg["selectors"]).split(",") if s.strip()]
+    selectors = _parse_names(cfg["selectors"], "selector")
     for s in selectors:
         if s not in example_based.SELECTORS:
             raise ConfigError(f"unknown selector {s!r}")
-    n_values = _parse_n_range(str(cfg["sweep"])) if cfg["sweep"] else [int(cfg["n"])]
+    n_values = _parse_n_range(cfg["sweep"]) if cfg["sweep"] else [cfg["n"]]
     data = parse_dataset_spec(cfg["dataset"])
     if data.labels is None:
         raise ConfigError("example-eval needs a labeled dataset")
-    model, closer = parse_model_spec(cfg["model"], data)
-    try:
-        metrics = {}
-        rows = []
-        for selector in selectors:
-            curve = example_based.metrics_vs_n(data, model, selector, n_values, kernel=kernel)
-            metrics[selector] = curve if cfg["sweep"] else curve[0]
-            for point in curve:
-                rows.append([selector, point["n"], point["non_representativeness"],
-                             point["diversity"]])
-        report_doc = {
-            "config": _config_echo(cfg, EXAMPLE_DEFAULTS),
-            "metrics": metrics,
-            "seeds": {"master": int(cfg["seed"])},
-        }
-        text = write_report(cfg["out"], report_doc,
-                            ["selector", "n", "non_representativeness", "diversity"], rows)
-        sys.stdout.write(text)
-        return EXIT_OK
-    finally:
-        if closer:
-            closer()
+    model = parse_model_spec(cfg["model"], data, stack)
+    metrics = {}
+    rows = []
+    for selector in selectors:
+        curve = example_based.metrics_vs_n(data, model, selector, n_values, kernel=kernel)
+        metrics[selector] = curve if cfg["sweep"] else curve[0]
+        for point in curve:
+            rows.append([selector, point["n"], point["non_representativeness"],
+                         point["diversity"]])
+    return metrics, ["selector", "n", "non_representativeness", "diversity"], rows
 
 
 MI_DEFAULTS = {
@@ -618,63 +600,23 @@ MI_DEFAULTS = {
 }
 
 
-def cmd_mi(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, MI_DEFAULTS)
+def cmd_mi(cfg: dict, stack: contextlib.ExitStack) -> Table:
+    from . import mi  # only this command needs scipy
+
     if not cfg["dataset"]:
         raise ConfigError("mi needs --dataset")
-    if int(cfg["runs"]) < 1:
-        raise ConfigError("mi needs --runs >= 1")
+    names = _parse_names(cfg["extractors"], "extractor")
     data = parse_dataset_spec(cfg["dataset"])
-    closer = None
     if cfg["model"]:
-        model, closer = parse_model_spec(cfg["model"], data)
+        y = parse_model_spec(cfg["model"], data, stack).predict_labels(data.features)
     elif data.labels is None:
         raise ConfigError("mi needs labels or a model to define the target variable")
-    try:
-        y = model.predict_labels(data.features) if cfg["model"] else None
-        extractors = [e.strip() for e in str(cfg["extractors"]).split(",") if e.strip()]
-        discretizer = None
-        metrics = {}
-        rows = []
-        for name in extractors:
-            feature_vals, target_vals = [], []
-            for run in range(int(cfg["runs"])):
-                run_seed = int(cfg["seed"]) + run
-                if name == "identity":
-                    extractor = mi.identity_extractor()
-                elif name == "random-ood":
-                    extractor = mi.draw_random_ood_extractor(
-                        data.n_features, int(cfg["ood_count"]), run_seed,
-                        value=float(cfg["ood_value"]))
-                elif name == "entropy":
-                    if discretizer is None:
-                        discretizer = mi.fit_entropy_discretizer(data, int(cfg["max_depth"]))
-                    extractor = discretizer
-                else:
-                    raise ConfigError(f"unknown extractor {name!r}")
-                feature, target = mi.extractor_report(data, extractor, y,
-                                                      k=int(cfg["k"]), seed=run_seed)
-                feature_vals.append(feature.value)
-                target_vals.append(target.value)
-            entry = {
-                "feature_mi": float(np.mean(feature_vals)),
-                "target_mi": float(np.mean(target_vals)),
-                "runs": int(cfg["runs"]),
-            }
-            metrics[name] = entry
-            rows.append([name, entry["feature_mi"], entry["target_mi"]])
-        report_doc = {
-            "config": _config_echo(cfg, MI_DEFAULTS),
-            "metrics": metrics,
-            "seeds": {"master": int(cfg["seed"])},
-        }
-        text = write_report(cfg["out"], report_doc,
-                            ["extractor", "feature_mi", "target_mi"], rows)
-        sys.stdout.write(text)
-        return EXIT_OK
-    finally:
-        if closer:
-            closer()
+    else:
+        y = None
+    metrics = mi.extractor_table(data, names, y, cfg["runs"], cfg["k"], cfg["seed"],
+                                 cfg["ood_count"], cfg["ood_value"], cfg["max_depth"])
+    rows = [[name, metrics[name]["feature_mi"], metrics[name]["target_mi"]] for name in names]
+    return metrics, ["extractor", "feature_mi", "target_mi"], rows
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pt", help="perturbation-test k (integer or 'ec')")
     p.add_argument("--pt-n", dest="pt_n", type=int)
     _add_common(p)
-    p.set_defaults(func=cmd_attr_eval)
+    p.set_defaults(func=cmd_attr_eval, option_defaults=ATTR_DEFAULTS)
 
     p = sub.add_parser("example-eval", help="example-based metrics per selector")
     p.add_argument("--dataset")
@@ -719,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", help="prototype budgets, e.g. 1,2,6 or 1..10")
     p.add_argument("--bandwidth", type=float)
     _add_common(p)
-    p.set_defaults(func=cmd_example_eval)
+    p.set_defaults(func=cmd_example_eval, option_defaults=EXAMPLE_DEFAULTS)
 
     p = sub.add_parser("mi", help="feature/target mutual information per extractor")
     p.add_argument("--dataset")
@@ -731,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ood-value", dest="ood_value", type=float)
     p.add_argument("--max-depth", dest="max_depth", type=int)
     _add_common(p)
-    p.set_defaults(func=cmd_mi)
+    p.set_defaults(func=cmd_mi, option_defaults=MI_DEFAULTS)
 
     for p in sub.choices.values():
         p.set_defaults(option_types={a.dest: a.type for a in p._actions})
@@ -739,10 +681,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _merge_config(args)
+        with contextlib.ExitStack() as stack:
+            metrics, csv_header, csv_rows = args.func(cfg, stack)
+            # the output destination is left out: reports must be
+            # byte-identical regardless of where they are written
+            report = {"config": {k: cfg[k] for k in sorted(args.option_defaults) if k != "out"},
+                      "metrics": metrics, "seeds": {"master": cfg["seed"]}}
+            sys.stdout.write(write_report(cfg["out"], report, csv_header, csv_rows))
+        return EXIT_OK
     except (ConfigError, ContractViolation, UnsupportedOperation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -271,3 +271,41 @@ def extractor_report(data: TabularDataset, g: FeatureExtractor,
     z_disc = g.output_discrete
     return (estimate_mi(X, Z, k=k, seed=seed, a_discrete=False, b_discrete=z_disc),
             estimate_mi(Z, y, k=k, seed=seed, a_discrete=z_disc, b_discrete=True))
+
+
+EXTRACTORS = ("identity", "random-ood", "entropy")
+
+
+def extractor_table(data: TabularDataset, names, y: np.ndarray | None, runs: int, k: int,
+                    seed: int, ood_count: int, ood_value: float,
+                    max_depth: int) -> dict[str, dict]:
+    """Mean feature and target MI of each named extractor over ``runs`` runs.
+
+    Run r estimates with seed ``seed + r`` and, for ``random-ood``, draws a
+    fresh set of ``ood_count`` replaced features from that seed; the entropy
+    discretizer is fitted once. Returns ``{name: {"feature_mi", "target_mi",
+    "runs"}}``.
+    """
+    for name in names:
+        if name not in EXTRACTORS:
+            raise ContractViolation(f"unknown extractor {name!r}")
+    if runs < 1:
+        raise ContractViolation(f"runs must be >= 1, got {runs}")
+    discretizer = fit_entropy_discretizer(data, max_depth) if "entropy" in names else None
+    table = {}
+    for name in dict.fromkeys(names):
+        feature_vals, target_vals = [], []
+        for run_seed in range(seed, seed + runs):
+            if name == "identity":
+                extractor = identity_extractor()
+            elif name == "random-ood":
+                extractor = draw_random_ood_extractor(data.n_features, ood_count, run_seed,
+                                                      value=ood_value)
+            else:
+                extractor = discretizer
+            feature, target = extractor_report(data, extractor, y, k=k, seed=run_seed)
+            feature_vals.append(feature.value)
+            target_vals.append(target.value)
+        table[name] = {"feature_mi": float(np.mean(feature_vals)),
+                       "target_mi": float(np.mean(target_vals)), "runs": runs}
+    return table

@@ -33,13 +33,7 @@ from xmeter.example_based import (
     select_kmedoids,
     select_mmd_critic,
 )
-from xmeter.mi import (
-    draw_random_ood_extractor,
-    estimate_mi,
-    extractor_report,
-    fit_entropy_discretizer,
-    identity_extractor,
-)
+from xmeter.mi import estimate_mi, extractor_table
 
 GRADIENT_METHODS = ("saliency", "inpxgrad", "intgrad")
 ALL_METHODS = GRADIENT_METHODS + ("random",)
@@ -122,22 +116,11 @@ def test_criterion_4_extractor_mi_phenomenon():
     data = bench.synth_tabular(bench.MI_BENCH_SPEC, seed=0)
     model = bench.fit_decision_tree(data, max_depth=5).as_model_handle()
     y = model.predict_labels(data.features)
-    discretizer = fit_entropy_discretizer(data, max_depth=3)
     runs = 50
-    feature_mi = {name: [] for name in ("identity", "random-ood", "entropy")}
-    target_mi = {name: [] for name in ("identity", "random-ood", "entropy")}
-    for run in range(runs):
-        extractors = {
-            "identity": identity_extractor(),
-            "random-ood": draw_random_ood_extractor(data.n_features, 3, seed=run),
-            "entropy": discretizer,
-        }
-        for name, g in extractors.items():
-            feature, target = extractor_report(data, g, y, k=3, seed=run)
-            feature_mi[name].append(feature.value)
-            target_mi[name].append(target.value)
-    f_mean = {k: float(np.mean(v)) for k, v in feature_mi.items()}
-    t_mean = {k: float(np.mean(v)) for k, v in target_mi.items()}
+    table = extractor_table(data, ("identity", "random-ood", "entropy"), y, runs, k=3, seed=0,
+                            ood_count=3, ood_value=-10.0, max_depth=3)
+    f_mean = {name: entry["feature_mi"] for name, entry in table.items()}
+    t_mean = {name: entry["target_mi"] for name, entry in table.items()}
     assert f_mean["identity"] > f_mean["random-ood"] > f_mean["entropy"], f_mean
     assert abs(t_mean["random-ood"] - t_mean["identity"]) <= 0.1, t_mean
     # data processing inequality at estimator scale, against MI(X, Y)

@@ -260,6 +260,11 @@ BAD_INPUTS = {
     "tokens-model-seed": ["attr-eval", "--model", "tokens:seed=x", "--point", "0"],
     "tree-depth": ["example-eval", "--dataset", "synth:n=60,seed=0", "--model", "tree:x"],
     "sweep-bound": ["example-eval", "--dataset", "synth:n=60,seed=0", "--sweep", "1..x"],
+    "sweep-empty-range": ["example-eval", "--dataset", "synth:n=60,seed=0", "--sweep", "5..1"],
+    # a name list of only commas names nothing
+    "methods-empty": ["attr-eval", "--model", "park", "--point", PARK_POINT, "--methods", ","],
+    "selectors-empty": ["example-eval", "--dataset", "synth:n=60,seed=0", "--selectors", ","],
+    "extractors-empty": ["mi", "--dataset", "synth:preset=mi,seed=0", "--extractors", ","],
     "pt-k": ["attr-eval", "--model", "park", "--point", PARK_POINT, "--methods", "random",
              "--dataset", "synth:n=60,features=6,seed=0", "--pt", "x", "--n-mc", "100"],
     "uniform-one-value": ["attr-eval", "--model", "park", "--point", PARK_POINT,
@@ -505,8 +510,11 @@ class TestExternalModelAdapter:
         ("label", '{"y": [-1]}', "false"),
         ("probs", '{"y": [[0.5, 0.5]]}', "false"),
         ("probs", '{"y": [0.5, 0.5]}\n{"y": [0.2, 0.3, 0.5]}', "false"),
+        ("probs", '{"y": [0.2, 0.2]}', "false"),
+        ("probs", '{"y": [-0.5, 1.5]}', "false"),
     ], ids=["string", "null", "bool", "two-scalars", "huge-integer", "gradient-string",
-            "label-fraction", "label-negative", "probs-nested", "probs-ragged"])
+            "label-fraction", "label-negative", "probs-nested", "probs-ragged",
+            "probs-sum", "probs-negative"])
     def test_reply_of_the_wrong_type_is_protocol_error(self, output, predict, gradient,
                                                        capsys):
         server = scripted_server(
@@ -579,6 +587,19 @@ class TestExternalModelAdapter:
         assert code == EXIT_OK
         report = json.loads(Path(out + ".json").read_text())
         assert report["metrics"]["saliency"]["complexity"] == 4
+
+    def test_child_is_stopped_when_the_command_fails(self, monkeypatch, capsys):
+        children = []
+        as_handle = ExternalModel.as_model_handle
+        monkeypatch.setattr(ExternalModel, "as_model_handle",
+                            lambda self: children.append(self) or as_handle(self))
+        server = exec_spec(BUILTIN_SERVER + ["--model", "park"])
+        code, out = run_cli(["attr-eval", "--model", server, "--point", "0.2,0.4,0.5,0.9,0.6",
+                             "--uniform", "0,1"], capsys)
+        assert code == EXIT_CONFIG  # the park model takes 6 coordinates
+        assert out == ""
+        assert len(children) == 1
+        assert children[0]._proc.poll() is not None
 
     def test_cli_exit_code_for_protocol_failure(self, capsys):
         code, _ = run_cli(["attr-eval",

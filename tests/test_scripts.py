@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from xmeter import bench
 from xmeter.cli import main
 
@@ -82,8 +84,11 @@ def test_benchmark_tracer_reads_the_attribution_layers(capsys):
     assert layers["attr_metrics.effective_complexity.prefixes"] > 0
 
 
-def test_model_server_import_loads_no_scipy():
-    result = run_python(["-c", "import sys, xmeter.model_server; "
+@pytest.mark.parametrize("module", ["xmeter.model_server", "xmeter.cli"])
+def test_import_loads_no_scipy(module):
+    # only the mi command needs scipy; the model server and the other
+    # commands start without it
+    result = run_python(["-c", f"import sys, {module}; "
                                "print(sorted(m for m in sys.modules if m.startswith('scipy')))"])
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
