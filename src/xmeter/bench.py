@@ -33,16 +33,11 @@ class DomainWarning(UserWarning):
     """Evaluation outside a model's declared domain (result still returned)."""
 
 
-def park_value(x) -> float:
-    """f(x) = (2/3) e^(x0+x1) - x3 sin(x2) + x2, defined on [0, 1)^6.
+def park_batch(X) -> np.ndarray:
+    """f(x) = (2/3) e^(x0+x1) - x3 sin(x2) + x2 for each row x, defined on [0, 1)^6.
 
     Coordinates x4 and x5 are inert: the function has no dependence on them.
     """
-    x = np.asarray(x, dtype=float)
-    return float((2.0 / 3.0) * np.exp(x[0] + x[1]) - x[3] * np.sin(x[2]) + x[2])
-
-
-def park_batch(X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     return (2.0 / 3.0) * np.exp(X[:, 0] + X[:, 1]) - X[:, 3] * np.sin(X[:, 2]) + X[:, 2]
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
 import queue
@@ -231,11 +232,18 @@ class ExternalModel:
 # Dataset and model specs
 # ---------------------------------------------------------------------------
 
+def _read_text(path, what: str) -> str:
+    """A UTF-8 text file's contents; a file that cannot be read is a config error."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError(f"cannot read {what} {str(path)!r}: {exc}") from None
+
+
 def load_dataset_csv(path) -> TabularDataset:
     """CSV with a header row; an optional final 'label' column holds classes."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(_read_text(path, "dataset path"), newline="")))
     if len(rows) < 2:
         raise ConfigError(f"dataset {path} needs a header and at least one row")
     header = rows[0]
@@ -245,6 +253,9 @@ def load_dataset_csv(path) -> TabularDataset:
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
+        if len(row) != len(header):
+            raise ConfigError(f"dataset {path} line {lineno}: {len(row)} cells, "
+                              f"the header has {len(header)}")
         try:
             if has_label:
                 feats.append([float(v) for v in row[:-1]])
@@ -324,8 +335,6 @@ def parse_dataset_spec(spec: str) -> TabularDataset:
         return bench.synth_tabular(gen, seed)
     if spec.startswith("tokens:"):
         return bench.token_benchmark(_tokens_seed(spec))[0]
-    if not Path(spec).exists():
-        raise ConfigError(f"dataset path {spec!r} does not exist")
     return load_dataset_csv(spec)
 
 
@@ -373,13 +382,16 @@ def write_report(out_prefix: str | None, report: dict, csv_header: list[str],
     except ValueError:  # NaN and infinities have no JSON form
         raise FloatingPointError("the report holds a non-finite value") from None
     if out_prefix:
-        Path(out_prefix).parent.mkdir(parents=True, exist_ok=True)
-        Path(out_prefix + ".json").write_text(text, encoding="utf-8")
-        with open(out_prefix + ".csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(csv_header)
-            for row in csv_rows:
-                writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        try:
+            Path(out_prefix).parent.mkdir(parents=True, exist_ok=True)
+            Path(out_prefix + ".json").write_text(text, encoding="utf-8")
+            with open(out_prefix + ".csv", "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(csv_header)
+                for row in csv_rows:
+                    writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        except OSError as exc:
+            raise ConfigError(f"cannot write the report to {out_prefix!r}: {exc}") from None
     return text
 
 
@@ -388,12 +400,9 @@ def write_report(out_prefix: str | None, report: dict, csv_header: list[str],
 # ---------------------------------------------------------------------------
 
 def _load_json(path: str, what: str):
-    if not Path(path).exists():
-        raise ConfigError(f"{what} {path!r} does not exist")
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except ValueError as exc:  # malformed JSON or text encoding
+        return json.loads(_read_text(path, what))
+    except ValueError as exc:  # malformed JSON
         raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from None
 
 
@@ -571,25 +580,18 @@ EXAMPLE_DEFAULTS = {
 def cmd_example_eval(cfg: dict, stack: contextlib.ExitStack) -> Table:
     if not cfg["dataset"]:
         raise ConfigError("example-eval needs --dataset")
-    kernel = example_based.KernelConfig(
-        bandwidth=float(cfg["bandwidth"]) if cfg["bandwidth"] is not None else None)
     selectors = _parse_names(cfg["selectors"], "selector")
-    for s in selectors:
-        if s not in example_based.SELECTORS:
-            raise ConfigError(f"unknown selector {s!r}")
     n_values = _parse_n_range(cfg["sweep"]) if cfg["sweep"] else [cfg["n"]]
     data = parse_dataset_spec(cfg["dataset"])
     if data.labels is None:
         raise ConfigError("example-eval needs a labeled dataset")
     model = parse_model_spec(cfg["model"], data, stack)
-    metrics = {}
-    rows = []
-    for selector in selectors:
-        curve = example_based.metrics_vs_n(data, model, selector, n_values, kernel=kernel)
-        metrics[selector] = curve if cfg["sweep"] else curve[0]
-        for point in curve:
-            rows.append([selector, point["n"], point["non_representativeness"],
-                         point["diversity"]])
+    bandwidth = None if cfg["bandwidth"] is None else float(cfg["bandwidth"])
+    table = example_based.metrics_vs_n(data, model, selectors, n_values, bandwidth)
+    metrics = {s: curve if cfg["sweep"] else curve[0] for s, curve in table.items()}
+    # one row per budget of each listed selector, repeats included
+    rows = [[s, point["n"], point["non_representativeness"], point["diversity"]]
+            for s in selectors for point in table[s]]
     return metrics, ["selector", "n", "non_representativeness", "diversity"], rows
 
 

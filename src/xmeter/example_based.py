@@ -27,7 +27,6 @@ class ExampleSet:
 
     examples: np.ndarray
     target_prediction: object
-    source_indices: tuple[int, ...] | None = None
 
     def __post_init__(self):
         ex = np.array(self.examples, dtype=float)
@@ -35,43 +34,17 @@ class ExampleSet:
             raise ContractViolation("an example set needs at least one example")
         ex.setflags(write=False)
         object.__setattr__(self, "examples", ex)
-        if self.source_indices is not None:
-            object.__setattr__(self, "source_indices",
-                               tuple(int(i) for i in self.source_indices))
-
-    @property
-    def size(self) -> int:
-        return self.examples.shape[0]
 
 
-@dataclass(frozen=True)
-class KernelConfig:
-    """Gaussian RBF kernel; bandwidth None means the median pairwise heuristic."""
-
-    bandwidth: float | None = None
-
-    def __post_init__(self):
-        # the kernel divides by 2 * bandwidth**2, which must be a positive finite float
-        if self.bandwidth is not None and not 1e-150 <= self.bandwidth <= 1e150:
-            raise ContractViolation("bandwidth must be in [1e-150, 1e150]")
-
-    def resolve_bandwidth(self, X: np.ndarray) -> float:
-        if self.bandwidth is not None:
-            return self.bandwidth
-        return median_bandwidth(X)
-
-
-def pairwise_distances(X, Y=None) -> np.ndarray:
-    """Dense Euclidean distance matrix."""
+def pairwise_distances(X) -> np.ndarray:
+    """Dense Euclidean distance matrix between the rows of X."""
     X = np.asarray(X, dtype=float)
-    Y = X if Y is None else np.asarray(Y, dtype=float)
-    diff = X[:, None, :] - Y[None, :, :]
+    diff = X[:, None, :] - X[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def median_bandwidth(X) -> float:
-    """Median pairwise Euclidean distance; falls back to 1 on degenerate data."""
-    D = pairwise_distances(X)
+def median_bandwidth(D: np.ndarray) -> float:
+    """Median off-diagonal entry of a distance matrix; falls back to 1 on degenerate data."""
     iu = np.triu_indices(len(D), k=1)
     if iu[0].size == 0:
         return 1.0
@@ -79,11 +52,11 @@ def median_bandwidth(X) -> float:
     return med if med > 0.0 else 1.0
 
 
-def rbf_kernel_matrix(X, Y=None, bandwidth: float = 1.0) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    Y = X if Y is None else np.asarray(Y, dtype=float)
-    d2 = pairwise_distances(X, Y) ** 2
-    return np.exp(-d2 / (2.0 * bandwidth ** 2))
+def rbf_kernel(D: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Gaussian RBF kernel exp(-D^2 / (2 bandwidth^2)) of a distance matrix."""
+    K = np.square(D)
+    K /= -(2.0 * bandwidth ** 2)
+    return np.exp(K, out=K)
 
 
 def non_representativeness(examples: ExampleSet, model: ModelHandle,
@@ -100,43 +73,23 @@ def diversity(examples: ExampleSet) -> float:
 
     Singletons have diversity 0.
     """
-    if examples.size < 2:
+    n = len(examples.examples)
+    if n < 2:
         return 0.0
     D = pairwise_distances(examples.examples)
     total = float(D.sum())  # diagonal is zero; off-diagonal counts both orders
-    return total / (2.0 * examples.size)
+    return total / (2.0 * n)
 
 
-def _filtered(data: TabularDataset, class_label: int | None) -> tuple[TabularDataset, np.ndarray]:
-    if class_label is None:
-        return data, np.arange(data.n_samples)
-    if data.labels is None:
-        raise ContractViolation("class filtering needs labels")
-    mask = data.labels == class_label
-    if not mask.any():
-        raise ContractViolation(f"no samples with label {class_label}")
-    sub = TabularDataset(data.features[mask], data.labels[mask], data.feature_names)
-    return sub, np.nonzero(mask)[0]
-
-
-def _check_budget(n: int, available: int):
-    if n < 1:
-        raise ContractViolation("must select at least one example")
-    if n > available:
-        raise ContractViolation(f"cannot select {n} examples from {available} samples")
-
-
-def select_kmedoids(data: TabularDataset, class_label: int | None, n: int) -> ExampleSet:
-    """PAM: greedy BUILD then best-improvement SWAP passes (at most 100).
+def select_kmedoids(D: np.ndarray, n: int) -> list[int]:
+    """PAM on distance matrix D: greedy BUILD then best-improvement SWAP passes
+    (at most 100); returns the sorted row indices of the n medoids.
 
     Deterministic: ties always resolve to the lowest candidate index.
     """
-    sub, orig_idx = _filtered(data, class_label)
-    m = sub.n_samples
-    _check_budget(n, m)
+    m = len(D)
     if n == m:
-        return ExampleSet(sub.features, class_label, tuple(orig_idx))
-    D = pairwise_distances(sub.features)
+        return list(range(m))
 
     # BUILD: start from the point with the lowest total distance, then add the
     # candidate with the largest reduction of assignment cost.
@@ -165,36 +118,13 @@ def select_kmedoids(data: TabularDataset, class_label: int | None, n: int) -> Ex
         if best_swap is None:
             break
         medoids[best_swap[0]] = best_swap[1]
-    medoids = sorted(medoids)
-    return ExampleSet(sub.features[medoids], class_label, tuple(orig_idx[medoids]))
+    return sorted(medoids)
 
 
-def _mmd_objective(K: np.ndarray, colmean: np.ndarray, chosen: Sequence[int]) -> float:
-    """Biased MMD^2 between the chosen prototypes and the full sample, up to
-    the constant data-data term."""
-    P = list(chosen)
-    return float(K[np.ix_(P, P)].mean() - 2.0 * colmean[P].mean())
-
-
-def mmd_squared(prototypes, data_points, bandwidth: float) -> float:
-    """Biased (V-statistic) squared maximum mean discrepancy."""
-    P = np.asarray(prototypes, dtype=float)
-    Dm = np.asarray(data_points, dtype=float)
-    return float(
-        rbf_kernel_matrix(P, P, bandwidth).mean()
-        - 2.0 * rbf_kernel_matrix(P, Dm, bandwidth).mean()
-        + rbf_kernel_matrix(Dm, Dm, bandwidth).mean()
-    )
-
-
-def select_mmd_critic(data: TabularDataset, class_label: int | None, n: int,
-                      kernel: KernelConfig = KernelConfig()) -> ExampleSet:
-    """Greedy forward selection minimizing the biased MMD^2 to the filtered data."""
-    sub, orig_idx = _filtered(data, class_label)
-    m = sub.n_samples
-    _check_budget(n, m)
-    bw = kernel.resolve_bandwidth(sub.features)
-    K = rbf_kernel_matrix(sub.features, bandwidth=bw)
+def select_mmd_critic(K: np.ndarray, n: int) -> list[int]:
+    """Greedy forward selection minimizing the biased MMD^2 to the sample whose
+    kernel matrix is K; returns row indices in the order chosen."""
+    m = len(K)
     colmean = K.mean(axis=1)
     chosen: list[int] = []
     for _ in range(n):
@@ -203,12 +133,14 @@ def select_mmd_critic(data: TabularDataset, class_label: int | None, n: int,
         for j in range(m):
             if j in chosen:
                 continue
-            val = _mmd_objective(K, colmean, chosen + [j])
+            P = chosen + [j]
+            # biased MMD^2 between P and the whole sample, up to the data-data term
+            val = K[np.ix_(P, P)].mean() - 2.0 * colmean[P].mean()
             if val < best_val - 1e-15:  # strict improvement keeps ties at the lowest index
                 best_val = val
                 best_j = j
         chosen.append(best_j)
-    return ExampleSet(sub.features[chosen], class_label, tuple(orig_idx[chosen]))
+    return chosen
 
 
 def _project_nonnegative_ls(K: np.ndarray, mu: np.ndarray, w0: np.ndarray) -> np.ndarray:
@@ -224,19 +156,15 @@ def _project_nonnegative_ls(K: np.ndarray, mu: np.ndarray, w0: np.ndarray) -> np
     return w
 
 
-def select_protodash(data: TabularDataset, class_label: int | None, n: int,
-                     kernel: KernelConfig = KernelConfig()) -> tuple[ExampleSet, np.ndarray]:
-    """Weighted greedy prototype selection.
+def select_protodash(K: np.ndarray, n: int) -> tuple[list[int], np.ndarray]:
+    """Weighted greedy prototype selection on kernel matrix K; returns the row
+    indices in the order chosen and their weights.
 
     Maximizes l(w) = w'mu - w'Kw/2 over nonnegative weights: each step adds the
     candidate with the largest gradient component at the current weights, then
     refits all weights by projected-gradient nonnegative least squares.
     """
-    sub, orig_idx = _filtered(data, class_label)
-    m = sub.n_samples
-    _check_budget(n, m)
-    bw = kernel.resolve_bandwidth(sub.features)
-    K = rbf_kernel_matrix(sub.features, bandwidth=bw)
+    m = len(K)
     mu = K.mean(axis=1)
     chosen: list[int] = []
     w = np.zeros(0)
@@ -248,46 +176,63 @@ def select_protodash(data: TabularDataset, class_label: int | None, n: int,
         chosen.append(j)
         Ks = K[np.ix_(chosen, chosen)]
         w = _project_nonnegative_ls(Ks, mu[chosen], np.concatenate([w, [0.0]]))
-    return ExampleSet(sub.features[chosen], class_label, tuple(orig_idx[chosen])), w
+    return chosen, w
 
 
-SELECTORS = ("kmedoids", "mmd", "protodash")
+# Each selector's prototype rows from a class's distance matrix D and kernel K.
+SELECTORS = {
+    "kmedoids": lambda D, K, n: select_kmedoids(D, n),
+    "mmd": lambda D, K, n: select_mmd_critic(K, n),
+    "protodash": lambda D, K, n: select_protodash(K, n)[0],
+}
 
 
-def run_selector(name: str, data: TabularDataset, class_label: int | None, n: int,
-                 kernel: KernelConfig = KernelConfig()) -> ExampleSet:
-    if name == "kmedoids":
-        return select_kmedoids(data, class_label, n)
-    if name == "mmd":
-        return select_mmd_critic(data, class_label, n, kernel=kernel)
-    if name == "protodash":
-        return select_protodash(data, class_label, n, kernel=kernel)[0]
-    raise ContractViolation(f"unknown selector {name!r}")
+def _class_metrics(X: np.ndarray, label: int, model: ModelHandle, names: list[str],
+                   n_range: Sequence[int], bandwidth: float | None) -> list[tuple]:
+    """(NR, D) of each selector at each budget, in that order, on one class's
+    rows X. The class's distance matrix and kernel live only for this call."""
+    D = pairwise_distances(X)
+    K = rbf_kernel(D, median_bandwidth(D) if bandwidth is None else bandwidth)
+    out = []
+    for name in names:
+        for n in n_range:
+            examples = ExampleSet(X[SELECTORS[name](D, K, n)], label)
+            out.append((non_representativeness(examples, model, ZERO_ONE),
+                        diversity(examples)))
+    return out
 
 
-def class_averaged_metrics(data: TabularDataset, model: ModelHandle, selector: str,
-                           n: int, loss: LossFunction | None = None,
-                           kernel: KernelConfig = KernelConfig()) -> tuple[float, float]:
-    """(NR, D) for one selector at one prototype budget, averaged over classes."""
-    loss = ZERO_ONE if loss is None else loss
+def metrics_vs_n(data: TabularDataset, model: ModelHandle, selectors: Sequence[str],
+                 n_range: Sequence[int], bandwidth: float | None = None) -> dict[str, list[dict]]:
+    """The example table: {selector: [row per budget]}, each row the
+    class-averaged (NR, D) of that selector's prototypes at that budget.
+
+    Each class's distance matrix, bandwidth (the median distance unless one is
+    given) and RBF kernel are built once and serve every selector and budget.
+    """
+    names = list(dict.fromkeys(selectors))
+    for name in names:
+        if name not in SELECTORS:
+            raise ContractViolation(f"unknown selector {name!r}")
+    # the kernel divides by 2 * bandwidth**2, which must be a positive finite float
+    if bandwidth is not None and not 1e-150 <= bandwidth <= 1e150:
+        raise ContractViolation("bandwidth must be in [1e-150, 1e150]")
     if data.labels is None:
         raise ContractViolation("per-class selection needs labels")
-    nr_vals, d_vals = [], []
-    for c in range(data.n_classes):
-        examples = run_selector(selector, data, c, n, kernel=kernel)
-        nr_vals.append(non_representativeness(examples, model, loss))
-        d_vals.append(diversity(examples))
-    return float(np.mean(nr_vals)), float(np.mean(d_vals))
-
-
-def metrics_vs_n(data: TabularDataset, model: ModelHandle, selector: str,
-                 n_range: Sequence[int], loss: LossFunction | None = None,
-                 kernel: KernelConfig = KernelConfig()) -> list[dict]:
-    """Class-averaged (NR, D) for each prototype budget, for curve plotting."""
-    rows = []
+    present, counts = np.unique(data.labels, return_counts=True)
+    if len(present) < data.n_classes:  # the first label missing from 0, 1, 2, ...
+        gap = int(np.argmax(present != np.arange(len(present))))
+        raise ContractViolation(f"no samples with label {gap}")
     for n in n_range:
-        nr, d = class_averaged_metrics(data, model, selector, int(n), loss=loss,
-                                       kernel=kernel)
-        rows.append({"selector": selector, "n": int(n),
-                     "non_representativeness": nr, "diversity": d})
-    return rows
+        if not 1 <= n <= counts.min():
+            raise ContractViolation(f"cannot select {n} examples from {counts.min()} samples")
+    # per (selector, budget) cell, in order, the (NR, D) pair of every class
+    cells = iter(zip(*[_class_metrics(data.features[data.labels == c], c, model, names,
+                                      n_range, bandwidth) for c in range(data.n_classes)]))
+    table = {name: [] for name in names}
+    for name in names:
+        for n in n_range:
+            nr, d = zip(*next(cells))
+            table[name].append({"selector": name, "n": n, "non_representativeness":
+                                float(np.mean(nr)), "diversity": float(np.mean(d))})
+    return table

@@ -51,3 +51,25 @@ def linear_model(weights):
         gradient_capability="exact",
         name="linear",
     )
+
+
+def park_value(x) -> float:
+    """Reference f(x) = (2/3) e^(x0+x1) - x3 sin(x2) + x2 at one point of [0, 1)^6.
+
+    Coordinates x4 and x5 are inert: the function has no dependence on them.
+    """
+    x = np.asarray(x, dtype=float)
+    return float((2.0 / 3.0) * np.exp(x[0] + x[1]) - x[3] * np.sin(x[2]) + x[2])
+
+
+def mmd_squared(prototypes, data_points, bandwidth: float) -> float:
+    """Reference biased (V-statistic) squared maximum mean discrepancy with a
+    Gaussian RBF kernel of the given bandwidth."""
+    P = np.asarray(prototypes, dtype=float)
+    X = np.asarray(data_points, dtype=float)
+
+    def kernel(A, B):
+        sq = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+        return np.exp(-sq / (2.0 * bandwidth ** 2))
+
+    return float(kernel(P, P).mean() - 2.0 * kernel(P, X).mean() + kernel(X, X).mean())

@@ -26,14 +26,14 @@ from xmeter.attr_metrics import (
 from xmeter.cli import main as cli_main
 from xmeter.core import FeatureDistribution, SQUARED_ERROR, ZERO_ONE
 from xmeter.example_based import (
-    KernelConfig,
-    class_averaged_metrics,
-    mmd_squared,
+    metrics_vs_n,
     pairwise_distances,
+    rbf_kernel,
     select_kmedoids,
     select_mmd_critic,
 )
 from xmeter.mi import estimate_mi, extractor_table
+from conftest import mmd_squared
 
 GRADIENT_METHODS = ("saliency", "inpxgrad", "intgrad")
 ALL_METHODS = GRADIENT_METHODS + ("random",)
@@ -135,15 +135,15 @@ def test_criterion_5_example_metric_phenomena():
     data = bench.synth_tabular(bench.CLUSTER_BENCH_SPEC, seed=0)
     model = bench.fit_decision_tree(data, max_depth=5).as_model_handle()
     selectors = ("kmedoids", "mmd", "protodash")
-    at_six = {s: class_averaged_metrics(data, model, s, 6) for s in selectors}
-    nr = {s: v[0] for s, v in at_six.items()}
-    d = {s: v[1] for s, v in at_six.items()}
+    class_size = int(np.min(np.bincount(data.labels)))
+    table = metrics_vs_n(data, model, selectors, [6, 1, class_size])
+    nr = {s: rows[0]["non_representativeness"] for s, rows in table.items()}
+    d = {s: rows[0]["diversity"] for s, rows in table.items()}
     assert nr["kmedoids"] < nr["mmd"] < nr["protodash"], nr
     assert d["protodash"] > d["mmd"] > d["kmedoids"], d
-    at_one = {s: class_averaged_metrics(data, model, s, 1)[1] for s in selectors}
+    at_one = {s: rows[1]["diversity"] for s, rows in table.items()}
     assert all(v == 0.0 for v in at_one.values()), at_one
-    class_size = int(np.min(np.bincount(data.labels)))
-    at_full = [class_averaged_metrics(data, model, s, class_size)[1] for s in selectors]
+    at_full = [table[s][2]["diversity"] for s in selectors]
     assert at_full[0] == at_full[1] == at_full[2], at_full
     print(f"\n[acceptance 5] PASS: NR {nr} and D {d} ordered at n=6; "
           f"D(n=1)=0; D coincides at n={class_size}")
@@ -175,8 +175,6 @@ def test_criterion_7_oracle_equivalences(park):
     # instance, n=2 is checked on clustered instances (PAM's single-swap local
     # optimum provably equals the global one there, while adversarial uniform
     # instances can require a double swap)
-    from xmeter.core import TabularDataset
-
     rng = np.random.default_rng(77)
     cases = []
     for size in (30, 50):
@@ -186,21 +184,16 @@ def test_criterion_7_oracle_equivalences(park):
         cases.append((2, np.vstack([rng.normal(0.0, 0.5, size=(half, 2)),
                                     rng.normal(6.0, 0.5, size=(size - half, 2))])))
     for n, X in cases:
-        data = TabularDataset(X)
-        E = select_kmedoids(data, None, n)
         D = pairwise_distances(X)
-        pam_cost = D[:, list(E.source_indices)].min(axis=1).sum()
+        pam_cost = D[:, select_kmedoids(D, n)].min(axis=1).sum()
         best = min(D[:, list(combo)].min(axis=1).sum()
                    for combo in itertools.combinations(range(len(X)), n))
         assert pam_cost == pytest.approx(best, abs=1e-9)
 
     # greedy MMD steps match the exhaustive per-step argmin
-    from xmeter.core import TabularDataset
-
     X = rng.normal(0, 1, size=(30, 2))
-    data = TabularDataset(X)
     bw = 0.8
-    E = select_mmd_critic(data, None, 5, KernelConfig(bandwidth=bw))
+    selected = select_mmd_critic(rbf_kernel(pairwise_distances(X), bw), 5)
     chosen = []
     for _ in range(5):
         best_j, best_val = None, np.inf
@@ -211,7 +204,7 @@ def test_criterion_7_oracle_equivalences(park):
             if val < best_val - 1e-15:
                 best_val, best_j = val, j
         chosen.append(best_j)
-    assert list(E.source_indices) == chosen
+    assert selected == chosen
 
     # integrated-gradients completeness at 256 steps
     from xmeter.attr_methods import integrated_gradients

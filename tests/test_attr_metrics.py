@@ -31,17 +31,17 @@ from xmeter.core import (
     UndefinedCorrelation,
     ZERO_ONE,
 )
-from conftest import constant_model
+from conftest import constant_model, park_value
 
 
 def quad_restriction_loss(i, point=bench.PARK_POINT):
     """Independent 1-D quadrature of E[(f_i(t) - f(x*))^2] over [0, 1)."""
-    f_star = bench.park_value(point)
+    f_star = park_value(point)
 
     def integrand(t):
         x = np.array(point)
         x[i] = t
-        return (bench.park_value(x) - f_star) ** 2
+        return (park_value(x) - f_star) ** 2
 
     value, _ = quad(integrand, 0.0, 1.0, limit=200)
     return value

@@ -6,14 +6,16 @@ from hypothesis import strategies as st
 from xmeter import bench, mi
 from xmeter.core import ContractViolation, TabularDataset, gradient
 from xmeter.mi import estimate_mi
+from conftest import park_value
 
 
 class TestParkFunction:
     def test_value_at_origin(self):
-        assert bench.park_value(np.zeros(6)) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert bench.park_batch(np.zeros((1, 6)))[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_value_at_reference_point(self):
-        assert bench.park_value(bench.PARK_POINT) == pytest.approx(1.4037478044875842, abs=1e-12)
+        assert bench.park_batch([bench.PARK_POINT])[0] == \
+            pytest.approx(1.4037478044875842, abs=1e-12)
 
     def test_against_string_parsed_expression(self):
         # independent implementation: parse the formula text and lambdify it
@@ -37,7 +39,7 @@ class TestParkFunction:
                 xp, xm = x.copy(), x.copy()
                 xp[i] += h
                 xm[i] -= h
-                fd[i] = (bench.park_value(xp) - bench.park_value(xm)) / (2 * h)
+                fd[i] = (park_value(xp) - park_value(xm)) / (2 * h)
             assert np.max(np.abs(exact - fd)) < 1e-6
 
     def test_inert_coordinates(self):

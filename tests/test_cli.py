@@ -26,6 +26,7 @@ from xmeter.cli import (
     main,
     parse_dataset_spec,
 )
+from conftest import park_value
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PARK_SERVER = [sys.executable, str(FIXTURES / "park_server.py")]
@@ -199,6 +200,20 @@ class TestExampleEvalCommand:
         code, _ = run_cli(["example-eval", "--dataset", str(path)], capsys)
         assert code == EXIT_CONFIG
 
+    def test_repeated_selector_or_budget_gives_a_row_per_occurrence(self, tmp_path, capsys):
+        out = str(tmp_path / "repeat")
+        code, _ = run_cli(["example-eval", "--dataset", "synth:preset=clusters,seed=0",
+                           "--selectors", "mmd,kmedoids,mmd", "--sweep", "2,2,1",
+                           "--out", out], capsys)
+        assert code == EXIT_OK
+        with open(out + ".csv", newline="") as fh:
+            rows = [tuple(r.values()) for r in csv.DictReader(fh)]
+        assert [r[:2] for r in rows] == [(s, n) for s in ("mmd", "kmedoids", "mmd")
+                                         for n in ("2", "2", "1")]
+        first = {}
+        for row in rows:
+            assert first.setdefault(row[:2], row) == row
+
 
 class TestMICommand:
     def test_extractor_table_and_determinism(self, tmp_path, capsys):
@@ -307,6 +322,16 @@ BAD_INPUTS = {
                              {"dataset": "synth:n=60", "bandwidth": float("nan")}],
     "config-float-huge-int": ["attr-eval", "--config",
                               {"model": "park", "point": PARK_POINT, "epsilon": 10 ** 400}],
+    # bytes stand for a file holding them; an existing directory or file
+    # stands where a file or a directory is expected
+    "dataset-row-width": ["example-eval", "--dataset", b"a,b,label\n1,2,0\n1,0\n"],
+    "dataset-not-utf8": ["example-eval", "--dataset", b"a,label\n\xff,0\n"],
+    "dataset-label-without-rows": ["example-eval", "--dataset", b"a,label\n0,0\n1,2\n"],
+    "dataset-directory": ["example-eval", "--dataset", str(FIXTURES)],
+    "config-directory": ["attr-eval", "--config", str(FIXTURES)],
+    "attr-file-directory": ["attr-eval", "--model", "park", "--attr-file", str(FIXTURES)],
+    "out-parent-is-a-file": ["example-eval", "--dataset", "synth:n=60,seed=0",
+                             "--out", str(FIXTURES / "park_server.py" / "report")],
 }
 
 
@@ -321,6 +346,10 @@ def test_bad_input_is_config_error(name, tmp_path, capsys):
         if isinstance(arg, dict):
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(arg))
+            args[i] = str(path)
+        elif isinstance(arg, bytes):
+            path = tmp_path / "data.csv"
+            path.write_bytes(arg)
             args[i] = str(path)
     code = main(args)
     captured = capsys.readouterr()
@@ -562,7 +591,7 @@ class TestExternalModelAdapter:
             handle = child.as_model_handle()
             rng = np.random.default_rng(1)
             points = rng.uniform(0, 1, size=(40, 6))
-            expected = [bench.park_value(x) for x in points]
+            expected = [park_value(x) for x in points]
             results = [None] * len(points)
 
             def worker(indices):

@@ -17,7 +17,7 @@ from xmeter.core import (
     gradient,
 )
 from xmeter.attr_metrics import ExpectationConfig, _restriction_loss
-from xmeter.example_based import _filtered
+from xmeter import example_based
 from conftest import constant_model, linear_model
 
 
@@ -43,12 +43,24 @@ class TestTabularDataset:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 9.0
 
-    def test_filter_class(self):
+    def test_filter_class(self, monkeypatch):
+        # the example table builds each class's distance matrix from that
+        # class's rows; a label without rows is an error
         ds = TabularDataset([[0.0], [1.0], [2.0]], labels=[0, 1, 0])
-        sub, idx = _filtered(ds, 0)
-        assert sub.n_samples == 2
-        assert list(sub.features[:, 0]) == [0.0, 2.0]
-        assert list(idx) == [0, 2]
+        model = ModelHandle(1, "label", lambda X: np.zeros(len(X), dtype=int))
+        rows_seen = []
+        build = example_based.pairwise_distances
+
+        def recording(X):
+            rows_seen.append(list(X[:, 0]))
+            return build(X)
+
+        monkeypatch.setattr(example_based, "pairwise_distances", recording)
+        example_based.metrics_vs_n(ds, model, ["kmedoids"], [1])
+        assert rows_seen == [[0.0, 2.0], [1.0]]
+        gap = TabularDataset([[0.0], [1.0]], labels=[0, 2])
+        with pytest.raises(ContractViolation, match="no samples with label 1"):
+            example_based.metrics_vs_n(gap, model, ["kmedoids"], [1])
 
 
 class TestLosses:

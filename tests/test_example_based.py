@@ -5,24 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xmeter import bench
+from xmeter import bench, example_based
 from xmeter.core import ContractViolation, TabularDataset, ZERO_ONE
 from xmeter.example_based import (
+    SELECTORS,
     ExampleSet,
-    KernelConfig,
-    class_averaged_metrics,
     diversity,
     median_bandwidth,
     metrics_vs_n,
-    mmd_squared,
     non_representativeness,
     pairwise_distances,
-    rbf_kernel_matrix,
+    rbf_kernel,
     select_kmedoids,
     select_mmd_critic,
     select_protodash,
 )
-from conftest import constant_model
+from conftest import mmd_squared
 
 
 def label_model(fn, arity):
@@ -101,14 +99,14 @@ class TestKernel:
         rng = np.random.default_rng(8)
         for trial in range(10):
             X = rng.uniform(-2, 2, size=(20, 3))
-            K = rbf_kernel_matrix(X, bandwidth=0.5 + trial * 0.2)
+            K = rbf_kernel(pairwise_distances(X), 0.5 + trial * 0.2)
             eigs = np.linalg.eigvalsh((K + K.T) / 2)
             assert eigs.min() >= -1e-8
 
     def test_median_bandwidth_positive(self):
         rng = np.random.default_rng(9)
-        assert median_bandwidth(rng.uniform(0, 1, size=(15, 2))) > 0
-        assert median_bandwidth(np.ones((4, 2))) == 1.0  # degenerate fallback
+        assert median_bandwidth(pairwise_distances(rng.uniform(0, 1, size=(15, 2)))) > 0
+        assert median_bandwidth(pairwise_distances(np.ones((4, 2)))) == 1.0  # degenerate fallback
 
 
 def brute_force_medoids(X, n):
@@ -122,38 +120,40 @@ def brute_force_medoids(X, n):
     return set(best), best_cost
 
 
+def kernel_of(X, bandwidth):
+    return rbf_kernel(pairwise_distances(X), bandwidth)
+
+
 class TestKMedoids:
     def test_full_budget_returns_dataset(self):
-        data = TabularDataset(np.random.default_rng(0).uniform(0, 1, (8, 2)))
-        E = select_kmedoids(data, None, 8)
-        np.testing.assert_array_equal(np.sort(E.examples, axis=0),
-                                      np.sort(data.features, axis=0))
+        X = np.random.default_rng(0).uniform(0, 1, (8, 2))
+        chosen = select_kmedoids(pairwise_distances(X), 8)
+        np.testing.assert_array_equal(np.sort(X[chosen], axis=0), np.sort(X, axis=0))
 
     def test_single_medoid_matches_brute_force_1d(self):
-        data = TabularDataset(np.array([[0.0], [1.0], [2.0], [10.0]]))
-        E = select_kmedoids(data, None, 1)
-        expected, _ = brute_force_medoids(data.features, 1)
-        assert set(E.source_indices) == expected
-        assert E.examples[0, 0] in (1.0, 2.0)
+        X = np.array([[0.0], [1.0], [2.0], [10.0]])
+        chosen = select_kmedoids(pairwise_distances(X), 1)
+        expected, _ = brute_force_medoids(X, 1)
+        assert set(chosen) == expected
+        assert X[chosen][0, 0] in (1.0, 2.0)
 
     def test_two_separated_clusters(self):
         rng = np.random.default_rng(12)
         cluster_a = rng.normal(0.0, 0.3, size=(5, 2))
         cluster_b = rng.normal(8.0, 0.3, size=(5, 2))
-        data = TabularDataset(np.vstack([cluster_a, cluster_b]))
-        E = select_kmedoids(data, None, 2)
-        expected, expected_cost = brute_force_medoids(data.features, 2)
-        assert set(E.source_indices) == expected
+        X = np.vstack([cluster_a, cluster_b])
+        chosen = select_kmedoids(pairwise_distances(X), 2)
+        expected, expected_cost = brute_force_medoids(X, 2)
+        assert set(chosen) == expected
 
     @pytest.mark.parametrize("size,seed", [(30, 0), (50, 1), (45, 2)])
     def test_single_medoid_matches_brute_force(self, size, seed):
         # the BUILD step's first pick is the exact 1-medoid optimum
         rng = np.random.default_rng(seed)
-        data = TabularDataset(rng.uniform(0, 1, size=(size, 2)))
-        E = select_kmedoids(data, None, 1)
-        D = pairwise_distances(data.features)
-        pam_cost = D[:, list(E.source_indices)].min(axis=1).sum()
-        _, best_cost = brute_force_medoids(data.features, 1)
+        X = rng.uniform(0, 1, size=(size, 2))
+        D = pairwise_distances(X)
+        pam_cost = D[:, select_kmedoids(D, 1)].min(axis=1).sum()
+        _, best_cost = brute_force_medoids(X, 1)
         assert pam_cost == pytest.approx(best_cost, abs=1e-9)
 
     @pytest.mark.parametrize("seed", [2, 3, 4])
@@ -161,10 +161,8 @@ class TestKMedoids:
         rng = np.random.default_rng(seed)
         X = np.vstack([rng.normal(0.0, 0.5, size=(20, 2)),
                        rng.normal(6.0, 0.5, size=(20, 2))])
-        data = TabularDataset(X)
-        E = select_kmedoids(data, None, 2)
         D = pairwise_distances(X)
-        pam_cost = D[:, list(E.source_indices)].min(axis=1).sum()
+        pam_cost = D[:, select_kmedoids(D, 2)].min(axis=1).sum()
         _, best_cost = brute_force_medoids(X, 2)
         assert pam_cost == pytest.approx(best_cost, abs=1e-9)
 
@@ -174,10 +172,8 @@ class TestKMedoids:
         # (the global optimum can require a simultaneous double swap)
         rng = np.random.default_rng(seed)
         X = rng.uniform(0, 1, size=(40, 2))
-        data = TabularDataset(X)
-        E = select_kmedoids(data, None, 2)
         D = pairwise_distances(X)
-        meds = list(E.source_indices)
+        meds = select_kmedoids(D, 2)
         cost = D[:, meds].min(axis=1).sum()
         for pos in range(len(meds)):
             for cand in range(len(X)):
@@ -188,28 +184,31 @@ class TestKMedoids:
                 assert D[:, trial].min(axis=1).sum() >= cost - 1e-9
 
     def test_class_filter(self):
+        # each class's prototypes come from its own rows and explain its label:
+        # {0, 1} and {5, 6}, each pair one apart and predicted as its class
         data = TabularDataset([[0.0], [1.0], [5.0], [6.0]], labels=[0, 0, 1, 1])
-        E = select_kmedoids(data, 1, 2)
-        assert set(map(float, E.examples[:, 0])) == {5.0, 6.0}
-        assert E.target_prediction == 1
+        model = label_model(lambda x: x[0] > 3.0, arity=1)
+        row, = metrics_vs_n(data, model, ["kmedoids"], [2])["kmedoids"]
+        assert row["diversity"] == 0.5
+        assert row["non_representativeness"] == 0.0
 
     def test_insufficient_samples_rejected(self):
         data = TabularDataset([[0.0], [1.0]], labels=[0, 0])
         with pytest.raises(ContractViolation):
-            select_kmedoids(data, 0, 3)
+            metrics_vs_n(data, label_model(lambda x: 0, arity=1), ["kmedoids"], [3])
 
 
 class TestMMDCritic:
     def test_full_set_has_zero_mmd(self):
         rng = np.random.default_rng(13)
         X = rng.uniform(0, 1, size=(12, 2))
-        assert mmd_squared(X, X, bandwidth=0.7) == pytest.approx(0.0, abs=1e-12)
+        chosen = select_mmd_critic(kernel_of(X, 0.7), 12)
+        assert mmd_squared(X[chosen], X, bandwidth=0.7) == pytest.approx(0.0, abs=1e-12)
 
     def test_greedy_steps_match_exhaustive_argmin(self):
         rng = np.random.default_rng(14)
         X = rng.uniform(0, 1, size=(20, 2))
-        data = TabularDataset(X)
-        kernel = KernelConfig(bandwidth=0.5)
+        K = kernel_of(X, 0.5)
         chosen = []
         for step in range(3):
             best_j, best_val = None, np.inf
@@ -221,29 +220,25 @@ class TestMMDCritic:
                 if val < best_val - 1e-15:
                     best_val, best_j = val, j
             chosen.append(best_j)
-            E = select_mmd_critic(data, None, step + 1, kernel)
-            assert list(E.source_indices) == chosen
+            assert select_mmd_critic(K, step + 1) == chosen
 
     def test_mmd_non_increasing_over_steps(self):
         # holds in the narrow-kernel regime; with wide kernels the uniform
         # 1/p re-weighting can raise the objective even at the best candidate
         rng = np.random.default_rng(15)
         X = rng.uniform(0, 1, size=(30, 3))
-        data = TabularDataset(X)
-        kernel = KernelConfig(bandwidth=0.3)
+        K = kernel_of(X, 0.3)
         values = []
         for n in range(1, 10):
-            E = select_mmd_critic(data, None, n, kernel)
-            values.append(mmd_squared(E.examples, X, 0.3))
+            values.append(mmd_squared(X[select_mmd_critic(K, n)], X, 0.3))
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_per_step_brute_force_on_30_points(self):
         rng = np.random.default_rng(16)
         X = rng.normal(0, 1, size=(30, 2))
-        data = TabularDataset(X)
-        bw = median_bandwidth(X)
-        kernel = KernelConfig(bandwidth=bw)
-        E = select_mmd_critic(data, None, 5, kernel)
+        D = pairwise_distances(X)
+        bw = median_bandwidth(D)
+        selected = select_mmd_critic(rbf_kernel(D, bw), 5)
         chosen = []
         for step in range(5):
             best_j, best_val = None, np.inf
@@ -254,41 +249,35 @@ class TestMMDCritic:
                 if val < best_val - 1e-15:
                     best_val, best_j = val, j
             chosen.append(best_j)
-        assert list(E.source_indices) == chosen
+        assert selected == chosen
 
 
 class TestProtodash:
     def test_first_pick_is_max_mean_similarity(self):
         rng = np.random.default_rng(17)
         X = rng.uniform(0, 1, size=(25, 2))
-        data = TabularDataset(X)
-        kernel = KernelConfig(bandwidth=0.6)
-        E, w = select_protodash(data, None, 1, kernel)
-        mu = rbf_kernel_matrix(X, bandwidth=0.6).mean(axis=1)
-        assert E.source_indices[0] == int(np.argmax(mu))
+        K = kernel_of(X, 0.6)
+        chosen, w = select_protodash(K, 1)
+        assert chosen[0] == int(np.argmax(K.mean(axis=1)))
 
     def test_weights_nonnegative_and_objective_nondecreasing(self):
         rng = np.random.default_rng(18)
         X = rng.normal(0, 1, size=(40, 3))
-        data = TabularDataset(X)
-        bw = median_bandwidth(X)
-        kernel = KernelConfig(bandwidth=bw)
-        K = rbf_kernel_matrix(X, bandwidth=bw)
+        D = pairwise_distances(X)
+        K = rbf_kernel(D, median_bandwidth(D))
         mu = K.mean(axis=1)
         previous = -np.inf
         for n in range(1, 8):
-            E, w = select_protodash(data, None, n, kernel)
+            sel, w = select_protodash(K, n)
             assert np.all(w >= 0.0)
-            sel = list(E.source_indices)
             objective = w @ mu[sel] - 0.5 * w @ K[np.ix_(sel, sel)] @ w
             assert objective >= previous - 1e-10
             previous = objective
 
     def test_weight_vector_matches_selection_size(self):
         rng = np.random.default_rng(19)
-        data = TabularDataset(rng.uniform(0, 1, size=(15, 2)))
-        E, w = select_protodash(data, None, 4, KernelConfig(bandwidth=0.5))
-        assert len(w) == 4 == E.size
+        chosen, w = select_protodash(kernel_of(rng.uniform(0, 1, size=(15, 2)), 0.5), 4)
+        assert len(w) == 4 == len(chosen)
 
 
 def _cluster_setup(seed=0):
@@ -297,42 +286,75 @@ def _cluster_setup(seed=0):
     return data, model
 
 
+def _averages(table):
+    """{selector: (NR, D)} of a one-budget table."""
+    return {s: (rows[0]["non_representativeness"], rows[0]["diversity"])
+            for s, rows in table.items()}
+
+
 class TestMetricsVsN:
     def test_diversity_zero_at_single_prototype(self):
         data, model = _cluster_setup()
-        for selector in ("kmedoids", "mmd", "protodash"):
-            nr, d = class_averaged_metrics(data, model, selector, 1)
+        for nr, d in _averages(metrics_vs_n(data, model, SELECTORS, [1])).values():
             assert d == 0.0
 
     def test_selectors_coincide_at_full_class_size(self):
         data, model = _cluster_setup()
         class_size = int(np.min(np.bincount(data.labels)))
-        results = {s: class_averaged_metrics(data, model, s, class_size)
-                   for s in ("kmedoids", "mmd", "protodash")}
-        values = list(results.values())
+        values = list(_averages(metrics_vs_n(data, model, SELECTORS, [class_size])).values())
         for other in values[1:]:
             assert other[1] == pytest.approx(values[0][1], abs=1e-12)
             assert other[0] == pytest.approx(values[0][0], abs=1e-12)
 
     def test_representativeness_stays_flat_across_budgets(self):
         data, model = _cluster_setup()
-        for selector in ("kmedoids", "mmd", "protodash"):
-            rows = metrics_vs_n(data, model, selector, [4, 6, 8, 10])
+        for rows in metrics_vs_n(data, model, SELECTORS, [4, 6, 8, 10]).values():
             anchor = next(r for r in rows if r["n"] == 6)["non_representativeness"]
             for row in rows:
                 assert abs(row["non_representativeness"] - anchor) <= 0.15
 
     def test_curve_shape(self):
         data, model = _cluster_setup()
-        rows = metrics_vs_n(data, model, "kmedoids", [1, 2, 3])
+        rows = metrics_vs_n(data, model, ["kmedoids"], [1, 2, 3])["kmedoids"]
         assert [r["n"] for r in rows] == [1, 2, 3]
         assert all(set(r) == {"selector", "n", "non_representativeness", "diversity"}
                    for r in rows)
 
     def test_orderings_at_six_prototypes(self):
         data, model = _cluster_setup()
-        nr, d = {}, {}
-        for s in ("kmedoids", "mmd", "protodash"):
-            nr[s], d[s] = class_averaged_metrics(data, model, s, 6)
+        averages = _averages(metrics_vs_n(data, model, SELECTORS, [6]))
+        nr = {s: v[0] for s, v in averages.items()}
+        d = {s: v[1] for s, v in averages.items()}
         assert nr["kmedoids"] < nr["mmd"] < nr["protodash"]
         assert d["protodash"] > d["mmd"] > d["kmedoids"]
+
+    def test_one_distance_matrix_per_class(self, monkeypatch):
+        # three selectors at two budgets share each class's distance matrix;
+        # diversity's matrices over at most 4 prototypes are not counted
+        data = bench.synth_tabular(bench.SynthSpec(90, 2, 3, separation=3.0),
+                                   seed=0)
+        model = bench.fit_decision_tree(data, max_depth=3).as_model_handle()
+        sizes = []
+        build = example_based.pairwise_distances
+
+        def counting(X):
+            sizes.append(len(X))
+            return build(X)
+
+        monkeypatch.setattr(example_based, "pairwise_distances", counting)
+        metrics_vs_n(data, model, SELECTORS, [2, 4])
+        assert sorted(n for n in sizes if n > 4) == sorted(np.bincount(data.labels))
+
+    @pytest.mark.parametrize("selectors,budgets,bandwidth", [
+        (["kmedoids", "x"], [2], None),
+        (SELECTORS, [0], None),
+        (SELECTORS, [2, 10 ** 6], None),
+        (["mmd"], [2], 1e-190),
+        (["mmd"], [2], 1e200),
+    ])
+    def test_bad_arguments_rejected_before_any_selection(self, selectors, budgets, bandwidth,
+                                                         monkeypatch):
+        data, model = _cluster_setup()
+        monkeypatch.setattr(example_based, "pairwise_distances", None)
+        with pytest.raises(ContractViolation):
+            metrics_vs_n(data, model, selectors, budgets, bandwidth)
