@@ -101,14 +101,17 @@ def _best_split(X, y, n_classes, impurity):
     gain per row, which must exceed 2e-12 (the scan starts at 1e-12).
     """
     n = len(y)
-    onehot = np.eye(n_classes)[y]
-    parent = _impurity(onehot.sum(axis=0), impurity)
+    parent = _impurity(np.bincount(y, minlength=n_classes), impurity)
     children, features, thresholds = [], [], []
     for f in range(X.shape[1]):
         order = np.argsort(X[:, f], kind="stable")
         vals = X[order, f]
         cuts = np.nonzero(np.diff(vals) > 0)[0]
-        prefix = np.cumsum(onehot[order], axis=0)
+        # class counts of each prefix of the sorted rows, from n x K one-hot
+        # rows: K is the largest label plus one, so np.eye(K)[y] would take K x K
+        prefix = np.zeros((n, n_classes))
+        prefix[np.arange(n), y[order]] = 1.0
+        prefix = np.cumsum(prefix, axis=0)
         left = prefix[cuts]
         right = prefix[-1] - left
         n_left = cuts + 1.0

@@ -39,6 +39,10 @@ EXIT_PROTOCOL = 3
 EXIT_NUMERIC = 4
 
 PROTOCOL_TIMEOUT = 30.0
+# Rows per predict_batch request. A request carries at most this many, so a
+# child's time per request, which PROTOCOL_TIMEOUT limits, stays bounded
+# however many rows a batch holds.
+BATCH_ROWS = 1000
 
 
 class ConfigError(ValueError):
@@ -153,32 +157,60 @@ class ExternalModel:
             self._fail(f"invalid output kind in handshake: {info!r}")
         if not isinstance(info.get("gradient"), bool):
             self._fail(f"invalid gradient flag in handshake: {info!r}")
+        if not isinstance(info.get("batch", False), bool):
+            self._fail(f"invalid batch flag in handshake: {info!r}")
         return info
 
-    def predict(self, x):
-        response = self._request({"op": "predict", "x": [float(v) for v in np.asarray(x)]})
+    def predict(self, X) -> np.ndarray:
+        """Predictions for the rows of ``X`` (an ``(n, arity)`` matrix, or one
+        point), in one request: ``predict_batch`` to a child that advertises
+        ``batch``, else ``predict``, which carries one row."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self.info.get("batch", False):
+            response = self._request({"op": "predict_batch", "X": X.tolist()})
+            ys = response.get("y")
+        elif len(X) == 1:
+            response = self._request({"op": "predict", "x": X[0].tolist()})
+            ys = [response.get("y")]
+        else:
+            raise ContractViolation(f"a child without 'batch' takes one row per "
+                                    f"request, got {len(X)}")
         if "error" in response:
             self._fail(f"predict failed: {response['error']}")
-        # 'y' holds one number (scalar), one class index (label), or one
-        # probability per class, with the same class count in every reply and
-        # a row that is nonnegative and sums to 1
-        y = response.get("y")
-        values = _json_reals(y)
+        return self._predictions(ys, len(X))
+
+    def _predictions(self, ys, n: int) -> np.ndarray:
+        """The n rows of a reply's ``y``, checked as the protocol states: each
+        holds one number (scalar), one class index (label), or one probability
+        per class, with the same class count in every row and reply, and
+        nonnegative entries summing to 1."""
+        if not isinstance(ys, list):
+            self._fail(f"predict_batch returned a 'y' that is not a list: {ys!r:.200}")
+        if len(ys) != n:
+            self._fail(f"predict_batch returned {len(ys)} entries for {n} rows")
         kind = self.info["output"]
-        if (values is None or values.size == 0 or (kind != "probs" and values.size != 1)
-                or (kind == "label" and not (type(y[0]) is int and 0 <= y[0] < 2**63))):
-            self._fail(f"predict returned a malformed 'y': {response!r}")
+        rows = []
+        for i, y in enumerate(ys):
+            values = _json_reals(y)
+            if (values is None or values.size == 0 or (kind != "probs" and values.size != 1)
+                    or (kind == "label" and not (type(y[0]) is int and 0 <= y[0] < 2**63))):
+                self._fail(f"predict returned a malformed 'y' at row {i}: {y!r}")
+            rows.append(values if kind == "probs" else y[0])
         if kind != "probs":
-            return float(values[0]) if kind == "scalar" else y[0]
+            return np.array(rows, dtype=np.int64 if kind == "label" else float)
         with self._lock:  # set once, by the first probs reply
-            self._classes = self._classes or values.size
-        if values.size != self._classes:
-            self._fail(f"predict returned {values.size} class probabilities "
-                       f"after {self._classes}: {response!r}")
-        if np.any(values < -PROB_SUM_TOL) or abs(values.sum() - 1.0) > PROB_SUM_TOL:
-            self._fail(f"predict returned a negative class probability or a row "
-                       f"that does not sum to 1: {response!r}")
-        return values
+            self._classes = self._classes or rows[0].size
+        for i, values in enumerate(rows):
+            if values.size != self._classes:
+                self._fail(f"predict returned {values.size} class probabilities "
+                           f"after {self._classes} at row {i}: {ys[i]!r}")
+        P = np.array(rows)
+        bad = np.flatnonzero(np.any(P < -PROB_SUM_TOL, axis=1)
+                             | (np.abs(P.sum(axis=1) - 1.0) > PROB_SUM_TOL))
+        if bad.size:
+            self._fail(f"predict returned a negative class probability or a row that "
+                       f"does not sum to 1 at row {bad[0]}: {ys[bad[0]]!r}")
+        return P
 
     def gradient(self, x, target=None):
         response = self._request({"op": "gradient", "x": [float(v) for v in np.asarray(x)]})
@@ -190,12 +222,20 @@ class ExternalModel:
         return g
 
     def as_model_handle(self) -> ModelHandle:
-        """A handle whose ``predict_fn`` sends one ``predict`` request per row, in order."""
+        """A handle whose ``predict_fn`` sends the rows in order, one request per
+        chunk of consecutive rows: up to ``BATCH_ROWS`` rows to a child that
+        advertises ``batch``, one row to any other."""
         has_grad = bool(self.info["gradient"])
+        step = BATCH_ROWS if self.info.get("batch", False) else 1
+
+        def predict_fn(X):
+            chunks = [self.predict(X[i:i + step]) for i in range(0, len(X), step)]
+            return np.concatenate(chunks) if chunks else np.empty(0)
+
         return ModelHandle(
             arity=int(self.info["arity"]),
             output_kind=self.info["output"],
-            predict_fn=lambda X: [self.predict(x) for x in X],
+            predict_fn=predict_fn,
             gradient_fn=self.gradient if has_grad else None,
             gradient_capability="exact" if has_grad else "finite-difference",
             name=f"external({' '.join(self.command)})",

@@ -6,9 +6,15 @@ against a conforming child:
     python -m xmeter.model_server --model park
 
 Requests, one JSON object per line:
-    {"op": "info"}                -> {"arity": N, "output": "...", "gradient": bool}
+    {"op": "info"}                -> {"arity": N, "output": "...", "gradient": bool,
+                                      "batch": true}
     {"op": "predict", "x": [...]} -> {"y": [...]}
+    {"op": "predict_batch", "X": [[...], ...]} -> {"y": [[...], ...]}
     {"op": "gradient", "x": [...]} -> {"g": [...]} or {"error": "unsupported"}
+
+A ``predict_batch`` reply holds one entry per row of X, each what a
+``predict`` reply's ``y`` holds for that row; the rows are evaluated in one
+``predict_batch`` call of the model.
 """
 
 from __future__ import annotations
@@ -34,11 +40,11 @@ def echo_model(arity: int) -> ModelHandle:
     )
 
 
-def _prediction_payload(model: ModelHandle, x) -> list:
-    y = model.predict(x)
-    if model.output_kind == "probs":
+def _prediction_payload(output_kind: str, y) -> list:
+    """The ``y`` of one row's reply for the model's prediction ``y`` of that row."""
+    if output_kind == "probs":
         return [float(v) for v in y]
-    return [float(y)] if model.output_kind == "scalar" else [int(y)]
+    return [float(y)] if output_kind == "scalar" else [int(y)]
 
 
 def serve(model: ModelHandle, stdin=None, stdout=None) -> None:
@@ -57,9 +63,14 @@ def serve(model: ModelHandle, stdin=None, stdout=None) -> None:
                     "arity": model.arity,
                     "output": model.output_kind,
                     "gradient": has_gradient,
+                    "batch": True,
                 }
             elif op == "predict":
-                response = {"y": _prediction_payload(model, request["x"])}
+                response = {"y": _prediction_payload(model.output_kind,
+                                                     model.predict(request["x"]))}
+            elif op == "predict_batch":
+                Y = model.predict_batch(np.asarray(request["X"], dtype=float))
+                response = {"y": [_prediction_payload(model.output_kind, y) for y in Y]}
             elif op == "gradient":
                 if not has_gradient:
                     response = {"error": "unsupported"}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,6 +252,20 @@ class TestSplitSweep:
         for data, fit in zip(datasets, fits):
             assert fit == (_tree_shape(bench.fit_decision_tree(data, 5).root),
                            mi.fit_entropy_discretizer(data, 3).bin_edges)
+
+    def test_fit_memory_is_linear_in_the_largest_label(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        X = rng.uniform(size=(60, 2))
+        data = TabularDataset(X, np.where(X[:, 0] + 0.3 * X[:, 1] > 0.6, 3000, 0))
+        tracemalloc.start()
+        try:
+            shape = _tree_shape(bench.fit_decision_tree(data, 3).root)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6  # one K x K identity of 3001 classes takes 72 MB
+        monkeypatch.setattr(bench, "_best_split", _reference_split)
+        assert shape == _tree_shape(bench.fit_decision_tree(data, 3).root)
 
 
 class TestSynthTabular:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from xmeter import bench
 from xmeter.cli import (
+    BATCH_ROWS,
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
@@ -26,6 +27,7 @@ from xmeter.cli import (
     main,
     parse_dataset_spec,
 )
+from xmeter.core import ContractViolation
 from conftest import park_value
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -46,10 +48,11 @@ def run_cli(args, capsys):
 
 
 def scripted_server(info, predict='{"y": [0.0]}', gradient='{"error": "unsupported"}',
-                    delay=0.0):
-    """Command of a child that answers every request of a kind with one fixed reply."""
+                    delay=0.0, batch=""):
+    """Command of a child that answers every request of a kind with one fixed reply
+    (see fixtures/scripted_server.py for ``delay`` and ``batch``)."""
     return [sys.executable, str(FIXTURES / "scripted_server.py"), info, predict, gradient,
-            str(delay)]
+            str(delay), batch]
 
 
 def exec_spec(command):
@@ -461,10 +464,36 @@ def test_generated_commands_keep_the_exit_code_contract(argv):
     assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
 
 
+def park_run_requests(monkeypatch, capsys, batch: bool):
+    """The report of a park attr-eval over the reference server, and its requests
+    counted by op. ``batch=False`` drops the handshake's batch flag, which
+    makes ExternalModel send one predict request per row."""
+    requests = {}
+    send, handshake = ExternalModel._request, ExternalModel._handshake
+
+    def counting(self, payload):
+        requests[payload["op"]] = requests.get(payload["op"], 0) + 1
+        return send(self, payload)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ExternalModel, "_request", counting)
+        if not batch:
+            patch.setattr(ExternalModel, "_handshake",
+                          lambda self: {k: v for k, v in handshake(self).items()
+                                        if k != "batch"})
+        server = exec_spec(BUILTIN_SERVER + ["--model", "park"])
+        code, out = run_cli(["attr-eval", "--model", server,
+                             "--methods", "saliency,inpxgrad,intgrad,random",
+                             "--point", PARK_POINT, "--uniform", "0,1", "--n-mc", "100"], capsys)
+    assert code == EXIT_OK
+    return out, requests
+
+
 class TestExternalModelAdapter:
     def test_info_round_trip_on_echo_fixture(self):
         with ExternalModel(BUILTIN_SERVER + ["--model", "echo", "--arity", "7"]) as child:
-            assert child.info == {"arity": 7, "output": "scalar", "gradient": False}
+            assert child.info == {"arity": 7, "output": "scalar", "gradient": False,
+                                  "batch": True}
             handle = child.as_model_handle()
             assert handle.arity == 7
             assert handle.gradient_capability == "finite-difference"
@@ -528,27 +557,38 @@ class TestExternalModelAdapter:
         assert code == EXIT_NUMERIC
         assert "NaN" not in out
 
-    @pytest.mark.parametrize("output,predict,gradient", [
-        ("scalar", '{"y": ["a"]}', "false"),
-        ("scalar", '{"y": [null]}', "false"),
-        ("scalar", '{"y": [true]}', "false"),
-        ("scalar", '{"y": [0.5, 0.5]}', "false"),
-        ("scalar", '{"y": [%s]}' % ("9" * 400), "false"),
-        ("scalar", '{"y": [0.5]}', "true"),
-        ("label", '{"y": [1.7]}', "false"),
-        ("label", '{"y": [-1]}', "false"),
-        ("probs", '{"y": [[0.5, 0.5]]}', "false"),
-        ("probs", '{"y": [0.5, 0.5]}\n{"y": [0.2, 0.3, 0.5]}', "false"),
-        ("probs", '{"y": [0.2, 0.2]}', "false"),
-        ("probs", '{"y": [-0.5, 1.5]}', "false"),
+    @pytest.mark.parametrize("output,predict,gradient,batch", [
+        ("scalar", '{"y": ["a"]}', "false", None),
+        ("scalar", '{"y": [null]}', "false", None),
+        ("scalar", '{"y": [true]}', "false", None),
+        ("scalar", '{"y": [0.5, 0.5]}', "false", None),
+        ("scalar", '{"y": [%s]}' % ("9" * 400), "false", None),
+        ("scalar", '{"y": [0.5]}', "true", None),
+        ("label", '{"y": [1.7]}', "false", None),
+        ("label", '{"y": [-1]}', "false", None),
+        ("probs", '{"y": [[0.5, 0.5]]}', "false", None),
+        ("probs", '{"y": [0.5, 0.5]}\n{"y": [0.2, 0.3, 0.5]}', "false", None),
+        ("probs", '{"y": [0.2, 0.2]}', "false", None),
+        ("probs", '{"y": [-0.5, 1.5]}', "false", None),
+        # (the handshake's batch flag, the fixture's BATCH argument)
+        ("scalar", '{"y": [0.5]}', "false", ("true", "short")),
+        ("scalar", '{"y": [0.5]}', "false", ("true", '{"y": {"0": [0.5]}}')),
+        ("scalar", '{"y": [0.5]}\n' * 4 + '{"y": ["a"]}', "false", ("true", "")),
+        ("label", '{"y": [1]}\n' * 4 + '{"y": [1.7]}', "false", ("true", "")),
+        ("probs", '{"y": [0.5, 0.5]}\n' * 4 + '{"y": [0.2, 0.2]}', "false", ("true", "")),
+        ("scalar", '{"y": [0.5]}', "false", ('"yes"', "")),
     ], ids=["string", "null", "bool", "two-scalars", "huge-integer", "gradient-string",
             "label-fraction", "label-negative", "probs-nested", "probs-ragged",
-            "probs-sum", "probs-negative"])
+            "probs-sum", "probs-negative", "batch-row-missing", "batch-not-a-list",
+            "batch-later-string", "batch-later-label-fraction", "batch-later-probs-sum",
+            "batch-flag-string"])
     def test_reply_of_the_wrong_type_is_protocol_error(self, output, predict, gradient,
-                                                       capsys):
+                                                       batch, capsys):
+        flag, batch_reply = batch or (None, "")
         server = scripted_server(
-            f'{{"arity": 2, "output": "{output}", "gradient": {gradient}}}',
-            predict=predict, gradient='{"g": ["a", 1]}')
+            f'{{"arity": 2, "output": "{output}", "gradient": {gradient}'
+            + (f', "batch": {flag}}}' if flag else "}"),
+            predict=predict, gradient='{"g": ["a", 1]}', batch=batch_reply)
         code = main(["attr-eval", "--model", exec_spec(server), "--point", "0.1,0.2",
                      "--methods", "saliency" if gradient == "true" else "random",
                      "--uniform", "0,1", "--n-mc", "100"])
@@ -556,6 +596,31 @@ class TestExternalModelAdapter:
         assert code == EXIT_PROTOCOL
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_batch_reply_error_names_the_row(self):
+        server = scripted_server('{"arity": 1, "output": "scalar", "gradient": false, '
+                                 '"batch": true}',
+                                 predict='{"y": [0.5]}\n' * 3 + '{"y": ["a"]}')
+        with ExternalModel(server) as child:
+            with pytest.raises(ModelProtocolError, match=r"at row 3: \['a'\] \(command"):
+                child.predict(np.zeros((5, 1)))
+
+    def test_child_without_batch_gets_one_row_per_request(self):
+        with ExternalModel(PARK_SERVER) as child:
+            with pytest.raises(ContractViolation):
+                child.predict(np.zeros((2, 6)))
+
+    def test_each_chunk_of_a_batch_has_its_own_timeout(self):
+        # one full chunk answers in a quarter of the timeout, a batch of five
+        # chunks in one request would take longer than the timeout
+        server = scripted_server('{"arity": 1, "output": "scalar", "gradient": false, '
+                                 '"batch": true}', predict='{"y": [1.0]}',
+                                 delay=0.25 / BATCH_ROWS)
+        X = np.zeros((5 * BATCH_ROWS, 1))
+        with ExternalModel(server, timeout=1.0) as child:
+            assert child.as_model_handle().predict_batch(X).tolist() == [1.0] * len(X)
+            with pytest.raises(ModelProtocolError, match="no response within"):
+                child.predict(X)
 
     def test_one_restriction_pass_per_point(self, monkeypatch, capsys):
         """e is estimated once for all judged methods, f(x*) once per estimate pass."""
@@ -565,26 +630,24 @@ class TestExternalModelAdapter:
         estimate = attr_metrics.restriction_loss_vector
         monkeypatch.setattr(attr_metrics, "restriction_loss_vector",
                             lambda *a: passes.append(1) or estimate(*a))
-        requests = {"predict": 0, "gradient": 0}
-        send = ExternalModel._request
-
-        def counting(self, payload):
-            requests[payload["op"]] = requests.get(payload["op"], 0) + 1
-            return send(self, payload)
-
-        monkeypatch.setattr(ExternalModel, "_request", counting)
-        server = exec_spec(BUILTIN_SERVER + ["--model", "park"])
-        code, out = run_cli(["attr-eval", "--model", server,
-                             "--methods", "saliency,inpxgrad,intgrad,random",
-                             "--point", PARK_POINT, "--uniform", "0,1", "--n-mc", "100"], capsys)
-        assert code == EXIT_OK
-        assert len(passes) == 1
+        out, per_row = park_run_requests(monkeypatch, capsys, batch=False)
+        _, batched = park_run_requests(monkeypatch, capsys, batch=True)
+        assert len(passes) == 2  # one per run
         metrics = json.loads(out)["metrics"]
         # prefixes 1..k of each effective-complexity search; the full prefix has no rest
         prefixes = sum(min(entry["effective_complexity"], 5) for entry in metrics.values())
         f_star = 1 + len(metrics)  # one for e, one per effective-complexity search
-        assert requests["predict"] == 6 * 100 + prefixes * 100 + f_star
-        assert requests["gradient"] == 1 + 1 + 64  # saliency, inpxgrad, intgrad
+        assert per_row["predict"] == 6 * 100 + prefixes * 100 + f_star
+        # one request per restriction batch, prefix batch and f(x*)
+        assert batched["predict_batch"] == 6 + prefixes + f_star
+        assert "predict_batch" not in per_row and "predict" not in batched
+        for requests in (per_row, batched):
+            assert requests["gradient"] == 1 + 1 + 64  # saliency, inpxgrad, intgrad
+
+    def test_batch_and_per_row_paths_give_the_same_report(self, monkeypatch, capsys):
+        per_row, _ = park_run_requests(monkeypatch, capsys, batch=False)
+        batched, _ = park_run_requests(monkeypatch, capsys, batch=True)
+        assert batched == per_row
 
     def test_concurrent_predicts_are_serialized(self):
         with ExternalModel(PARK_SERVER) as child:

@@ -36,11 +36,16 @@ def test_attr_table_script_prints_the_cli_reports(capsys):
     assert result.stdout[cut:] == capsys.readouterr().out
 
 
+def load_perfbench(name):
+    """The benchmark's module ``perfbench/NAME.py``."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return load_perfbench("tracing")
 
 
 def test_benchmark_tracer_finds_every_name_it_patches():
@@ -82,6 +87,20 @@ def test_benchmark_tracer_reads_the_attribution_layers(capsys):
     assert layers["attr_metrics.restriction_loss_vector.calls"] == 1
     assert layers["attr_metrics.restriction_loss_vector.useful_ratio"] == 1.0
     assert layers["attr_metrics.effective_complexity.prefixes"] > 0
+
+
+@pytest.mark.parametrize("kind", ["attr-eval", "mi", "example-eval"])
+def test_first_recorded_benchmark_input_reproduces_its_report(kind, monkeypatch, capsys):
+    # one command of each kind from perfbench/references.json, compared by
+    # digest as scripts/check_references.py compares all of them
+    workloads = load_perfbench("workloads")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(  # for the exec: child
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    python, refs = sys.executable, workloads.recorded()
+    argv = workloads.command(kind, refs["seeds"][kind][0], python)
+    assert main(argv) == 0
+    assert workloads.report_digest(capsys.readouterr().out, python) == \
+        refs["reports"][kind][workloads.command_key(argv, python)]
 
 
 @pytest.mark.parametrize("module", ["xmeter.model_server", "xmeter.cli"])
