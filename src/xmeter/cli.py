@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import queue
@@ -62,6 +63,23 @@ def _json_reals(value) -> np.ndarray | None:
         except OverflowError:
             pass
     return None
+
+
+def _reply_matrix(ys: list, kind: str) -> np.ndarray | None:
+    """A reply's rows converted at once when each is well formed for the
+    output kind: a nonempty list of JSON numbers, as long as every other row,
+    holding one number (scalar) or one class index (label). Else None."""
+    if not (set(map(type, ys)) <= {list} and set(map(type, itertools.chain.from_iterable(ys)))
+            <= ({int} if kind == "label" else {int, float})):
+        return None
+    try:
+        P = np.array(ys, dtype=np.int64 if kind == "label" else float)
+    except (OverflowError, ValueError):  # an int beyond the range, or ragged rows
+        return None
+    if (P.ndim != 2 or P.shape[1] == 0 or (kind != "probs" and P.shape[1] != 1)
+            or (kind == "label" and P.min() < 0)):
+        return None
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +207,24 @@ class ExternalModel:
         if len(ys) != n:
             self._fail(f"predict_batch returned {len(ys)} entries for {n} rows")
         kind = self.info["output"]
+        P = _reply_matrix(ys, kind)
+        if P is not None and kind == "probs":
+            with self._lock:  # set once, by the first probs reply
+                self._classes = self._classes or P.shape[1]
+        if P is None or (kind == "probs" and P.shape[1] != self._classes):
+            P = self._checked_rows(ys, kind)  # fails at the first bad row
+        if kind != "probs":
+            return P.reshape(n)
+        bad = np.flatnonzero(np.any(P < -PROB_SUM_TOL, axis=1)
+                             | (np.abs(P.sum(axis=1) - 1.0) > PROB_SUM_TOL))
+        if bad.size:
+            self._fail(f"predict returned a negative class probability or a row that "
+                       f"does not sum to 1 at row {bad[0]}: {ys[bad[0]]!r}")
+        return P
+
+    def _checked_rows(self, ys: list, kind: str) -> np.ndarray:
+        """The reply's rows checked one at a time, so that an error names the
+        first malformed row and its entry."""
         rows = []
         for i, y in enumerate(ys):
             values = _json_reals(y)
@@ -204,13 +240,7 @@ class ExternalModel:
             if values.size != self._classes:
                 self._fail(f"predict returned {values.size} class probabilities "
                            f"after {self._classes} at row {i}: {ys[i]!r}")
-        P = np.array(rows)
-        bad = np.flatnonzero(np.any(P < -PROB_SUM_TOL, axis=1)
-                             | (np.abs(P.sum(axis=1) - 1.0) > PROB_SUM_TOL))
-        if bad.size:
-            self._fail(f"predict returned a negative class probability or a row that "
-                       f"does not sum to 1 at row {bad[0]}: {ys[bad[0]]!r}")
-        return P
+        return np.array(rows)
 
     def gradient(self, x, target=None):
         response = self._request({"op": "gradient", "x": [float(v) for v in np.asarray(x)]})

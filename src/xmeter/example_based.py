@@ -85,7 +85,10 @@ def select_kmedoids(D: np.ndarray, n: int) -> list[int]:
     """PAM on distance matrix D: greedy BUILD then best-improvement SWAP passes
     (at most 100); returns the sorted row indices of the n medoids.
 
-    Deterministic: ties always resolve to the lowest candidate index.
+    Deterministic: ties always resolve to the lowest candidate index. D must be
+    bitwise symmetric, as ``pairwise_distances`` returns it: a swap's cost is
+    summed over row ``cand`` rather than column ``cand``, which then adds the
+    same floats in the same order.
     """
     m = len(D)
     if n == m:
@@ -100,18 +103,20 @@ def select_kmedoids(D: np.ndarray, n: int) -> list[int]:
         savings[medoids] = -np.inf
         medoids.append(int(np.argmax(savings)))
 
-    # SWAP: apply the single best improving (medoid, candidate) exchange.
+    # SWAP: apply the single best improving (medoid, candidate) exchange. With
+    # r each point's distance to the other medoids, swapping in cand costs
+    # sum_i min(D[i, cand], r[i]): one row sum for every candidate at once.
     for _ in range(100):
         cost = D[:, medoids].min(axis=1).sum()
         best_swap = None
         best_cost = cost - 1e-12
+        taken = set(medoids)
         for pos in range(len(medoids)):
-            for cand in range(m):
-                if cand in medoids:
+            others = medoids[:pos] + medoids[pos + 1:]
+            r = D[others].min(axis=0) if others else np.full(m, np.inf)
+            for cand, c in enumerate(np.minimum(D, r).sum(axis=1).tolist()):
+                if cand in taken:
                     continue
-                trial = list(medoids)
-                trial[pos] = cand
-                c = D[:, trial].min(axis=1).sum()
                 if c < best_cost - 1e-12:
                     best_cost = c
                     best_swap = (pos, cand)
@@ -128,14 +133,19 @@ def select_mmd_critic(K: np.ndarray, n: int) -> list[int]:
     colmean = K.mean(axis=1)
     chosen: list[int] = []
     for _ in range(n):
+        # row j of P is chosen + [j]; each row's kernel block is reduced as
+        # one contiguous run, as K[np.ix_(P[j], P[j])].mean() would be
+        size = len(chosen) + 1
+        P = np.empty((m, size), dtype=np.intp)
+        P[:, :-1] = chosen
+        P[:, -1] = np.arange(m)
+        # biased MMD^2 between P and the whole sample, up to the data-data term
+        vals = (K[P[:, :, None], P[:, None, :]].reshape(m, size * size).mean(axis=1)
+                - 2.0 * colmean[P].mean(axis=1))
+        vals[chosen] = np.inf  # a chosen row never improves on the start value
         best_j = None
         best_val = np.inf
-        for j in range(m):
-            if j in chosen:
-                continue
-            P = chosen + [j]
-            # biased MMD^2 between P and the whole sample, up to the data-data term
-            val = K[np.ix_(P, P)].mean() - 2.0 * colmean[P].mean()
+        for j, val in enumerate(vals.tolist()):
             if val < best_val - 1e-15:  # strict improvement keeps ties at the lowest index
                 best_val = val
                 best_j = j
@@ -185,18 +195,31 @@ SELECTORS = {
     "mmd": lambda D, K, n: select_mmd_critic(K, n),
     "protodash": lambda D, K, n: select_protodash(K, n)[0],
 }
+# Greedy selectors: their rows at budget n are the first n at any larger budget.
+NESTED = {"mmd", "protodash"}
 
 
 def _class_metrics(X: np.ndarray, label: int, model: ModelHandle, names: list[str],
                    n_range: Sequence[int], bandwidth: float | None) -> list[tuple]:
     """(NR, D) of each selector at each budget, in that order, on one class's
-    rows X. The class's distance matrix and kernel live only for this call."""
-    D = pairwise_distances(X)
-    K = rbf_kernel(D, median_bandwidth(D) if bandwidth is None else bandwidth)
+    rows X. The class's distance matrix and kernel live only for this call,
+    and each greedy selector runs once, to the largest budget."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        D = pairwise_distances(X)
+        K = rbf_kernel(D, median_bandwidth(D) if bandwidth is None else bandwidth)
+    if not (np.isfinite(D).all() and np.isfinite(K).all()):
+        raise FloatingPointError(f"the distances or RBF kernel of class {label} overflow "
+                                 "or are undefined; rescale the features")
     out = []
     for name in names:
-        for n in n_range:
-            examples = ExampleSet(X[SELECTORS[name](D, K, n)], label)
+        select = SELECTORS[name]
+        if name in NESTED:
+            longest = select(D, K, max(n_range))
+            picks = [longest[:n] for n in n_range]
+        else:
+            picks = [select(D, K, n) for n in n_range]
+        for rows in picks:
+            examples = ExampleSet(X[rows], label)
             out.append((non_representativeness(examples, model, ZERO_ONE),
                         diversity(examples)))
     return out

@@ -73,3 +73,56 @@ def mmd_squared(prototypes, data_points, bandwidth: float) -> float:
         return np.exp(-sq / (2.0 * bandwidth ** 2))
 
     return float(kernel(P, P).mean() - 2.0 * kernel(P, X).mean() + kernel(X, X).mean())
+
+
+def reference_kmedoids(D, n: int) -> list[int]:
+    """Reference PAM: the selector's BUILD, then best-improvement SWAP passes
+    that price every (medoid, candidate) exchange one at a time."""
+    m = len(D)
+    if n == m:
+        return list(range(m))
+    medoids = [int(np.argmin(D.sum(axis=1)))]
+    while len(medoids) < n:
+        nearest = D[:, medoids].min(axis=1)
+        savings = np.maximum(nearest[None, :] - D, 0.0).sum(axis=1)
+        savings[medoids] = -np.inf
+        medoids.append(int(np.argmax(savings)))
+    for _ in range(100):
+        cost = D[:, medoids].min(axis=1).sum()
+        best_swap = None
+        best_cost = cost - 1e-12
+        for pos in range(len(medoids)):
+            for cand in range(m):
+                if cand in medoids:
+                    continue
+                trial = list(medoids)
+                trial[pos] = cand
+                c = D[:, trial].min(axis=1).sum()
+                if c < best_cost - 1e-12:
+                    best_cost = c
+                    best_swap = (pos, cand)
+        if best_swap is None:
+            break
+        medoids[best_swap[0]] = best_swap[1]
+    return sorted(medoids)
+
+
+def reference_mmd_critic(K, n: int) -> list[int]:
+    """Reference MMD-critic greedy: the objective of each candidate set, one
+    candidate at a time."""
+    m = len(K)
+    colmean = K.mean(axis=1)
+    chosen: list[int] = []
+    for _ in range(n):
+        best_j = None
+        best_val = np.inf
+        for j in range(m):
+            if j in chosen:
+                continue
+            P = chosen + [j]
+            val = K[np.ix_(P, P)].mean() - 2.0 * colmean[P].mean()
+            if val < best_val - 1e-15:
+                best_val = val
+                best_j = j
+        chosen.append(best_j)
+    return chosen

@@ -23,6 +23,7 @@ from xmeter.cli import (
     EXIT_PROTOCOL,
     ExternalModel,
     ModelProtocolError,
+    _reply_matrix,
     load_dataset_csv,
     main,
     parse_dataset_spec,
@@ -39,6 +40,15 @@ PARK_ARGS = ["attr-eval", "--model", "park",
              "--point", PARK_POINT,
              "--methods", "saliency,inpxgrad,intgrad,random",
              "--n-mc", "2000"]
+
+
+# numbers a reply row can hold, some beyond the range of a label or a float,
+# and other JSON values
+REPLY_NUMBERS = st.one_of(st.integers(-1, 3), st.floats(-1, 2),
+                          st.sampled_from([2 ** 63 - 1, 2 ** 63, 10 ** 400]))
+ODD_VALUES = st.one_of(st.booleans(), st.none(), st.text(max_size=2),
+                       st.floats(allow_nan=False), st.integers(-2 ** 70, 2 ** 70),
+                       st.lists(REPLY_NUMBERS, max_size=2))
 
 
 def run_cli(args, capsys):
@@ -216,6 +226,24 @@ class TestExampleEvalCommand:
         first = {}
         for row in rows:
             assert first.setdefault(row[:2], row) == row
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    @pytest.mark.parametrize("selector", ["kmedoids", "mmd", "protodash"])
+    def test_overflowing_distances_are_numeric_failure(self, selector, scale, tmp_path,
+                                                       capsys):
+        # squared differences overflow: infinite distances, or a NaN kernel
+        X = np.random.default_rng(0).normal(size=(60, 2)) * scale
+        path = tmp_path / "huge.csv"
+        path.write_text("a,b,label\n" + "".join(f"{a!r},{b!r},{i // 30}\n"
+                                               for i, (a, b) in enumerate(X.tolist())))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["example-eval", "--dataset", str(path), "--model", "tree:3",
+                         "--n", "2", "--selectors", selector])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        assert "class 0" in captured.err and captured.out == ""
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestMICommand:
@@ -596,6 +624,32 @@ class TestExternalModelAdapter:
         assert code == EXIT_PROTOCOL
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["scalar", "label", "probs"]), st.data())
+    def test_one_conversion_accepts_what_the_row_by_row_check_accepts(self, kind, data):
+        # rows of one width, then at times one odd row or entry
+        width = data.draw(st.integers(1, 3))
+        ys = data.draw(st.lists(st.lists(REPLY_NUMBERS, min_size=width, max_size=width),
+                                min_size=1, max_size=4))
+        if data.draw(st.booleans()):
+            i, odd = data.draw(st.integers(0, len(ys) - 1)), data.draw(ODD_VALUES)
+            if data.draw(st.booleans()):
+                ys[i] = odd
+            else:
+                ys[i][data.draw(st.integers(0, width - 1))] = odd
+        model = ExternalModel.__new__(ExternalModel)  # no child: checks replies only
+        model.command, model.info, model._stderr = ["none"], {"output": kind}, []
+        model._lock, model._classes = threading.Lock(), 0
+        try:
+            by_row = model._checked_rows(ys, kind)
+        except ModelProtocolError:
+            by_row = None
+        at_once = _reply_matrix(ys, kind)
+        assert (at_once is None) == (by_row is None)
+        if by_row is not None:
+            assert at_once.dtype == by_row.dtype
+            assert np.array_equal(at_once.reshape(by_row.shape), by_row)
 
     def test_batch_reply_error_names_the_row(self):
         server = scripted_server('{"arity": 1, "output": "scalar", "gradient": false, '

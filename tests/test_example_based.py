@@ -20,7 +20,7 @@ from xmeter.example_based import (
     select_mmd_critic,
     select_protodash,
 )
-from conftest import mmd_squared
+from conftest import mmd_squared, reference_kmedoids, reference_mmd_critic
 
 
 def label_model(fn, arity):
@@ -92,6 +92,48 @@ class TestDiversity:
         base = diversity(ExampleSet(pts, 0))
         relabeled = diversity(ExampleSet(pts[:, list(perm)], 0))
         assert relabeled == pytest.approx(base, rel=1e-12)
+
+
+# Class samples: real-valued points, or points on a 3-value integer grid with
+# many repeated points and exactly equal distances.
+SAMPLES = st.tuples(st.booleans(), st.integers(2, 25), st.integers(1, 3),
+                    st.integers(0, 2 ** 32 - 1))
+
+
+def sample_points(sample):
+    grid, m, d, seed = sample
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 3, size=(m, d)).astype(float) if grid else rng.normal(size=(m, d))
+
+
+class TestSelectorsMatchReference:
+    @settings(max_examples=60, deadline=None)
+    @given(SAMPLES, st.data())
+    def test_same_rows_as_the_per_candidate_loops(self, sample, data):
+        D = pairwise_distances(sample_points(sample))
+        K = rbf_kernel(D, median_bandwidth(D))
+        n = data.draw(st.integers(1, len(D)))
+        assert select_kmedoids(D, n) == reference_kmedoids(D, n)
+        assert select_mmd_critic(K, n) == reference_mmd_critic(K, n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(SAMPLES, st.data())
+    def test_greedy_selections_nest(self, sample, data):
+        D = pairwise_distances(sample_points(sample))
+        K = rbf_kernel(D, median_bandwidth(D))
+        small = data.draw(st.integers(1, len(K)))
+        large = data.draw(st.integers(small, len(K)))
+        assert select_mmd_critic(K, large)[:small] == select_mmd_critic(K, small)
+        assert select_protodash(K, large)[0][:small] == select_protodash(K, small)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(SAMPLES, st.integers(1, 40), st.integers(-200, 150))
+    def test_pairwise_distances_are_bitwise_symmetric(self, sample, d, exponent):
+        # select_kmedoids sums a swap's cost over a row instead of a column
+        grid, m, _, seed = sample
+        X = sample_points((grid, m, d, seed)) * 10.0 ** exponent
+        D = pairwise_distances(X)
+        assert np.array_equal(D, D.T)
 
 
 class TestKernel:
@@ -344,6 +386,21 @@ class TestMetricsVsN:
         monkeypatch.setattr(example_based, "pairwise_distances", counting)
         metrics_vs_n(data, model, SELECTORS, [2, 4])
         assert sorted(n for n in sizes if n > 4) == sorted(np.bincount(data.labels))
+
+    def test_greedy_selectors_run_once_per_class(self, monkeypatch):
+        data = bench.synth_tabular(bench.SynthSpec(90, 2, 3, separation=3.0), seed=0)
+        model = bench.fit_decision_tree(data, max_depth=3).as_model_handle()
+        calls = []
+        for name in ("select_kmedoids", "select_mmd_critic", "select_protodash"):
+            select = getattr(example_based, name)
+            monkeypatch.setattr(example_based, name, lambda M, n, name=name, select=select:
+                                calls.append((name, n)) or select(M, n))
+        table = metrics_vs_n(data, model, SELECTORS, [2, 5, 3])
+        assert calls == [("select_kmedoids", 2), ("select_kmedoids", 5), ("select_kmedoids", 3),
+                         ("select_mmd_critic", 5), ("select_protodash", 5)] * 3
+        monkeypatch.undo()
+        for name, rows in table.items():  # the same rows as one selection per budget
+            assert rows == [metrics_vs_n(data, model, [name], [n])[name][0] for n in (2, 5, 3)]
 
     @pytest.mark.parametrize("selectors,budgets,bandwidth", [
         (["kmedoids", "x"], [2], None),

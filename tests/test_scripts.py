@@ -91,16 +91,19 @@ def test_benchmark_tracer_reads_the_attribution_layers(capsys):
 
 @pytest.mark.parametrize("kind", ["attr-eval", "mi", "example-eval"])
 def test_first_recorded_benchmark_input_reproduces_its_report(kind, monkeypatch, capsys):
-    # one command of each kind from perfbench/references.json, compared by
-    # digest as scripts/check_references.py compares all of them
+    # the first command of each kind from perfbench/references.json, and every
+    # example-eval command (about 2 s in all), compared by digest as
+    # scripts/check_references.py compares all of them
     workloads = load_perfbench("workloads")
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(  # for the exec: child
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     python, refs = sys.executable, workloads.recorded()
-    argv = workloads.command(kind, refs["seeds"][kind][0], python)
-    assert main(argv) == 0
-    assert workloads.report_digest(capsys.readouterr().out, python) == \
-        refs["reports"][kind][workloads.command_key(argv, python)]
+    seeds = refs["seeds"][kind] if kind == "example-eval" else refs["seeds"][kind][:1]
+    for seed in seeds:
+        argv = workloads.command(kind, seed, python)
+        assert main(argv) == 0, argv
+        assert workloads.report_digest(capsys.readouterr().out, python) == \
+            refs["reports"][kind][workloads.command_key(argv, python)], argv
 
 
 @pytest.mark.parametrize("module", ["xmeter.model_server", "xmeter.cli"])
