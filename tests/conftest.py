@@ -126,3 +126,15 @@ def reference_mmd_critic(K, n: int) -> list[int]:
                 best_j = j
         chosen.append(best_j)
     return chosen
+
+
+def chebyshev_distances(P) -> np.ndarray:
+    """Reference (n, n) matrix of Chebyshev (max-coordinate) distances."""
+    P = np.asarray(P, dtype=float)
+    return np.abs(P[:, None] - P[None]).max(2)
+
+
+def reference_count_within(P, eps) -> np.ndarray:
+    """Reference count, for each row i, of the rows strictly closer than
+    eps[i] in the Chebyshev metric, row i itself included."""
+    return (chebyshev_distances(P) < np.asarray(eps)[:, None]).sum(1)

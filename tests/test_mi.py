@@ -2,10 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import chebyshev_distances, reference_count_within
 from xmeter import bench
 from xmeter.core import ContractViolation, TabularDataset
 from xmeter.mi import (
+    JITTER_SCALE,
+    _count_within,
     apply_extractor,
     draw_random_ood_extractor,
     estimate_mi,
@@ -199,6 +204,35 @@ class TestEstimateMI:
         est = estimate_mi(x, y, k=3, seed=2)
         assert est.value >= 0.0
         assert est.value == max(est.raw_value, 0.0)
+
+
+# Rows drawn with replacement from a smaller pool, so many repeat: real values,
+# a coarse grid, or the grid plus the estimators' jitter; optionally one column
+# held at -10 as random-ood leaves it. Sizes reach past COUNT_LEAFSIZE, so the
+# tree has inner nodes to prune at.
+POINT_SETS = st.tuples(st.sampled_from(["real", "grid", "jittered"]), st.booleans(),
+                       st.integers(1, 300), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+
+
+class TestCountWithin:
+    @settings(max_examples=60, deadline=None)
+    @given(POINT_SETS)
+    def test_matches_the_brute_force_strict_count(self, point_set):
+        kind, constant_column, n, d, seed = point_set
+        rng = np.random.default_rng(seed)
+        pool = rng.normal(size=(n // 2 + 1, d)) if kind == "real" \
+            else rng.integers(0, 4, size=(n // 2 + 1, d)) * 0.25
+        P = pool[rng.integers(0, len(pool), size=n)]
+        if kind == "jittered":
+            P = P + JITTER_SCALE * rng.random(P.shape)
+        if constant_column:
+            P[:, rng.integers(d)] = -10.0
+        # each radius is an actual distance from its row (zero included), so
+        # rows at exactly that distance sit on the strict boundary; some are
+        # raised by one ulp to take those rows in
+        eps = chebyshev_distances(P)[np.arange(n), rng.integers(0, n, size=n)]
+        eps = np.where(rng.random(n) < 0.3, np.nextafter(eps, np.inf), eps)
+        np.testing.assert_array_equal(_count_within(P, eps), reference_count_within(P, eps))
 
 
 def _mi_bench_setup(seed=0):
