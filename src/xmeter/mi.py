@@ -11,18 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 from scipy.special import digamma
 
 from .bench import _best_split
 from .core import ContractViolation, TabularDataset
 
 JITTER_SCALE = 1e-10
-# Bucket size of the trees behind the radius counts. A count only compares
-# coordinate differences with the radius, so the tree layout cannot change it;
-# with 128 rows a leaf the counts run about twice as fast as with scipy's
-# default of 16, which the k-NN queries keep (they got slower at 128).
-COUNT_LEAFSIZE = 128
+# Entries in one block of pairwise distances (1 MB of doubles): the k-NN
+# estimators hold a few such blocks at a time, whatever the sample count.
+BLOCK = 1 << 17
 
 ExtractorKind = str  # "identity" | "random-ood" | "entropy-discretizer"
 
@@ -151,22 +149,53 @@ def _jitter(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return a.astype(float) + JITTER_SCALE * rng.random(a.shape)
 
 
+def _distance_blocks(points: np.ndarray):
+    """Exact Chebyshev distances from the rows of ``points`` to all of its
+    rows, as ``(rows, matrix)`` pairs of about ``BLOCK`` entries in row order.
+
+    Each entry is ``max |x_i - y_i|`` in doubles. A plain scan rather than a
+    k-d tree, because in the 10 dimensions the extractors see a tree prunes
+    almost nothing.
+    """
+    n = len(points)
+    step = max(1, BLOCK // n)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        yield rows, cdist(points[rows], points, "chebyshev")
+
+
+def _kth_distance(points: np.ndarray, k: int) -> np.ndarray:
+    """For each row, the k-th smallest Chebyshev distance to the rows of
+    ``points``, counting from 0, so the row itself is the 0-th."""
+    out = np.empty(len(points))
+    for rows, d in _distance_blocks(points):
+        d.partition(k, axis=1)
+        out[rows] = d[:, k]
+    return out
+
+
 def _count_within(points: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """For each row, the number of rows strictly closer than its ``eps`` in the
     Chebyshev metric, the row itself included."""
-    radius = np.nextafter(eps, -np.inf)
-    return cKDTree(points, leafsize=COUNT_LEAFSIZE).query_ball_point(
-        points, radius, p=np.inf, return_length=True)
+    counts = np.empty(len(points), dtype=np.intp)
+    for rows, d in _distance_blocks(points):
+        counts[rows] = (d < eps[rows, None]).sum(axis=1)
+    return counts
 
 
 def _ksg_mi(a: np.ndarray, b: np.ndarray, k: int, rng: np.random.Generator) -> float:
     a = _jitter(a, rng)
     b = _jitter(b, rng)
     n = len(a)
-    joint = np.hstack([a, b])
-    eps = cKDTree(joint).query(joint, k=k + 1, p=np.inf)[0][:, k]
-    nx = _count_within(a, eps) - 1
-    ny = _count_within(b, eps) - 1
+    nx = np.empty(n, dtype=np.intp)
+    ny = np.empty(n, dtype=np.intp)
+    # the joint Chebyshev distance is the larger of the two sides' distances
+    for (rows, da), (_, db) in zip(_distance_blocks(a), _distance_blocks(b)):
+        joint = np.maximum(da, db)
+        joint.partition(k, axis=1)
+        eps = joint[:, k, None]
+        nx[rows] = (da < eps).sum(axis=1) - 1
+        ny[rows] = (db < eps).sum(axis=1) - 1
     return float(digamma(k) + digamma(n) - np.mean(digamma(nx + 1) + digamma(ny + 1)))
 
 
@@ -197,8 +226,7 @@ def _mixed_mi(cont: np.ndarray, disc: np.ndarray, k: int, rng: np.random.Generat
         m = int(sizes[code])
         rows = order[starts[code]:starts[code] + m]
         kk = min(k, m - 1)
-        sub = c[rows]
-        eps[rows] = cKDTree(sub).query(sub, k=kk + 1, p=np.inf)[0][:, kk]
+        eps[rows] = _kth_distance(c[rows], kk)
         k_eff[rows] = kk
     keep = counts > 1
     if keep.sum() < 2:
@@ -245,6 +273,9 @@ def estimate_mi(a, b, k: int = 3, seed: int = 0,
         raise ContractViolation(f"need at least max(20, k+2) samples, got {n}")
     if k >= n:
         raise ContractViolation("k must be smaller than the sample count")
+    for side, M in (("a", A), ("b", B)):
+        if M.dtype.kind == "f" and not np.isfinite(M).all():
+            raise ContractViolation(f"column block {side} holds a NaN or infinite value")
     if a_discrete is None:
         a_discrete = np.issubdtype(A.dtype, np.integer)
     if b_discrete is None:

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chebyshev_distances, reference_count_within
-from xmeter import bench
+from scipy.special import digamma
+
+from xmeter import bench, mi
 from xmeter.core import ContractViolation, TabularDataset
 from xmeter.mi import (
     JITTER_SCALE,
     _count_within,
+    _kth_distance,
     apply_extractor,
     draw_random_ood_extractor,
     estimate_mi,
@@ -205,34 +208,102 @@ class TestEstimateMI:
         assert est.value >= 0.0
         assert est.value == max(est.raw_value, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("discrete", [(False, False), (False, True), (True, False),
+                                          (True, True)])
+    def test_non_finite_value_is_a_contract_violation(self, bad, side, discrete):
+        rng = np.random.default_rng(29)
+        cols = {"a": rng.integers(0, 3, size=(50, 2)).astype(float),
+                "b": rng.integers(0, 3, size=(50, 1)).astype(float)}
+        cols[side][7, 0] = bad
+        with pytest.raises(ContractViolation, match=f"column block {side} "):
+            estimate_mi(cols["a"], cols["b"], seed=0,
+                        a_discrete=discrete[0], b_discrete=discrete[1])
+
 
 # Rows drawn with replacement from a smaller pool, so many repeat: real values,
 # a coarse grid, or the grid plus the estimators' jitter; optionally one column
-# held at -10 as random-ood leaves it. Sizes reach past COUNT_LEAFSIZE, so the
-# tree has inner nodes to prune at.
+# held at -10 as random-ood leaves it. The last field is the rows per distance
+# block, so most sets span several blocks and many end in a ragged one.
 POINT_SETS = st.tuples(st.sampled_from(["real", "grid", "jittered"]), st.booleans(),
-                       st.integers(1, 300), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+                       st.integers(1, 300), st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+                       st.integers(1, 7))
+
+
+def draw_points(point_set):
+    kind, constant_column, n, d, seed, _ = point_set
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=(n // 2 + 1, d)) if kind == "real" \
+        else rng.integers(0, 4, size=(n // 2 + 1, d)) * 0.25
+    P = pool[rng.integers(0, len(pool), size=n)]
+    if kind == "jittered":
+        P = P + JITTER_SCALE * rng.random(P.shape)
+    if constant_column:
+        P[:, rng.integers(d)] = -10.0
+    return P, rng
 
 
 class TestCountWithin:
     @settings(max_examples=60, deadline=None)
     @given(POINT_SETS)
     def test_matches_the_brute_force_strict_count(self, point_set):
-        kind, constant_column, n, d, seed = point_set
-        rng = np.random.default_rng(seed)
-        pool = rng.normal(size=(n // 2 + 1, d)) if kind == "real" \
-            else rng.integers(0, 4, size=(n // 2 + 1, d)) * 0.25
-        P = pool[rng.integers(0, len(pool), size=n)]
-        if kind == "jittered":
-            P = P + JITTER_SCALE * rng.random(P.shape)
-        if constant_column:
-            P[:, rng.integers(d)] = -10.0
+        P, rng = draw_points(point_set)
+        n = len(P)
         # each radius is an actual distance from its row (zero included), so
         # rows at exactly that distance sit on the strict boundary; some are
         # raised by one ulp to take those rows in
         eps = chebyshev_distances(P)[np.arange(n), rng.integers(0, n, size=n)]
         eps = np.where(rng.random(n) < 0.3, np.nextafter(eps, np.inf), eps)
-        np.testing.assert_array_equal(_count_within(P, eps), reference_count_within(P, eps))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mi, "BLOCK", point_set[-1] * n)
+            counts = _count_within(P, eps)
+        np.testing.assert_array_equal(counts, reference_count_within(P, eps))
+
+
+class TestDistanceBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(POINT_SETS, st.integers(0, 299))
+    def test_kth_distance_matches_the_sorted_distances(self, point_set, k):
+        # grid rows repeat, so the k-th distance is often tied with its
+        # neighbours in the sorted row (zero ties included)
+        P, _ = draw_points(point_set)
+        k = k % len(P)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mi, "BLOCK", point_set[-1] * len(P))
+            kth = _kth_distance(P, k)
+        np.testing.assert_array_equal(kth, np.sort(chebyshev_distances(P), axis=1)[:, k])
+
+    def test_ksg_matches_the_brute_force_estimate(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        a = rng.integers(0, 4, size=(400, 3)) * 0.25
+        b = a[:, :2] + rng.integers(0, 2, size=(400, 2)) * 0.5
+        k, seed = 3, 4
+        monkeypatch.setattr(mi, "BLOCK", 3 * 400 + 1)  # 3 rows a block, the last one ragged
+        est = estimate_mi(a, b, k=k, seed=seed)
+        jitter = np.random.default_rng([seed, 41])
+        aj = a + JITTER_SCALE * jitter.random(a.shape)
+        bj = b + JITTER_SCALE * jitter.random(b.shape)
+        da, db = chebyshev_distances(aj), chebyshev_distances(bj)
+        eps = np.sort(np.maximum(da, db), axis=1)[:, k, None]
+        nx = (da < eps).sum(axis=1) - 1
+        ny = (db < eps).sum(axis=1) - 1
+        expected = digamma(k) + digamma(400) - np.mean(digamma(nx + 1) + digamma(ny + 1))
+        assert est.raw_value == float(expected)
+
+    @pytest.mark.parametrize("pair", ["continuous", "labels-second", "labels-first"])
+    def test_estimate_is_bitwise_independent_of_the_block_size(self, pair, monkeypatch):
+        rng = np.random.default_rng(28)
+        x = rng.standard_normal((500, 3))
+        y = x[:, :1] + rng.standard_normal((500, 1)) if pair == "continuous" \
+            else rng.integers(0, 3, size=500)
+        a, b = (y, x) if pair == "labels-first" else (x, y)
+        default = estimate_mi(a, b, seed=6)
+        monkeypatch.setattr(mi, "BLOCK", 3 * 500 + 1)  # ragged blocks of 3 rows
+        small = estimate_mi(a, b, seed=6)
+        assert small.raw_value == default.raw_value
+        assert default.estimator == ("ksg-continuous" if pair == "continuous"
+                                     else "mixed-discrete")
 
 
 def _mi_bench_setup(seed=0):
