@@ -40,6 +40,8 @@ EXIT_PROTOCOL = 3
 EXIT_NUMERIC = 4
 
 PROTOCOL_TIMEOUT = 30.0
+# Seconds a child may take to exit once its stdin is closed before it is killed.
+STOP_TIMEOUT = 2.0
 # Rows per predict_batch request. A request carries at most this many, so a
 # child's time per request, which PROTOCOL_TIMEOUT limits, stays bounded
 # however many rows a batch holds.
@@ -89,13 +91,12 @@ def _reply_matrix(ys: list, kind: str) -> np.ndarray | None:
 class ExternalModel:
     """Drives a child process speaking the one-request-per-line JSON protocol.
 
-    Requests are strictly serialized per child; responses are matched to
-    requests by order. The child's stderr is captured for diagnostics.
+    ``command`` is the child's argument list. Requests are strictly
+    serialized per child; responses are matched to requests by order. The
+    child's stderr is captured for diagnostics.
     """
 
     def __init__(self, command, timeout: float = PROTOCOL_TIMEOUT):
-        if isinstance(command, str):
-            command = shlex.split(command)
         self.command = list(command)
         self.timeout = timeout
         self._lock = threading.Lock()
@@ -278,6 +279,8 @@ class ExternalModel:
             proc.wait()
 
     def close(self):
+        """Close the child's stdin, wait up to ``STOP_TIMEOUT`` seconds for it to
+        exit, and kill it if it has not."""
         proc = getattr(self, "_proc", None)
         if proc is None or proc.poll() is not None:
             return
@@ -285,9 +288,12 @@ class ExternalModel:
             proc.stdin.close()
         except OSError:
             pass
-        try:
-            proc.wait(timeout=2.0)
-        except subprocess.TimeoutExpired:
+        # Popen.wait(timeout) polls with sleeps of up to 50 ms; a blocking
+        # wait on a thread returns the moment the child exits
+        waiter = threading.Thread(target=proc.wait, daemon=True)
+        waiter.start()
+        waiter.join(STOP_TIMEOUT)
+        if waiter.is_alive():
             proc.kill()
             proc.wait()
 
@@ -422,7 +428,13 @@ def parse_model_spec(spec: str, data: TabularDataset | None,
     if spec.startswith("tokens:"):
         return bench.token_benchmark(_tokens_seed(spec))[1]
     if spec.startswith("exec:"):
-        return stack.enter_context(ExternalModel(spec[len("exec:"):])).as_model_handle()
+        try:
+            command = shlex.split(spec[len("exec:"):])
+        except ValueError as exc:  # an unterminated quote or a trailing escape
+            raise ConfigError(f"bad model spec {spec!r}: {exc}") from None
+        if not command:
+            raise ConfigError(f"model spec {spec!r} names no command")
+        return stack.enter_context(ExternalModel(command)).as_model_handle()
     raise ConfigError(f"unknown model spec {spec!r}")
 
 

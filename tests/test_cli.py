@@ -2,7 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 import threading
 import time
@@ -14,13 +16,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xmeter import bench
+from xmeter import bench, model_server
 from xmeter.cli import (
     BATCH_ROWS,
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PROTOCOL,
+    STOP_TIMEOUT,
     ExternalModel,
     ModelProtocolError,
     _reply_matrix,
@@ -28,7 +31,7 @@ from xmeter.cli import (
     main,
     parse_dataset_spec,
 )
-from xmeter.core import ContractViolation
+from xmeter.core import ContractViolation, ModelHandle
 from conftest import park_value
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -361,6 +364,11 @@ BAD_INPUTS = {
     "dataset-directory": ["example-eval", "--dataset", str(FIXTURES)],
     "config-directory": ["attr-eval", "--config", str(FIXTURES)],
     "attr-file-directory": ["attr-eval", "--model", "park", "--attr-file", str(FIXTURES)],
+    # an exec: spec that names no command, or that shlex cannot split
+    "exec-empty": ["attr-eval", "--model", "exec:", "--point", PARK_POINT],
+    "exec-blank": ["attr-eval", "--model", "exec:   ", "--point", PARK_POINT],
+    "exec-unterminated-quote": ["attr-eval", "--model", 'exec:"unterminated',
+                                "--point", PARK_POINT],
     "out-parent-is-a-file": ["example-eval", "--dataset", "synth:n=60,seed=0",
                              "--out", str(FIXTURES / "park_server.py" / "report")],
 }
@@ -747,6 +755,15 @@ class TestExternalModelAdapter:
         assert len(children) == 1
         assert children[0]._proc.poll() is not None
 
+    def test_child_ignoring_end_of_input_is_killed_at_the_stop_limit(self):
+        info = '{"arity": 1, "output": "scalar", "gradient": false}'
+        child = ExternalModel([sys.executable, "-c", f"import sys, time; print({info!r}, "
+                               "flush=True); sys.stdin.read(); time.sleep(30)"])
+        start = time.perf_counter()
+        child.close()
+        assert time.perf_counter() - start < STOP_TIMEOUT + 1.0
+        assert child._proc.returncode is not None and child._proc.returncode < 0
+
     def test_cli_exit_code_for_protocol_failure(self, capsys):
         code, _ = run_cli(["attr-eval",
                            "--model", f"exec:{sys.executable} -c print('junk')",
@@ -784,3 +801,39 @@ class TestModelServer:
         with ExternalModel(BUILTIN_SERVER + ["--model", "park"]) as child:
             response = child._request({"op": "mystery"})
             assert "error" in response
+
+    def test_server_answers_every_request_before_it_exits(self):
+        # three requests and the end of input arrive in one write; the server
+        # skips interpreter teardown, so its output must be flushed before
+        # (a buffered stdout, as without PYTHONUNBUFFERED)
+        requests = ['{"op": "info"}', '{"op": "predict", "x": [0.5, 0.5]}',
+                    '{"op": "predict_batch", "X": [[0.25, 0], [0.75, 0]]}']
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        result = subprocess.run(BUILTIN_SERVER + ["--model", "echo", "--arity", "2"],
+                                input="\n".join(requests) + "\n", capture_output=True,
+                                text=True, timeout=30, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            '{"arity": 2, "output": "scalar", "gradient": false, "batch": true}',
+            '{"y": [0.5]}', '{"y": [[0.25], [0.75]]}']
+
+    @pytest.mark.parametrize("kind,Y", [
+        ("scalar", np.linspace(-3.0, 7.0, 300) ** 3 / 7),
+        ("probs", np.random.default_rng(0).dirichlet(np.ones(3), size=300)),
+        ("label", np.arange(300) % 4),
+        ("label", (np.arange(300) % 4).astype(float)),
+    ], ids=["scalar", "probs", "label", "label-float"])
+    def test_batch_reply_bytes_match_the_per_row_conversion(self, kind, Y):
+        def row_payload(y):  # the reply entry of one row, converted on its own
+            if kind == "probs":
+                return [float(v) for v in y]
+            return [float(y)] if kind == "scalar" else [int(y)]
+
+        model = ModelHandle(arity=1, output_kind=kind, predict_fn=lambda X: Y[:len(X)])
+        X = np.zeros((len(Y), 1)).tolist()
+        stdout = io.StringIO()
+        model_server.serve(model, io.StringIO(
+            json.dumps({"op": "predict_batch", "X": X}) + "\n"
+            + json.dumps({"op": "predict", "x": [0.0]}) + "\n"), stdout)
+        assert stdout.getvalue() == (json.dumps({"y": [row_payload(y) for y in Y]}) + "\n"
+                                     + json.dumps({"y": row_payload(Y[0])}) + "\n")

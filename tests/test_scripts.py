@@ -91,15 +91,13 @@ def test_benchmark_tracer_reads_the_attribution_layers(capsys):
 
 @pytest.mark.parametrize("kind", ["attr-eval", "mi", "example-eval"])
 def test_first_recorded_benchmark_input_reproduces_its_report(kind, monkeypatch, capsys):
-    # from perfbench/references.json: the first attr-eval command and every
-    # mi and example-eval command (about 8 s and 4 s on a 2-core VM),
-    # compared by digest as scripts/check_references.py compares all
+    # every command recorded in perfbench/references.json, compared by
+    # digest as scripts/check_references.py compares them
     workloads = load_perfbench("workloads")
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(  # for the exec: child
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     python, refs = sys.executable, workloads.recorded()
-    seeds = refs["seeds"][kind][slice(1) if kind == "attr-eval" else slice(None)]
-    for seed in seeds:
+    for seed in refs["seeds"][kind]:
         argv = workloads.command(kind, seed, python)
         assert main(argv) == 0, argv
         assert workloads.report_digest(capsys.readouterr().out, python) == \
