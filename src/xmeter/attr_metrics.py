@@ -23,6 +23,7 @@ from .core import (
     ModelHandle,
     TabularDataset,
     UndefinedCorrelation,
+    ZERO_ONE,
     batch_predictions,
     evaluate_loss_batch,
 )
@@ -49,13 +50,16 @@ class ExpectationConfig:
             raise ContractViolation("zero_tolerance must be >= 0")
 
 
-def _restriction_loss(model: ModelHandle, x_star: np.ndarray, y_ref, resample: list[int],
-                      cfg: ExpectationConfig, rng: np.random.Generator) -> float:
-    """Mean loss against y_ref = f(x*) after jointly resampling the given coordinates."""
-    X = np.tile(x_star, (cfg.n_mc_samples, 1))
-    X[:, resample] = cfg.distribution.sample_matrix(resample, cfg.n_mc_samples, rng)
-    preds = batch_predictions(model, X, cfg.loss)
-    return float(np.mean(evaluate_loss_batch(cfg.loss, y_ref, preds)))
+def _restriction_losses(model: ModelHandle, x_star: np.ndarray, y_ref, resample: list[int],
+                        distribution: FeatureDistribution, loss: LossFunction, n: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Per-row losses against y_ref = f(x*) over n copies of x* whose
+    ``resample`` coordinates are drawn jointly from ``distribution``, predicted
+    in one batch."""
+    X = np.tile(x_star, (n, 1))
+    if resample:
+        X[:, resample] = distribution.sample_matrix(resample, n, rng)
+    return evaluate_loss_batch(loss, y_ref, batch_predictions(model, X, loss))
 
 
 def restriction_loss_vector(model: ModelHandle, x_star, cfg: ExpectationConfig) -> np.ndarray:
@@ -65,9 +69,9 @@ def restriction_loss_vector(model: ModelHandle, x_star, cfg: ExpectationConfig) 
     if cfg.distribution.arity != model.arity:
         raise ContractViolation("distribution arity does not match the model")
     y_ref = batch_predictions(model, x_star[None, :], cfg.loss)[0]
-    return np.array([_restriction_loss(model, x_star, y_ref, [i], cfg,
-                                       np.random.default_rng([cfg.seed, 3, i]))
-                     for i in range(model.arity)])
+    return np.array([np.mean(_restriction_losses(
+        model, x_star, y_ref, [i], cfg.distribution, cfg.loss, cfg.n_mc_samples,
+        np.random.default_rng([cfg.seed, 3, i]))) for i in range(model.arity)])
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -162,8 +166,9 @@ def effective_complexity_detail(attr: AttributionVector, model: ModelHandle,
     for k in range(1, attr.arity + 1):
         rest = sorted(order[k:])
         if rest:
-            rng = np.random.default_rng([cfg.seed, 7, k])
-            loss = _restriction_loss(model, attr.point, y_ref, rest, cfg, rng)
+            loss = float(np.mean(_restriction_losses(
+                model, attr.point, y_ref, rest, cfg.distribution, cfg.loss, cfg.n_mc_samples,
+                np.random.default_rng([cfg.seed, 7, k]))))
         else:
             loss = 0.0
         losses.append(loss)
@@ -177,7 +182,9 @@ def perturbation_test(attr: AttributionVector, model: ModelHandle, k: int,
     """Fraction of perturbed samples keeping the explained point's class.
 
     The top-k features by |attribution| stay clamped; every other coordinate is
-    replaced by a value drawn uniformly from the same column of the corpus.
+    drawn uniformly from the rows of the same corpus column: a restriction pass
+    over the corpus's empirical distribution under zero-one loss, stream
+    ``[seed, 11]``, scored as the share of rows with zero loss.
     """
     if model.output_kind == "scalar":
         raise ContractViolation("perturbation test needs a classifier")
@@ -188,14 +195,11 @@ def perturbation_test(attr: AttributionVector, model: ModelHandle, k: int,
     if n_perturbations < 1:
         raise ContractViolation("n_perturbations must be >= 1")
     rest = sorted(importance_order(attr.values)[k:])
-    X = np.tile(attr.point, (n_perturbations, 1))
-    if rest:
-        rng = np.random.default_rng([seed, 11])
-        for j in rest:
-            col = corpus.features[:, j]
-            X[:, j] = col[rng.integers(0, col.size, size=n_perturbations)]
-    label_star = model.predict_label(attr.point)
-    return float(np.mean(model.predict_labels(X) == label_star))
+    y_ref = batch_predictions(model, attr.point[None, :], ZERO_ONE)[0]
+    losses = _restriction_losses(model, attr.point, y_ref, rest,
+                                 FeatureDistribution.empirical(corpus), ZERO_ONE,
+                                 n_perturbations, np.random.default_rng([seed, 11]))
+    return float(np.mean(losses == 0))
 
 
 def attribution_report(attrs: Sequence[AttributionVector], model: ModelHandle,

@@ -114,23 +114,29 @@ class ExternalModel:
         except OSError as exc:
             raise ModelProtocolError(f"cannot spawn {self.command!r}: {exc}") from exc
         self._lines: queue.Queue = queue.Queue()
-        threading.Thread(target=self._pump_stdout, daemon=True).start()
-        threading.Thread(target=self._pump_stderr, daemon=True).start()
+        self._pumps = [threading.Thread(target=pump, daemon=True)
+                       for pump in (self._pump_stdout, self._pump_stderr)]
+        for pump in self._pumps:
+            pump.start()
         try:
             self.info = self._handshake()
         except BaseException:
             self._kill()
             raise
 
+    # Each pump closes its stream at EOF: no other thread reads it, and
+    # closing a stream while a thread reads it is unsafe.
     def _pump_stdout(self):
-        for line in self._proc.stdout:
-            self._lines.put(line)
+        with self._proc.stdout as stream:
+            for line in stream:
+                self._lines.put(line)
         self._lines.put(None)
 
     def _pump_stderr(self):
-        for line in self._proc.stderr:
-            self._stderr.append(line.rstrip("\n"))
-            del self._stderr[:-50]
+        with self._proc.stderr as stream:
+            for line in stream:
+                self._stderr.append(line.rstrip("\n"))
+                del self._stderr[:-50]
 
     def _stderr_tail(self) -> str:
         return "\n".join(self._stderr[-10:]) or "<no stderr output>"
@@ -273,29 +279,30 @@ class ExternalModel:
         )
 
     def _kill(self):
-        proc = getattr(self, "_proc", None)
-        if proc is not None and proc.poll() is None:
-            proc.kill()
-            proc.wait()
+        self._proc.kill()
+        self.close()
 
     def close(self):
         """Close the child's stdin, wait up to ``STOP_TIMEOUT`` seconds for it to
-        exit, and kill it if it has not."""
-        proc = getattr(self, "_proc", None)
-        if proc is None or proc.poll() is not None:
-            return
+        exit and for the pumps to close its output streams, and kill it if it
+        has not exited by then."""
         try:
-            proc.stdin.close()
-        except OSError:
+            self._proc.stdin.close()
+        except OSError:  # a buffered request the exited child cannot take
             pass
         # Popen.wait(timeout) polls with sleeps of up to 50 ms; a blocking
         # wait on a thread returns the moment the child exits
-        waiter = threading.Thread(target=proc.wait, daemon=True)
+        waiter = threading.Thread(target=self._reap, daemon=True)
         waiter.start()
         waiter.join(STOP_TIMEOUT)
         if waiter.is_alive():
-            proc.kill()
-            proc.wait()
+            self._proc.kill()
+            self._proc.wait()
+
+    def _reap(self):
+        self._proc.wait()
+        for pump in self._pumps:
+            pump.join()
 
     def __enter__(self):
         return self

@@ -1,4 +1,4 @@
-"""Shared domain types: tabular datasets, black-box model handles, losses, samplers.
+"""Shared domain types: tabular datasets, black-box model handles, losses, sampling.
 
 Everything here is immutable after construction and safe to share across
 threads. Stochastic operations never touch global RNG state; they take an
@@ -135,9 +135,6 @@ class ModelHandle:
                 raise ContractViolation("class-probability rows must be nonnegative and sum to 1")
         return out
 
-    def predict_label(self, x) -> int:
-        return int(self.predict_labels(self._check_point(x)[None, :])[0])
-
     def predict_labels(self, X) -> np.ndarray:
         out = self.predict_batch(X)
         if self.output_kind == "label":
@@ -227,58 +224,38 @@ def evaluate_loss_batch(loss: LossFunction, y_ref, batch: np.ndarray) -> np.ndar
 
 
 @dataclass(frozen=True)
-class UniformSampler:
-    """Uniform draws over the half-open interval [low, high)."""
-
-    low: float
-    high: float
-
-    def __post_init__(self):
-        if not (self.high > self.low and np.isfinite(self.high - self.low)):
-            raise ContractViolation("uniform sampler needs finite bounds with high > low")
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.low, self.high, size=n)
-
-
-@dataclass(frozen=True)
-class EmpiricalSampler:
-    """Resamples (with replacement) the recorded values of one column."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = _frozen_array(self.values)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ContractViolation("empirical sampler needs a non-empty 1-D column")
-        object.__setattr__(self, "values", vals)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.values[rng.integers(0, self.values.size, size=n)]
-
-
-@dataclass(frozen=True)
 class FeatureDistribution:
-    """Independent per-feature (marginal) sampling used by expectation estimates."""
+    """Independent per-feature (marginal) sampling used by expectation estimates.
 
-    samplers: tuple
+    ``uniform`` draws every column over the half-open interval ``bounds``;
+    ``empirical`` resamples each column, with replacement, from the rows of
+    ``data``. Exactly one of the two is set.
+    """
 
-    @property
-    def arity(self) -> int:
-        return len(self.samplers)
+    arity: int
+    bounds: tuple[float, float] | None = None
+    data: np.ndarray | None = None
 
     @classmethod
     def uniform(cls, arity: int, low: float = 0.0, high: float = 1.0) -> "FeatureDistribution":
-        return cls(tuple(UniformSampler(low, high) for _ in range(arity)))
+        if not (high > low and np.isfinite(high - low)):
+            raise ContractViolation("uniform sampling needs finite bounds with high > low")
+        return cls(arity, bounds=(low, high))
 
     @classmethod
     def empirical(cls, data) -> "FeatureDistribution":
-        feats = data.features if isinstance(data, TabularDataset) else np.asarray(data, float)
-        return cls(tuple(EmpiricalSampler(feats[:, i]) for i in range(feats.shape[1])))
+        feats = data.features if isinstance(data, TabularDataset) else _frozen_array(data)
+        if feats.ndim != 2 or feats.size == 0:
+            raise ContractViolation("empirical sampling needs a non-empty 2-D matrix")
+        return cls(feats.shape[1], data=feats)
 
     def sample_matrix(self, indices: Sequence[int], n: int, rng: np.random.Generator) -> np.ndarray:
-        """Independent joint draws for the given columns, shape (n, len(indices))."""
-        return np.column_stack([self.samplers[i].sample(n, rng) for i in indices])
+        """Independent joint draws for the given columns, shape (n, len(indices)):
+        one ``rng`` call per column, in the order given."""
+        if self.data is None:
+            return np.column_stack([rng.uniform(*self.bounds, size=n) for _ in indices])
+        rows = len(self.data)
+        return np.column_stack([self.data[rng.integers(0, rows, size=n), i] for i in indices])
 
 
 def finite_difference_gradient(model: ModelHandle, x, target: int | None = None) -> np.ndarray:

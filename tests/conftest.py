@@ -3,7 +3,7 @@ import pytest
 
 from xmeter import bench
 from xmeter.core import FeatureDistribution, SQUARED_ERROR
-from xmeter.attr_metrics import ExpectationConfig
+from xmeter.attr_metrics import ExpectationConfig, importance_order
 
 
 @pytest.fixture(scope="session")
@@ -138,3 +138,35 @@ def reference_count_within(P, eps) -> np.ndarray:
     """Reference count, for each row i, of the rows strictly closer than
     eps[i] in the Chebyshev metric, row i itself included."""
     return (chebyshev_distances(P) < np.asarray(eps)[:, None]).sum(1)
+
+
+def reference_sample_matrix(columns, indices, n: int, rng) -> np.ndarray:
+    """Reference for ``FeatureDistribution.sample_matrix``: the draws of the
+    former per-feature samplers, one call per requested column in order. A
+    column is a ``(low, high)`` pair (uniform over [low, high)) or a 1-D array
+    of recorded values (resampled with replacement)."""
+    draws = []
+    for i in indices:
+        column = columns[i]
+        if isinstance(column, tuple):
+            draws.append(rng.uniform(column[0], column[1], size=n))
+        else:
+            draws.append(column[rng.integers(0, column.size, size=n)])
+    return np.column_stack(draws)
+
+
+def reference_perturbation_test(attr, model, k: int, corpus, n_perturbations: int,
+                                seed: int) -> float:
+    """Reference perturbation test: the top-k features by |attribution| stay
+    clamped, every other column is filled from the corpus column one at a time
+    on stream ``[seed, 11]``, and the score is the share of perturbed rows
+    whose label equals the explained point's."""
+    rest = sorted(importance_order(attr.values)[k:])
+    X = np.tile(attr.point, (n_perturbations, 1))
+    if rest:
+        rng = np.random.default_rng([seed, 11])
+        for j in rest:
+            col = corpus.features[:, j]
+            X[:, j] = col[rng.integers(0, col.size, size=n_perturbations)]
+    label_star = model.predict_labels(attr.point[None, :])[0]
+    return float(np.mean(model.predict_labels(X) == label_star))

@@ -31,7 +31,7 @@ from xmeter.core import (
     UndefinedCorrelation,
     ZERO_ONE,
 )
-from conftest import constant_model, park_value
+from conftest import constant_model, park_value, reference_perturbation_test
 
 
 def quad_restriction_loss(i, point=bench.PARK_POINT):
@@ -286,6 +286,18 @@ class TestPerturbationTest:
         a = perturbation_test(attr, model, 5, data, 300, seed=7)
         b = perturbation_test(attr, model, 5, data, 300, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("token_seed", [0, 1, 2])
+    def test_equals_the_per_column_reference(self, token_seed):
+        data, model = bench.token_benchmark(token_seed)
+        x_star = data.features[bench.choose_explained_point(data, model)]
+        for method in ("saliency", "inpxgrad", "intgrad", "random"):
+            attr = compute_attribution(method, model, x_star, seed=token_seed)
+            for k in range(1, model.arity + 1):
+                for n in (1, 7, 500):
+                    assert perturbation_test(attr, model, k, data, n, token_seed) == \
+                        reference_perturbation_test(attr, model, k, data, n, token_seed), \
+                        (method, k, n)
 
 
 class TestAttributionReport:

@@ -71,20 +71,20 @@ class TestDecisionTree:
         assert tree.root.feature == 0
         assert tree.root.threshold == pytest.approx(0.5)
         handle = tree.as_model_handle()
-        preds = [handle.predict_label(x) for x in data.features]
+        preds = handle.predict_labels(data.features).tolist()
         assert preds == list(data.labels)
 
     def test_depth_zero_is_majority_class(self):
         data = TabularDataset([[0.0], [1.0], [2.0]], labels=[1, 1, 0])
         tree = bench.fit_decision_tree(data, max_depth=0)
         assert tree.root.is_leaf
-        assert tree.as_model_handle().predict_label([5.0]) == 1
+        assert tree.as_model_handle().predict_labels([[5.0]])[0] == 1
 
     def test_pure_data_is_constant(self):
         data = TabularDataset([[0.0], [1.0], [2.0]], labels=[2, 2, 2])
         tree = bench.fit_decision_tree(data, max_depth=5)
         assert tree.root.is_leaf
-        assert tree.as_model_handle().predict_label([9.0]) == 2
+        assert tree.as_model_handle().predict_labels([[9.0]])[0] == 2
 
     def test_leaf_distributions_sum_to_one(self):
         data = bench.synth_tabular(
@@ -320,7 +320,7 @@ class TestTokenBenchmark:
     def test_gradient_matches_finite_differences(self):
         data, model = bench.token_benchmark(0)
         x = data.features[0]
-        target = model.predict_label(x)
+        target = int(model.predict_labels([x])[0])
         exact = gradient(model, x, target=target)
         fd = np.empty(model.arity)
         for i in range(model.arity):

@@ -16,9 +16,9 @@ from xmeter.core import (
     evaluate_loss_batch,
     gradient,
 )
-from xmeter.attr_metrics import ExpectationConfig, _restriction_loss
+from xmeter.attr_metrics import _restriction_losses
 from xmeter import example_based
-from conftest import constant_model, linear_model
+from conftest import constant_model, linear_model, reference_sample_matrix
 
 
 class TestTabularDataset:
@@ -120,7 +120,7 @@ class TestModelHandle:
 
     def test_argmax_tie_takes_lowest_index(self):
         tie = ModelHandle(1, "probs", lambda X: np.full((len(X), 2), 0.5))
-        assert tie.predict_label([0.0]) == 0
+        assert tie.predict_labels([[0.0]])[0] == 0
 
     def test_wrong_arity_rejected(self):
         m = linear_model([1.0, 2.0])
@@ -140,22 +140,22 @@ class TestModelHandle:
 
 class TestRestrictModel:
     """Restriction clamps every coordinate outside a set at the anchor and
-    resamples the set; the metrics do it by tiling in ``_restriction_loss``."""
+    resamples the set; the metrics do it by tiling in ``_restriction_losses``."""
 
     def test_inert_coordinate_is_flat(self, park, park_point):
         # the test function has no dependence on coordinates 4 and 5
-        cfg = ExpectationConfig(FeatureDistribution.uniform(6), SQUARED_ERROR,
-                                n_mc_samples=200, seed=0)
         rng = np.random.default_rng(0)
         y_ref = park.predict(park_point)
-        assert _restriction_loss(park, park_point, y_ref, [4, 5], cfg, rng) == 0.0
+        losses = _restriction_losses(park, park_point, y_ref, [4, 5],
+                                     FeatureDistribution.uniform(6), SQUARED_ERROR, 200, rng)
+        assert np.mean(losses) == 0.0
 
     def test_constant_model_restriction(self):
         m = constant_model(3, value=7.0)
-        cfg = ExpectationConfig(FeatureDistribution.uniform(3), SQUARED_ERROR,
-                                n_mc_samples=200, seed=0)
         rng = np.random.default_rng(0)
-        assert _restriction_loss(m, np.array([0.1, 0.2, 0.3]), 7.0, [1, 2], cfg, rng) == 0.0
+        losses = _restriction_losses(m, np.array([0.1, 0.2, 0.3]), 7.0, [1, 2],
+                                     FeatureDistribution.uniform(3), SQUARED_ERROR, 200, rng)
+        assert np.mean(losses) == 0.0
 
 
 class TestGradient:
@@ -235,3 +235,25 @@ class TestFeatureDistribution:
         dist = FeatureDistribution.uniform(4)
         block = dist.sample_matrix([1, 3], 7, np.random.default_rng(0))
         assert block.shape == (7, 2)
+
+    @pytest.mark.parametrize("kind", ["uniform", "empirical"])
+    def test_equals_the_per_column_reference(self, kind):
+        data = np.random.default_rng(3).normal(size=(40, 5))
+        if kind == "uniform":
+            dist, columns = FeatureDistribution.uniform(5, -2.0, 3.0), [(-2.0, 3.0)] * 5
+        else:
+            dist, columns = FeatureDistribution.empirical(data), list(data.T)
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(5).tolist()
+            for k in range(1, 6):
+                for n in (1, 7, 500):
+                    got = dist.sample_matrix(order[:k], n, np.random.default_rng([seed, k]))
+                    want = reference_sample_matrix(columns, order[:k], n,
+                                                   np.random.default_rng([seed, k]))
+                    assert np.array_equal(got, want), (seed, k, n)
+
+    def test_bad_inputs_rejected(self):
+        with pytest.raises(ContractViolation):
+            FeatureDistribution.uniform(2, 1.0, 1.0)
+        with pytest.raises(ContractViolation):
+            FeatureDistribution.empirical(np.zeros(3))
