@@ -4,13 +4,13 @@ The generators are bit-reproducible per seed and small enough to run on a
 laptop; they stand in for large-scale image/text corpora while exhibiting the
 same metric phenomena.
 
-One split search, ``_best_split``, serves the tree (Gini) and the entropy
-discretizer in ``mi``, with one tolerance rule: it scores every midpoint cut
-of every column at once from prefix class counts, as the impurity gain per
-row (parent minus count-weighted child impurity, divided by the row count),
-and keeps the lowest (feature, threshold) whose gain exceeds 2e-12 and beats
-every earlier cut by more than 1e-12. Measured per row, the rounding noise of
-a zero-gain cut stays far below 2e-12 at any node size.
+One presorted grower, ``_grow``, serves the tree (Gini) and the per-feature
+entropy discretizer in ``mi``; it grows on a stack, so only ``max_depth``
+limits the depth. Each node scores every midpoint cut of every column from
+prefix class counts, in column blocks of ``BLOCK`` entries, as the impurity
+gain per row, and keeps the lowest (feature, threshold) whose gain exceeds
+2e-12 and beats every earlier cut by more than 1e-12. Measured per row, the
+rounding noise of a zero-gain cut stays far below 2e-12 at any node size.
 """
 
 from __future__ import annotations
@@ -83,49 +83,75 @@ class TreeNode:
         return self.distribution is not None
 
 
-def _impurity(counts: np.ndarray, kind: str) -> np.ndarray:
-    """Gini or entropy (nats) of each row of nonempty class counts."""
-    p = counts / counts.sum(axis=-1, keepdims=True)
-    if kind == "gini":
-        return 1.0 - (p * p).sum(axis=-1)
-    return -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum(axis=-1)
+# Entries in one block of prefix class counts (1 MB of doubles), like mi.BLOCK.
+BLOCK = 1 << 17
 
 
-def _best_split(X, y, n_classes, impurity):
-    """Best (feature, midpoint threshold) by impurity gain, or None.
+def _impurity(counts: np.ndarray, n, kind: str) -> np.ndarray:
+    """Gini or entropy (nats) of class counts (classes first) summing to n; the class
+    sum rounds as numpy sums a row: in order below 8 classes, pairwise from 8."""
+    p = counts / n
+    terms = p * p if kind == "gini" else p * np.log(p, out=np.zeros_like(p), where=p > 0)
+    total = terms.sum(axis=0) if len(p) < 8 else np.ascontiguousarray(terms.T).sum(axis=-1)
+    return 1.0 - total if kind == "gini" else -total
 
-    Every cut between consecutive distinct values of every column is scored
-    at once from prefix class counts, then scanned in (feature, threshold)
-    order: a cut replaces the running best only when its gain is higher by
-    more than 1e-12, so ties keep the lowest pair. The gain is the impurity
-    gain per row, which must exceed 2e-12 (the scan starts at 1e-12).
-    """
-    n = len(y)
-    parent = _impurity(np.bincount(y, minlength=n_classes), impurity)
-    children, features, thresholds = [], [], []
-    for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        vals = X[order, f]
-        cuts = np.nonzero(np.diff(vals) > 0)[0]
-        # class counts of each prefix of the sorted rows, from n x K one-hot
-        # rows: K is the largest label plus one, so np.eye(K)[y] would take K x K
-        prefix = np.zeros((n, n_classes))
-        prefix[np.arange(n), y[order]] = 1.0
-        prefix = np.cumsum(prefix, axis=0)
-        left = prefix[cuts]
-        right = prefix[-1] - left
-        n_left = cuts + 1.0
-        children.append(_impurity(left, impurity) * n_left
-                        + _impurity(right, impurity) * (n - n_left))
-        features.append(np.full(cuts.size, f))
-        thresholds.append((vals[cuts] + vals[cuts + 1]) / 2.0)
-    best, best_gain = None, 1e-12
-    for i, g in enumerate((parent - np.concatenate(children) / n).tolist()):
+
+def _scan(gains, best_gain, peak):
+    """(Last index whose gain beats the running best by more than 1e-12, or None; new best;
+    new peak.) Only a gain above the peak and every earlier gain can, so only those are seen."""
+    earlier = np.maximum.accumulate(np.concatenate(([peak], gains[:-1])))
+    hit, records = None, np.flatnonzero(gains > earlier)
+    for i, g in zip(records.tolist(), gains[records].tolist()):
         if g > best_gain + 1e-12:
-            best, best_gain = i, g
-    if best is None:
-        return None
-    return int(np.concatenate(features)[best]), float(np.concatenate(thresholds)[best])
+            hit, best_gain = i, g
+    return hit, best_gain, max(peak, gains.max())
+
+
+def _best_cut(Xt, y, orders, counts, kind):
+    """Best (feature, midpoint threshold) of one node, or None, by the rule in
+    the module docstring; ``orders[f]`` holds the node's rows sorted by column f."""
+    (n_features, m), n_classes = orders.shape, len(counts)
+    parent = _impurity(counts, m, kind)
+    best, best_gain, peak = None, 1e-12, -np.inf
+    step = max(1, BLOCK // (m * n_classes))
+    for lo in range(0, n_features, step):
+        rows = orders[lo:lo + step]
+        vals = np.take_along_axis(Xt[lo:lo + step], rows, axis=1)
+        f, c = np.nonzero(np.diff(vals, axis=1) > 0)
+        if not c.size:
+            continue
+        # prefix class counts, K x columns x m (np.eye(K)[y] would take K x K, K = max label + 1)
+        prefix = np.cumsum(y[rows] == np.arange(n_classes)[:, None, None], axis=2, dtype=float)
+        left = prefix[:, f, c]
+        n_left = c + 1.0
+        gains = parent - (_impurity(left, n_left, kind) * n_left
+                          + _impurity(prefix[:, f, -1] - left, m - n_left, kind)
+                          * (m - n_left)) / m
+        i, best_gain, peak = _scan(gains, best_gain, peak)
+        if i is not None:
+            best = lo + int(f[i]), float((vals[f[i], c[i]] + vals[f[i], c[i] + 1]) / 2.0)
+    return best
+
+
+def _grow(X, y, n_classes, max_depth, kind) -> TreeNode:
+    """Greedy top-down tree. Columns are sorted once at the root; a stable mask keeps
+    each child's rows sorted. A node is a leaf at max_depth, pure, or without a cut."""
+    Xt, root = np.ascontiguousarray(X.T, dtype=float), TreeNode()
+    stack = [(root, np.argsort(Xt, axis=1, kind="stable"), 0)]
+    while stack:
+        node, orders, depth = stack.pop()
+        counts = np.bincount(y[orders[0]], minlength=n_classes)
+        split = (_best_cut(Xt, y, orders, counts, kind)
+                 if depth < max_depth and counts.max() < orders.shape[1] else None)
+        if split is None:
+            node.distribution = counts / counts.sum()
+            continue
+        node.feature, node.threshold = split
+        go_left = (Xt[node.feature] <= node.threshold)[orders]
+        node.left, node.right = TreeNode(), TreeNode()
+        stack.append((node.right, orders[~go_left].reshape(len(orders), -1), depth + 1))
+        stack.append((node.left, orders[go_left].reshape(len(orders), -1), depth + 1))
+    return root
 
 
 @dataclass
@@ -137,26 +163,27 @@ class DecisionTreeModel:
     n_features: int
     n_classes: int
 
-    def _leaf(self, x) -> TreeNode:
+    def predict_proba(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
         node = self.root
         while not node.is_leaf:
             node = node.left if x[node.feature] <= node.threshold else node.right
-        return node
-
-    def predict_proba(self, x) -> np.ndarray:
-        return self._leaf(np.asarray(x, dtype=float)).distribution.copy()
+        return node.distribution.copy()
 
     def predict_proba_batch(self, X) -> np.ndarray:
+        """Rows routed down as index sets (ties go left; empty branches are skipped)."""
         X = np.asarray(X, dtype=float)
-        return np.stack([self._leaf(row).distribution for row in X])
-
-    def depth(self) -> int:
-        def walk(node):
+        out = np.empty((len(X), self.n_classes))
+        stack = [(self.root, np.arange(len(X)))]
+        while stack:
+            node, rows = stack.pop()
             if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
+                out[rows] = node.distribution
+                continue
+            left = X[rows, node.feature] <= node.threshold
+            stack += [(child, part) for child, part in
+                      ((node.left, rows[left]), (node.right, rows[~left])) if part.size]
+        return out
 
     def as_model_handle(self) -> ModelHandle:
         return ModelHandle(
@@ -172,7 +199,7 @@ def fit_decision_tree(data: TabularDataset, max_depth: int) -> DecisionTreeModel
     """Greedy top-down CART on labeled data.
 
     Splits minimize weighted Gini impurity over midpoint thresholds between
-    consecutive distinct values; recursion stops at max_depth, purity, or
+    consecutive distinct values; growth stops at max_depth, purity, or
     fewer than 2 samples. All tie-breaks are deterministic (lowest feature,
     lowest threshold), so the fit is invariant to sample order.
     """
@@ -180,31 +207,8 @@ def fit_decision_tree(data: TabularDataset, max_depth: int) -> DecisionTreeModel
         raise ContractViolation("decision tree needs labeled data")
     if max_depth < 0:
         raise ContractViolation("max_depth must be >= 0")
-    X, y = data.features, data.labels
-    n_classes = data.n_classes
-
-    def leaf(idx) -> TreeNode:
-        counts = np.bincount(y[idx], minlength=n_classes).astype(float)
-        return TreeNode(distribution=counts / counts.sum())
-
-    def build(idx, depth) -> TreeNode:
-        if depth >= max_depth or len(idx) < 2 or len(np.unique(y[idx])) == 1:
-            return leaf(idx)
-        split = _best_split(X[idx], y[idx], n_classes, "gini")
-        if split is None:
-            return leaf(idx)
-        f, t = split
-        mask = X[idx, f] <= t
-        return TreeNode(
-            feature=f,
-            threshold=t,
-            left=build(idx[mask], depth + 1),
-            right=build(idx[~mask], depth + 1),
-        )
-
-    root = build(np.arange(data.n_samples), 0)
-    return DecisionTreeModel(root=root, max_depth=max_depth, n_features=data.n_features,
-                             n_classes=n_classes)
+    return DecisionTreeModel(_grow(data.features, data.labels, data.n_classes, max_depth, "gini"),
+                             max_depth, data.n_features, data.n_classes)
 
 
 # ---------------------------------------------------------------------------

@@ -698,6 +698,9 @@ def cmd_mi(cfg: dict, stack: contextlib.ExitStack) -> Table:
         raise ConfigError("mi needs --dataset")
     names = _parse_names(cfg["extractors"], "extractor")
     data = parse_dataset_spec(cfg["dataset"])
+    if "random-ood" in names and not 0 < cfg["ood_count"] <= data.n_features:
+        raise ConfigError(f"--ood-count must be in 1..{data.n_features} (the dataset width), "
+                          f"got {cfg['ood_count']}")
     if cfg["model"]:
         y = parse_model_spec(cfg["model"], data, stack).predict_labels(data.features)
     elif data.labels is None:

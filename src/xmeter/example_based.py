@@ -45,10 +45,10 @@ def pairwise_distances(X) -> np.ndarray:
 
 def median_bandwidth(D: np.ndarray) -> float:
     """Median off-diagonal entry of a distance matrix; falls back to 1 on degenerate data."""
-    iu = np.triu_indices(len(D), k=1)
-    if iu[0].size == 0:
+    if len(D) < 2:
         return 1.0
-    med = float(np.median(D[iu]))
+    # the entries above the diagonal, row by row, as np.triu_indices orders them
+    med = float(np.median(D[np.arange(len(D))[:, None] < np.arange(len(D))]))
     return med if med > 0.0 else 1.0
 
 

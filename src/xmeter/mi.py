@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import digamma
 
-from .bench import _best_split
+from .bench import _grow
 from .core import ContractViolation, TabularDataset
 
 JITTER_SCALE = 1e-10
@@ -69,36 +69,27 @@ def draw_random_ood_extractor(arity: int, n_replaced: int, seed: int,
 
 
 def fit_entropy_discretizer(data: TabularDataset, max_depth: int) -> FeatureExtractor:
-    """Per-feature shallow trees against the labels; split thresholds become bin edges.
+    """Per-feature entropy trees against the labels; split thresholds become bin edges.
 
-    Each feature is discretized independently with an information-gain stump
-    grown to ``max_depth``, split by the tree's sweep (``bench._best_split``):
-    the lowest midpoint whose gain per row exceeds 2e-12 and beats every lower
-    one by more than 1e-12. Constant or uninformative features end up with no
-    edges (a single bin).
+    Each feature is discretized independently by an information-gain tree of
+    depth ``max_depth``, grown by the decision tree's grower (``bench._grow``):
+    each split takes the lowest midpoint whose gain per row exceeds 2e-12 and
+    beats every lower one by more than 1e-12. Constant or uninformative
+    features end up with no edges (a single bin).
     """
     if data.labels is None:
         raise ContractViolation("discretizer needs labeled data")
     if max_depth < 1:
         raise ContractViolation("max_depth must be >= 1")
-    n_classes = data.n_classes
-
-    def collect(values, labels, depth, out):
-        if depth >= max_depth or len(values) < 2:
-            return
-        split = _best_split(values[:, None], labels, n_classes, "entropy")
-        if split is None:
-            return
-        t = split[1]
-        out.append(t)
-        mask = values <= t
-        collect(values[mask], labels[mask], depth + 1, out)
-        collect(values[~mask], labels[~mask], depth + 1, out)
-
     all_edges = []
     for f in range(data.n_features):
-        edges: list[float] = []
-        collect(data.features[:, f], data.labels, 0, edges)
+        stack, edges = [_grow(data.features[:, [f]], data.labels, data.n_classes, max_depth,
+                              "entropy")], []
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                edges.append(node.threshold)
+                stack += [node.left, node.right]
         all_edges.append(tuple(sorted(edges)))
     return FeatureExtractor("entropy-discretizer", bin_edges=tuple(all_edges))
 

@@ -97,7 +97,7 @@ class TestDecisionTree:
         data = bench.synth_tabular(
             bench.SynthSpec(n_samples=200, n_features=4, n_classes=3, separation=1.0), seed=1)
         tree = bench.fit_decision_tree(data, max_depth=3)
-        assert tree.depth() <= 3
+        assert tree_depth(tree.root) <= 3
 
     def test_invariant_to_sample_order(self):
         data = bench.synth_tabular(
@@ -115,7 +115,8 @@ class TestDecisionTree:
             bench.fit_decision_tree(TabularDataset([[1.0], [2.0]]), max_depth=2)
 
 
-# Reference split searches: the per-cut scalar loops that bench._best_split replaced.
+# Reference split searches: the per-cut scalar loops, and the per-node search
+# that sorts every column of each node and scores every cut at once.
 
 def _reference_gini(counts):
     n = counts.sum()
@@ -194,6 +195,105 @@ def _reference_split(X, y, n_classes, impurity):
     return None if t is None else (0, t)
 
 
+def _node_impurity(counts, kind):
+    p = counts / counts.sum(axis=-1, keepdims=True)
+    if kind == "gini":
+        return 1.0 - (p * p).sum(axis=-1)
+    return -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum(axis=-1)
+
+
+def node_split(X, y, n_classes, impurity):
+    """Best (feature, midpoint threshold) of one node's rows, or None.
+
+    Sorts every column of the node, scores every cut between distinct values
+    from prefix class counts as the impurity gain per row, and scans all cuts
+    in (feature, threshold) order: a cut replaces the running best only when
+    its gain is higher by more than 1e-12, starting from 1e-12.
+    """
+    n = len(y)
+    parent = _node_impurity(np.bincount(y, minlength=n_classes), impurity)
+    gains, features, thresholds = [], [], []
+    for f in range(X.shape[1]):
+        order = np.argsort(X[:, f], kind="stable")
+        vals = X[order, f]
+        cuts = np.nonzero(np.diff(vals) > 0)[0]
+        prefix = np.zeros((n, n_classes))
+        prefix[np.arange(n), y[order]] = 1.0
+        prefix = np.cumsum(prefix, axis=0)
+        left = prefix[cuts]
+        n_left = cuts + 1.0
+        children = (_node_impurity(left, impurity) * n_left
+                    + _node_impurity(prefix[-1] - left, impurity) * (n - n_left))
+        gains.append(parent - children / n)
+        features.append(np.full(cuts.size, f))
+        thresholds.append((vals[cuts] + vals[cuts + 1]) / 2.0)
+    best, best_gain = None, 1e-12
+    for i, g in enumerate(np.concatenate(gains).tolist()):
+        if g > best_gain + 1e-12:
+            best, best_gain = i, g
+    if best is None:
+        return None
+    return int(np.concatenate(features)[best]), float(np.concatenate(thresholds)[best])
+
+
+def reference_tree(X, y, n_classes, max_depth, impurity, split=node_split):
+    """Pre-order shape (see ``tree_shape``) of the tree grown by calling
+    ``split`` on the rows of each node; a node is a leaf at max_depth, when
+    pure, or when ``split`` finds no cut."""
+    out, stack = [], [(np.arange(len(y)), 0)]
+    while stack:
+        idx, depth = stack.pop()
+        found = None
+        if depth < max_depth and len(np.unique(y[idx])) > 1:
+            found = split(X[idx], y[idx], n_classes, impurity)
+        if found is None:
+            counts = np.bincount(y[idx], minlength=n_classes).astype(float)
+            out.append((counts / counts.sum()).tolist())
+            continue
+        f, t = found
+        out.append((f, t))
+        mask = X[idx, f] <= t
+        stack += [(idx[~mask], depth + 1), (idx[mask], depth + 1)]
+    return out
+
+
+def reference_edges(X, y, n_classes, max_depth, split=node_split):
+    """Bin edges of the entropy discretizer grown with ``reference_tree``."""
+    return tuple(tuple(sorted(node[1] for node in reference_tree(
+        X[:, [f]], y, n_classes, max_depth, "entropy", split) if isinstance(node, tuple)))
+        for f in range(X.shape[1]))
+
+
+def tree_shape(root):
+    """Pre-order list of a tree: (feature, threshold) for a split, the class
+    distribution as a list for a leaf; walked on a stack, so any depth works."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            out.append(node.distribution.tolist())
+        else:
+            out.append((node.feature, node.threshold))
+            stack += [node.right, node.left]
+    return out
+
+
+def tree_depth(root):
+    """Longest root-to-leaf path, in splits; walked on a stack."""
+    deepest, stack = 0, [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if not node.is_leaf:
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+    return deepest
+
+
+def root_split(X, y, n_classes, impurity):
+    root = bench._grow(X, y, n_classes, 1, impurity)
+    return None if root.is_leaf else (root.feature, root.threshold)
+
+
 @st.composite
 def _tie_heavy_split_input(draw, max_columns):
     n_classes = draw(st.integers(2, 4))
@@ -206,33 +306,76 @@ def _tie_heavy_split_input(draw, max_columns):
     return X, y, n_classes
 
 
-def _tree_shape(node):
-    if node.is_leaf:
-        return node.distribution.tolist()
-    return (node.feature, node.threshold, _tree_shape(node.left), _tree_shape(node.right))
-
-
 class TestSplitSweep:
     @settings(max_examples=100, deadline=None)
     @given(_tie_heavy_split_input(max_columns=3))
     def test_gini_matches_reference(self, case):
         X, y, n_classes = case
-        assert bench._best_split(X, y, n_classes, "gini") == _reference_split(
-            X, y, n_classes, "gini")
+        expected = _reference_split(X, y, n_classes, "gini")
+        assert root_split(X, y, n_classes, "gini") == expected
+        assert node_split(X, y, n_classes, "gini") == expected
 
     @settings(max_examples=100, deadline=None)
     @given(_tie_heavy_split_input(max_columns=1))
     def test_entropy_matches_reference(self, case):
         X, y, n_classes = case
-        assert bench._best_split(X, y, n_classes, "entropy") == _reference_split(
-            X, y, n_classes, "entropy")
+        expected = _reference_split(X, y, n_classes, "entropy")
+        assert root_split(X, y, n_classes, "entropy") == expected
+        assert node_split(X, y, n_classes, "entropy") == expected
+
+    @pytest.mark.parametrize("n_classes", [1, 2, 3, 7, 8, 9, 20])
+    def test_class_first_impurity_rounds_as_the_row_sums(self, n_classes):
+        counts = np.random.default_rng(n_classes).integers(0, 1000, size=(3000, n_classes))
+        counts[:, 0] += 1
+        # the grower's counts are C-ordered, classes first
+        class_first = np.ascontiguousarray(counts.T, dtype=float)
+        for kind in ("gini", "entropy"):
+            np.testing.assert_array_equal(
+                bench._impurity(class_first, counts.sum(axis=1), kind),
+                _node_impurity(counts.astype(float), kind))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-8, 8), min_size=1, max_size=30), st.sampled_from([0.0, 1.0]),
+           st.lists(st.integers(1, 8), min_size=30, max_size=30))
+    def test_blocked_record_scan_matches_the_full_scan(self, steps, base, sizes):
+        # gains 0.4e-12 apart, so near-ties decide; a base of 0 tests the start at 1e-12
+        gains = [base + k * 0.4e-12 for k in steps]
+        expected, expected_gain = None, 1e-12
+        for i, g in enumerate(gains):
+            if g > expected_gain + 1e-12:
+                expected, expected_gain = i, g
+        best, best_gain, peak, lo = None, 1e-12, -np.inf, 0
+        for size in sizes:
+            if lo < len(gains):
+                i, best_gain, peak = bench._scan(np.array(gains[lo:lo + size]), best_gain, peak)
+                best = best if i is None else lo + i
+            lo += size
+        assert (best, best_gain) == (expected, expected_gain)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_tie_heavy_split_input(max_columns=3), st.sampled_from(["gini", "entropy"]),
+           st.integers(0, 6))
+    def test_grown_trees_match_the_per_node_search(self, case, impurity, max_depth):
+        X, y, n_classes = case
+        assert tree_shape(bench._grow(X, y, n_classes, max_depth, impurity)) == \
+            reference_tree(X, y, n_classes, max_depth, impurity)
+
+    @pytest.mark.parametrize("block", [1, 7, bench.BLOCK])
+    def test_column_blocks_do_not_change_the_tree(self, block, monkeypatch):
+        # 3 classes x 40 rows: a block of 1 or 7 entries scores one column at a time
+        data = bench.synth_tabular(bench.SynthSpec(n_samples=40, n_features=4, n_classes=3,
+                                                   separation=1.0), seed=2)
+        monkeypatch.setattr(bench, "BLOCK", block)
+        assert tree_shape(bench.fit_decision_tree(data, 6).root) == \
+            reference_tree(data.features, data.labels, 3, 6, "gini")
 
     def test_entropy_ignores_rounding_noise_at_many_rows(self):
         # every cut leaves both classes in equal shares, so every gain is zero;
         # at 30,010 rows the Gini-style 1e-12 tolerance on weighted sums splits here
         values = np.repeat(np.arange(5.0), 6002)[:, None]
         labels = np.tile([0, 1], 15005)
-        assert bench._best_split(values, labels, 2, "entropy") is None
+        assert root_split(values, labels, 2, "entropy") is None
+        assert node_split(values, labels, 2, "entropy") is None
         assert _reference_split(values, labels, 2, "entropy") is None
 
     def test_gini_ignores_rounding_noise_at_many_rows(self):
@@ -240,32 +383,90 @@ class TestSplitSweep:
         # at 162,054 rows a 1e-12 tolerance on count-weighted Gini sums splits here
         values = np.repeat(np.arange(3.0), 54018)[:, None]
         labels = np.tile(np.repeat([0, 1, 2], [9003, 18006, 27009]), 3)
-        assert bench._best_split(values, labels, 3, "gini") is None
+        assert root_split(values, labels, 3, "gini") is None
+        assert node_split(values, labels, 3, "gini") is None
 
     @pytest.mark.parametrize("spec", ["MI_BENCH_SPEC", "CLUSTER_BENCH_SPEC"])
-    def test_fits_match_reference(self, spec, monkeypatch):
-        datasets = [bench.synth_tabular(getattr(bench, spec), seed) for seed in range(3)]
-        fits = [(_tree_shape(bench.fit_decision_tree(d, 5).root),
-                 mi.fit_entropy_discretizer(d, 3).bin_edges) for d in datasets]
-        monkeypatch.setattr(bench, "_best_split", _reference_split)
-        monkeypatch.setattr(mi, "_best_split", _reference_split)
-        for data, fit in zip(datasets, fits):
-            assert fit == (_tree_shape(bench.fit_decision_tree(data, 5).root),
-                           mi.fit_entropy_discretizer(data, 3).bin_edges)
+    def test_fits_match_reference(self, spec):
+        for seed in range(3):
+            data = bench.synth_tabular(getattr(bench, spec), seed)
+            X, y, k = data.features, data.labels, data.n_classes
+            tree = tree_shape(bench.fit_decision_tree(data, 5).root)
+            edges = mi.fit_entropy_discretizer(data, 3).bin_edges
+            assert tree == reference_tree(X, y, k, 5, "gini")
+            assert tree == reference_tree(X, y, k, 5, "gini", _reference_split)
+            assert edges == reference_edges(X, y, k, 3)
+            assert edges == reference_edges(X, y, k, 3, _reference_split)
 
-    def test_fit_memory_is_linear_in_the_largest_label(self, monkeypatch):
+    def test_fit_memory_is_linear_in_the_largest_label(self):
         rng = np.random.default_rng(0)
         X = rng.uniform(size=(60, 2))
         data = TabularDataset(X, np.where(X[:, 0] + 0.3 * X[:, 1] > 0.6, 3000, 0))
         tracemalloc.start()
         try:
-            shape = _tree_shape(bench.fit_decision_tree(data, 3).root)
+            shape = tree_shape(bench.fit_decision_tree(data, 3).root)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 10e6  # one K x K identity of 3001 classes takes 72 MB
-        monkeypatch.setattr(bench, "_best_split", _reference_split)
-        assert shape == _tree_shape(bench.fit_decision_tree(data, 3).root)
+        assert shape == reference_tree(X, data.labels, 3001, 3, "gini", _reference_split)
+        assert shape == reference_tree(X, data.labels, 3001, 3, "gini")
+
+
+def _stair(n=2400):
+    """x0 is the row index and the label alternates, so every split peels off
+    one row: the tree is a chain n - 1 splits deep."""
+    return TabularDataset(np.arange(float(n))[:, None], np.arange(n) % 2)
+
+
+class TestDeepTrees:
+    def test_fit_and_predict_a_chain_deeper_than_the_recursion_limit(self):
+        data = _stair()
+        tree = bench.fit_decision_tree(data, 5000)
+        assert tree_depth(tree.root) == data.n_samples - 1
+        probs = tree.predict_proba_batch(data.features)
+        np.testing.assert_array_equal(probs, np.eye(2)[data.labels])
+        for i in (0, 1, 1200, 2399):
+            np.testing.assert_array_equal(tree.predict_proba(data.features[i]), probs[i])
+
+    def test_discretizer_edges_of_a_deep_chain(self):
+        data = _stair()
+        edges = mi.fit_entropy_discretizer(data, 5000).bin_edges
+        assert edges == (tuple(np.arange(data.n_samples - 1) + 0.5),)
+        assert edges == reference_edges(data.features, data.labels, 2, 5000)
+
+
+@st.composite
+def _tree_and_queries(draw):
+    X, y, n_classes = draw(_tie_heavy_split_input(max_columns=3))
+    tree = bench.fit_decision_tree(TabularDataset(X, y), draw(st.integers(0, 5)))
+    # the grid values are integers, so the half-integers are the thresholds
+    halves = st.integers(-2, 9).map(lambda h: h / 2.0)
+    n_rows = draw(st.integers(0, 12))
+    Q = np.array(draw(st.lists(halves, min_size=n_rows * X.shape[1],
+                               max_size=n_rows * X.shape[1]))).reshape(n_rows, X.shape[1])
+    return tree, Q
+
+
+class TestRoutedPrediction:
+    @settings(max_examples=100, deadline=None)
+    @given(_tree_and_queries())
+    def test_batch_equals_row_by_row(self, case):
+        tree, Q = case
+        batch = tree.predict_proba_batch(Q)
+        assert batch.shape == (len(Q), tree.n_classes)
+        if len(Q):
+            np.testing.assert_array_equal(batch, np.stack([tree.predict_proba(q) for q in Q]))
+
+    def test_row_on_a_threshold_goes_left(self):
+        tree = bench.fit_decision_tree(_hand_split_dataset(), max_depth=1)
+        assert tree.root.threshold == 0.5
+        np.testing.assert_array_equal(tree.predict_proba_batch([[0.5], [0.5000001]]),
+                                      [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_zero_rows(self):
+        tree = bench.fit_decision_tree(_hand_split_dataset(), max_depth=1)
+        assert tree.predict_proba_batch(np.empty((0, 1))).shape == (0, 2)
 
 
 class TestSynthTabular:

@@ -249,6 +249,18 @@ class TestExampleEvalCommand:
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+    def test_tree_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        # x0 is the row index and the label alternates: the tree is a chain 2,399 splits deep
+        path = tmp_path / "stair.csv"
+        path.write_text("x0,label\n" + "".join(f"{i},{i % 2}\n" for i in range(2400)))
+        code = main(["example-eval", "--dataset", str(path), "--model", "tree:5000",
+                     "--sweep", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out)["config"]["model"] == "tree:5000"
+
+
 class TestMICommand:
     def test_extractor_table_and_determinism(self, tmp_path, capsys):
         args = ["mi", "--dataset", "synth:n=400,features=5,classes=3,sep=4.0,noise=1,seed=0",
@@ -262,6 +274,16 @@ class TestMICommand:
         mis = {k: v["feature_mi"] for k, v in report["metrics"].items()}
         assert mis["identity"] == max(mis.values())
         assert mis["entropy"] < mis["identity"]
+
+    def test_ood_count_above_the_width_names_the_option(self, tmp_path, capsys):
+        path = tmp_path / "two.csv"
+        path.write_text("a,b,label\n" + "".join(f"{i}.0,{i % 7}.0,{i % 2}\n" for i in range(30)))
+        assert main(["mi", "--dataset", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "error: --ood-count must be in 1..2 (the dataset width), got 3\n"
+        # without the random-ood extractor the count is not used
+        assert main(["mi", "--dataset", str(path), "--extractors", "identity",
+                     "--runs", "1"]) == EXIT_OK
 
     def test_needs_labels_or_model(self, tmp_path, capsys):
         path = tmp_path / "plain.csv"
@@ -320,6 +342,7 @@ BAD_INPUTS = {
                           "--methods", "random", "--uniform", "0"],
     "config-json": ["attr-eval", "--config", "{malformed}"],
     "zero-runs": ["mi", "--dataset", "synth:preset=mi,seed=0", "--runs", "0"],
+    "ood-count-above-width": ["mi", "--dataset", b"a,b,label\n0,1,0\n1,0,1\n"],
     # a dict stands for a --config file holding it
     "config-int-string": ["attr-eval", "--config",
                           {"model": "park", "point": PARK_POINT, "n_mc": "x"}],

@@ -145,6 +145,15 @@ class TestKernel:
             eigs = np.linalg.eigvalsh((K + K.T) / 2)
             assert eigs.min() >= -1e-8
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 501])
+    def test_median_bandwidth_matches_the_index_arrays(self, n):
+        rng = np.random.default_rng(n)
+        for X in (rng.normal(size=(n, 4)), rng.integers(0, 3, size=(n, 2)).astype(float)):
+            D = pairwise_distances(X)
+            iu = np.triu_indices(n, k=1)
+            expected = float(np.median(D[iu])) if iu[0].size else 1.0
+            assert median_bandwidth(D) == (expected if expected > 0.0 else 1.0)
+
     def test_median_bandwidth_positive(self):
         rng = np.random.default_rng(9)
         assert median_bandwidth(pairwise_distances(rng.uniform(0, 1, size=(15, 2)))) > 0
