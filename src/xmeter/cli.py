@@ -56,21 +56,11 @@ class ModelProtocolError(RuntimeError):
     """The external model child violated the line-delimited JSON protocol."""
 
 
-def _json_reals(value) -> np.ndarray | None:
-    """A JSON list of numbers as floats, else None (also for a bool or an int
-    beyond the float range)."""
-    if isinstance(value, list) and all(type(v) in (int, float) for v in value):
-        try:
-            return np.array(value, dtype=float)
-        except OverflowError:
-            pass
-    return None
-
-
 def _reply_matrix(ys: list, kind: str) -> np.ndarray | None:
     """A reply's rows converted at once when each is well formed for the
     output kind: a nonempty list of JSON numbers, as long as every other row,
-    holding one number (scalar) or one class index (label). Else None."""
+    holding one number (scalar) or one class index (label). Else None.
+    ``_reply_matrix([v], "probs")`` is the rule for any JSON list of numbers."""
     if not (set(map(type, ys)) <= {list} and set(map(type, itertools.chain.from_iterable(ys)))
             <= ({int} if kind == "label" else {int, float})):
         return None
@@ -219,7 +209,7 @@ class ExternalModel:
             with self._lock:  # set once, by the first probs reply
                 self._classes = self._classes or P.shape[1]
         if P is None or (kind == "probs" and P.shape[1] != self._classes):
-            P = self._checked_rows(ys, kind)  # fails at the first bad row
+            self._fail_at_bad_row(ys, kind)
         if kind != "probs":
             return P.reshape(n)
         bad = np.flatnonzero(np.any(P < -PROB_SUM_TOL, axis=1)
@@ -229,34 +219,30 @@ class ExternalModel:
                        f"does not sum to 1 at row {bad[0]}: {ys[bad[0]]!r}")
         return P
 
-    def _checked_rows(self, ys: list, kind: str) -> np.ndarray:
-        """The reply's rows checked one at a time, so that an error names the
-        first malformed row and its entry."""
-        rows = []
+    def _fail_at_bad_row(self, ys: list, kind: str):
+        """Fail naming the first row the reply rule rejects on its own, else
+        (probs rows each well formed alone) the first row whose width differs
+        from the class count. Runs only for a reply already rejected."""
         for i, y in enumerate(ys):
-            values = _json_reals(y)
-            if (values is None or values.size == 0 or (kind != "probs" and values.size != 1)
-                    or (kind == "label" and not (type(y[0]) is int and 0 <= y[0] < 2**63))):
+            if _reply_matrix([y], kind) is None:
                 self._fail(f"predict returned a malformed 'y' at row {i}: {y!r}")
-            rows.append(values if kind == "probs" else y[0])
-        if kind != "probs":
-            return np.array(rows, dtype=np.int64 if kind == "label" else float)
+        if not ys:
+            self._fail("predict returned no rows")
         with self._lock:  # set once, by the first probs reply
-            self._classes = self._classes or rows[0].size
-        for i, values in enumerate(rows):
-            if values.size != self._classes:
-                self._fail(f"predict returned {values.size} class probabilities "
-                           f"after {self._classes} at row {i}: {ys[i]!r}")
-        return np.array(rows)
+            self._classes = self._classes or len(ys[0])
+        for i, y in enumerate(ys):
+            if len(y) != self._classes:
+                self._fail(f"predict returned {len(y)} class probabilities "
+                           f"after {self._classes} at row {i}: {y!r}")
 
     def gradient(self, x, target=None):
         response = self._request({"op": "gradient", "x": [float(v) for v in np.asarray(x)]})
         if "error" in response:
             self._fail(f"gradient failed: {response['error']}")
-        g = _json_reals(response.get("g"))
+        g = _reply_matrix([response.get("g")], "probs")
         if g is None or g.size != self.info["arity"]:
             self._fail(f"gradient returned a malformed 'g': {response!r}")
-        return g
+        return g[0]
 
     def as_model_handle(self) -> ModelHandle:
         """A handle whose ``predict_fn`` sends the rows in order, one request per
@@ -379,6 +365,16 @@ def _parse_int(text: str, what: str, minimum: int | None = None) -> int:
     return value
 
 
+def _check_size(option: str, rows: int, width: int):
+    """Reject, before the run, a size whose ``(rows, width)`` float matrix numpy
+    refuses (without allocating it); a negative size is left to the callee."""
+    try:
+        np.empty((max(rows, 0), width))
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"{option}: a {rows} x {width} float matrix is too large "
+                          f"({exc})") from None
+
+
 def _tokens_seed(spec: str) -> int:
     kv = _parse_kv(spec[len("tokens:"):])
     seed = _parse_int(kv.pop("seed", "0"), "tokens seed", minimum=0)
@@ -415,6 +411,7 @@ def parse_dataset_spec(spec: str) -> TabularDataset:
             raise ConfigError(f"bad synth spec: {exc}") from None
         if kv:
             raise ConfigError(f"unknown synth keys: {sorted(kv)}")
+        _check_size("synth n and features", gen.n_samples, gen.n_features)
         return bench.synth_tabular(gen, seed)
     if spec.startswith("tokens:"):
         return bench.token_benchmark(_tokens_seed(spec))[0]
@@ -495,7 +492,8 @@ def _load_json(path: str, what: str):
         raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from None
 
 
-_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number")}
+_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                 str: ((str,), "a string")}
 
 
 def _is_finite(value) -> bool:
@@ -505,34 +503,32 @@ def _is_finite(value) -> bool:
         return False
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Config-file values fill options the command line left at defaults.
+def _merge_config(args: argparse.Namespace, options: dict) -> dict:
+    """Config-file values fill options the command line left unset, and the
+    option table's defaults fill the rest.
 
     Each value must have its option's type; it is checked, not converted.
     Float options must be finite and the seed nonnegative, wherever they
     were set.
     """
-    merged = vars(args).copy()
-    config_path = merged.pop("config", None)
-    option_types = merged.pop("option_types")
-    parser_defaults = merged.pop("option_defaults")
-    if config_path:
-        loaded = _load_json(config_path, "config file")
+    merged = {key: getattr(args, key) for key in options}
+    if args.config:
+        loaded = _load_json(args.config, "config file")
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(loaded) - set(parser_defaults))
+        unknown = sorted(set(loaded) - set(options))
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
         for key, value in loaded.items():
-            types, what = _CONFIG_TYPES.get(option_types[key], ((str,), "a string"))
+            types, what = _CONFIG_TYPES[options[key][0]]
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
-            if merged.get(key) is None:
+            if merged[key] is None:
                 merged[key] = value
-    for key, default in parser_defaults.items():
-        if merged.get(key) is None:
+    for key, (kind, default, _) in options.items():
+        if merged[key] is None:
             merged[key] = default
-        elif option_types[key] is float and not _is_finite(merged[key]):
+        elif kind is float and not _is_finite(merged[key]):
             raise ConfigError(f"option {key!r} must be finite, got {merged[key]!r}")
     if merged["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {merged['seed']}")
@@ -557,35 +553,35 @@ def _parse_float_list(text: str) -> list[float]:
     return values
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str, rows: int) -> list[int]:
+    """The budgets of parts such as 2 or 1..10. A bound outside 1..``rows`` (no
+    class has more rows) is rejected before the range's list is built."""
     out = []
     for part in text.split(","):
         lo, sep, hi = part.partition("..")
         try:
-            budgets = range(int(lo), int(hi if sep else lo) + 1)
+            lo, hi = int(lo), int(hi if sep else lo)
         except ValueError as exc:
             raise ConfigError(f"bad budget list {text!r}: {exc}") from None
-        if not budgets:
+        if lo < 1 or hi > rows:
+            raise ConfigError(f"--sweep budgets must be in 1..{rows} (the dataset's rows), "
+                              f"got {part!r}")
+        if lo > hi:
             raise ConfigError(f"budget range {part!r} is empty")
-        out.extend(budgets)
+        out.extend(range(lo, hi + 1))
     return out
 
 
-ATTR_DEFAULTS = {
-    "model": None, "point": None, "attr_file": None,
-    "methods": "saliency,inpxgrad,intgrad,random",
-    "loss": None, "epsilon": 0.01, "n_mc": 5000, "zero_tolerance": 1e-6,
-    "steps": 64, "dataset": None, "uniform": None,
-    "pt": None, "pt_n": 500, "seed": 0, "out": None,
-}
-
-
-def _load_attr_file(path: str) -> dict:
+def _load_attr_file(path: str) -> tuple[np.ndarray, np.ndarray, str]:
+    """The point, the values and the method name of an attribution file."""
     payload = _load_json(path, "attribution file")
     required = {"point", "values", "method"}
     if not isinstance(payload, dict) or set(payload) != required:
         raise ConfigError("attribution file must hold exactly point, values, method")
-    return payload
+    point, values = (_reply_matrix([payload[key]], "probs") for key in ("point", "values"))
+    if point is None or values is None:
+        raise ConfigError("attribution file point and values must be lists of numbers")
+    return point[0], values[0], str(payload["method"])
 
 
 # Each command returns the report's metrics, the CSV header and the CSV rows.
@@ -597,11 +593,14 @@ def cmd_attr_eval(cfg: dict, stack: contextlib.ExitStack) -> Table:
         raise ConfigError("attr-eval needs --model")
     data = parse_dataset_spec(cfg["dataset"]) if cfg["dataset"] else None
     model = parse_model_spec(cfg["model"], data, stack)
+    loss = loss_by_name(cfg["loss"] or ("squared-error" if model.output_kind == "scalar"
+                                        else "zero-one"))
+    _check_size("--n-mc", cfg["n_mc"], model.arity)
+    want_pt = cfg["pt"] is not None
+    if want_pt:
+        _check_size("--pt-n", cfg["pt_n"], model.arity)
     if cfg["attr_file"]:
-        payload = _load_attr_file(cfg["attr_file"])
-        point, values = _json_reals(payload["point"]), _json_reals(payload["values"])
-        if point is None or values is None:
-            raise ConfigError("attribution file point and values must be lists of numbers")
+        point, values, method = _load_attr_file(cfg["attr_file"])
     elif cfg["point"]:
         point = np.asarray(_parse_float_list(cfg["point"]), dtype=float)
     else:
@@ -609,8 +608,7 @@ def cmd_attr_eval(cfg: dict, stack: contextlib.ExitStack) -> Table:
     if point.size != model.arity:
         raise ConfigError(f"point has {point.size} coordinates, model takes {model.arity}")
     if cfg["attr_file"]:
-        names = [str(payload["method"])]
-        attrs = [attr_methods.AttributionVector(point, values, names[0])]
+        names, attrs = [method], [attr_methods.AttributionVector(point, values, method)]
     else:
         names = _parse_names(cfg["methods"], "method")
         attrs = [attr_methods.compute_attribution(m, model, point, seed=cfg["seed"],
@@ -628,15 +626,10 @@ def cmd_attr_eval(cfg: dict, stack: contextlib.ExitStack) -> Table:
         distribution = FeatureDistribution.uniform(model.arity, 0.0, 1.0)
     else:
         raise ConfigError("need --dataset or --uniform to define the sampling distribution")
-    if cfg["loss"]:
-        loss = loss_by_name(cfg["loss"])
-    else:
-        loss = loss_by_name("squared-error" if model.output_kind == "scalar" else "zero-one")
     mc_cfg = attr_metrics.ExpectationConfig(
         distribution=distribution, loss=loss, n_mc_samples=cfg["n_mc"],
         zero_tolerance=float(cfg["zero_tolerance"]), seed=cfg["seed"])
 
-    want_pt = cfg["pt"] is not None
     if want_pt and data is None:
         raise ConfigError("the perturbation test needs --dataset as its corpus")
     pt_k = _parse_int(cfg["pt"], "--pt") if want_pt and cfg["pt"] != "ec" else None
@@ -659,19 +652,12 @@ def cmd_attr_eval(cfg: dict, stack: contextlib.ExitStack) -> Table:
     return metrics, header, rows
 
 
-EXAMPLE_DEFAULTS = {
-    "dataset": None, "model": "tree:5",
-    "selectors": "kmedoids,mmd,protodash", "n": 6, "sweep": None,
-    "bandwidth": None, "seed": 0, "out": None,
-}
-
-
 def cmd_example_eval(cfg: dict, stack: contextlib.ExitStack) -> Table:
     if not cfg["dataset"]:
         raise ConfigError("example-eval needs --dataset")
     selectors = _parse_names(cfg["selectors"], "selector")
-    n_values = _parse_n_range(cfg["sweep"]) if cfg["sweep"] else [cfg["n"]]
     data = parse_dataset_spec(cfg["dataset"])
+    n_values = _parse_n_range(cfg["sweep"], data.n_samples) if cfg["sweep"] else [cfg["n"]]
     if data.labels is None:
         raise ConfigError("example-eval needs a labeled dataset")
     model = parse_model_spec(cfg["model"], data, stack)
@@ -682,13 +668,6 @@ def cmd_example_eval(cfg: dict, stack: contextlib.ExitStack) -> Table:
     rows = [[s, point["n"], point["non_representativeness"], point["diversity"]]
             for s in selectors for point in table[s]]
     return metrics, ["selector", "n", "non_representativeness", "diversity"], rows
-
-
-MI_DEFAULTS = {
-    "dataset": None, "model": None,
-    "extractors": "identity,random-ood,entropy", "runs": 50, "k": 3,
-    "ood_count": 3, "ood_value": -10.0, "max_depth": 3, "seed": 0, "out": None,
-}
 
 
 def cmd_mi(cfg: dict, stack: contextlib.ExitStack) -> Table:
@@ -714,13 +693,39 @@ def cmd_mi(cfg: dict, stack: contextlib.ExitStack) -> Table:
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing and entry point
+# Option table, argument parsing and entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="JSON file with the command's options")
-    parser.add_argument("--seed", type=int, help="master 64-bit seed")
-    parser.add_argument("--out", help="output prefix for PREFIX.json and PREFIX.csv")
+_TEXT = (str, None, None)  # a text option without a default or help
+
+
+def _options(**options) -> dict:
+    """A command's options, then the --seed and --out every command takes."""
+    return {**options, "seed": (int, 0, "master 64-bit seed"),
+            "out": (str, None, "output prefix for PREFIX.json and PREFIX.csv")}
+
+
+# Each command's handler, help and options, name -> (type, default, help):
+# --NAME, with dashes for underscores, sets the config key NAME. Every command
+# also takes --config, a JSON file holding any of its config keys.
+COMMANDS = {
+    "attr-eval": (cmd_attr_eval, "attribution metrics at a point", _options(
+        model=_TEXT, point=_TEXT, attr_file=_TEXT,
+        methods=(str, "saliency,inpxgrad,intgrad,random", None), loss=_TEXT,
+        epsilon=(float, 0.01, None), n_mc=(int, 5000, None),
+        zero_tolerance=(float, 1e-6, None), steps=(int, 64, None), dataset=_TEXT,
+        uniform=(str, None, "lo,hi for uniform per-feature sampling"),
+        pt=(str, None, "perturbation-test k (integer or 'ec')"), pt_n=(int, 500, None))),
+    "example-eval": (cmd_example_eval, "example-based metrics per selector", _options(
+        dataset=_TEXT, model=(str, "tree:5", None),
+        selectors=(str, "kmedoids,mmd,protodash", None), n=(int, 6, None),
+        sweep=(str, None, "prototype budgets, e.g. 1,2,6 or 1..10"),
+        bandwidth=(float, None, None))),
+    "mi": (cmd_mi, "feature/target mutual information per extractor", _options(
+        dataset=_TEXT, model=_TEXT, extractors=(str, "identity,random-ood,entropy", None),
+        runs=(int, 50, None), k=(int, 3, None), ood_count=(int, 3, None),
+        ood_value=(float, -10.0, None), max_depth=(int, 3, None))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -729,60 +734,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Functionally-grounded evaluation metrics for model explanations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("attr-eval", help="attribution metrics at a point")
-    p.add_argument("--model")
-    p.add_argument("--point")
-    p.add_argument("--attr-file", dest="attr_file")
-    p.add_argument("--methods")
-    p.add_argument("--loss", choices=["zero-one", "squared-error", "cross-entropy"])
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--n-mc", dest="n_mc", type=int)
-    p.add_argument("--zero-tolerance", dest="zero_tolerance", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--dataset")
-    p.add_argument("--uniform", help="lo,hi for uniform per-feature sampling")
-    p.add_argument("--pt", help="perturbation-test k (integer or 'ec')")
-    p.add_argument("--pt-n", dest="pt_n", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_attr_eval, option_defaults=ATTR_DEFAULTS)
-
-    p = sub.add_parser("example-eval", help="example-based metrics per selector")
-    p.add_argument("--dataset")
-    p.add_argument("--model")
-    p.add_argument("--selectors")
-    p.add_argument("--n", type=int)
-    p.add_argument("--sweep", help="prototype budgets, e.g. 1,2,6 or 1..10")
-    p.add_argument("--bandwidth", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_example_eval, option_defaults=EXAMPLE_DEFAULTS)
-
-    p = sub.add_parser("mi", help="feature/target mutual information per extractor")
-    p.add_argument("--dataset")
-    p.add_argument("--model")
-    p.add_argument("--extractors")
-    p.add_argument("--runs", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--ood-count", dest="ood_count", type=int)
-    p.add_argument("--ood-value", dest="ood_value", type=float)
-    p.add_argument("--max-depth", dest="max_depth", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_mi, option_defaults=MI_DEFAULTS)
-
-    for p in sub.choices.values():
-        p.set_defaults(option_types={a.dest: a.type for a in p._actions})
+    for command, (_, command_help, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        for key, (kind, _, option_help) in options.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=option_help)
+        p.add_argument("--config", help="JSON file with the command's options")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler, _, options = COMMANDS[args.command]
     try:
-        cfg = _merge_config(args)
+        cfg = _merge_config(args, options)
         with contextlib.ExitStack() as stack:
-            metrics, csv_header, csv_rows = args.func(cfg, stack)
+            metrics, csv_header, csv_rows = handler(cfg, stack)
             # the output destination is left out: reports must be
             # byte-identical regardless of where they are written
-            report = {"config": {k: cfg[k] for k in sorted(args.option_defaults) if k != "out"},
+            report = {"config": {k: cfg[k] for k in sorted(options) if k != "out"},
                       "metrics": metrics, "seeds": {"master": cfg["seed"]}}
             sys.stdout.write(write_report(cfg["out"], report, csv_header, csv_rows))
         return EXIT_OK

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from xmeter import bench, model_server
 from xmeter.cli import (
     BATCH_ROWS,
+    COMMANDS,
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
@@ -34,6 +36,7 @@ from xmeter.cli import (
 from xmeter.core import ContractViolation, ModelHandle
 from conftest import park_value
 
+ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
 PARK_SERVER = [sys.executable, str(FIXTURES / "park_server.py")]
 BUILTIN_SERVER = [sys.executable, "-m", "xmeter.model_server"]
@@ -394,6 +397,19 @@ BAD_INPUTS = {
                                 "--point", PARK_POINT],
     "out-parent-is-a-file": ["example-eval", "--dataset", "synth:n=60,seed=0",
                              "--out", str(FIXTURES / "park_server.py" / "report")],
+    "loss-unknown": ["attr-eval", "--model", "park", "--point", PARK_POINT, "--loss", "x"],
+    # sizes whose matrix numpy refuses without allocating it, and a budget
+    # range whose list would be that long
+    "n-mc-too-big": ["attr-eval", "--model", "park", "--point", PARK_POINT,
+                     "--methods", "random", "--n-mc", str(10 ** 18)],
+    "n-mc-beyond-memory": ["attr-eval", "--model", "park", "--point", PARK_POINT,
+                           "--methods", "random", "--n-mc", str(10 ** 17)],
+    "pt-n-too-big": ["attr-eval", "--model", "tokens:seed=0", "--dataset", "tokens:seed=0",
+                     "--point", ",".join(["1"] * 30), "--methods", "random",
+                     "--pt", "1", "--pt-n", str(10 ** 18)],
+    "synth-n-too-big": ["example-eval", "--dataset", f"synth:n={10 ** 20}"],
+    "synth-features-too-big": ["example-eval", "--dataset", f"synth:n=60,features={10 ** 20}"],
+    "sweep-end-too-big": ["example-eval", "--dataset", "synth:n=60", "--sweep", f"1..{10 ** 20}"],
 }
 
 
@@ -425,6 +441,8 @@ def test_bad_input_is_config_error(name, tmp_path, capsys):
 # only sane values; the other half mix in wild ones (NaN, infinities, huge or
 # negative numbers, unknown names).
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+# sizes at or beyond the int64 range, which numpy refuses without allocating
+_HUGE = st.sampled_from([10 ** 19, 2 ** 63, 10 ** 20]).map(str)
 
 
 def _csv(values):
@@ -471,17 +489,19 @@ def _commands(draw):
                "tokens": "tokens:seed=0", "none": None}.get(kind)
     if kind.startswith("synth"):
         keys = options({
-            "n": (_ints(20, 60), _ints(-1, 19)), "classes": (_ints(1, 3), _ints(0, 0)),
+            "n": (_ints(20, 60), st.one_of(_ints(-1, 19), _HUGE)),
+            "classes": (_ints(1, 3), _ints(0, 0)),
             "sep": (_floats(0, 5), wild_float), "noise": (_ints(0, width - 1), _ints(-1, 7)),
             "layout": (st.just("spread"), st.sampled_from(["ring", "x"])),
             "quantize": (_floats(0.1, 2), wild_float), "seed": seed})
-        dataset = "synth:" + _csv([f"features={width}"] + [k[2:] for k in keys])
+        features = pick(st.just(str(width)), _HUGE)
+        dataset = "synth:" + _csv([f"features={features}"] + [k[2:] for k in keys])
     argv = [command] + ([f"--dataset={dataset}"] if dataset else [])
     if command == "attr-eval":
         arity = {"park": 6, "tokens:seed=0": 30}.get(model, width)
         coordinate = choose(st.floats(0, 1, exclude_max=True), _ANY_FLOAT)
         point = _csv(draw(st.lists(coordinate, min_size=arity, max_size=arity)))
-        n_mc = pick(_ints(100, 150), _ints(1, 99))
+        n_mc = pick(_ints(100, 150), st.one_of(_ints(1, 99), _HUGE))
         methods = ["random"] if model == "tree" else ["saliency", "inpxgrad", "intgrad", "random"]
         argv += [f"--model={model}", f"--point={point}", f"--n-mc={n_mc}",
                  f"--methods={pick(_subset(methods), st.just('saliency,x'))}"]
@@ -492,12 +512,12 @@ def _commands(draw):
             "steps": (_ints(1, 4), _ints(-1, 0)),
             "uniform": (st.just("-1,2"), st.lists(wild_float, max_size=3).map(_csv)),
             "pt": (st.one_of(st.just("ec"), _ints(1, arity)), _ints(-1, 40)),
-            "pt-n": (_ints(1, 30), _ints(-1, 0)), "seed": seed})
+            "pt-n": (_ints(1, 30), st.one_of(_ints(-1, 0), _HUGE)), "seed": seed})
     elif command == "example-eval":
         argv += [f"--model={model}"] if draw(st.booleans()) else []
         argv += options({
             "selectors": (_subset(["kmedoids", "mmd", "protodash"]), st.just("x")),
-            "n": (_ints(1, 4), _ints(-1, 0)), "sweep": (st.just("1..3"), st.just("2,0")),
+            "n": (_ints(1, 4), _ints(-1, 0)), "sweep": (st.just("1..3"), st.one_of(st.just("2,0"), _HUGE.map("1..{}".format))),
             "bandwidth": (_floats(0.1, 5), wild_float), "seed": seed})
     else:
         argv += [f"--model={model}"] if draw(st.booleans()) else []
@@ -521,6 +541,34 @@ def test_generated_commands_keep_the_exit_code_contract(argv):
         code = main(argv)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PROTOCOL, EXIT_NUMERIC), (code, err.getvalue())
     assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
+
+
+# the least each command needs, cheap enough to run at every default
+BARE_COMMANDS = {"attr-eval": ["--model", "park", "--point", PARK_POINT],
+                 "example-eval": ["--dataset", "synth:n=60,seed=0"],
+                 "mi": ["--dataset", "synth:n=60,features=3,seed=0"]}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_option_table_gives_the_report_config_and_the_defaults(command, tmp_path, capsys):
+    options = COMMANDS[command][2]
+    code, bare = run_cli([command] + BARE_COMMANDS[command], capsys)
+    assert code == EXIT_OK
+    assert set(json.loads(bare)["config"]) == set(options) - {"out"}
+    cfg = tmp_path / "defaults.json"
+    cfg.write_text(json.dumps({key: default for key, (_, default, _) in options.items()
+                               if default is not None}))
+    assert run_cli([command] + BARE_COMMANDS[command] + ["--config", str(cfg)],
+                   capsys) == (EXIT_OK, bare)
+
+
+def test_readme_lists_the_integer_and_real_options():
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    for word, kind in (("integer", int), ("real", float)):
+        listed = re.search(rf"an? {word} option \(([^)]*)\)", readme).group(1)
+        assert set(re.findall(r"`(\w+)`", listed)) == {
+            key for _, _, options in COMMANDS.values()
+            for key, (option_kind, _, _) in options.items() if option_kind is kind}
 
 
 def park_run_requests(monkeypatch, capsys, batch: bool):
@@ -669,18 +717,26 @@ class TestExternalModelAdapter:
                 ys[i] = odd
             else:
                 ys[i][data.draw(st.integers(0, width - 1))] = odd
+        # a reply is accepted when each row passes alone and, for probs, the
+        # rows share one width
+        alone = [_reply_matrix([y], kind) for y in ys]
+        rejected = [i for i, row in enumerate(alone) if row is None]
+        widths = [len(y) for y in ys] if not rejected else []
+        at_once = _reply_matrix(ys, kind)
+        assert (at_once is None) == bool(rejected or (kind == "probs" and len(set(widths)) > 1))
+        if at_once is not None:
+            stacked = np.concatenate(alone)
+            assert at_once.dtype == stacked.dtype
+            assert np.array_equal(at_once, stacked)
+            return
+        # the error names the first row rejected alone, else the first of another width
+        first = rejected[0] if rejected else next(i for i, w in enumerate(widths)
+                                                  if w != widths[0])
         model = ExternalModel.__new__(ExternalModel)  # no child: checks replies only
         model.command, model.info, model._stderr = ["none"], {"output": kind}, []
         model._lock, model._classes = threading.Lock(), 0
-        try:
-            by_row = model._checked_rows(ys, kind)
-        except ModelProtocolError:
-            by_row = None
-        at_once = _reply_matrix(ys, kind)
-        assert (at_once is None) == (by_row is None)
-        if by_row is not None:
-            assert at_once.dtype == by_row.dtype
-            assert np.array_equal(at_once.reshape(by_row.shape), by_row)
+        with pytest.raises(ModelProtocolError, match=rf"at row {first}: "):
+            model._predictions(ys, len(ys))
 
     def test_batch_reply_error_names_the_row(self):
         server = scripted_server('{"arity": 1, "output": "scalar", "gradient": false, '
