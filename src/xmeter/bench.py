@@ -22,7 +22,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import ContractViolation, ModelHandle, TabularDataset
+from .core import BLOCK, ContractViolation, ModelHandle, TabularDataset
 
 PARK_ARITY = 6
 # The evaluation point used throughout the attribution benchmarks.
@@ -81,10 +81,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.distribution is not None
-
-
-# Entries in one block of prefix class counts (1 MB of doubles), like mi.BLOCK.
-BLOCK = 1 << 17
 
 
 def _impurity(counts: np.ndarray, n, kind: str) -> np.ndarray:

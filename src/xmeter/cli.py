@@ -508,8 +508,8 @@ def _merge_config(args: argparse.Namespace, options: dict) -> dict:
     option table's defaults fill the rest.
 
     Each value must have its option's type; it is checked, not converted.
-    Float options must be finite and the seed nonnegative, wherever they
-    were set.
+    Float options must be finite, the seed nonnegative and the options of
+    ``OPTION_LIMITS`` within their limits, wherever they were set.
     """
     merged = {key: getattr(args, key) for key in options}
     if args.config:
@@ -532,6 +532,9 @@ def _merge_config(args: argparse.Namespace, options: dict) -> dict:
             raise ConfigError(f"option {key!r} must be finite, got {merged[key]!r}")
     if merged["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {merged['seed']}")
+    for key, limit in OPTION_LIMITS.items():
+        if key in options and merged[key] > limit:
+            raise ConfigError(f"--{key} must be <= {limit}, got {merged[key]}")
     return merged
 
 
@@ -657,9 +660,12 @@ def cmd_example_eval(cfg: dict, stack: contextlib.ExitStack) -> Table:
         raise ConfigError("example-eval needs --dataset")
     selectors = _parse_names(cfg["selectors"], "selector")
     data = parse_dataset_spec(cfg["dataset"])
-    n_values = _parse_n_range(cfg["sweep"], data.n_samples) if cfg["sweep"] else [cfg["n"]]
     if data.labels is None:
         raise ConfigError("example-eval needs a labeled dataset")
+    # each class holds its m x m distance and kernel matrices
+    largest = int(np.bincount(data.labels).max())
+    _check_size("--dataset", largest, largest)
+    n_values = _parse_n_range(cfg["sweep"], data.n_samples) if cfg["sweep"] else [cfg["n"]]
     model = parse_model_spec(cfg["model"], data, stack)
     bandwidth = None if cfg["bandwidth"] is None else float(cfg["bandwidth"])
     table = example_based.metrics_vs_n(data, model, selectors, n_values, bandwidth)
@@ -697,6 +703,11 @@ def cmd_mi(cfg: dict, stack: contextlib.ExitStack) -> Table:
 # ---------------------------------------------------------------------------
 
 _TEXT = (str, None, None)  # a text option without a default or help
+
+# Upper limits of the options that count a command's work: each --steps is one
+# gradient call (one round trip over exec:), each --runs one set of MI
+# estimates. A larger value is refused before any model is built.
+OPTION_LIMITS = {"steps": 100_000, "runs": 10_000}
 
 
 def _options(**options) -> dict:

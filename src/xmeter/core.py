@@ -17,6 +17,10 @@ GradientCapability = Literal["exact", "finite-difference", "none"]
 
 PROB_SUM_TOL = 1e-6
 CROSS_ENTROPY_CLIP = 1e-12
+# Entries in one block of an n²-sized pass (512 KB of doubles): the pairwise
+# distances of the MI estimators and of example-eval, the split search's prefix
+# class counts and the k-medoids pricing each hold a few such blocks at a time.
+BLOCK = 1 << 16
 
 
 class ContractViolation(ValueError):

@@ -8,6 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    BLOCK,
     ZERO_ONE,
     ContractViolation,
     LossFunction,
@@ -37,18 +38,37 @@ class ExampleSet:
 
 
 def pairwise_distances(X) -> np.ndarray:
-    """Dense Euclidean distance matrix between the rows of X."""
+    """Dense Euclidean distance matrix between the rows of X, bitwise symmetric.
+
+    Row blocks of the upper triangle, each at most ``BLOCK`` difference entries
+    (or one row), are reduced by ``einsum`` and copied, transposed, into the
+    lower triangle, so memory is the m x m result plus one block whatever the
+    width. An entry sums its squared differences in the same order as over a
+    full m x m x d difference tensor, and (x - y)² = (y - x)² exactly, so the
+    diagonal blocks are symmetric too.
+    """
     X = np.asarray(X, dtype=float)
-    diff = X[:, None, :] - X[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    m, d = X.shape
+    D = np.empty((m, m))
+    lo = 0
+    while lo < m:
+        hi = min(m, lo + max(1, BLOCK // ((m - lo) * d)))
+        diff = X[lo:hi, None, :] - X[None, lo:, :]
+        block = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        D[lo:hi, lo:] = block
+        D[lo:, lo:hi] = block.T
+        lo = hi
+    return D
 
 
 def median_bandwidth(D: np.ndarray) -> float:
     """Median off-diagonal entry of a distance matrix; falls back to 1 on degenerate data."""
     if len(D) < 2:
         return 1.0
-    # the entries above the diagonal, row by row, as np.triu_indices orders them
-    med = float(np.median(D[np.arange(len(D))[:, None] < np.arange(len(D))]))
+    # the entries above the diagonal, row by row, as np.triu_indices orders them;
+    # the mask made a copy, which the median may partition in place
+    upper = D[np.arange(len(D))[:, None] < np.arange(len(D))]
+    med = float(np.median(upper, overwrite_input=True))
     return med if med > 0.0 else 1.0
 
 
@@ -81,6 +101,19 @@ def diversity(examples: ExampleSet) -> float:
     return total / (2.0 * n)
 
 
+def _row_sums(D: np.ndarray, fill, buf: np.ndarray) -> np.ndarray:
+    """Row sums of an elementwise function of D, one row block of ``buf``'s
+    height at a time: ``fill(rows, out)`` writes the function of the rows of D
+    into ``out``. Each row is summed as a row of the whole m x m result would be."""
+    sums = np.empty(len(D))
+    for lo in range(0, len(D), len(buf)):
+        rows = D[lo:lo + len(buf)]
+        out = buf[:len(rows)]
+        fill(rows, out)
+        out.sum(axis=1, out=sums[lo:lo + len(rows)])
+    return sums
+
+
 def select_kmedoids(D: np.ndarray, n: int) -> list[int]:
     """PAM on distance matrix D: greedy BUILD then best-improvement SWAP passes
     (at most 100); returns the sorted row indices of the n medoids.
@@ -88,18 +121,21 @@ def select_kmedoids(D: np.ndarray, n: int) -> list[int]:
     Deterministic: ties always resolve to the lowest candidate index. D must be
     bitwise symmetric, as ``pairwise_distances`` returns it: a swap's cost is
     summed over row ``cand`` rather than column ``cand``, which then adds the
-    same floats in the same order.
+    same floats in the same order. Candidates are priced in row blocks of about
+    ``BLOCK`` entries through one reused buffer, never an m x m temporary.
     """
     m = len(D)
     if n == m:
         return list(range(m))
+    buf = np.empty((min(m, max(1, BLOCK // m)), m))
 
     # BUILD: start from the point with the lowest total distance, then add the
     # candidate with the largest reduction of assignment cost.
     medoids = [int(np.argmin(D.sum(axis=1)))]
     while len(medoids) < n:
         nearest = D[:, medoids].min(axis=1)
-        savings = np.maximum(nearest[None, :] - D, 0.0).sum(axis=1)
+        savings = _row_sums(D, lambda rows, out: np.maximum(
+            np.subtract(nearest, rows, out=out), 0.0, out=out), buf)
         savings[medoids] = -np.inf
         medoids.append(int(np.argmax(savings)))
 
@@ -114,7 +150,8 @@ def select_kmedoids(D: np.ndarray, n: int) -> list[int]:
         for pos in range(len(medoids)):
             others = medoids[:pos] + medoids[pos + 1:]
             r = D[others].min(axis=0) if others else np.full(m, np.inf)
-            for cand, c in enumerate(np.minimum(D, r).sum(axis=1).tolist()):
+            costs = _row_sums(D, lambda rows, out: np.minimum(rows, r, out=out), buf)
+            for cand, c in enumerate(costs.tolist()):
                 if cand in taken:
                     continue
                 if c < best_cost - 1e-12:

@@ -15,12 +15,9 @@ from scipy.spatial.distance import cdist
 from scipy.special import digamma
 
 from .bench import _grow
-from .core import ContractViolation, TabularDataset
+from .core import BLOCK, ContractViolation, TabularDataset
 
 JITTER_SCALE = 1e-10
-# Entries in one block of pairwise distances (1 MB of doubles): the k-NN
-# estimators hold a few such blocks at a time, whatever the sample count.
-BLOCK = 1 << 17
 
 ExtractorKind = str  # "identity" | "random-ood" | "entropy-discretizer"
 

@@ -75,6 +75,52 @@ def mmd_squared(prototypes, data_points, bandwidth: float) -> float:
     return float(kernel(P, P).mean() - 2.0 * kernel(P, X).mean() + kernel(X, X).mean())
 
 
+def reference_pairwise_distances(X) -> np.ndarray:
+    """Reference Euclidean distance matrix, reduced from the whole m x m x d
+    tensor of row differences."""
+    X = np.asarray(X, dtype=float)
+    diff = X[:, None, :] - X[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def reference_median_bandwidth(D) -> float:
+    """Reference median bandwidth: the median of a copy of the upper triangle,
+    or 1 when there is none or it is not positive."""
+    if len(D) < 2:
+        return 1.0
+    med = float(np.median(D[np.triu_indices(len(D), k=1)]))
+    return med if med > 0.0 else 1.0
+
+
+def reference_full_matrix_kmedoids(D, n: int) -> list[int]:
+    """Reference PAM that prices every BUILD and SWAP candidate from one m x m
+    temporary: the rows the blocked selector must sum the same way."""
+    m = len(D)
+    if n == m:
+        return list(range(m))
+    medoids = [int(np.argmin(D.sum(axis=1)))]
+    while len(medoids) < n:
+        nearest = D[:, medoids].min(axis=1)
+        savings = np.maximum(nearest[None, :] - D, 0.0).sum(axis=1)
+        savings[medoids] = -np.inf
+        medoids.append(int(np.argmax(savings)))
+    for _ in range(100):
+        cost = D[:, medoids].min(axis=1).sum()
+        best_swap = None
+        best_cost = cost - 1e-12
+        for pos in range(len(medoids)):
+            others = medoids[:pos] + medoids[pos + 1:]
+            r = D[others].min(axis=0) if others else np.full(m, np.inf)
+            for cand, c in enumerate(np.minimum(D, r).sum(axis=1).tolist()):
+                if cand not in medoids and c < best_cost - 1e-12:
+                    best_cost = c
+                    best_swap = (pos, cand)
+        if best_swap is None:
+            break
+        medoids[best_swap[0]] = best_swap[1]
+    return sorted(medoids)
+
+
 def reference_kmedoids(D, n: int) -> list[int]:
     """Reference PAM: the selector's BUILD, then best-improvement SWAP passes
     that price every (medoid, candidate) exchange one at a time."""

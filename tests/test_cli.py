@@ -410,7 +410,20 @@ BAD_INPUTS = {
     "synth-n-too-big": ["example-eval", "--dataset", f"synth:n={10 ** 20}"],
     "synth-features-too-big": ["example-eval", "--dataset", f"synth:n=60,features={10 ** 20}"],
     "sweep-end-too-big": ["example-eval", "--dataset", "synth:n=60", "--sweep", f"1..{10 ** 20}"],
+    # one class whose m x m distance matrix (182 TiB) numpy refuses
+    "class-beyond-memory": ["example-eval",
+                            "--dataset", "synth:n=5000000,features=1,classes=1"],
+    # counts of model calls or estimates above their limits
+    "steps-above-limit": ["attr-eval", "--model", "park", "--point", PARK_POINT,
+                          "--methods", "intgrad", "--steps", "100001"],
+    "runs-above-limit": ["mi", "--dataset", "synth:preset=mi,seed=0", "--runs", "10001"],
 }
+
+
+# the option that the error message of a size or work limit names
+NAMED_OPTION = {"n-mc-too-big": "--n-mc", "n-mc-beyond-memory": "--n-mc",
+                "pt-n-too-big": "--pt-n", "class-beyond-memory": "--dataset",
+                "steps-above-limit": "--steps", "runs-above-limit": "--runs"}
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
@@ -433,6 +446,7 @@ def test_bad_input_is_config_error(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG
     assert "Traceback" not in captured.err
+    assert NAMED_OPTION.get(name, "") in captured.err
     assert captured.out == ""
 
 
@@ -509,7 +523,7 @@ def _commands(draw):
             "loss": (st.sampled_from(["zero-one", "squared-error", "cross-entropy"]),) * 2,
             "epsilon": (_floats(1e-4, 1), wild_float),
             "zero-tolerance": (_floats(0, 1e-3), wild_float),
-            "steps": (_ints(1, 4), _ints(-1, 0)),
+            "steps": (_ints(1, 4), st.one_of(_ints(-1, 0), _ints(100_001, 10 ** 9), _HUGE)),
             "uniform": (st.just("-1,2"), st.lists(wild_float, max_size=3).map(_csv)),
             "pt": (st.one_of(st.just("ec"), _ints(1, arity)), _ints(-1, 40)),
             "pt-n": (_ints(1, 30), st.one_of(_ints(-1, 0), _HUGE)), "seed": seed})
@@ -521,7 +535,8 @@ def _commands(draw):
             "bandwidth": (_floats(0.1, 5), wild_float), "seed": seed})
     else:
         argv += [f"--model={model}"] if draw(st.booleans()) else []
-        argv += ["--runs=1"] + options({
+        runs = pick(st.just("1"), st.one_of(_ints(-1, 0), _ints(10_001, 10 ** 9), _HUGE))
+        argv += [f"--runs={runs}"] + options({
             "extractors": (_subset(["identity", "random-ood", "entropy"]), st.just("x")),
             "k": (_ints(1, 4), _ints(-1, 0)), "ood-count": (_ints(1, width), _ints(-1, 40)),
             "ood-value": (_floats(-20, 20), wild_float), "max-depth": (_ints(1, 3), _ints(-1, 0)),

@@ -1,12 +1,13 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xmeter import bench, example_based
-from xmeter.core import ContractViolation, TabularDataset, ZERO_ONE
+from xmeter.core import BLOCK, ContractViolation, TabularDataset, ZERO_ONE
 from xmeter.example_based import (
     SELECTORS,
     ExampleSet,
@@ -20,7 +21,14 @@ from xmeter.example_based import (
     select_mmd_critic,
     select_protodash,
 )
-from conftest import mmd_squared, reference_kmedoids, reference_mmd_critic
+from conftest import (
+    mmd_squared,
+    reference_full_matrix_kmedoids,
+    reference_kmedoids,
+    reference_median_bandwidth,
+    reference_mmd_critic,
+    reference_pairwise_distances,
+)
 
 
 def label_model(fn, arity):
@@ -136,6 +144,45 @@ class TestSelectorsMatchReference:
         assert np.array_equal(D, D.T)
 
 
+@st.composite
+def classes(draw):
+    """One class's rows: m in 1..600, d in 1..12, a scale in 1e-3..1e3, and
+    optionally rows resampled with replacement, so duplicates occur."""
+    m, d = draw(st.integers(1, 600)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.normal(size=(m, d)) * draw(st.floats(1e-3, 1e3))
+    return X[rng.integers(0, m, size=m)] if draw(st.booleans()) else X
+
+
+class TestBlockedPassesMatchTheFullMatrixReferences:
+    @settings(max_examples=30, deadline=None)
+    @given(classes())
+    @example(np.ones((1, 3)))
+    @example(np.arange(600 * 12, dtype=float).reshape(600, 12) % 7)
+    def test_distances_bandwidth_and_medoids_are_bitwise_the_references(self, X):
+        D = pairwise_distances(X)
+        assert np.array_equal(D.view(np.uint64), reference_pairwise_distances(X).view(np.uint64))
+        assert np.array_equal(D.view(np.uint64), D.T.view(np.uint64))
+        assert median_bandwidth(D) == reference_median_bandwidth(D)
+        for n in range(1, min(len(X), 6) + 1):
+            assert select_kmedoids(D, n) == reference_full_matrix_kmedoids(D, n)
+
+    def test_a_class_costs_its_two_matrices_whatever_the_width(self):
+        # D and K, plus a few blocks: the m x m x d difference tensor would be 8 m²
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(500, 8))
+        model = bench.fit_decision_tree(TabularDataset(X, (X[:, 0] > 0).astype(int)),
+                                        max_depth=3).as_model_handle()
+        example_based._class_metrics(X[:20], 0, model, list(SELECTORS), [2, 4], None)  # warm-up
+        tracemalloc.start()
+        try:
+            example_based._class_metrics(X, 0, model, list(SELECTORS), [2, 4], None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * len(X) ** 2 + 4 * BLOCK) * 8
+
+
 class TestKernel:
     def test_gram_matrices_positive_semidefinite(self):
         rng = np.random.default_rng(8)
@@ -150,9 +197,7 @@ class TestKernel:
         rng = np.random.default_rng(n)
         for X in (rng.normal(size=(n, 4)), rng.integers(0, 3, size=(n, 2)).astype(float)):
             D = pairwise_distances(X)
-            iu = np.triu_indices(n, k=1)
-            expected = float(np.median(D[iu])) if iu[0].size else 1.0
-            assert median_bandwidth(D) == (expected if expected > 0.0 else 1.0)
+            assert median_bandwidth(D) == reference_median_bandwidth(D)
 
     def test_median_bandwidth_positive(self):
         rng = np.random.default_rng(9)
