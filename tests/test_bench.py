@@ -360,9 +360,10 @@ class TestSplitSweep:
         assert tree_shape(bench._grow(X, y, n_classes, max_depth, impurity)) == \
             reference_tree(X, y, n_classes, max_depth, impurity)
 
-    @pytest.mark.parametrize("block", [1, 7, bench.BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, 1 << 17])
     def test_column_blocks_do_not_change_the_tree(self, block, monkeypatch):
-        # 3 classes x 40 rows: a block of 1 or 7 entries scores one column at a time
+        # 3 classes x 40 rows: a block of 1 or 7 entries scores one column at a time,
+        # one of 2^17 (above core.BLOCK) scores every column in one block
         data = bench.synth_tabular(bench.SynthSpec(n_samples=40, n_features=4, n_classes=3,
                                                    separation=1.0), seed=2)
         monkeypatch.setattr(bench, "BLOCK", block)
