@@ -10,7 +10,7 @@ picks and adds the perturbation test at each method's effective complexity.
 import argparse
 import sys
 
-from xmeter import bench
+from xmeter import bench, park
 from xmeter.cli import main as xmeter
 
 
@@ -23,7 +23,7 @@ def main():
     parser.add_argument("--pt-n", type=int, default=500)
     args = parser.parse_args()
     common = ["--n-mc", str(args.n_mc), "--seed", str(args.seed)]
-    point = ",".join(map(repr, bench.PARK_POINT))
+    point = ",".join(map(repr, park.PARK_POINT))
     code = xmeter(["attr-eval", "--model", "park", "--point", point,
                    "--epsilon", repr(args.epsilon)] + common)
     if code:

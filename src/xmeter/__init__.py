@@ -6,8 +6,9 @@ and diversity for example-based explanations, and restriction-loss metrics
 (monotonicity, non-sensitivity, complexity, effective complexity) for feature
 attributions. The API lives in the submodules (``xmeter.core``,
 ``xmeter.attr_metrics``, ``xmeter.mi``, ``xmeter.example_based``,
-``xmeter.bench``); the package root imports none of them, so a process that
-needs one module, such as ``python -m xmeter.model_server``, loads only that.
+``xmeter.bench``, ``xmeter.park``); the package root imports none of them, so
+a process that needs one module loads only that: ``python -m
+xmeter.model_server`` loads ``core`` and ``park``.
 """
 
 __version__ = "0.1.0"

@@ -62,16 +62,44 @@ def _restriction_losses(model: ModelHandle, x_star: np.ndarray, y_ref, resample:
     return evaluate_loss_batch(loss, y_ref, batch_predictions(model, X, loss))
 
 
-def restriction_loss_vector(model: ModelHandle, x_star, cfg: ExpectationConfig) -> np.ndarray:
+class _RestrictionPasses:
+    """The restriction passes of one explained point under one configuration.
+
+    f(x*) is predicted once, and each joint-resampling prefix loss is computed
+    once per ``(k, resampled set)``: with the model, x*, distribution, loss and
+    sample count fixed, an equal key draws the same rows from the same stream
+    ``[seed, 7, k]`` and gives the same mean.
+    """
+
+    def __init__(self, model: ModelHandle, x_star: np.ndarray, cfg: ExpectationConfig):
+        if cfg.distribution.arity != model.arity:
+            raise ContractViolation("distribution arity does not match the model")
+        self.model, self.x_star, self.cfg = model, x_star, cfg
+        self.y_ref = batch_predictions(model, x_star[None, :], cfg.loss)[0]
+        self._prefix_losses: dict[tuple[int, tuple[int, ...]], float] = {}
+
+    def mean_loss(self, resample: list[int], stream: tuple[int, ...]) -> float:
+        """Mean loss of n rows resampling ``resample`` from stream ``[seed, *stream]``."""
+        cfg = self.cfg
+        return float(np.mean(_restriction_losses(
+            self.model, self.x_star, self.y_ref, resample, cfg.distribution, cfg.loss,
+            cfg.n_mc_samples, np.random.default_rng([cfg.seed, *stream]))))
+
+    def prefix_loss(self, k: int, rest: list[int]) -> float:
+        """Loss with the top-k clamped and ``rest`` resampled jointly (stream ``[seed, 7, k]``)."""
+        key = (k, tuple(rest))
+        if key not in self._prefix_losses:
+            self._prefix_losses[key] = self.mean_loss(rest, (7, k))
+        return self._prefix_losses[key]
+
+
+def restriction_loss_vector(model: ModelHandle, x_star, cfg: ExpectationConfig,
+                            _passes: _RestrictionPasses | None = None) -> np.ndarray:
     """e_i = E[l(f(x*), f_i(X_i)) | x*_{-i}]: resample feature i (stream
-    ``[seed, 3, i]``), clamp the rest at x*; f(x*) is predicted once."""
-    x_star = np.asarray(x_star, dtype=float)
-    if cfg.distribution.arity != model.arity:
-        raise ContractViolation("distribution arity does not match the model")
-    y_ref = batch_predictions(model, x_star[None, :], cfg.loss)[0]
-    return np.array([np.mean(_restriction_losses(
-        model, x_star, y_ref, [i], cfg.distribution, cfg.loss, cfg.n_mc_samples,
-        np.random.default_rng([cfg.seed, 3, i]))) for i in range(model.arity)])
+    ``[seed, 3, i]``), clamp the rest at x*; f(x*) is predicted once, or taken
+    from ``_passes``, the report's shared passes at this point."""
+    passes = _passes or _RestrictionPasses(model, np.asarray(x_star, dtype=float), cfg)
+    return np.array([passes.mean_loss([i], (3, i)) for i in range(model.arity)])
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -149,28 +177,25 @@ class EffectiveComplexityResult:
 
 
 def effective_complexity_detail(attr: AttributionVector, model: ModelHandle,
-                                epsilon: float, cfg: ExpectationConfig) -> EffectiveComplexityResult:
+                                epsilon: float, cfg: ExpectationConfig,
+                                _passes: _RestrictionPasses | None = None
+                                ) -> EffectiveComplexityResult:
     """Smallest k whose top-k clamp keeps the joint-resampling loss below epsilon.
 
     All non-top-k coordinates are resampled jointly (marginally independent
     draws), the top-k stay clamped at the explained point. If no prefix
-    reaches the tolerance the result saturates at the full arity.
+    reaches the tolerance the result saturates at the full arity. ``_passes``,
+    the report's shared passes at this point, supplies f(x*) and the prefix
+    losses other attributions of the point already computed.
     """
     if epsilon <= 0:
         raise ContractViolation("epsilon must be positive")
-    if cfg.distribution.arity != model.arity:
-        raise ContractViolation("distribution arity does not match the model")
-    y_ref = batch_predictions(model, attr.point[None, :], cfg.loss)[0]
+    passes = _passes or _RestrictionPasses(model, attr.point, cfg)
     order = importance_order(attr.values)
     losses: list[float] = []
     for k in range(1, attr.arity + 1):
         rest = sorted(order[k:])
-        if rest:
-            loss = float(np.mean(_restriction_losses(
-                model, attr.point, y_ref, rest, cfg.distribution, cfg.loss, cfg.n_mc_samples,
-                np.random.default_rng([cfg.seed, 7, k]))))
-        else:
-            loss = 0.0
+        loss = passes.prefix_loss(k, rest) if rest else 0.0
         losses.append(loss)
         if loss < epsilon:
             return EffectiveComplexityResult(k=k, saturated=False, losses=tuple(losses))
@@ -207,17 +232,20 @@ def attribution_report(attrs: Sequence[AttributionVector], model: ModelHandle,
     """JSON-ready metric entries for attributions of one explained point, in order.
 
     The restriction losses e depend only on the model, the point and the
-    sampling distribution, so one e-vector serves every attribution.
+    sampling distribution, so one e-vector serves every attribution. One set
+    of passes serves them all: f(x*) is predicted once, and a prefix that two
+    attributions share (same k, same resampled set) is estimated once.
     """
     if not attrs:
         return []
     x_star = attrs[0].point
     if any(not np.array_equal(attr.point, x_star) for attr in attrs):
         raise ContractViolation("the attributions explain different points")
-    e = restriction_loss_vector(model, x_star, cfg)
+    passes = _RestrictionPasses(model, x_star, cfg)
+    e = restriction_loss_vector(model, x_star, cfg, passes)
     entries = []
     for attr in attrs:
-        ec = effective_complexity_detail(attr, model, epsilon, cfg)
+        ec = effective_complexity_detail(attr, model, epsilon, cfg, passes)
         entries.append({
             "method": attr.method,
             "complexity": complexity(attr),

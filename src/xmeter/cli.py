@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attr_metrics, attr_methods, bench, example_based
+from . import attr_metrics, attr_methods, bench, example_based, park
 from .core import (
     PROB_SUM_TOL,
     ContractViolation,
@@ -46,6 +46,12 @@ STOP_TIMEOUT = 2.0
 # child's time per request, which PROTOCOL_TIMEOUT limits, stays bounded
 # however many rows a batch holds.
 BATCH_ROWS = 1000
+# Characters read of one line from a child; a longer reply fails the protocol
+# and a longer stderr line is cut. A BATCH_ROWS-row probs reply with 1000
+# classes at 25 characters per probability is 25 M characters.
+LINE_CAP = 1 << 25
+# Queued by the stdout pump in place of a line longer than LINE_CAP.
+_OVERLONG = object()
 
 
 class ConfigError(ValueError):
@@ -115,18 +121,26 @@ class ExternalModel:
             raise
 
     # Each pump closes its stream at EOF: no other thread reads it, and
-    # closing a stream while a thread reads it is unsafe.
+    # closing a stream while a thread reads it is unsafe. Lines are read at
+    # most LINE_CAP characters at a time, so a child that never ends a line
+    # cannot grow the driver's memory.
     def _pump_stdout(self):
         with self._proc.stdout as stream:
-            for line in stream:
+            for line in iter(lambda: stream.readline(LINE_CAP), ""):
+                if not line.endswith("\n") and len(line) == LINE_CAP:
+                    self._lines.put(_OVERLONG)  # stop reading; the request fails
+                    return
                 self._lines.put(line)
         self._lines.put(None)
 
     def _pump_stderr(self):
         with self._proc.stderr as stream:
-            for line in stream:
-                self._stderr.append(line.rstrip("\n"))
-                del self._stderr[:-50]
+            cut = False  # inside a line longer than LINE_CAP, past its kept start
+            for line in iter(lambda: stream.readline(LINE_CAP), ""):
+                if not cut:
+                    self._stderr.append(line.rstrip("\n"))
+                    del self._stderr[:-50]
+                cut = not line.endswith("\n")
 
     def _stderr_tail(self) -> str:
         return "\n".join(self._stderr[-10:]) or "<no stderr output>"
@@ -152,6 +166,10 @@ class ExternalModel:
                 self._fail(f"no response within {self.timeout} s; child stopped")
             if line is None:
                 self._fail("child closed its output stream")
+            if line is _OVERLONG:
+                self._kill()
+                self._fail(f"response line longer than LINE_CAP = {LINE_CAP} characters; "
+                           "child stopped")
         try:
             response = json.loads(line)
         except json.JSONDecodeError:
@@ -383,8 +401,11 @@ def _tokens_seed(spec: str) -> int:
     return seed
 
 
-def parse_dataset_spec(spec: str) -> TabularDataset:
-    """A CSV path, 'synth:...' generator options, or 'tokens:seed=N'."""
+def parse_dataset_spec(spec: str, class_matrices: bool = False) -> TabularDataset:
+    """A CSV path, 'synth:...' generator options, or 'tokens:seed=N'. With
+    ``class_matrices`` (example-eval, which holds an m x m matrix per class), a
+    synth spec whose largest class's matrix numpy refuses is a config error
+    before any row is generated."""
     if spec.startswith("synth:"):
         kv = _parse_kv(spec[len("synth:"):])
         seed = _parse_int(kv.pop("seed", "0"), "synth seed", minimum=0)
@@ -412,6 +433,9 @@ def parse_dataset_spec(spec: str) -> TabularDataset:
         if kv:
             raise ConfigError(f"unknown synth keys: {sorted(kv)}")
         _check_size("synth n and features", gen.n_samples, gen.n_features)
+        if class_matrices:
+            largest = -(-gen.n_samples // gen.n_classes)
+            _check_size("--dataset", largest, largest)
         return bench.synth_tabular(gen, seed)
     if spec.startswith("tokens:"):
         return bench.token_benchmark(_tokens_seed(spec))[0]
@@ -423,7 +447,7 @@ def parse_model_spec(spec: str, data: TabularDataset | None,
     """The model a spec names; an ``exec:`` child is entered into ``stack``,
     whose closing stops it."""
     if spec == "park":
-        return bench.park_model()
+        return park.park_model()
     if spec == "tree" or spec.startswith("tree:"):
         depth = _parse_int(spec.split(":", 1)[1], "tree depth") if ":" in spec else 5
         if data is None:
@@ -659,7 +683,7 @@ def cmd_example_eval(cfg: dict, stack: contextlib.ExitStack) -> Table:
     if not cfg["dataset"]:
         raise ConfigError("example-eval needs --dataset")
     selectors = _parse_names(cfg["selectors"], "selector")
-    data = parse_dataset_spec(cfg["dataset"])
+    data = parse_dataset_spec(cfg["dataset"], class_matrices=True)
     if data.labels is None:
         raise ConfigError("example-eval needs a labeled dataset")
     # each class holds its m x m distance and kernel matrices

@@ -26,8 +26,8 @@ import sys
 
 import numpy as np
 
-from .bench import park_model
 from .core import ModelHandle
+from .park import park_model
 
 
 def echo_model(arity: int) -> ModelHandle:

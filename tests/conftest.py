@@ -1,19 +1,26 @@
 import numpy as np
 import pytest
 
-from xmeter import bench
-from xmeter.core import FeatureDistribution, SQUARED_ERROR
-from xmeter.attr_metrics import ExpectationConfig, importance_order
+from xmeter import park as park_module
+from xmeter.core import FeatureDistribution, SQUARED_ERROR, batch_predictions, evaluate_loss_batch
+from xmeter.attr_metrics import (
+    ExpectationConfig,
+    complexity,
+    importance_order,
+    monotonicity,
+    non_sensitivity,
+    restriction_loss_vector,
+)
 
 
 @pytest.fixture(scope="session")
 def park():
-    return bench.park_model()
+    return park_module.park_model()
 
 
 @pytest.fixture(scope="session")
 def park_point():
-    return np.asarray(bench.PARK_POINT)
+    return np.asarray(park_module.PARK_POINT)
 
 
 @pytest.fixture
@@ -216,3 +223,41 @@ def reference_perturbation_test(attr, model, k: int, corpus, n_perturbations: in
             X[:, j] = col[rng.integers(0, col.size, size=n_perturbations)]
     label_star = model.predict_labels(attr.point[None, :])[0]
     return float(np.mean(model.predict_labels(X) == label_star))
+
+
+def reference_attribution_report(attrs, model, epsilon: float, cfg) -> list[dict]:
+    """Reference report without shared passes: one e-vector, then each
+    attribution's effective-complexity search on its own, predicting its own
+    f(x*) and running every prefix pass (top-k clamped, the rest resampled
+    jointly on stream ``[seed, 7, k]``) even where another search ran it."""
+    e = restriction_loss_vector(model, attrs[0].point, cfg)
+    entries = []
+    for attr in attrs:
+        y_ref = batch_predictions(model, attr.point[None, :], cfg.loss)[0]
+        order = importance_order(attr.values)
+        for k in range(1, attr.arity + 1):
+            rest = sorted(order[k:])
+            loss = 0.0
+            if rest:
+                X = np.tile(attr.point, (cfg.n_mc_samples, 1))
+                X[:, rest] = cfg.distribution.sample_matrix(
+                    rest, cfg.n_mc_samples, np.random.default_rng([cfg.seed, 7, k]))
+                loss = float(np.mean(evaluate_loss_batch(
+                    cfg.loss, y_ref, batch_predictions(model, X, cfg.loss))))
+            if loss < epsilon:
+                break
+        entries.append({
+            "method": attr.method,
+            "complexity": complexity(attr),
+            "monotonicity": monotonicity(attr, e),
+            "non_sensitivity": non_sensitivity(attr, e, cfg.zero_tolerance),
+            "effective_complexity": k,
+            "ec_saturated": loss >= epsilon,
+            "epsilon": epsilon,
+            "e_vector": [float(v) for v in e],
+            "n_mc_samples": cfg.n_mc_samples,
+            "zero_tolerance": cfg.zero_tolerance,
+            "loss": cfg.loss.kind,
+            "seed": cfg.seed,
+        })
+    return entries

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,10 +33,16 @@ from xmeter.core import (
     UndefinedCorrelation,
     ZERO_ONE,
 )
-from conftest import constant_model, park_value, reference_perturbation_test
+from xmeter.park import PARK_POINT
+from conftest import (
+    constant_model,
+    park_value,
+    reference_attribution_report,
+    reference_perturbation_test,
+)
 
 
-def quad_restriction_loss(i, point=bench.PARK_POINT):
+def quad_restriction_loss(i, point=PARK_POINT):
     """Independent 1-D quadrature of E[(f_i(t) - f(x*))^2] over [0, 1)."""
     f_star = park_value(point)
 
@@ -354,6 +362,17 @@ class TestAttributionReport:
         e = original(park, park_point, park_cfg)
         assert all(entry["e_vector"] == e.tolist() for entry in entries)
         assert attribution_report([], park, 0.01, park_cfg) == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("epsilon", [0.001, 0.01, 0.1])
+    def test_equals_the_unshared_reference(self, park, park_point, seed, epsilon):
+        cfg = ExpectationConfig(distribution=FeatureDistribution.uniform(6), loss=SQUARED_ERROR,
+                                n_mc_samples=200, seed=seed)
+        attrs = [compute_attribution(m, park, park_point, seed=seed)
+                 for m in ("saliency", "inpxgrad", "intgrad", "random")]
+        attrs.append(random_attribution(park_point, seed=seed + 1))
+        assert json.dumps(attribution_report(attrs, park, epsilon, cfg)) == \
+            json.dumps(reference_attribution_report(attrs, park, epsilon, cfg))
 
     def test_attributions_of_different_points_rejected(self, park, park_point, park_cfg):
         other = np.asarray(park_point) + 0.01

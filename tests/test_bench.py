@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 from xmeter import bench, mi
 from xmeter.core import ContractViolation, TabularDataset, gradient
 from xmeter.mi import estimate_mi
+from xmeter.park import PARK_POINT, DomainWarning, park_batch, park_gradient
 from conftest import park_value
 
 
 class TestParkFunction:
     def test_value_at_origin(self):
-        assert bench.park_batch(np.zeros((1, 6)))[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert park_batch(np.zeros((1, 6)))[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_value_at_reference_point(self):
-        assert bench.park_batch([bench.PARK_POINT])[0] == \
+        assert park_batch([PARK_POINT])[0] == \
             pytest.approx(1.4037478044875842, abs=1e-12)
 
     def test_against_string_parsed_expression(self):
@@ -28,13 +29,13 @@ class TestParkFunction:
         rng = np.random.default_rng(101)
         X = rng.uniform(0, 1, size=(1000, 6))
         reference = f(*(X[:, i] for i in range(6)))
-        np.testing.assert_allclose(bench.park_batch(X), reference, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(park_batch(X), reference, atol=1e-12, rtol=0)
 
     def test_gradient_matches_finite_differences(self, park):
         rng = np.random.default_rng(5)
         for _ in range(1000):
             x = rng.uniform(0.01, 0.99, size=6)
-            exact = bench.park_gradient(x)
+            exact = park_gradient(x)
             fd = np.empty(6)
             for i in range(6):
                 h = 1e-6
@@ -48,11 +49,11 @@ class TestParkFunction:
         rng = np.random.default_rng(9)
         for _ in range(50):
             x = rng.uniform(0, 1, size=6)
-            g = bench.park_gradient(x)
+            g = park_gradient(x)
             assert g[4] == 0.0 and g[5] == 0.0
 
     def test_domain_warning_outside_unit_box(self, park):
-        with pytest.warns(bench.DomainWarning):
+        with pytest.warns(DomainWarning):
             y = park.predict([1.5, 0, 0, 0, 0, 0])
         assert np.isfinite(y)
 

@@ -17,7 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import xmeter.park
 from xmeter import bench, model_server
+from xmeter.attr_methods import compute_attribution
 from xmeter.cli import (
     BATCH_ROWS,
     COMMANDS,
@@ -34,7 +36,7 @@ from xmeter.cli import (
     parse_dataset_spec,
 )
 from xmeter.core import ContractViolation, ModelHandle
-from conftest import park_value
+from conftest import park_value, reference_attribution_report
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -98,6 +100,22 @@ class TestAttrEvalCommand:
         assert run_cli(PARK_ARGS + ["--seed", "3", "--out", out_b], capsys)[0] == EXIT_OK
         assert Path(out_a + ".json").read_bytes() == Path(out_b + ".json").read_bytes()
         assert Path(out_a + ".csv").read_bytes() == Path(out_b + ".csv").read_bytes()
+
+    def test_token_report_equals_the_unshared_reference(self, monkeypatch, capsys):
+        # probs output and zero-one loss, with the perturbation test at each
+        # method's effective complexity: sharing passes changes no byte
+        from xmeter import attr_metrics
+
+        data, model = bench.token_benchmark(0)
+        x_star = data.features[bench.choose_explained_point(data, model)]
+        args = ["attr-eval", "--model", "tokens:seed=0", "--dataset", "tokens:seed=0",
+                "--methods", "saliency,inpxgrad,intgrad,random",
+                "--point", ",".join(map(repr, x_star.tolist())), "--epsilon", "0.02",
+                "--pt", "ec", "--pt-n", "200", "--n-mc", "200"]
+        shared = run_cli(args, capsys)
+        assert shared[0] == EXIT_OK
+        monkeypatch.setattr(attr_metrics, "attribution_report", reference_attribution_report)
+        assert run_cli(args, capsys) == shared
 
     def test_csv_round_trips_against_json(self, tmp_path, capsys):
         out = str(tmp_path / "rt")
@@ -420,6 +438,9 @@ BAD_INPUTS = {
 }
 
 
+# synth specs refused for their size before any row is generated
+NOT_GENERATED = {"synth-n-too-big", "synth-features-too-big", "class-beyond-memory"}
+
 # the option that the error message of a size or work limit names
 NAMED_OPTION = {"n-mc-too-big": "--n-mc", "n-mc-beyond-memory": "--n-mc",
                 "pt-n-too-big": "--pt-n", "class-beyond-memory": "--dataset",
@@ -427,7 +448,10 @@ NAMED_OPTION = {"n-mc-too-big": "--n-mc", "n-mc-beyond-memory": "--n-mc",
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
-def test_bad_input_is_config_error(name, tmp_path, capsys):
+def test_bad_input_is_config_error(name, tmp_path, capsys, monkeypatch):
+    generated = []
+    synth = bench.synth_tabular
+    monkeypatch.setattr(bench, "synth_tabular", lambda *a: generated.append(a) or synth(*a))
     args = list(BAD_INPUTS[name])
     if name == "config-json":
         path = tmp_path / "cfg.json"
@@ -448,6 +472,7 @@ def test_bad_input_is_config_error(name, tmp_path, capsys):
     assert "Traceback" not in captured.err
     assert NAMED_OPTION.get(name, "") in captured.err
     assert captured.out == ""
+    assert not (name in NOT_GENERATED and generated)
 
 
 # The property below draws commands from these. Every value is one argparse
@@ -629,8 +654,8 @@ class TestExternalModelAdapter:
             for _ in range(100):
                 x = rng.uniform(0, 1, size=6)
                 assert handle.predict(x) == pytest.approx(park.predict(x), abs=1e-9)
-            g = handle.gradient_fn(np.asarray(bench.PARK_POINT), None)
-            assert g == pytest.approx(bench.park_gradient(bench.PARK_POINT), abs=1e-9)
+            g = handle.gradient_fn(np.asarray(xmeter.park.PARK_POINT), None)
+            assert g == pytest.approx(xmeter.park.park_gradient(xmeter.park.PARK_POINT), abs=1e-9)
 
     def test_garbage_child_raises_protocol_error(self):
         with pytest.raises(ModelProtocolError):
@@ -779,7 +804,8 @@ class TestExternalModelAdapter:
                 child.predict(X)
 
     def test_one_restriction_pass_per_point(self, monkeypatch, capsys):
-        """e is estimated once for all judged methods, f(x*) once per estimate pass."""
+        """e is estimated once for all judged methods, f(x*) is predicted once per
+        report, and each distinct prefix (k, resampled set) is one pass."""
         from xmeter import attr_metrics
 
         passes = []
@@ -790,12 +816,21 @@ class TestExternalModelAdapter:
         _, batched = park_run_requests(monkeypatch, capsys, batch=True)
         assert len(passes) == 2  # one per run
         metrics = json.loads(out)["metrics"]
-        # prefixes 1..k of each effective-complexity search; the full prefix has no rest
-        prefixes = sum(min(entry["effective_complexity"], 5) for entry in metrics.values())
-        f_star = 1 + len(metrics)  # one for e, one per effective-complexity search
-        assert per_row["predict"] == 6 * 100 + prefixes * 100 + f_star
-        # one request per restriction batch, prefix batch and f(x*)
-        assert batched["predict_batch"] == 6 + prefixes + f_star
+        park = xmeter.park.park_model()
+        point = np.array(PARK_POINT.split(","), dtype=float)
+        searched, distinct = 0, set()
+        for method, entry in metrics.items():
+            order = attr_metrics.importance_order(
+                compute_attribution(method, park, point, seed=0).values)
+            # prefixes 1..k of the search; the full prefix has no rest
+            prefixes = [(k, tuple(sorted(order[k:])))
+                        for k in range(1, min(entry["effective_complexity"], 5) + 1)]
+            searched += len(prefixes)
+            distinct.update(prefixes)
+        assert len(distinct) < searched  # the methods share some prefixes here
+        assert per_row["predict"] == 1 + 6 * 100 + len(distinct) * 100
+        # one request for f(x*), per restriction batch and per distinct prefix
+        assert batched["predict_batch"] == 1 + 6 + len(distinct)
         assert "predict_batch" not in per_row and "predict" not in batched
         for requests in (per_row, batched):
             assert requests["gradient"] == 1 + 1 + 64  # saliency, inpxgrad, intgrad
@@ -849,6 +884,29 @@ class TestExternalModelAdapter:
         assert len(children) == 1
         assert children[0]._proc.poll() is not None
 
+    def test_reply_line_longer_than_the_cap_is_a_protocol_error(self, monkeypatch, capsys):
+        monkeypatch.setattr("xmeter.cli.LINE_CAP", 200)
+        info = '{"arity": 2, "output": "scalar", "gradient": false}'
+
+        def reply(length):  # a predict reply of ``length`` characters, newline included
+            return '{"y": [0.5]' + " " * (length - 13) + "}"
+
+        with ExternalModel(scripted_server(info, predict=reply(200))) as child:
+            assert child.predict([0.1, 0.2]).tolist() == [0.5]
+        code = main(["attr-eval", "--model", exec_spec(scripted_server(info, predict=reply(201))),
+                     "--point", "0.1,0.2", "--methods", "random", "--uniform", "0,1"])
+        assert code == EXIT_PROTOCOL
+        assert "response line longer than LINE_CAP = 200 characters" in capsys.readouterr().err
+
+    def test_stderr_lines_are_cut_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr("xmeter.cli.LINE_CAP", 100)
+        info = '{"arity": 1, "output": "scalar", "gradient": false}'
+        child = ExternalModel([sys.executable, "-c", "import sys; "
+                               "sys.stderr.write('x' * 250 + '\\nend\\n'); "
+                               f"print({info!r}, flush=True)"])
+        child.close()
+        assert child._stderr == ["x" * 100, "end"]
+
     def test_child_ignoring_end_of_input_is_killed_at_the_stop_limit(self):
         info = '{"arity": 1, "output": "scalar", "gradient": false}'
         child = ExternalModel([sys.executable, "-c", f"import sys, time; print({info!r}, "
@@ -888,7 +946,7 @@ class TestModelServer:
         with ExternalModel(BUILTIN_SERVER + ["--model", "park"]) as child:
             assert child.info["arity"] == 6
             assert child.info["gradient"] is True
-            x = np.asarray(bench.PARK_POINT)
+            x = np.asarray(xmeter.park.PARK_POINT)
             assert child.predict(x) == pytest.approx(park.predict(x), abs=1e-12)
 
     def test_unknown_op_gets_error_response(self):
