@@ -3,7 +3,9 @@
 Estimator selection follows the column types: Kraskov-style k-NN (estimator 1,
 Chebyshev metric) for continuous/continuous, the nearest-neighbor mixed
 estimator for continuous/discrete, and the plug-in estimator on joint
-frequencies for discrete/discrete. All values are in nats.
+frequencies for discrete/discrete. All values are in nats. The estimates of
+one ``extractor_table`` run share one Chebyshev distance pass per distinct
+jittered point set (``_sweep``).
 """
 
 from __future__ import annotations
@@ -162,29 +164,80 @@ def _kth_distance(points: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _count_within(points: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """For each row, the number of rows strictly closer than its ``eps`` in the
-    Chebyshev metric, the row itself included."""
-    counts = np.empty(len(points), dtype=np.intp)
-    for rows, d in _distance_blocks(points):
-        counts[rows] = (d < eps[rows, None]).sum(axis=1)
-    return counts
+def _intern(sets: list, points: np.ndarray) -> int:
+    """The index of ``points`` in ``sets``, appended unless an equal set is
+    there. Each estimate jitters its own copy of its columns, so sets are
+    compared by content."""
+    for i, other in enumerate(sets):
+        if np.array_equal(points, other):
+            return i
+    sets.append(points)
+    return len(sets) - 1
 
 
-def _ksg_mi(a: np.ndarray, b: np.ndarray, k: int, rng: np.random.Generator) -> float:
-    a = _jitter(a, rng)
-    b = _jitter(b, rng)
-    n = len(a)
-    nx = np.empty(n, dtype=np.intp)
-    ny = np.empty(n, dtype=np.intp)
-    # the joint Chebyshev distance is the larger of the two sides' distances
-    for (rows, da), (_, db) in zip(_distance_blocks(a), _distance_blocks(b)):
+def _sweep(sets: list, estimates) -> None:
+    """The distance passes of ``estimates`` over the point sets ``sets``.
+
+    Walks each distinct set's rows in ``_distance_blocks``' blocks, computes
+    the block once and hands it to every estimate that reads the set (its
+    ``reads`` indices, in that order, to its ``take``). Blocks are shared, so
+    readers must not write to them. Sets of one size are walked together:
+    memory is one block per distinct set, never an n x n matrix.
+    """
+    for n in dict.fromkeys(len(points) for points in sets):
+        members = [i for i, points in enumerate(sets) if len(points) == n]
+        readers = [e for e in estimates if e.reads and e.reads[0] in members]
+        step = max(1, BLOCK // n)
+        # one reused buffer per set: a fresh array for every block, one alive
+        # per set, page-faulted away the whole saving
+        buffers = {i: np.empty((min(step, n), n)) for i in members}
+        for lo in range(0, n, step):
+            rows = slice(lo, min(lo + step, n))
+            blocks = {i: cdist(sets[i][rows], sets[i], "chebyshev",
+                               out=buffers[i][:rows.stop - lo]) for i in members}
+            for e in readers:
+                e.take(rows, *(blocks[i] for i in e.reads))
+
+
+class _Ksg:
+    """Kraskov's estimator 1 for two continuous sides, on jittered copies."""
+
+    estimator = "ksg-continuous"
+
+    def __init__(self, sets: list, a: np.ndarray, b: np.ndarray, k: int,
+                 rng: np.random.Generator):
+        a = _jitter(a, rng)
+        b = _jitter(b, rng)
+        self.reads = (_intern(sets, a), _intern(sets, b))
+        self.k, self.n = k, len(a)
+        self.nx = np.empty(self.n, dtype=np.intp)
+        self.ny = np.empty(self.n, dtype=np.intp)
+
+    def take(self, rows: slice, da: np.ndarray, db: np.ndarray) -> None:
+        # the joint Chebyshev distance is the larger of the two sides'
+        # distances; partitioned as a fresh array, since da and db are shared
         joint = np.maximum(da, db)
-        joint.partition(k, axis=1)
-        eps = joint[:, k, None]
-        nx[rows] = (da < eps).sum(axis=1) - 1
-        ny[rows] = (db < eps).sum(axis=1) - 1
-    return float(digamma(k) + digamma(n) - np.mean(digamma(nx + 1) + digamma(ny + 1)))
+        joint.partition(self.k, axis=1)
+        eps = joint[:, self.k, None]
+        self.nx[rows] = (da < eps).sum(axis=1) - 1
+        self.ny[rows] = (db < eps).sum(axis=1) - 1
+
+    def raw(self) -> float:
+        return float(digamma(self.k) + digamma(self.n)
+                     - np.mean(digamma(self.nx + 1) + digamma(self.ny + 1)))
+
+
+class _RadiusCount:
+    """For each row of ``points``, the number of rows strictly closer than
+    its radius ``eps`` in the Chebyshev metric, the row itself included."""
+
+    def __init__(self, sets: list, points: np.ndarray, eps: np.ndarray):
+        self.reads = (_intern(sets, points),)
+        self.eps = eps
+        self.within = np.empty(len(points), dtype=np.intp)
+
+    def take(self, rows: slice, d: np.ndarray) -> None:
+        self.within[rows] = (d < self.eps[rows, None]).sum(axis=1)
 
 
 def _discrete_codes(d: np.ndarray) -> np.ndarray:
@@ -192,7 +245,7 @@ def _discrete_codes(d: np.ndarray) -> np.ndarray:
     return inv.reshape(-1)
 
 
-def _mixed_mi(cont: np.ndarray, disc: np.ndarray, k: int, rng: np.random.Generator) -> float:
+class _Mixed(_RadiusCount):
     """Nearest-neighbor estimator for one continuous and one discrete variable.
 
     For each point, the k-th neighbor distance among same-value points defines
@@ -200,32 +253,41 @@ def _mixed_mi(cont: np.ndarray, disc: np.ndarray, k: int, rng: np.random.Generat
     digamma correction terms. Values occurring once carry no neighborhood
     information and are dropped.
     """
-    c = _jitter(cont, rng)
-    codes = _discrete_codes(disc)
-    n = len(c)
-    eps = np.zeros(n)
-    k_eff = np.zeros(n)
-    sizes = np.bincount(codes)
-    counts = sizes[codes]
-    # one stable sort groups the rows of each value in their original order
-    order = np.argsort(codes, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    for code in np.flatnonzero(sizes > 1):
-        m = int(sizes[code])
-        rows = order[starts[code]:starts[code] + m]
-        kk = min(k, m - 1)
-        eps[rows] = _kth_distance(c[rows], kk)
-        k_eff[rows] = kk
-    keep = counts > 1
-    if keep.sum() < 2:
-        raise ContractViolation("mixed estimator needs repeated discrete values")
-    m_all = _count_within(c[keep], eps[keep])
-    return float(
-        digamma(keep.sum())
-        + np.mean(digamma(k_eff[keep]))
-        - np.mean(digamma(counts[keep]))
-        - np.mean(digamma(m_all))
-    )
+
+    estimator = "mixed-discrete"
+
+    def __init__(self, sets: list, cont: np.ndarray, disc: np.ndarray, k: int,
+                 rng: np.random.Generator):
+        c = _jitter(cont, rng)
+        codes = _discrete_codes(disc)
+        n = len(c)
+        eps = np.zeros(n)
+        k_eff = np.zeros(n)
+        sizes = np.bincount(codes)
+        counts = sizes[codes]
+        # one stable sort groups the rows of each value in their original order
+        order = np.argsort(codes, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        for code in np.flatnonzero(sizes > 1):
+            m = int(sizes[code])
+            rows = order[starts[code]:starts[code] + m]
+            kk = min(k, m - 1)
+            eps[rows] = _kth_distance(c[rows], kk)
+            k_eff[rows] = kk
+        keep = counts > 1
+        if keep.sum() < 2:
+            raise ContractViolation("mixed estimator needs repeated discrete values")
+        super().__init__(sets, c[keep], eps[keep])
+        self.k, self.n = k, n
+        self.k_eff, self.value_counts = k_eff[keep], counts[keep]
+
+    def raw(self) -> float:
+        return float(
+            digamma(len(self.within))
+            + np.mean(digamma(self.k_eff))
+            - np.mean(digamma(self.value_counts))
+            - np.mean(digamma(self.within))
+        )
 
 
 def _plugin_mi(da: np.ndarray, db: np.ndarray) -> float:
@@ -242,14 +304,24 @@ def _plugin_mi(da: np.ndarray, db: np.ndarray) -> float:
     return float((joint[nz] * np.log(ratio)).sum())
 
 
-def estimate_mi(a, b, k: int = 3, seed: int = 0,
-                a_discrete: bool | None = None, b_discrete: bool | None = None) -> MIEstimate:
-    """Mutual information between two column blocks of equal sample count.
+class _Plugin:
+    """Plug-in estimator on the joint frequencies of two discrete sides."""
 
-    Multi-column sides are treated as one joint variable (Chebyshev metric for
-    continuous blocks, value tuples for discrete ones). Discreteness defaults
-    to the dtype: integer columns are discrete, floats continuous.
-    """
+    estimator = "plugin-discrete"
+    reads = ()
+
+    def __init__(self, da: np.ndarray, db: np.ndarray, k: int):
+        self.k, self.n = k, len(da)
+        self.value = _plugin_mi(da, db)
+
+    def raw(self) -> float:
+        return self.value
+
+
+def _prepare(sets: list, a, b, k: int, seed: int, a_discrete: bool | None,
+             b_discrete: bool | None):
+    """Checks the columns of one ``estimate_mi`` call and builds its estimate,
+    whose point sets go to ``sets``; its value is ready after ``_sweep``."""
     A = _as_matrix(a)
     B = _as_matrix(b)
     if len(A) != len(B):
@@ -270,17 +342,43 @@ def estimate_mi(a, b, k: int = 3, seed: int = 0,
         b_discrete = np.issubdtype(B.dtype, np.integer)
     rng = np.random.default_rng([seed, 41])
     if a_discrete and b_discrete:
-        raw = _plugin_mi(A, B)
-        estimator = "plugin-discrete"
-    elif not a_discrete and not b_discrete:
-        raw = _ksg_mi(A.astype(float), B.astype(float), k, rng)
-        estimator = "ksg-continuous"
-    else:
-        cont, disc = (A, B) if not a_discrete else (B, A)
-        raw = _mixed_mi(cont.astype(float), disc, k, rng)
-        estimator = "mixed-discrete"
-    return MIEstimate(value=max(raw, 0.0), raw_value=raw, estimator=estimator,
-                      k_neighbors=k, n_samples=n)
+        return _Plugin(A, B, k)
+    if not a_discrete and not b_discrete:
+        return _Ksg(sets, A.astype(float), B.astype(float), k, rng)
+    cont, disc = (A, B) if not a_discrete else (B, A)
+    return _Mixed(sets, cont.astype(float), disc, k, rng)
+
+
+def _result(est) -> MIEstimate:
+    raw = est.raw()
+    return MIEstimate(value=max(raw, 0.0), raw_value=raw, estimator=est.estimator,
+                      k_neighbors=est.k, n_samples=est.n)
+
+
+def estimate_mi(a, b, k: int = 3, seed: int = 0,
+                a_discrete: bool | None = None, b_discrete: bool | None = None) -> MIEstimate:
+    """Mutual information between two column blocks of equal sample count.
+
+    Multi-column sides are treated as one joint variable (Chebyshev metric for
+    continuous blocks, value tuples for discrete ones). Discreteness defaults
+    to the dtype: integer columns are discrete, floats continuous.
+    """
+    sets: list = []
+    est = _prepare(sets, a, b, k, seed, a_discrete, b_discrete)
+    _sweep(sets, [est])
+    return _result(est)
+
+
+def _report(sets: list, data: TabularDataset, g: FeatureExtractor, y, k: int, seed: int):
+    """The feature and target estimates of ``extractor_report``, prepared."""
+    y = data.labels if y is None else y
+    if y is None:
+        raise ContractViolation("need target labels or a labeled dataset")
+    X = data.features
+    Z = apply_extractor(g, data).features
+    z_disc = g.output_discrete
+    return (_prepare(sets, X, Z, k, seed, False, z_disc),
+            _prepare(sets, Z, y, k, seed, z_disc, True))
 
 
 def extractor_report(data: TabularDataset, g: FeatureExtractor,
@@ -291,14 +389,10 @@ def extractor_report(data: TabularDataset, g: FeatureExtractor,
     Y is the given target labels, one per sample (for example a model's
     predicted labels), otherwise the dataset labels.
     """
-    y = data.labels if y is None else y
-    if y is None:
-        raise ContractViolation("need target labels or a labeled dataset")
-    X = data.features
-    Z = apply_extractor(g, data).features
-    z_disc = g.output_discrete
-    return (estimate_mi(X, Z, k=k, seed=seed, a_discrete=False, b_discrete=z_disc),
-            estimate_mi(Z, y, k=k, seed=seed, a_discrete=z_disc, b_discrete=True))
+    sets: list = []
+    feature, target = _report(sets, data, g, y, k, seed)
+    _sweep(sets, [feature, target])
+    return _result(feature), _result(target)
 
 
 EXTRACTORS = ("identity", "random-ood", "entropy")
@@ -311,7 +405,8 @@ def extractor_table(data: TabularDataset, names, y: np.ndarray | None, runs: int
 
     Run r estimates with seed ``seed + r`` and, for ``random-ood``, draws a
     fresh set of ``ood_count`` replaced features from that seed; the entropy
-    discretizer is fitted once. Returns ``{name: {"feature_mi", "target_mi",
+    discretizer is fitted once. The estimates of one run share one distance
+    pass per distinct point set. Returns ``{name: {"feature_mi", "target_mi",
     "runs"}}``.
     """
     for name in names:
@@ -320,10 +415,11 @@ def extractor_table(data: TabularDataset, names, y: np.ndarray | None, runs: int
     if runs < 1:
         raise ContractViolation(f"runs must be >= 1, got {runs}")
     discretizer = fit_entropy_discretizer(data, max_depth) if "entropy" in names else None
-    table = {}
-    for name in dict.fromkeys(names):
-        feature_vals, target_vals = [], []
-        for run_seed in range(seed, seed + runs):
+    values = {name: ([], []) for name in names}
+    for run_seed in range(seed, seed + runs):
+        sets: list = []
+        reports = {}
+        for name in values:
             if name == "identity":
                 extractor = identity_extractor()
             elif name == "random-ood":
@@ -331,9 +427,11 @@ def extractor_table(data: TabularDataset, names, y: np.ndarray | None, runs: int
                                                       value=ood_value)
             else:
                 extractor = discretizer
-            feature, target = extractor_report(data, extractor, y, k=k, seed=run_seed)
-            feature_vals.append(feature.value)
-            target_vals.append(target.value)
-        table[name] = {"feature_mi": float(np.mean(feature_vals)),
-                       "target_mi": float(np.mean(target_vals)), "runs": runs}
-    return table
+            reports[name] = _report(sets, data, extractor, y, k, run_seed)
+        _sweep(sets, [est for pair in reports.values() for est in pair])
+        for name, pair in reports.items():
+            for vals, est in zip(values[name], pair):
+                vals.append(_result(est).value)
+    return {name: {"feature_mi": float(np.mean(feature_vals)),
+                   "target_mi": float(np.mean(target_vals)), "runs": runs}
+            for name, (feature_vals, target_vals) in values.items()}

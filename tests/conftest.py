@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
+from scipy.special import digamma
 
 from xmeter import park as park_module
-from xmeter.core import FeatureDistribution, SQUARED_ERROR, batch_predictions, evaluate_loss_batch
+from xmeter.core import (
+    BLOCK,
+    ContractViolation,
+    FeatureDistribution,
+    SQUARED_ERROR,
+    TabularDataset,
+    batch_predictions,
+    evaluate_loss_batch,
+)
 from xmeter.attr_metrics import (
     ExpectationConfig,
     complexity,
@@ -10,6 +20,18 @@ from xmeter.attr_metrics import (
     monotonicity,
     non_sensitivity,
     restriction_loss_vector,
+)
+from xmeter.mi import (
+    EXTRACTORS,
+    FeatureExtractor,
+    MIEstimate,
+    _as_matrix,
+    _discrete_codes,
+    _jitter,
+    apply_extractor,
+    draw_random_ood_extractor,
+    fit_entropy_discretizer,
+    identity_extractor,
 )
 
 
@@ -261,3 +283,203 @@ def reference_attribution_report(attrs, model, epsilon: float, cfg) -> list[dict
             "seed": cfg.seed,
         })
     return entries
+
+# Reference MI estimators: each estimate runs its own Chebyshev distance pass
+# over its own jittered copy of its columns, and extractor_table runs one
+# extractor_report per extractor and run. xmeter.mi shares one pass per
+# distinct point set among the estimates of a run; it must give the same bits.
+
+
+def _distance_blocks(points: np.ndarray):
+    """Exact Chebyshev distances from the rows of ``points`` to all of its
+    rows, as ``(rows, matrix)`` pairs of about ``BLOCK`` entries in row order.
+
+    Each entry is ``max |x_i - y_i|`` in doubles. A plain scan rather than a
+    k-d tree, because in the 10 dimensions the extractors see a tree prunes
+    almost nothing.
+    """
+    n = len(points)
+    step = max(1, BLOCK // n)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        yield rows, cdist(points[rows], points, "chebyshev")
+
+
+def _kth_distance(points: np.ndarray, k: int) -> np.ndarray:
+    """For each row, the k-th smallest Chebyshev distance to the rows of
+    ``points``, counting from 0, so the row itself is the 0-th."""
+    out = np.empty(len(points))
+    for rows, d in _distance_blocks(points):
+        d.partition(k, axis=1)
+        out[rows] = d[:, k]
+    return out
+
+
+def _count_within(points: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """For each row, the number of rows strictly closer than its ``eps`` in the
+    Chebyshev metric, the row itself included."""
+    counts = np.empty(len(points), dtype=np.intp)
+    for rows, d in _distance_blocks(points):
+        counts[rows] = (d < eps[rows, None]).sum(axis=1)
+    return counts
+
+
+def _ksg_mi(a: np.ndarray, b: np.ndarray, k: int, rng: np.random.Generator) -> float:
+    a = _jitter(a, rng)
+    b = _jitter(b, rng)
+    n = len(a)
+    nx = np.empty(n, dtype=np.intp)
+    ny = np.empty(n, dtype=np.intp)
+    # the joint Chebyshev distance is the larger of the two sides' distances
+    for (rows, da), (_, db) in zip(_distance_blocks(a), _distance_blocks(b)):
+        joint = np.maximum(da, db)
+        joint.partition(k, axis=1)
+        eps = joint[:, k, None]
+        nx[rows] = (da < eps).sum(axis=1) - 1
+        ny[rows] = (db < eps).sum(axis=1) - 1
+    return float(digamma(k) + digamma(n) - np.mean(digamma(nx + 1) + digamma(ny + 1)))
+
+
+def _mixed_mi(cont: np.ndarray, disc: np.ndarray, k: int, rng: np.random.Generator) -> float:
+    """Nearest-neighbor estimator for one continuous and one discrete variable.
+
+    For each point, the k-th neighbor distance among same-value points defines
+    a radius; counting neighbors within it in the full sample yields the
+    digamma correction terms. Values occurring once carry no neighborhood
+    information and are dropped.
+    """
+    c = _jitter(cont, rng)
+    codes = _discrete_codes(disc)
+    n = len(c)
+    eps = np.zeros(n)
+    k_eff = np.zeros(n)
+    sizes = np.bincount(codes)
+    counts = sizes[codes]
+    # one stable sort groups the rows of each value in their original order
+    order = np.argsort(codes, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    for code in np.flatnonzero(sizes > 1):
+        m = int(sizes[code])
+        rows = order[starts[code]:starts[code] + m]
+        kk = min(k, m - 1)
+        eps[rows] = _kth_distance(c[rows], kk)
+        k_eff[rows] = kk
+    keep = counts > 1
+    if keep.sum() < 2:
+        raise ContractViolation("mixed estimator needs repeated discrete values")
+    m_all = _count_within(c[keep], eps[keep])
+    return float(
+        digamma(keep.sum())
+        + np.mean(digamma(k_eff[keep]))
+        - np.mean(digamma(counts[keep]))
+        - np.mean(digamma(m_all))
+    )
+
+
+def _plugin_mi(da: np.ndarray, db: np.ndarray) -> float:
+    ca = _discrete_codes(da)
+    cb = _discrete_codes(db)
+    n = len(ca)
+    na = ca.max() + 1
+    nb = cb.max() + 1
+    joint = np.bincount(ca * nb + cb, minlength=na * nb).reshape(na, nb) / n
+    pa = joint.sum(axis=1)
+    pb = joint.sum(axis=0)
+    nz = joint > 0
+    ratio = joint[nz] / np.outer(pa, pb)[nz]
+    return float((joint[nz] * np.log(ratio)).sum())
+
+
+def reference_estimate_mi(a, b, k: int = 3, seed: int = 0, a_discrete: bool | None = None,
+                          b_discrete: bool | None = None) -> MIEstimate:
+    """Mutual information between two column blocks of equal sample count.
+
+    Multi-column sides are treated as one joint variable (Chebyshev metric for
+    continuous blocks, value tuples for discrete ones). Discreteness defaults
+    to the dtype: integer columns are discrete, floats continuous.
+    """
+    A = _as_matrix(a)
+    B = _as_matrix(b)
+    if len(A) != len(B):
+        raise ContractViolation("column blocks must have equal sample counts")
+    n = len(A)
+    if k < 1:
+        raise ContractViolation("k must be >= 1")
+    if n < max(20, k + 2):
+        raise ContractViolation(f"need at least max(20, k+2) samples, got {n}")
+    if k >= n:
+        raise ContractViolation("k must be smaller than the sample count")
+    for side, M in (("a", A), ("b", B)):
+        if M.dtype.kind == "f" and not np.isfinite(M).all():
+            raise ContractViolation(f"column block {side} holds a NaN or infinite value")
+    if a_discrete is None:
+        a_discrete = np.issubdtype(A.dtype, np.integer)
+    if b_discrete is None:
+        b_discrete = np.issubdtype(B.dtype, np.integer)
+    rng = np.random.default_rng([seed, 41])
+    if a_discrete and b_discrete:
+        raw = _plugin_mi(A, B)
+        estimator = "plugin-discrete"
+    elif not a_discrete and not b_discrete:
+        raw = _ksg_mi(A.astype(float), B.astype(float), k, rng)
+        estimator = "ksg-continuous"
+    else:
+        cont, disc = (A, B) if not a_discrete else (B, A)
+        raw = _mixed_mi(cont.astype(float), disc, k, rng)
+        estimator = "mixed-discrete"
+    return MIEstimate(value=max(raw, 0.0), raw_value=raw, estimator=estimator,
+                      k_neighbors=k, n_samples=n)
+
+
+def reference_extractor_report(data: TabularDataset, g: FeatureExtractor,
+                               y: np.ndarray | None = None, k: int = 3,
+                               seed: int = 0) -> tuple[MIEstimate, MIEstimate]:
+    """The estimates of feature MI(X, Z) and target MI(Z, Y), in that order.
+
+    Y is the given target labels, one per sample (for example a model's
+    predicted labels), otherwise the dataset labels.
+    """
+    y = data.labels if y is None else y
+    if y is None:
+        raise ContractViolation("need target labels or a labeled dataset")
+    X = data.features
+    Z = apply_extractor(g, data).features
+    z_disc = g.output_discrete
+    return (reference_estimate_mi(X, Z, k=k, seed=seed, a_discrete=False, b_discrete=z_disc),
+            reference_estimate_mi(Z, y, k=k, seed=seed, a_discrete=z_disc, b_discrete=True))
+
+
+def reference_extractor_table(data: TabularDataset, names, y: np.ndarray | None, runs: int,
+                              k: int, seed: int, ood_count: int, ood_value: float,
+                              max_depth: int) -> dict[str, dict]:
+    """Mean feature and target MI of each named extractor over ``runs`` runs.
+
+    Run r estimates with seed ``seed + r`` and, for ``random-ood``, draws a
+    fresh set of ``ood_count`` replaced features from that seed; the entropy
+    discretizer is fitted once. Returns ``{name: {"feature_mi", "target_mi",
+    "runs"}}``.
+    """
+    for name in names:
+        if name not in EXTRACTORS:
+            raise ContractViolation(f"unknown extractor {name!r}")
+    if runs < 1:
+        raise ContractViolation(f"runs must be >= 1, got {runs}")
+    discretizer = fit_entropy_discretizer(data, max_depth) if "entropy" in names else None
+    table = {}
+    for name in dict.fromkeys(names):
+        feature_vals, target_vals = [], []
+        for run_seed in range(seed, seed + runs):
+            if name == "identity":
+                extractor = identity_extractor()
+            elif name == "random-ood":
+                extractor = draw_random_ood_extractor(data.n_features, ood_count, run_seed,
+                                                      value=ood_value)
+            else:
+                extractor = discretizer
+            feature, target = reference_extractor_report(data, extractor, y, k=k,
+                                                         seed=run_seed)
+            feature_vals.append(feature.value)
+            target_vals.append(target.value)
+        table[name] = {"feature_mi": float(np.mean(feature_vals)),
+                       "target_mi": float(np.mean(target_vals)), "runs": runs}
+    return table

@@ -1,23 +1,34 @@
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chebyshev_distances, reference_count_within
+from conftest import (
+    chebyshev_distances,
+    reference_count_within,
+    reference_estimate_mi,
+    reference_extractor_report,
+    reference_extractor_table,
+)
 from scipy.special import digamma
 
 from xmeter import bench, mi
 from xmeter.core import ContractViolation, TabularDataset
 from xmeter.mi import (
+    EXTRACTORS,
     JITTER_SCALE,
-    _count_within,
     _kth_distance,
+    _RadiusCount,
+    _sweep,
     apply_extractor,
     draw_random_ood_extractor,
     estimate_mi,
     extractor_report,
+    extractor_table,
     fit_entropy_discretizer,
     identity_extractor,
     random_ood_extractor,
@@ -253,12 +264,19 @@ class TestCountWithin:
         # each radius is an actual distance from its row (zero included), so
         # rows at exactly that distance sit on the strict boundary; some are
         # raised by one ulp to take those rows in
-        eps = chebyshev_distances(P)[np.arange(n), rng.integers(0, n, size=n)]
-        eps = np.where(rng.random(n) < 0.3, np.nextafter(eps, np.inf), eps)
+        radii = []
+        for _ in range(2):
+            eps = chebyshev_distances(P)[np.arange(n), rng.integers(0, n, size=n)]
+            radii.append(np.where(rng.random(n) < 0.3, np.nextafter(eps, np.inf), eps))
+        # a second count over an equal copy reads the same blocks
+        sets = []
+        counts = [_RadiusCount(sets, P, radii[0]), _RadiusCount(sets, P.copy(), radii[1])]
+        assert len(sets) == 1
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mi, "BLOCK", point_set[-1] * n)
-            counts = _count_within(P, eps)
-        np.testing.assert_array_equal(counts, reference_count_within(P, eps))
+            _sweep(sets, counts)
+        for count, eps in zip(counts, radii):
+            np.testing.assert_array_equal(count.within, reference_count_within(P, eps))
 
 
 class TestDistanceBlocks:
@@ -350,3 +368,155 @@ class TestExtractorReport:
                                   a_discrete=False, b_discrete=True)
         assert target == from_labels
         assert target.value > 0.5
+
+
+def outcome(f, *args, **kwargs) -> str:
+    """The repr of what ``f`` returns (exact floats), or the message of the
+    ContractViolation it raises."""
+    try:
+        return repr(f(*args, **kwargs))
+    except ContractViolation as exc:
+        return f"ContractViolation: {exc}"
+
+
+# Quantized to a 0.5 grid, so rows repeat and the entropy codes repeat too.
+SMALL_SPEC = bench.SynthSpec(n_samples=120, n_features=4, n_classes=3, separation=3.0,
+                             n_noise_features=1, quantize_step=0.5)
+
+# Column pairs for estimate_mi: the estimator pairing, the sample count, each
+# side's width, how the continuous side repeats, the number of repeated rows
+# in an almost all-singleton discrete side, k, the seed and rows per block.
+PAIRS = st.tuples(st.sampled_from(["continuous", "mixed", "mixed-first", "discrete"]),
+                  st.integers(20, 90), st.integers(1, 3), st.integers(1, 3),
+                  st.sampled_from(["real", "grid", "singletons"]), st.integers(0, 3),
+                  st.integers(1, 7), st.integers(0, 2 ** 32 - 1), st.integers(1, 7))
+
+
+def draw_pair(pair):
+    pairing, n, wa, wb, kind, repeats, _, seed, _ = pair
+    rng = np.random.default_rng(seed)
+
+    def continuous(w):
+        pool = rng.normal(size=(n // 2 + 1, w)) if kind == "real" \
+            else rng.integers(0, 4, size=(n // 2 + 1, w)) * 0.25
+        return pool[rng.integers(0, len(pool), size=n)]
+
+    def discrete(w):
+        if kind != "singletons":
+            return rng.integers(0, 3, size=(n, w))
+        codes = rng.permutation(n)
+        codes[rng.choice(n, size=repeats, replace=False)] = codes[0]
+        return codes.reshape(-1, 1)
+
+    a_discrete = pairing in ("mixed-first", "discrete")
+    b_discrete = pairing in ("mixed", "discrete")
+    a = discrete(wa) if a_discrete else continuous(wa)
+    b = discrete(wb) if b_discrete else continuous(wb)
+    if pairing == "continuous" and kind == "grid" and wa == wb:
+        b = a.copy()  # equal before jitter
+    return a, b, a_discrete, b_discrete
+
+
+class TestEqualsThePerEstimateReference:
+    """The shared sweep against the reference that runs one distance pass per
+    estimate (tests/conftest.py), compared bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_preset_table_and_reports(self, seed):
+        data, y = _mi_bench_setup(seed)
+        args = (data, EXTRACTORS, y, 2, 3, seed, 3, -10.0, 3)
+        table = outcome(extractor_table, *args)
+        assert table == outcome(reference_extractor_table, *args)
+        # seed 3's entropy codes are all distinct
+        assert ("mixed estimator needs repeated discrete values" in table) == (seed == 3)
+        for g in (identity_extractor(), draw_random_ood_extractor(data.n_features, 3, seed),
+                  fit_entropy_discretizer(data, max_depth=3)):
+            assert outcome(extractor_report, data, g, y, seed=seed) == \
+                outcome(reference_extractor_report, data, g, y, seed=seed)
+
+    @pytest.mark.parametrize("names", [names for r in (1, 2, 3)
+                                       for names in itertools.permutations(EXTRACTORS, r)]
+                             + [("entropy", "identity", "entropy")])
+    def test_every_extractor_order_run_count_and_k(self, names):
+        data = bench.synth_tabular(SMALL_SPEC, seed=5)
+        for runs, k in itertools.product((1, 2, 3), (1, 3, 7)):
+            args = (data, names, None, runs, k, 11, 2, -10.0, 2)
+            table = outcome(extractor_table, *args)
+            assert not table.startswith("ContractViolation")
+            assert table == outcome(reference_extractor_table, *args)
+
+    @settings(max_examples=150, deadline=None)
+    @given(PAIRS)
+    def test_estimate_mi(self, pair):
+        a, b, a_discrete, b_discrete = draw_pair(pair)
+        k, seed, block_rows = pair[-3:]
+        expected = outcome(reference_estimate_mi, a, b, k=k, seed=seed,
+                           a_discrete=a_discrete, b_discrete=b_discrete)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mi, "BLOCK", block_rows * len(a))
+            assert outcome(estimate_mi, a, b, k=k, seed=seed, a_discrete=a_discrete,
+                           b_discrete=b_discrete) == expected
+
+    def test_equal_sides_read_one_read_only_set(self, monkeypatch):
+        # at 1e300 the 1e-10 jitter vanishes, so both jittered sides hold the
+        # same bits and the sweep hands the one block to both KSG slots
+        rng = np.random.default_rng(30)
+        A = 1e300 * (1.0 + rng.integers(0, 40, size=(200, 2)) * 1e-3)
+        jitter = np.random.default_rng([0, 41])
+        assert np.array_equal(A + JITTER_SCALE * jitter.random(A.shape), A)
+        assert np.array_equal(A + JITTER_SCALE * jitter.random(A.shape), A)
+        entries = []
+        cdist = mi.cdist
+
+        def read_only_cdist(XA, XB, metric, **kwargs):
+            d = cdist(XA, XB, metric, **kwargs)
+            entries.append(d.size)
+            if "out" in kwargs:  # a sweep block, which readers share
+                d = d.view()
+                d.flags.writeable = False
+            return d
+
+        monkeypatch.setattr(mi, "cdist", read_only_cdist)
+        est = estimate_mi(A, A.copy(), k=3, seed=0)
+        assert sum(entries) == 200 * 200
+        assert repr(est) == repr(reference_estimate_mi(A, A.copy(), k=3, seed=0))
+
+
+class TestSweepCost:
+    def test_no_point_set_block_is_computed_twice(self, monkeypatch):
+        data, y = _mi_bench_setup(0)
+        seen, entries = set(), []
+        cdist = mi.cdist
+
+        def spy(XA, XB, metric, **kwargs):
+            key = (hashlib.sha1(XB.tobytes()).digest(), XB.shape,
+                   hashlib.sha1(XA.tobytes()).digest(), XA.shape)
+            assert key not in seen, "a point set's row block was computed twice"
+            seen.add(key)
+            entries.append(len(XA) * len(XB))
+            return cdist(XA, XB, metric, **kwargs)
+
+        monkeypatch.setattr(mi, "cdist", spy)
+        # every set is jittered with its run's seed, so no block repeats
+        # within a run and none across runs either
+        extractor_table(data, EXTRACTORS, y, 2, 3, 0, 3, -10.0, 3)
+        # one pass per estimate computed 13,337,600 entries here
+        assert sum(entries) <= 9_400_000
+
+    def test_holds_no_distance_matrix(self):
+        data, y = _mi_bench_setup(0)
+        args = (data, EXTRACTORS, y, 2, 3, 0, 3, -10.0, 3)
+        extractor_table(*args)  # warm-up
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            extractor_table(*args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        n = data.n_samples
+        assert peak < n * n * 8 / 2
