@@ -8,7 +8,7 @@ attributions. The API lives in the submodules (``xmeter.core``,
 ``xmeter.attr_metrics``, ``xmeter.mi``, ``xmeter.example_based``,
 ``xmeter.bench``, ``xmeter.park``); the package root imports none of them, so
 a process that needs one module loads only that: ``python -m
-xmeter.model_server`` loads ``core`` and ``park``.
+xmeter.model_server`` loads ``handle``, ``park`` and ``protocol``.
 """
 
 __version__ = "0.1.0"

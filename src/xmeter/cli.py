@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attr_metrics, attr_methods, bench, example_based, park
+from . import attr_metrics, attr_methods, bench, example_based, park, protocol
 from .core import (
     PROB_SUM_TOL,
     ContractViolation,
@@ -65,8 +65,9 @@ class ModelProtocolError(RuntimeError):
 def _reply_matrix(ys: list, kind: str) -> np.ndarray | None:
     """A reply's rows converted at once when each is well formed for the
     output kind: a nonempty list of JSON numbers, as long as every other row,
-    holding one number (scalar) or one class index (label). Else None.
-    ``_reply_matrix([v], "probs")`` is the rule for any JSON list of numbers."""
+    holding one number (scalar) or one integer (label). Else None.
+    ``_reply_matrix([v], "probs")`` is the rule for any JSON list of numbers.
+    The values themselves are checked by ``ExternalModel._checked``."""
     if not (set(map(type, ys)) <= {list} and set(map(type, itertools.chain.from_iterable(ys)))
             <= ({int} if kind == "label" else {int, float})):
         return None
@@ -74,8 +75,7 @@ def _reply_matrix(ys: list, kind: str) -> np.ndarray | None:
         P = np.array(ys, dtype=np.int64 if kind == "label" else float)
     except (OverflowError, ValueError):  # an int beyond the range, or ragged rows
         return None
-    if (P.ndim != 2 or P.shape[1] == 0 or (kind != "probs" and P.shape[1] != 1)
-            or (kind == "label" and P.min() < 0)):
+    if P.ndim != 2 or P.shape[1] == 0 or (kind != "probs" and P.shape[1] != 1):
         return None
     return P
 
@@ -89,7 +89,8 @@ class ExternalModel:
 
     ``command`` is the child's argument list. Requests are strictly
     serialized per child; responses are matched to requests by order. The
-    child's stderr is captured for diagnostics.
+    child's stderr is captured for diagnostics. Rows go to a child that
+    advertises ``binary`` in the format of ``xmeter.protocol``.
     """
 
     def __init__(self, command, timeout: float = PROTOCOL_TIMEOUT):
@@ -183,34 +184,40 @@ class ExternalModel:
         if "error" in info:
             self._fail(f"info handshake failed: {info['error']}")
         arity = info.get("arity")
-        output = info.get("output")
-        if not isinstance(arity, int) or arity < 1:
+        if type(arity) is not int or arity < 1:  # true is an int to isinstance
             self._fail(f"invalid arity in handshake: {info!r}")
-        if output not in ("probs", "label", "scalar"):
+        if info.get("output") not in ("probs", "label", "scalar"):
             self._fail(f"invalid output kind in handshake: {info!r}")
-        if not isinstance(info.get("gradient"), bool):
-            self._fail(f"invalid gradient flag in handshake: {info!r}")
-        if not isinstance(info.get("batch", False), bool):
-            self._fail(f"invalid batch flag in handshake: {info!r}")
+        for flag, default in (("gradient", None), ("batch", False), ("binary", False)):
+            if not isinstance(info.get(flag, default), bool):
+                self._fail(f"invalid {flag} flag in handshake: {info!r}")
+        if info.get("binary", False) and not info.get("batch", False):
+            self._fail(f"'binary' without 'batch' in handshake: {info!r}")
         return info
 
     def predict(self, X) -> np.ndarray:
         """Predictions for the rows of ``X`` (an ``(n, arity)`` matrix, or one
         point), in one request: ``predict_batch`` to a child that advertises
-        ``batch``, else ``predict``, which carries one row."""
+        ``batch``, with the rows in binary if it also advertises ``binary``,
+        else ``predict``, which carries one row."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.info.get("batch", False):
-            response = self._request({"op": "predict_batch", "X": X.tolist()})
-            ys = response.get("y")
+        binary, batch = self.info.get("binary", False), self.info.get("batch", False)
+        if binary:
+            request = {"op": "predict_batch", "Xb": protocol.encode(X, protocol.FLOAT64)}
+        elif batch:
+            request = {"op": "predict_batch", "X": X.tolist()}
         elif len(X) == 1:
-            response = self._request({"op": "predict", "x": X[0].tolist()})
-            ys = [response.get("y")]
+            request = {"op": "predict", "x": X[0].tolist()}
         else:
             raise ContractViolation(f"a child without 'batch' takes one row per "
                                     f"request, got {len(X)}")
+        response = self._request(request)
         if "error" in response:
             self._fail(f"predict failed: {response['error']}")
-        return self._predictions(ys, len(X))
+        if binary:
+            return self._binary_predictions(response.get("yb"), len(X))
+        ys = response.get("y")
+        return self._predictions(ys if batch else [ys], len(X))
 
     def _predictions(self, ys, n: int) -> np.ndarray:
         """The n rows of a reply's ``y``, checked as the protocol states: each
@@ -223,19 +230,57 @@ class ExternalModel:
             self._fail(f"predict_batch returned {len(ys)} entries for {n} rows")
         kind = self.info["output"]
         P = _reply_matrix(ys, kind)
-        if P is not None and kind == "probs":
-            with self._lock:  # set once, by the first probs reply
-                self._classes = self._classes or P.shape[1]
-        if P is None or (kind == "probs" and P.shape[1] != self._classes):
+        if P is None or (kind == "probs" and P.shape[1] != self._class_count(P.shape[1])):
             self._fail_at_bad_row(ys, kind)
-        if kind != "probs":
-            return P.reshape(n)
-        bad = np.flatnonzero(np.any(P < -PROB_SUM_TOL, axis=1)
-                             | (np.abs(P.sum(axis=1) - 1.0) > PROB_SUM_TOL))
-        if bad.size:
-            self._fail(f"predict returned a negative class probability or a row that "
-                       f"does not sum to 1 at row {bad[0]}: {ys[bad[0]]!r}")
-        return P
+        return self._checked(P)
+
+    def _binary_predictions(self, yb, n: int) -> np.ndarray:
+        """The n rows of a reply's ``yb``, checked as ``_predictions`` checks
+        a ``y``: n values (scalar, label) or n rows of one class count in every
+        reply (probs)."""
+        kind = self.info["output"]
+        try:
+            values = protocol.decode(yb, protocol.reply_dtype(kind))
+        except ValueError as exc:
+            self._fail(f"predict_batch returned a malformed 'yb': {exc}")
+        width = len(values) // n if n else 0
+        if width == 0 or width * n != len(values) or (kind != "probs" and width != 1):
+            self._fail(f"predict_batch returned {len(values)} {kind} values in 'yb' "
+                       f"for {n} rows")
+        if kind == "probs" and width != self._class_count(width):
+            self._fail(f"predict returned {width} class probabilities per row "
+                       f"after {self._classes}")
+        return self._checked(values.reshape(n, width))
+
+    def _class_count(self, width: int) -> int:
+        """The probability-row length: ``width`` if this is the first probs reply."""
+        with self._lock:  # set once, by the first probs reply
+            self._classes = self._classes or width
+        return self._classes
+
+    def _checked(self, P: np.ndarray) -> np.ndarray:
+        """The predictions of a reply's rows ``P`` (n x 1, or n x classes for
+        probs) once their values pass: finite (else FloatingPointError, a
+        numeric failure), a nonnegative class index per label row, and
+        nonnegative probabilities summing to 1 per probs row."""
+        kind = self.info["output"]
+        if kind != "label" and not np.isfinite(P).all():
+            row = np.flatnonzero(~np.isfinite(P).all(axis=1))[0]
+            raise FloatingPointError(f"model {self.command!r} returned a non-finite "
+                                     f"output at row {row}: {P[row].tolist()!r:.200}")
+        if kind == "label":
+            bad = np.flatnonzero(P[:, 0] < 0)
+            if bad.size:
+                self._fail(f"predict returned a negative class index at row {bad[0]}: "
+                           f"{int(P[bad[0], 0])}")
+        elif kind == "probs":
+            bad = np.flatnonzero(np.any(P < -PROB_SUM_TOL, axis=1)
+                                 | (np.abs(P.sum(axis=1) - 1.0) > PROB_SUM_TOL))
+            if bad.size:
+                self._fail(f"predict returned a negative class probability or a row that "
+                           f"does not sum to 1 at row {bad[0]}: {P[bad[0]].tolist()!r:.200}")
+            return P
+        return P.reshape(len(P))
 
     def _fail_at_bad_row(self, ys: list, kind: str):
         """Fail naming the first row the reply rule rejects on its own, else
@@ -246,12 +291,11 @@ class ExternalModel:
                 self._fail(f"predict returned a malformed 'y' at row {i}: {y!r}")
         if not ys:
             self._fail("predict returned no rows")
-        with self._lock:  # set once, by the first probs reply
-            self._classes = self._classes or len(ys[0])
+        classes = self._class_count(len(ys[0]))
         for i, y in enumerate(ys):
-            if len(y) != self._classes:
+            if len(y) != classes:
                 self._fail(f"predict returned {len(y)} class probabilities "
-                           f"after {self._classes} at row {i}: {y!r}")
+                           f"after {classes} at row {i}: {y!r}")
 
     def gradient(self, x, target=None):
         response = self._request({"op": "gradient", "x": [float(v) for v in np.asarray(x)]})

@@ -7,14 +7,21 @@ against a conforming child:
 
 Requests, one JSON object per line:
     {"op": "info"}                -> {"arity": N, "output": "...", "gradient": bool,
-                                      "batch": true}
+                                      "batch": true, "binary": true}
     {"op": "predict", "x": [...]} -> {"y": [...]}
     {"op": "predict_batch", "X": [[...], ...]} -> {"y": [[...], ...]}
+    {"op": "predict_batch", "Xb": "<base64>"}  -> {"yb": "<base64>"}
     {"op": "gradient", "x": [...]} -> {"g": [...]} or {"error": "unsupported"}
 
 A ``predict_batch`` reply holds one entry per row of X, each what a
 ``predict`` reply's ``y`` holds for that row; the rows are evaluated in one
-``predict_batch`` call of the model.
+``predict_batch`` call of the model. With ``Xb`` the rows come, and the reply
+goes, in the binary format of ``xmeter.protocol``: ``Xb`` holds the n x N
+float64 inputs, ``yb`` the n float64 values (scalar), the n x classes float64
+probabilities (probs) or the n int64 class indices (label), each little-endian
+and row-major. ``cli.ExternalModel`` sends ``Xb`` only to a child whose
+handshake says ``"binary": true``; others get ``X``. A malformed request gets
+an ``error`` reply and the server keeps serving.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ import sys
 
 import numpy as np
 
-from .core import ModelHandle
+from . import protocol
+from .handle import ModelHandle
 from .park import park_model
 
 
@@ -68,10 +76,15 @@ def serve(model: ModelHandle, stdin=None, stdout=None) -> None:
                     "output": model.output_kind,
                     "gradient": has_gradient,
                     "batch": True,
+                    "binary": True,
                 }
             elif op == "predict":
                 y = model.predict(request["x"])
                 response = {"y": _reply_rows(model.output_kind, [y])[0]}
+            elif op == "predict_batch" and "Xb" in request:
+                X = protocol.decode(request["Xb"], protocol.FLOAT64).reshape(-1, model.arity)
+                Y = model.predict_batch(X)
+                response = {"yb": protocol.encode(Y, protocol.reply_dtype(model.output_kind))}
             elif op == "predict_batch":
                 Y = model.predict_batch(np.asarray(request["X"], dtype=float))
                 response = {"y": _reply_rows(model.output_kind, Y)}

@@ -1,7 +1,7 @@
 """The six-variable analytic test function of the attribution benchmarks.
 
 f(x) = (2/3) e^(x0+x1) - x3 sin(x2) + x2 on [0, 1)^6, with an exact gradient.
-It needs only numpy and ``core``, so the reference model server, which serves
+It needs only numpy and ``handle``, so the reference model server, which serves
 it, starts without the tree, generator and token-benchmark code of ``bench``.
 """
 
@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .core import ModelHandle
+from .handle import ModelHandle
 
 PARK_ARITY = 6
 # The evaluation point used throughout the attribution benchmarks.

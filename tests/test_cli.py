@@ -1,10 +1,13 @@
+import base64
 import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 import threading
@@ -18,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import xmeter.park
-from xmeter import bench, model_server
+from xmeter import bench, model_server, protocol
 from xmeter.attr_methods import compute_attribution
 from xmeter.cli import (
     BATCH_ROWS,
@@ -75,6 +78,12 @@ def scripted_server(info, predict='{"y": [0.0]}', gradient='{"error": "unsupport
 
 def exec_spec(command):
     return "exec:" + shlex.join(command)
+
+
+def packed(code, values):
+    """The base64 text of ``values`` packed little-endian as struct ``code``
+    ("d" float64, "q" int64): the binary row format, built without xmeter."""
+    return base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode()
 
 
 class TestAttrEvalCommand:
@@ -611,28 +620,36 @@ def test_readme_lists_the_integer_and_real_options():
             for key, (option_kind, _, _) in options.items() if option_kind is kind}
 
 
-def park_run_requests(monkeypatch, capsys, batch: bool):
-    """The report of a park attr-eval over the reference server, and its requests
-    counted by op. ``batch=False`` drops the handshake's batch flag, which
-    makes ExternalModel send one predict request per row."""
-    requests = {}
+# The handshake flags of the reference server that each request path keeps.
+PATH_FLAGS = {"per-row": set(), "batch": {"batch"}, "binary": {"batch", "binary"}}
+
+
+def park_run_requests(monkeypatch, capsys, path: str):
+    """The report of a park attr-eval over the reference server, its requests
+    counted by op, and the fields they carried. ``path`` drops handshake flags
+    that ExternalModel read (PATH_FLAGS): "per-row" drops batch and binary, which makes
+    ExternalModel send one predict request per row, and "batch" drops binary,
+    which makes it send the rows of predict_batch as JSON lists."""
+    requests, fields = {}, set()
     send, handshake = ExternalModel._request, ExternalModel._handshake
+    dropped = PATH_FLAGS["binary"] - PATH_FLAGS[path]
 
     def counting(self, payload):
         requests[payload["op"]] = requests.get(payload["op"], 0) + 1
+        fields.update(payload)
         return send(self, payload)
 
     with monkeypatch.context() as patch:
         patch.setattr(ExternalModel, "_request", counting)
-        if not batch:
-            patch.setattr(ExternalModel, "_handshake",
-                          lambda self: {k: v for k, v in handshake(self).items()
-                                        if k != "batch"})
+        patch.setattr(ExternalModel, "_handshake",
+                      lambda self: {k: v for k, v in handshake(self).items()
+                                    if k not in dropped})
         server = exec_spec(BUILTIN_SERVER + ["--model", "park"])
         code, out = run_cli(["attr-eval", "--model", server,
                              "--methods", "saliency,inpxgrad,intgrad,random",
                              "--point", PARK_POINT, "--uniform", "0,1", "--n-mc", "100"], capsys)
     assert code == EXIT_OK
+    assert fields - {"op", "x"} == {"per-row": set(), "batch": {"X"}, "binary": {"Xb"}}[path]
     return out, requests
 
 
@@ -640,7 +657,7 @@ class TestExternalModelAdapter:
     def test_info_round_trip_on_echo_fixture(self):
         with ExternalModel(BUILTIN_SERVER + ["--model", "echo", "--arity", "7"]) as child:
             assert child.info == {"arity": 7, "output": "scalar", "gradient": False,
-                                  "batch": True}
+                                  "batch": True, "binary": True}
             handle = child.as_model_handle()
             assert handle.arity == 7
             assert handle.gradient_capability == "finite-difference"
@@ -692,11 +709,13 @@ class TestExternalModelAdapter:
             with pytest.raises(ModelProtocolError):
                 child.predict([0.0])
 
-    @pytest.mark.parametrize("predict,gradient", [('{"y": [NaN]}', "false"),
-                                                  ('{"y": [0.5]}', "true")],
-                             ids=["predict", "gradient"])
-    def test_non_finite_output_is_numeric_failure(self, predict, gradient, capsys):
-        server = scripted_server(f'{{"arity": 3, "output": "scalar", "gradient": {gradient}}}',
+    @pytest.mark.parametrize("output,predict,gradient", [
+        ("scalar", '{"y": [NaN]}', "false"), ("scalar", '{"y": [0.5]}', "true"),
+        ("probs", '{"y": [Infinity, 0.0]}', "false"), ("probs", '{"y": [NaN, 1.0]}', "false"),
+    ], ids=["predict", "gradient", "probs-inf", "probs-nan"])
+    def test_non_finite_output_is_numeric_failure(self, output, predict, gradient, capsys):
+        # a non-finite probability is numeric too, not a row that fails to sum to 1
+        server = scripted_server(f'{{"arity": 3, "output": "{output}", "gradient": {gradient}}}',
                                  predict=predict, gradient='{"g": [NaN, 0.0, 0.0]}')
         code, out = run_cli(["attr-eval", "--model", exec_spec(server),
                              "--point", "0.1,0.2,0.3", "--methods", "saliency",
@@ -786,6 +805,105 @@ class TestExternalModelAdapter:
             with pytest.raises(ModelProtocolError, match=r"at row 3: \['a'\] \(command"):
                 child.predict(np.zeros((5, 1)))
 
+    @pytest.mark.parametrize("info,point", [
+        ('{"arity": true, "output": "scalar", "gradient": false, "batch": true}', "0.5"),
+        ('{"arity": 2, "output": "scalar", "gradient": false, "batch": true, '
+         '"binary": "yes"}', "0.1,0.2"),
+        ('{"arity": 2, "output": "scalar", "gradient": false, "batch": true, '
+         '"binary": 1}', "0.1,0.2"),
+        ('{"arity": 2, "output": "scalar", "gradient": false, "binary": true}', "0.1,0.2"),
+        ('{"arity": 2, "output": "scalar", "gradient": false, "batch": false, '
+         '"binary": true}', "0.1,0.2"),
+    ], ids=["arity-bool", "binary-string", "binary-int", "binary-without-batch",
+            "binary-with-batch-false"])
+    def test_bad_handshake_is_protocol_error(self, info, point, capsys):
+        code = main(["attr-eval", "--model", exec_spec(scripted_server(info)),
+                     "--point", point, "--methods", "random", "--uniform", "0,1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_PROTOCOL
+        assert "handshake" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("output,predict,batch,code,message", [
+        ("scalar", '{"y": [0.5]}', '{"y": [[0.5]]}', EXIT_PROTOCOL, "malformed 'yb'"),
+        ("scalar", '{"y": [0.5]}', '{"yb": 5}', EXIT_PROTOCOL, "malformed 'yb'"),
+        ("scalar", '{"y": [0.5]}', '{"yb": null}', EXIT_PROTOCOL, "malformed 'yb'"),
+        ("scalar", '{"y": [0.5]}', '{"yb": "AAAAAAAAAA"}', EXIT_PROTOCOL, "malformed 'yb'"),
+        ("scalar", '{"y": [0.5]}', '{"yb": "AAAA*AAAAAAA"}', EXIT_PROTOCOL, "malformed 'yb'"),
+        ("scalar", '{"y": [0.5]}', '{"yb": "AAAA\u00e9AAAAAAA"}', EXIT_PROTOCOL,
+         "malformed 'yb'"),
+        ("scalar", '{"y": [0.5]}', '{"yb": "AAAA"}', EXIT_PROTOCOL, "malformed 'yb'"),
+        ("scalar", '{"y": [0.5]}', '{"yb": ""}', EXIT_PROTOCOL, "0 scalar values"),
+        ("scalar", '{"y": [0.5]}', "short", EXIT_PROTOCOL, "values in 'yb' for"),
+        ("scalar", '{"y": [0.5, 0.5]}', "", EXIT_PROTOCOL, "values in 'yb' for"),
+        ("label", '{"y": [1]}', "short", EXIT_PROTOCOL, "values in 'yb' for"),
+        ("probs", '{"y": [0.5, 0.5]}', "short", EXIT_PROTOCOL, "values in 'yb' for"),
+        ("probs", '{"y": [0.5, 0.5]}\n' + '{"y": [0.2, 0.3, 0.5]}\n' * 100, "",
+         EXIT_PROTOCOL, "3 class probabilities per row after 2"),
+        ("probs", '{"y": [0.5, 0.5]}\n' * 4 + '{"y": [0.2, 0.2]}', "", EXIT_PROTOCOL,
+         "does not sum to 1 at row 3: [0.2, 0.2]"),
+        ("probs", '{"y": [0.5, 0.5]}\n' * 4 + '{"y": [-0.5, 1.5]}', "", EXIT_PROTOCOL,
+         "at row 3: [-0.5, 1.5]"),
+        ("label", '{"y": [1]}\n' * 4 + '{"y": [-1]}', "", EXIT_PROTOCOL,
+         "negative class index at row 3: -1"),
+        ("scalar", '{"y": [0.5]}\n' * 4 + '{"y": [NaN]}', "", EXIT_NUMERIC,
+         "non-finite output at row 3"),
+        ("scalar", '{"y": [-Infinity]}', "", EXIT_NUMERIC, "non-finite output at row 0"),
+        ("probs", '{"y": [Infinity, 0]}', "", EXIT_NUMERIC, "non-finite output at row 0"),
+        ("probs", '{"y": [0.5, 0.5]}\n{"y": [NaN, 0.5]}', "", EXIT_NUMERIC,
+         "non-finite output at row 0"),
+    ], ids=["no-yb", "yb-number", "yb-null", "yb-bad-padding", "yb-stray-character",
+            "yb-not-ascii", "yb-partial-value", "yb-empty", "scalar-row-missing",
+            "scalar-two-values", "label-row-missing", "probs-row-missing",
+            "probs-width-changes", "probs-sum", "probs-negative", "label-negative",
+            "scalar-nan", "scalar-inf", "probs-inf", "probs-nan"])
+    def test_faulty_binary_reply_exit_code(self, output, predict, batch, code, message,
+                                           capsys):
+        # the first request holds f(x*), one row; the second 100 rows
+        info = (f'{{"arity": 2, "output": "{output}", "gradient": false, "batch": true, '
+                '"binary": true}')
+        server = scripted_server(info, predict=predict, batch=batch)
+        assert main(["attr-eval", "--model", exec_spec(server), "--point", "0.1,0.2",
+                     "--methods", "random", "--uniform", "0,1", "--n-mc", "100"]) == code
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(["scalar", "label", "probs"]), st.booleans(), st.data())
+    def test_generated_replies_keep_the_exit_code_contract(self, output, binary, data):
+        """Any scripted reply, JSON or binary: exit 0, 3 or 4, no traceback and
+        no non-finite JSON token."""
+        width = data.draw(st.integers(1, 3)) if output == "probs" else 1
+        if output == "label":
+            number = st.integers(-2, 3) if binary else REPLY_NUMBERS
+        else:
+            number = st.one_of(st.floats(0, 1), st.sampled_from(
+                [0, 1, -0.0, 5e-324, -1.0, 2.0, math.nan, math.inf, -math.inf]))
+        row = st.lists(number, min_size=width, max_size=width)
+        if not binary:
+            row = st.one_of(row, ODD_VALUES)
+        if data.draw(st.booleans()):  # rows of another width
+            row = st.one_of(row, st.lists(number, min_size=1, max_size=4))
+        rows = data.draw(st.lists(row, min_size=1, max_size=6))
+        predict = "\n".join(json.dumps({"y": y}) for y in rows)
+        batch = data.draw(st.one_of(
+            st.sampled_from(["", "", "short"]),
+            st.text("AQgw+/=*", max_size=16).map(lambda t: json.dumps({"yb": t})),
+            st.sampled_from(['{"y": [[0.5]]}', '{"yb": 5}', '{"error": "x"}', "junk"])))
+        info = json.dumps({"arity": 2, "output": output, "gradient": False, "batch": True,
+                           "binary": binary})
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["attr-eval", "--model", exec_spec(scripted_server(
+                info, predict=predict, batch=batch)), "--point", "0.1,0.2",
+                "--methods", "random", "--uniform", "0,1", "--n-mc", "100"])
+        assert code in (EXIT_OK, EXIT_PROTOCOL, EXIT_NUMERIC), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
+
     def test_child_without_batch_gets_one_row_per_request(self):
         with ExternalModel(PARK_SERVER) as child:
             with pytest.raises(ContractViolation):
@@ -812,8 +930,8 @@ class TestExternalModelAdapter:
         estimate = attr_metrics.restriction_loss_vector
         monkeypatch.setattr(attr_metrics, "restriction_loss_vector",
                             lambda *a: passes.append(1) or estimate(*a))
-        out, per_row = park_run_requests(monkeypatch, capsys, batch=False)
-        _, batched = park_run_requests(monkeypatch, capsys, batch=True)
+        out, per_row = park_run_requests(monkeypatch, capsys, "per-row")
+        _, batched = park_run_requests(monkeypatch, capsys, "binary")
         assert len(passes) == 2  # one per run
         metrics = json.loads(out)["metrics"]
         park = xmeter.park.park_model()
@@ -836,9 +954,14 @@ class TestExternalModelAdapter:
             assert requests["gradient"] == 1 + 1 + 64  # saliency, inpxgrad, intgrad
 
     def test_batch_and_per_row_paths_give_the_same_report(self, monkeypatch, capsys):
-        per_row, _ = park_run_requests(monkeypatch, capsys, batch=False)
-        batched, _ = park_run_requests(monkeypatch, capsys, batch=True)
+        # per-row JSON, batch JSON and batch binary requests: one report, and
+        # the two batch paths send the same requests
+        per_row, _ = park_run_requests(monkeypatch, capsys, "per-row")
+        batched, json_requests = park_run_requests(monkeypatch, capsys, "batch")
+        binary, binary_requests = park_run_requests(monkeypatch, capsys, "binary")
         assert batched == per_row
+        assert binary == per_row
+        assert binary_requests == json_requests
 
     def test_concurrent_predicts_are_serialized(self):
         with ExternalModel(PARK_SERVER) as child:
@@ -966,8 +1089,21 @@ class TestModelServer:
                                 text=True, timeout=30, env=env)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == [
-            '{"arity": 2, "output": "scalar", "gradient": false, "batch": true}',
+            '{"arity": 2, "output": "scalar", "gradient": false, "batch": true, '
+            '"binary": true}',
             '{"y": [0.5]}', '{"y": [[0.25], [0.75]]}']
+
+    def test_server_answers_binary_rows_in_binary(self):
+        rows = '{"op": "predict_batch", "Xb": "%s"}' % packed("d", [0.25, 0.0, 0.75, -0.0])
+        bad = ['{"op": "predict_batch", "Xb": "%s"}' % packed("d", [0.25]),
+               '{"op": "predict_batch", "Xb": "AAA"}', '{"op": "predict_batch", "Xb": 5}']
+        result = subprocess.run(BUILTIN_SERVER + ["--model", "echo", "--arity", "2"],
+                                input="\n".join([rows] + bad) + "\n", capture_output=True,
+                                text=True, timeout=30)
+        assert result.returncode == 0, result.stderr
+        replies = [json.loads(line) for line in result.stdout.splitlines()]
+        assert replies[0] == {"yb": packed("d", [0.25, 0.75])}
+        assert all(set(reply) == {"error"} for reply in replies[1:])  # and it kept serving
 
     @pytest.mark.parametrize("kind,Y", [
         ("scalar", np.linspace(-3.0, 7.0, 300) ** 3 / 7),
@@ -986,6 +1122,53 @@ class TestModelServer:
         stdout = io.StringIO()
         model_server.serve(model, io.StringIO(
             json.dumps({"op": "predict_batch", "X": X}) + "\n"
-            + json.dumps({"op": "predict", "x": [0.0]}) + "\n"), stdout)
+            + json.dumps({"op": "predict", "x": [0.0]}) + "\n"
+            + json.dumps({"op": "predict_batch", "Xb": packed("d", [0.0] * len(Y))}) + "\n"),
+            stdout)
+        # the binary reply holds the JSON reply's values, flattened row-major
+        values = [v for y in Y for v in row_payload(y)]
         assert stdout.getvalue() == (json.dumps({"y": [row_payload(y) for y in Y]}) + "\n"
-                                     + json.dumps({"y": row_payload(Y[0])}) + "\n")
+                                     + json.dumps({"y": row_payload(Y[0])}) + "\n"
+                                     + json.dumps({"yb": packed("q" if kind == "label" else "d",
+                                                                values)}) + "\n")
+
+
+# float64 bit patterns the binary format must carry unchanged: zeros, the
+# smallest and largest subnormals, the extremes, infinities, quiet and
+# signalling NaNs with payloads and with the sign bit set
+SPECIAL_BITS = [0, 1 << 63, 1, (1 << 52) - 1, 0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000,
+                0xFFF0000000000000, 0x7FF8000000000000, 0x7FF8000000000123,
+                0x7FF0000000000001, 0xFFF4000000000000, (1 << 64) - 1]
+
+
+class TestBinaryRows:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, (1 << 64) - 1), st.sampled_from(SPECIAL_BITS)),
+                    max_size=40),
+           st.sampled_from([protocol.FLOAT64, protocol.INT64]), st.integers(1, 4))
+    def test_every_bit_pattern_round_trips(self, bits, dtype, width):
+        # the values as float64 or as int64 labels, sent as a matrix of rows
+        bits = bits[:len(bits) // width * width]
+        values = np.array(bits, dtype=np.uint64).view(dtype).reshape(-1, width)
+        text = protocol.encode(values, dtype)
+        assert text == base64.b64encode(np.array(bits, dtype="<u8").tobytes()).decode()
+        decoded = protocol.decode(text, dtype)
+        assert decoded.dtype == dtype.newbyteorder("=") and decoded.flags.writeable
+        assert decoded.view(np.uint64).tolist() == bits
+
+    def test_labels_and_floats_are_converted_to_the_format_type(self):
+        assert protocol.encode([1.0, 2.9], protocol.INT64) == packed("q", [1, 2])
+        assert protocol.encode([[1, 2]], protocol.FLOAT64) == packed("d", [1.0, 2.0])
+        assert protocol.reply_dtype("label") == protocol.INT64
+        assert protocol.reply_dtype("probs") == protocol.reply_dtype("scalar") == \
+            protocol.FLOAT64
+
+    @pytest.mark.parametrize("text", [None, 5, ["AAAA"], "AAA", "AAAA AAAAAAA",
+                                      "AAAA\nAAAAAAA", "AAAAAAAAAAA=AAAA", "AAAA",
+                                      "AAAAAAAAAAB=", "\u00e9AAAAAAAAAAA"],
+                             ids=["none", "number", "list", "bad-padding", "space",
+                                  "line-break", "data-after-padding", "partial-value",
+                                  "non-canonical-padding-bits", "not-ascii"])
+    def test_decode_refuses_what_encode_never_writes(self, text):
+        with pytest.raises(ValueError):
+            protocol.decode(text, protocol.FLOAT64)
