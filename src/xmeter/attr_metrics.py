@@ -172,7 +172,6 @@ def importance_order(values: np.ndarray) -> list[int]:
 @dataclass(frozen=True)
 class EffectiveComplexityResult:
     k: int
-    saturated: bool
     losses: tuple[float, ...]  # estimate for each prefix size 1..k
 
 
@@ -183,23 +182,22 @@ def effective_complexity_detail(attr: AttributionVector, model: ModelHandle,
     """Smallest k whose top-k clamp keeps the joint-resampling loss below epsilon.
 
     All non-top-k coordinates are resampled jointly (marginally independent
-    draws), the top-k stay clamped at the explained point. If no prefix
-    reaches the tolerance the result saturates at the full arity. ``_passes``,
-    the report's shared passes at this point, supplies f(x*) and the prefix
-    losses other attributions of the point already computed.
+    draws), the top-k stay clamped at the explained point. The full prefix
+    resamples nothing, so its loss is 0 and k never exceeds the arity.
+    ``_passes``, the report's shared passes at this point, supplies f(x*) and
+    the prefix losses other attributions of the point already computed.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN too, which no loss is below
         raise ContractViolation("epsilon must be positive")
     passes = _passes or _RestrictionPasses(model, attr.point, cfg)
     order = importance_order(attr.values)
     losses: list[float] = []
     for k in range(1, attr.arity + 1):
         rest = sorted(order[k:])
-        loss = passes.prefix_loss(k, rest) if rest else 0.0
-        losses.append(loss)
-        if loss < epsilon:
-            return EffectiveComplexityResult(k=k, saturated=False, losses=tuple(losses))
-    return EffectiveComplexityResult(k=attr.arity, saturated=True, losses=tuple(losses))
+        losses.append(passes.prefix_loss(k, rest) if rest else 0.0)
+        if losses[-1] < epsilon:
+            break
+    return EffectiveComplexityResult(k=len(losses), losses=tuple(losses))
 
 
 def perturbation_test(attr: AttributionVector, model: ModelHandle, k: int,
@@ -252,7 +250,7 @@ def attribution_report(attrs: Sequence[AttributionVector], model: ModelHandle,
             "monotonicity": monotonicity(attr, e),
             "non_sensitivity": non_sensitivity(attr, e, cfg.zero_tolerance),
             "effective_complexity": ec.k,
-            "ec_saturated": ec.saturated,
+            "ec_saturated": False,  # kept so reports keep their bytes; k stops at the arity
             "epsilon": epsilon,
             "e_vector": [float(v) for v in e],
             "n_mc_samples": cfg.n_mc_samples,

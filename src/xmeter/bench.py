@@ -6,13 +6,14 @@ The generators are bit-reproducible per seed and small enough to run on a
 laptop; they stand in for large-scale image/text corpora while exhibiting the
 same metric phenomena.
 
-One presorted grower, ``_grow``, serves the tree (Gini) and the per-feature
-entropy discretizer in ``mi``; it grows on a stack, so only ``max_depth``
-limits the depth. Each node scores every midpoint cut of every column from
-prefix class counts, in column blocks of ``BLOCK`` entries, as the impurity
-gain per row, and keeps the lowest (feature, threshold) whose gain exceeds
-2e-12 and beats every earlier cut by more than 1e-12. Measured per row, the
-rounding noise of a zero-gain cut stays far below 2e-12 at any node size.
+One presorted grower, ``_grow``, grows the tree (Gini) on a stack, so only
+``max_depth`` limits the depth. Each node scores every midpoint cut of every
+column from prefix class counts, in column blocks of ``BLOCK`` entries, as the
+impurity gain per row (``_gains``), and keeps the lowest (feature, threshold)
+whose gain exceeds 2e-12 and beats every earlier cut by more than 1e-12
+(``_scan``). Measured per row, the rounding noise of a zero-gain cut stays far
+below 2e-12 at any node size. The entropy discretizer in ``mi`` grows its
+one-column trees by the same rule, from the same three functions.
 """
 
 from __future__ import annotations
@@ -52,6 +53,14 @@ def _impurity(counts: np.ndarray, n, kind: str) -> np.ndarray:
     return 1.0 - total if kind == "gini" else -total
 
 
+def _gains(parent, left, total, n_left, m, kind):
+    """Impurity gain per row of each cut of a node of ``m`` rows with impurity
+    ``parent`` and class counts ``total``: ``n_left`` rows with class counts
+    ``left`` (classes first) go left. The arguments broadcast, one entry per cut."""
+    return parent - (_impurity(left, n_left, kind) * n_left
+                     + _impurity(total - left, m - n_left, kind) * (m - n_left)) / m
+
+
 def _scan(gains, best_gain, peak):
     """(Last index whose gain beats the running best by more than 1e-12, or None; new best;
     new peak.) Only a gain above the peak and every earlier gain can, so only those are seen."""
@@ -78,11 +87,7 @@ def _best_cut(Xt, y, orders, counts, kind):
             continue
         # prefix class counts, K x columns x m (np.eye(K)[y] would take K x K, K = max label + 1)
         prefix = np.cumsum(y[rows] == np.arange(n_classes)[:, None, None], axis=2, dtype=float)
-        left = prefix[:, f, c]
-        n_left = c + 1.0
-        gains = parent - (_impurity(left, n_left, kind) * n_left
-                          + _impurity(prefix[:, f, -1] - left, m - n_left, kind)
-                          * (m - n_left)) / m
+        gains = _gains(parent, prefix[:, f, c], prefix[:, f, -1], c + 1.0, m, kind)
         i, best_gain, peak = _scan(gains, best_gain, peak)
         if i is not None:
             best = lo + int(f[i]), float((vals[f[i], c[i]] + vals[f[i], c[i] + 1]) / 2.0)

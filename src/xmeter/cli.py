@@ -309,17 +309,23 @@ class ExternalModel:
     def as_model_handle(self) -> ModelHandle:
         """A handle whose ``predict_fn`` sends the rows in order, one request per
         chunk of consecutive rows: up to ``BATCH_ROWS`` rows to a child that
-        advertises ``batch``, one row to any other."""
+        advertises ``batch``, one row to any other. Zero rows send no request
+        and predict an empty array of the replies' shape and type: (0, classes)
+        for ``probs``, with the class count of the replies so far (0 before any)."""
         has_grad = bool(self.info["gradient"])
         step = BATCH_ROWS if self.info.get("batch", False) else 1
+        kind = self.info["output"]
 
         def predict_fn(X):
             chunks = [self.predict(X[i:i + step]) for i in range(0, len(X), step)]
-            return np.concatenate(chunks) if chunks else np.empty(0)
+            if chunks:
+                return np.concatenate(chunks)
+            return np.empty((0, self._classes) if kind == "probs" else 0,
+                            dtype=protocol.reply_dtype(kind))
 
         return ModelHandle(
             arity=int(self.info["arity"]),
-            output_kind=self.info["output"],
+            output_kind=kind,
             predict_fn=predict_fn,
             gradient_fn=self.gradient if has_grad else None,
             gradient_capability="exact" if has_grad else "finite-difference",

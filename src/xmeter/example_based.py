@@ -37,8 +37,9 @@ class ExampleSet:
         object.__setattr__(self, "examples", ex)
 
 
-def pairwise_distances(X) -> np.ndarray:
-    """Dense Euclidean distance matrix between the rows of X, bitwise symmetric.
+def pairwise_distances(X, out: np.ndarray | None = None) -> np.ndarray:
+    """Dense Euclidean distance matrix between the rows of X, bitwise symmetric,
+    written into ``out`` (an m x m array) if given.
 
     Row blocks of the upper triangle, each at most ``BLOCK`` difference entries
     (or one row), are reduced by ``einsum`` and copied, transposed, into the
@@ -49,7 +50,7 @@ def pairwise_distances(X) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     m, d = X.shape
-    D = np.empty((m, m))
+    D = np.empty((m, m)) if out is None else out
     lo = 0
     while lo < m:
         hi = min(m, lo + max(1, BLOCK // ((m - lo) * d)))
@@ -72,9 +73,10 @@ def median_bandwidth(D: np.ndarray) -> float:
     return med if med > 0.0 else 1.0
 
 
-def rbf_kernel(D: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Gaussian RBF kernel exp(-D^2 / (2 bandwidth^2)) of a distance matrix."""
-    K = np.square(D)
+def rbf_kernel(D: np.ndarray, bandwidth: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Gaussian RBF kernel exp(-D^2 / (2 bandwidth^2)) of a distance matrix,
+    written into ``out`` (an array of D's shape) if given."""
+    K = np.square(D, out=out)
     K /= -(2.0 * bandwidth ** 2)
     return np.exp(K, out=K)
 
@@ -237,13 +239,17 @@ NESTED = {"mmd", "protodash"}
 
 
 def _class_metrics(X: np.ndarray, label: int, model: ModelHandle, names: list[str],
-                   n_range: Sequence[int], bandwidth: float | None) -> list[tuple]:
+                   n_range: Sequence[int], bandwidth: float | None,
+                   workspace: np.ndarray) -> list[tuple]:
     """(NR, D) of each selector at each budget, in that order, on one class's
-    rows X. The class's distance matrix and kernel live only for this call,
-    and each greedy selector runs once, to the largest budget."""
+    rows X. The class's distance matrix and kernel fill the first 2 m² entries
+    of the flat array ``workspace`` and serve only this call; each greedy
+    selector runs once, to the largest budget."""
+    m = len(X)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
-        D = pairwise_distances(X)
-        K = rbf_kernel(D, median_bandwidth(D) if bandwidth is None else bandwidth)
+        D = pairwise_distances(X, out=workspace[:m * m].reshape(m, m))
+        K = rbf_kernel(D, median_bandwidth(D) if bandwidth is None else bandwidth,
+                       out=workspace[m * m:2 * m * m].reshape(m, m))
     if not (np.isfinite(D).all() and np.isfinite(K).all()):
         raise FloatingPointError(f"the distances or RBF kernel of class {label} overflow "
                                  "or are undefined; rescale the features")
@@ -269,6 +275,7 @@ def metrics_vs_n(data: TabularDataset, model: ModelHandle, selectors: Sequence[s
 
     Each class's distance matrix, bandwidth (the median distance unless one is
     given) and RBF kernel are built once and serve every selector and budget.
+    Every class's matrices fill one workspace sized for the largest class.
     """
     names = list(dict.fromkeys(selectors))
     for name in names:
@@ -286,9 +293,13 @@ def metrics_vs_n(data: TabularDataset, model: ModelHandle, selectors: Sequence[s
     for n in n_range:
         if not 1 <= n <= counts.min():
             raise ContractViolation(f"cannot select {n} examples from {counts.min()} samples")
+    # a fresh m x m matrix per class above glibc's mmap threshold is a fresh
+    # mapping, page-faulted in anew
+    workspace = np.empty(2 * int(counts.max()) ** 2)
     # per (selector, budget) cell, in order, the (NR, D) pair of every class
     cells = iter(zip(*[_class_metrics(data.features[data.labels == c], c, model, names,
-                                      n_range, bandwidth) for c in range(data.n_classes)]))
+                                      n_range, bandwidth, workspace)
+                       for c in range(data.n_classes)]))
     table = {name: [] for name in names}
     for name in names:
         for n in n_range:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import digamma
 
-from .bench import _grow
+from .bench import _gains, _impurity, _scan
 from .core import BLOCK, ContractViolation, TabularDataset
 
 JITTER_SCALE = 1e-10
@@ -71,26 +71,82 @@ def fit_entropy_discretizer(data: TabularDataset, max_depth: int) -> FeatureExtr
     """Per-feature entropy trees against the labels; split thresholds become bin edges.
 
     Each feature is discretized independently by an information-gain tree of
-    depth ``max_depth``, grown by the decision tree's grower (``bench._grow``):
-    each split takes the lowest midpoint whose gain per row exceeds 2e-12 and
-    beats every lower one by more than 1e-12. Constant or uninformative
-    features end up with no edges (a single bin).
+    depth ``max_depth``, split by the decision tree's rule (``bench``): each
+    split takes the lowest midpoint whose gain per row exceeds 2e-12 and beats
+    every lower one by more than 1e-12. Constant or uninformative features end
+    up with no edges (a single bin). The trees grow together, one level at a
+    time, in blocks of features of about ``BLOCK`` prefix counts.
     """
     if data.labels is None:
         raise ContractViolation("discretizer needs labeled data")
     if max_depth < 1:
         raise ContractViolation("max_depth must be >= 1")
-    all_edges = []
-    for f in range(data.n_features):
-        stack, edges = [_grow(data.features[:, [f]], data.labels, data.n_classes, max_depth,
-                              "entropy")], []
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                edges.append(node.threshold)
-                stack += [node.left, node.right]
-        all_edges.append(tuple(sorted(edges)))
-    return FeatureExtractor("entropy-discretizer", bin_edges=tuple(all_edges))
+    step = max(1, BLOCK // (data.n_samples * data.n_classes))
+    edges = []
+    for lo in range(0, data.n_features, step):
+        edges += _tree_edges(data.features[:, lo:lo + step], data.labels, data.n_classes,
+                             max_depth)
+    return FeatureExtractor("entropy-discretizer",
+                            bin_edges=tuple(tuple(sorted(column)) for column in edges))
+
+
+def _tree_edges(X: np.ndarray, y: np.ndarray, n_classes: int, max_depth: int) -> list:
+    """The split thresholds of each column's one-column entropy tree.
+
+    A node of a one-column tree is a run ``lo:hi`` of its column's sorted
+    order, so its class counts are differences of the column's prefix counts,
+    which are exact integers. Each level scores every cut of every open node
+    of every column in one ``_gains`` call; ``_scan`` then picks each node's
+    cut from its run of gains, as ``bench._best_cut`` does for a one-column
+    node, and the children are the rows at or below the threshold and the rest.
+    """
+    Xt = np.ascontiguousarray(X.T)
+    width, n = Xt.shape
+    order = np.argsort(Xt, axis=1, kind="stable")
+    vals = np.take_along_axis(Xt, order, axis=1)
+    # prefix[:, f * (n + 1) + i]: the class counts of the i lowest rows of column f
+    prefix = np.zeros((n_classes, width, n + 1))
+    np.cumsum(y[order] == np.arange(n_classes)[:, None, None], axis=2, dtype=float,
+              out=prefix[:, :, 1:])
+    prefix = prefix.reshape(n_classes, -1)
+    # rises[f * n + i]: sorted column f rises after position i, so a cut fits there
+    rises = np.zeros((width, n), dtype=bool)
+    rises[:, :-1] = vals[:, 1:] > vals[:, :-1]
+    rises = rises.reshape(-1)
+    edges: list[list[float]] = [[] for _ in range(width)]
+    feature, lo, hi = np.arange(width), np.zeros(width, dtype=np.intp), np.full(width, n)
+    for _ in range(max_depth):
+        counts = prefix[:, feature * (n + 1) + hi] - prefix[:, feature * (n + 1) + lo]
+        is_open = counts.max(axis=0) < hi - lo  # neither pure nor empty
+        feature, lo, hi, counts = feature[is_open], lo[is_open], hi[is_open], counts[:, is_open]
+        m = hi - lo
+        # each node's positions lo .. hi - 2, kept where its column rises
+        node = np.repeat(np.arange(len(m)), m - 1)
+        pos = np.arange(len(node)) + np.repeat(lo - np.cumsum(m - 1) + (m - 1), m - 1)
+        keep = rises[feature[node] * n + pos]
+        node, pos = node[keep], pos[keep]
+        if not node.size:
+            break
+        start, n_left = feature[node] * (n + 1) + lo[node], pos + 1 - lo[node]
+        gains = _gains(_impurity(counts, m, "entropy")[node],
+                       prefix[:, start + n_left] - prefix[:, start], counts[:, node],
+                       n_left.astype(float), m[node], "entropy")
+        bounds = np.searchsorted(node, np.arange(len(m) + 1)).tolist()
+        children = []
+        for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            i = _scan(gains[a:b], 1e-12, -np.inf)[0] if a < b else None
+            if i is None:
+                continue
+            f, c, first, last = int(feature[j]), int(pos[a + i]), int(lo[j]), int(hi[j])
+            threshold = float((vals[f, c] + vals[f, c + 1]) / 2.0)
+            edges[f].append(threshold)
+            # rows at or below the threshold go left, as in the decision tree
+            cut = first + int(np.searchsorted(vals[f, first:last], threshold, side="right"))
+            children += [(f, first, cut), (f, cut, last)]
+        if not children:
+            break
+        feature, lo, hi = (np.array(col, dtype=np.intp) for col in zip(*children))
+    return edges
 
 
 def apply_extractor(g: FeatureExtractor, data: TabularDataset) -> TabularDataset:
@@ -130,8 +186,8 @@ def _as_matrix(a) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim == 1:
         return a.reshape(-1, 1)
-    if a.ndim != 2:
-        raise ContractViolation("columns must be 1-D or 2-D")
+    if a.ndim != 2 or a.shape[1] < 1:
+        raise ContractViolation("columns must be 1-D or 2-D with at least one column")
     return a
 
 
@@ -241,8 +297,16 @@ class _RadiusCount:
 
 
 def _discrete_codes(d: np.ndarray) -> np.ndarray:
-    _, inv = np.unique(d, axis=0, return_inverse=True)
-    return inv.reshape(-1)
+    """Each row's rank among the distinct rows of ``d`` in lexicographic order,
+    the inverse ``np.unique(d, axis=0)`` returns: one lexsort, then a scan for
+    the rows that differ from the row before them."""
+    order = np.lexsort(d.T[::-1])
+    ordered = d[order]
+    new = np.ones(len(d), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    codes = np.empty(len(d), dtype=np.intp)
+    codes[order] = np.cumsum(new) - 1
+    return codes
 
 
 class _Mixed(_RadiusCount):

@@ -3,6 +3,7 @@ import pytest
 from scipy.spatial.distance import cdist
 from scipy.special import digamma
 
+from xmeter import bench
 from xmeter import park as park_module
 from xmeter.core import (
     BLOCK,
@@ -483,3 +484,25 @@ def reference_extractor_table(data: TabularDataset, names, y: np.ndarray | None,
         table[name] = {"feature_mi": float(np.mean(feature_vals)),
                        "target_mi": float(np.mean(target_vals)), "runs": runs}
     return table
+
+
+def reference_fit_entropy_discretizer(data: TabularDataset, max_depth: int) -> FeatureExtractor:
+    """The entropy discretizer grown one feature at a time: a one-column tree
+    per feature from the decision tree's grower, its thresholds the bin edges.
+    ``mi.fit_entropy_discretizer`` grows all features level by level in one
+    pass; it must give the same edges, bit for bit."""
+    if data.labels is None:
+        raise ContractViolation("discretizer needs labeled data")
+    if max_depth < 1:
+        raise ContractViolation("max_depth must be >= 1")
+    all_edges = []
+    for f in range(data.n_features):
+        stack, edges = [bench._grow(data.features[:, [f]], data.labels, data.n_classes,
+                                    max_depth, "entropy")], []
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                edges.append(node.threshold)
+                stack += [node.left, node.right]
+        all_edges.append(tuple(sorted(edges)))
+    return FeatureExtractor("entropy-discretizer", bin_edges=tuple(all_edges))

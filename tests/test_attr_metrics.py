@@ -28,6 +28,7 @@ from xmeter.attr_metrics import (
 from xmeter.core import (
     ContractViolation,
     FeatureDistribution,
+    ModelHandle,
     SQUARED_ERROR,
     TabularDataset,
     UndefinedCorrelation,
@@ -219,14 +220,13 @@ class TestEffectiveComplexity:
     def test_worst_ordering_caps_at_arity(self, park, park_point):
         # an ordering that ranks the inert features first forces k all the way
         # up; the empty complement at k=arity is exactly lossless, so the
-        # result caps at 6 without saturating
+        # result caps at 6
         cfg = ExpectationConfig(FeatureDistribution.uniform(6), SQUARED_ERROR,
                                 n_mc_samples=500, seed=0)
         attr = AttributionVector(np.asarray(park_point), [1.0, 1.0, 1.0, 1.0, 2.0, 2.0],
                                  "probe")
         detail = effective_complexity_detail(attr, park, 1e-12, cfg)
         assert detail.k == 6
-        assert detail.saturated is False
         assert detail.losses[-1] == 0.0
 
     def test_tie_breaking_prefers_lower_index(self):
@@ -235,6 +235,16 @@ class TestEffectiveComplexity:
     def test_epsilon_must_be_positive(self, park, park_point, park_cfg):
         with pytest.raises(ContractViolation):
             effective_complexity_detail(saliency(park, park_point), park, 0.0, park_cfg).k
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), -1.0, float("-inf")])
+    def test_nan_or_negative_epsilon_is_refused_before_any_pass(self, park, park_point,
+                                                               park_cfg, epsilon):
+        # a NaN epsilon used to run every prefix, since no loss is below NaN
+        calls = []
+        counted = ModelHandle(6, "scalar", lambda X: calls.append(len(X)) or park.predict_fn(X))
+        with pytest.raises(ContractViolation, match="epsilon must be positive"):
+            effective_complexity_detail(saliency(park, park_point), counted, epsilon, park_cfg)
+        assert calls == []
 
 
 class TestScaleInvariance:

@@ -709,6 +709,33 @@ class TestExternalModelAdapter:
             with pytest.raises(ModelProtocolError):
                 child.predict([0.0])
 
+    @pytest.mark.parametrize("output,predict,in_process", [
+        ("probs", '{"y": [0.25, 0.75]}', lambda X: np.tile([0.25, 0.75], (len(X), 1))),
+        ("label", '{"y": [1]}', lambda X: np.ones(len(X), dtype=int)),
+        ("scalar", '{"y": [0.5]}', lambda X: np.full(len(X), 0.5)),
+    ])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_zero_rows_predict_the_in_process_shape_without_a_request(
+            self, output, predict, in_process, binary):
+        info = (f'{{"arity": 2, "output": "{output}", "gradient": false, "batch": true, '
+                f'"binary": {str(binary).lower()}}}')
+        local = ModelHandle(2, output, in_process)
+        with ExternalModel(scripted_server(info, predict=predict)) as child:
+            handle = child.as_model_handle()
+            np.testing.assert_array_equal(handle.predict_batch(np.zeros((3, 2))),
+                                          local.predict_batch(np.zeros((3, 2))))
+            sent = []
+            child.predict = lambda X: sent.append(len(X))
+            empty = handle.predict_batch(np.zeros((0, 2)))
+            assert sent == []
+        expected = local.predict_batch(np.zeros((0, 2)))
+        assert (empty.shape, empty.dtype.kind) == (expected.shape, expected.dtype.kind)
+
+    def test_zero_probs_rows_before_any_reply_have_no_classes(self):
+        info = '{"arity": 2, "output": "probs", "gradient": false, "batch": true}'
+        with ExternalModel(scripted_server(info)) as child:
+            assert child.as_model_handle().predict_batch(np.zeros((0, 2))).shape == (0, 0)
+
     @pytest.mark.parametrize("output,predict,gradient", [
         ("scalar", '{"y": [NaN]}', "false"), ("scalar", '{"y": [0.5]}', "true"),
         ("probs", '{"y": [Infinity, 0.0]}', "false"), ("probs", '{"y": [NaN, 1.0]}', "false"),

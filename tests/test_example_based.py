@@ -173,10 +173,12 @@ class TestBlockedPassesMatchTheFullMatrixReferences:
         X = rng.normal(size=(500, 8))
         model = bench.fit_decision_tree(TabularDataset(X, (X[:, 0] > 0).astype(int)),
                                         max_depth=3).as_model_handle()
-        example_based._class_metrics(X[:20], 0, model, list(SELECTORS), [2, 4], None)  # warm-up
+        example_based._class_metrics(X[:20], 0, model, list(SELECTORS), [2, 4], None,
+                                     np.empty(2 * 20 ** 2))  # warm-up
         tracemalloc.start()
         try:
-            example_based._class_metrics(X, 0, model, list(SELECTORS), [2, 4], None)
+            example_based._class_metrics(X, 0, model, list(SELECTORS), [2, 4], None,
+                                         np.empty(2 * len(X) ** 2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -426,20 +428,26 @@ class TestMetricsVsN:
 
     def test_one_distance_matrix_per_class(self, monkeypatch):
         # three selectors at two budgets share each class's distance matrix;
-        # diversity's matrices over at most 4 prototypes are not counted
+        # diversity's matrices over at most 4 prototypes are not counted. Every
+        # class's matrix fills the one workspace of the command.
         data = bench.synth_tabular(bench.SynthSpec(90, 2, 3, separation=3.0),
                                    seed=0)
         model = bench.fit_decision_tree(data, max_depth=3).as_model_handle()
-        sizes = []
+        sizes, workspaces = [], []
         build = example_based.pairwise_distances
 
-        def counting(X):
+        def counting(X, out=None):
             sizes.append(len(X))
-            return build(X)
+            if out is not None:
+                workspaces.append(out.base)
+            return build(X, out=out)
 
         monkeypatch.setattr(example_based, "pairwise_distances", counting)
         metrics_vs_n(data, model, SELECTORS, [2, 4])
         assert sorted(n for n in sizes if n > 4) == sorted(np.bincount(data.labels))
+        assert len(workspaces) == data.n_classes
+        assert all(w is workspaces[0] for w in workspaces)
+        assert workspaces[0].size == 2 * np.bincount(data.labels).max() ** 2
 
     def test_greedy_selectors_run_once_per_class(self, monkeypatch):
         data = bench.synth_tabular(bench.SynthSpec(90, 2, 3, separation=3.0), seed=0)

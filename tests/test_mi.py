@@ -13,6 +13,7 @@ from conftest import (
     reference_estimate_mi,
     reference_extractor_report,
     reference_extractor_table,
+    reference_fit_entropy_discretizer,
 )
 from scipy.special import digamma
 
@@ -21,6 +22,7 @@ from xmeter.core import ContractViolation, TabularDataset
 from xmeter.mi import (
     EXTRACTORS,
     JITTER_SCALE,
+    _discrete_codes,
     _kth_distance,
     _RadiusCount,
     _sweep,
@@ -104,6 +106,126 @@ class TestEntropyDiscretizer:
         once = apply_extractor(g, data)
         twice = apply_extractor(g, once)
         np.testing.assert_array_equal(once.features, twice.features)
+
+
+# Columns of one value kind each: a small integer grid (ties), normal reals,
+# a constant, rows repeated from a few distinct ones, or values one float
+# apart, whose midpoint rounds onto one of them, with -0.0 and 0.0.
+_COLUMN_KINDS = ("grid", "real", "constant", "duplicates", "adjacent")
+ADJACENT = np.array([-0.0, 0.0, 1.0, np.nextafter(1.0, 2.0),
+                     np.nextafter(np.nextafter(1.0, 2.0), 2.0), 3.0])
+
+
+@st.composite
+def discretizer_inputs(draw):
+    """(data, max_depth): 1-12 classes, the largest always present, so the
+    impurity sums 8 or more classes pairwise; 1-12 columns; depth 1-6."""
+    n_classes, n, width = draw(st.integers(1, 12)), draw(st.integers(1, 60)), \
+        draw(st.integers(1, 12))
+    kinds = draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=width, max_size=width))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = {"grid": lambda: rng.integers(0, 4, size=n).astype(float),
+               "real": lambda: rng.normal(size=n),
+               "constant": lambda: np.full(n, 2.5),
+               "duplicates": lambda: rng.normal(size=3)[rng.integers(0, 3, size=n)],
+               "adjacent": lambda: rng.choice(ADJACENT, size=n)}
+    X = np.column_stack([columns[kind]() for kind in kinds])
+    y = rng.integers(0, n_classes, size=n)
+    y[rng.integers(0, n)] = n_classes - 1
+    if draw(st.booleans()):  # whole rows repeated
+        keep = rng.integers(0, max(1, n // 3), size=n)
+        X, y = X[keep], y[keep]
+    return TabularDataset(X, y), draw(st.integers(1, 6))
+
+
+class TestLevelOrderDiscretizer:
+    @settings(max_examples=400, deadline=None)
+    @given(discretizer_inputs())
+    def test_edges_equal_the_per_feature_trees(self, case):
+        data, max_depth = case
+        # exact floats: repr, and a rounded-onto-a-value midpoint's refusal alike;
+        # such a cut leaves the reference grower an empty leaf, whose 0/0 warns
+        with np.errstate(invalid="ignore"):
+            expected = outcome(reference_fit_entropy_discretizer, data, max_depth)
+        assert outcome(fit_entropy_discretizer, data, max_depth) == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_preset_edges_equal_the_per_feature_trees(self, seed):
+        data = bench.synth_tabular(bench.MI_BENCH_SPEC, seed)
+        for max_depth in (1, 3, 6):
+            assert fit_entropy_discretizer(data, max_depth) == \
+                reference_fit_entropy_discretizer(data, max_depth)
+
+    @pytest.mark.parametrize("block,levels", [(None, 3), (3 * 1000 * 3, 4 * 3)])
+    def test_one_gain_evaluation_per_level_and_feature_block(self, monkeypatch, block,
+                                                             levels):
+        # 10 features of 1000 rows and 3 classes: one block of all ten, or
+        # blocks of 3, 3, 3 and 1 features; every level of each has a cut
+        data = bench.synth_tabular(bench.MI_BENCH_SPEC, 0)
+        expected = reference_fit_entropy_discretizer(data, 3)
+        calls = []
+        gains = mi._gains
+
+        def counting(*args):
+            calls.append(len(args[0]))  # the cuts scored
+            return gains(*args)
+
+        def no_grow(*args):
+            raise AssertionError("the discretizer grew a tree with the CART grower")
+
+        monkeypatch.setattr(mi, "_gains", counting)
+        monkeypatch.setattr(bench, "_grow", no_grow)
+        if block is not None:
+            monkeypatch.setattr(mi, "BLOCK", block)
+        assert fit_entropy_discretizer(data, 3) == expected
+        assert len(calls) == levels
+
+    def test_memory_is_linear_in_the_largest_label(self):
+        # the class counts are classes x rows per feature block, never classes squared
+        rng = np.random.default_rng(0)
+        X = rng.uniform(size=(60, 2))
+        data = TabularDataset(X, np.where(X[:, 0] + 0.3 * X[:, 1] > 0.6, 3000, 0))
+        expected = reference_fit_entropy_discretizer(data, 3)
+        tracemalloc.start()
+        try:
+            g = fit_entropy_discretizer(data, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6  # one 3001 x 3001 identity takes 72 MB
+        assert g == expected
+
+
+def discrete_blocks():
+    """Integer and float blocks with repeated rows, -0.0 beside 0.0 and
+    negative values, of one column or several."""
+    values = st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0, 1e300])
+    return st.tuples(st.integers(1, 60), st.integers(1, 6), st.booleans(),
+                     st.integers(0, 2 ** 32 - 1)).map(lambda t: _discrete_block(*t)) | \
+        st.integers(1, 6).flatmap(lambda w: st.lists(
+            st.lists(values, min_size=w, max_size=w), min_size=1, max_size=40)
+            .map(np.array))
+
+
+def _discrete_block(n, width, floats, seed):
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(-3, 3, size=(max(1, n // 2), width))
+    block = pool[rng.integers(0, len(pool), size=n)]
+    return block * 0.5 if floats else block
+
+
+class TestDiscreteCodes:
+    @settings(max_examples=300, deadline=None)
+    @given(discrete_blocks())
+    def test_codes_equal_the_unique_inverse(self, block):
+        _, inverse = np.unique(block, axis=0, return_inverse=True)
+        codes = _discrete_codes(block)
+        assert codes.shape == (len(block),)
+        np.testing.assert_array_equal(codes, inverse.reshape(-1))
+
+    def test_zero_width_blocks_are_refused(self):
+        with pytest.raises(ContractViolation, match="at least one column"):
+            estimate_mi(np.zeros((30, 0), dtype=int), np.arange(30) % 3)
 
 
 class TestApplyExtractor:

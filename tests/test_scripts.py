@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -124,3 +125,27 @@ def test_model_server_imports_only_its_model():
                                "or m.startswith('scipy')))"])
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_compare_trees_pairs_every_recorded_command():
+    # this checkout against itself: every example-eval command once per side,
+    # each report checked against its recorded digest
+    result = run_python([str(ROOT / "scripts" / "compare_trees.py"), SRC, "example-eval",
+                         "--rounds", "1"])
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout.splitlines()[-1])["kinds"]
+    assert list(summary) == ["example-eval"]
+    entry = summary["example-eval"]
+    assert entry["commands"] == len(load_perfbench("workloads").recorded()["seeds"]
+                                    ["example-eval"])
+    assert entry["this_digests_matched"] and entry["other_digests_matched"]
+    assert 0 <= entry["this_faster_in"] <= entry["commands"]
+    assert result.stdout.startswith(f"example-eval: {entry['commands']} pairs; median ")
+
+
+@pytest.mark.parametrize("args", [["src-that-is-not-there"], [SRC, "no-such-kind"],
+                                  [SRC, "mi", "--rounds", "0"]])
+def test_compare_trees_refuses_bad_arguments(args):
+    result = run_python([str(ROOT / "scripts" / "compare_trees.py")] + args)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
