@@ -7,18 +7,21 @@ laptop; they stand in for large-scale image/text corpora while exhibiting the
 same metric phenomena.
 
 One presorted grower, ``_grow``, grows the tree (Gini) on a stack, so only
-``max_depth`` limits the depth. Each node scores every midpoint cut of every
-column from prefix class counts, in column blocks of ``BLOCK`` entries, as the
-impurity gain per row (``_gains``), and keeps the lowest (feature, threshold)
-whose gain exceeds 2e-12 and beats every earlier cut by more than 1e-12
-(``_scan``). Measured per row, the rounding noise of a zero-gain cut stays far
-below 2e-12 at any node size. The entropy discretizer in ``mi`` grows its
-one-column trees by the same rule, from the same three functions.
+``max_depth`` limits the depth. Each node scores every cut between consecutive
+distinct values of every column from prefix class counts, in column blocks of
+``BLOCK`` entries, as the impurity gain per row (``_gains``), and keeps the
+lowest (feature, threshold) whose gain exceeds 2e-12 and beats every earlier
+cut by more than 1e-12 (``_scan``). Measured per row, the rounding noise of a
+zero-gain cut stays far below 2e-12 at any node size. A cut's threshold is the
+midpoint of its two values unless that fails to separate them (``_threshold``),
+so every cut sends a row each way. The entropy discretizer in ``mi`` grows its
+one-column trees by the same rule, from the same four functions.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -61,19 +64,31 @@ def _gains(parent, left, total, n_left, m, kind):
                      + _impurity(total - left, m - n_left, kind) * (m - n_left)) / m
 
 
-def _scan(gains, best_gain, peak):
-    """(Last index whose gain beats the running best by more than 1e-12, or None; new best;
-    new peak.) Only a gain above the peak and every earlier gain can, so only those are seen."""
+def _scan(gains, best_gain, peak, tol=1e-12):
+    """(Last index whose gain beats the running best by more than ``tol``, or None; new best;
+    new peak.) Only a gain above the peak and every earlier gain can, so only those are seen.
+    This is the one greedy rule of the tree growers and the prototype selectors: the lowest
+    index wins ties."""
     earlier = np.maximum.accumulate(np.concatenate(([peak], gains[:-1])))
     hit, records = None, np.flatnonzero(gains > earlier)
     for i, g in zip(records.tolist(), gains[records].tolist()):
-        if g > best_gain + 1e-12:
+        if g > best_gain + tol:
             hit, best_gain = i, g
     return hit, best_gain, max(peak, gains.max())
 
 
+def _threshold(a, b) -> float:
+    """A cut between sorted neighbours a < b that sends a left and b right: their
+    midpoint; a / 2 + b / 2 where a + b overflows; a where the midpoint rounds onto b."""
+    a, b = float(a), float(b)
+    t = (a + b) / 2.0
+    if math.isinf(t):
+        t = a / 2.0 + b / 2.0
+    return t if a <= t < b else a
+
+
 def _best_cut(Xt, y, orders, counts, kind):
-    """Best (feature, midpoint threshold) of one node, or None, by the rule in
+    """Best (feature, threshold) of one node, or None, by the rule in
     the module docstring; ``orders[f]`` holds the node's rows sorted by column f."""
     (n_features, m), n_classes = orders.shape, len(counts)
     parent = _impurity(counts, m, kind)
@@ -82,7 +97,7 @@ def _best_cut(Xt, y, orders, counts, kind):
     for lo in range(0, n_features, step):
         rows = orders[lo:lo + step]
         vals = np.take_along_axis(Xt[lo:lo + step], rows, axis=1)
-        f, c = np.nonzero(np.diff(vals, axis=1) > 0)
+        f, c = np.nonzero(vals[:, 1:] > vals[:, :-1])
         if not c.size:
             continue
         # prefix class counts, K x columns x m (np.eye(K)[y] would take K x K, K = max label + 1)
@@ -90,7 +105,7 @@ def _best_cut(Xt, y, orders, counts, kind):
         gains = _gains(parent, prefix[:, f, c], prefix[:, f, -1], c + 1.0, m, kind)
         i, best_gain, peak = _scan(gains, best_gain, peak)
         if i is not None:
-            best = lo + int(f[i]), float((vals[f[i], c[i]] + vals[f[i], c[i] + 1]) / 2.0)
+            best = lo + int(f[i]), _threshold(vals[f[i], c[i]], vals[f[i], c[i] + 1])
     return best
 
 

@@ -17,6 +17,7 @@ from .core import (
     batch_predictions,
     evaluate_loss_batch,
 )
+from .bench import _scan
 
 NNLS_ITERATIONS = 500
 NNLS_TOLERANCE = 1e-8
@@ -63,13 +64,20 @@ def pairwise_distances(X, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def median_bandwidth(D: np.ndarray) -> float:
-    """Median off-diagonal entry of a distance matrix; falls back to 1 on degenerate data."""
+    """Median off-diagonal entry of a distance matrix; falls back to 1 on degenerate data.
+
+    One partition of the entries above the diagonal at their middle index h
+    puts the upper middle value at h and only smaller or equal values before
+    it. An even count then takes the largest of those as the lower middle
+    value and averages the two as ``np.median`` does, (a + b) / 2, bit for bit.
+    """
     if len(D) < 2:
         return 1.0
-    # the entries above the diagonal, row by row, as np.triu_indices orders them;
-    # the mask made a copy, which the median may partition in place
+    # the mask made a copy, which may be partitioned in place
     upper = D[np.arange(len(D))[:, None] < np.arange(len(D))]
-    med = float(np.median(upper, overwrite_input=True))
+    h = len(upper) // 2
+    upper.partition(h)
+    med = float(upper[h] if len(upper) % 2 else (upper[:h].max() + upper[h]) / 2.0)
     return med if med > 0.0 else 1.0
 
 
@@ -103,28 +111,34 @@ def diversity(examples: ExampleSet) -> float:
     return total / (2.0 * n)
 
 
-def _row_sums(D: np.ndarray, fill, buf: np.ndarray) -> np.ndarray:
-    """Row sums of an elementwise function of D, one row block of ``buf``'s
-    height at a time: ``fill(rows, out)`` writes the function of the rows of D
-    into ``out``. Each row is summed as a row of the whole m x m result would be."""
-    sums = np.empty(len(D))
+def _row_sums(D: np.ndarray, fills, sums, buf: np.ndarray) -> None:
+    """Row sums of elementwise functions of D into the rows ``sums``, one row
+    block of ``buf``'s height at a time, every function taking its turn while
+    the block is in cache: ``fills[j](rows, out)`` writes function j of the rows
+    of D into ``out``, whose row sums go to ``sums[j]``. Each row is summed as a
+    row of the whole m x m result would be."""
     for lo in range(0, len(D), len(buf)):
         rows = D[lo:lo + len(buf)]
         out = buf[:len(rows)]
-        fill(rows, out)
-        out.sum(axis=1, out=sums[lo:lo + len(rows)])
-    return sums
+        for fill, s in zip(fills, sums):
+            fill(rows, out)
+            out.sum(axis=1, out=s[lo:lo + len(rows)])
 
 
 def select_kmedoids(D: np.ndarray, n: int) -> list[int]:
     """PAM on distance matrix D: greedy BUILD then best-improvement SWAP passes
     (at most 100); returns the sorted row indices of the n medoids.
 
-    Deterministic: ties always resolve to the lowest candidate index. D must be
-    bitwise symmetric, as ``pairwise_distances`` returns it: a swap's cost is
-    summed over row ``cand`` rather than column ``cand``, which then adds the
-    same floats in the same order. Candidates are priced in row blocks of about
-    ``BLOCK`` entries through one reused buffer, never an m x m temporary.
+    Deterministic: a swap must lower the cost by more than 1e-12 and ties
+    resolve to the lowest (position, candidate), by ``bench._scan``'s rule on
+    the negated costs (negation is exact). D must be bitwise symmetric, as
+    ``pairwise_distances`` returns it: a swap's cost is summed over row
+    ``cand`` rather than column ``cand``, which then adds the same floats in
+    the same order. The n x m swap costs are carried between passes: a swap at
+    one position leaves that position's other medoids, and so its costs, as
+    they were, and only the other positions are priced again. Candidates are
+    priced in row blocks of about ``BLOCK`` entries through one reused buffer,
+    never an m x m temporary.
     """
     m = len(D)
     if n == m:
@@ -134,34 +148,35 @@ def select_kmedoids(D: np.ndarray, n: int) -> list[int]:
     # BUILD: start from the point with the lowest total distance, then add the
     # candidate with the largest reduction of assignment cost.
     medoids = [int(np.argmin(D.sum(axis=1)))]
+    savings = np.empty(m)
     while len(medoids) < n:
         nearest = D[:, medoids].min(axis=1)
-        savings = _row_sums(D, lambda rows, out: np.maximum(
-            np.subtract(nearest, rows, out=out), 0.0, out=out), buf)
+        _row_sums(D, [lambda rows, out: np.maximum(
+            np.subtract(nearest, rows, out=out), 0.0, out=out)], [savings], buf)
         savings[medoids] = -np.inf
         medoids.append(int(np.argmax(savings)))
 
     # SWAP: apply the single best improving (medoid, candidate) exchange. With
-    # r each point's distance to the other medoids, swapping in cand costs
-    # sum_i min(D[i, cand], r[i]): one row sum for every candidate at once.
+    # r each point's distance to the other medoids of position pos, swapping in
+    # cand there costs costs[pos, cand] = sum_i min(D[i, cand], r[i]), a row sum.
+    costs, gains = np.empty((n, m)), np.empty((n, m))
+    stale = range(n)
     for _ in range(100):
-        cost = D[:, medoids].min(axis=1).sum()
-        best_swap = None
-        best_cost = cost - 1e-12
-        taken = set(medoids)
-        for pos in range(len(medoids)):
+        fills = []
+        for pos in stale:
             others = medoids[:pos] + medoids[pos + 1:]
             r = D[others].min(axis=0) if others else np.full(m, np.inf)
-            costs = _row_sums(D, lambda rows, out: np.minimum(rows, r, out=out), buf)
-            for cand, c in enumerate(costs.tolist()):
-                if cand in taken:
-                    continue
-                if c < best_cost - 1e-12:
-                    best_cost = c
-                    best_swap = (pos, cand)
-        if best_swap is None:
+            fills.append(lambda rows, out, r=r: np.minimum(rows, r, out=out))
+        _row_sums(D, fills, [costs[pos] for pos in stale], buf)
+        np.negative(costs, out=gains)
+        gains[:, medoids] = -np.inf  # a medoid is no candidate
+        cost = D[:, medoids].min(axis=1).sum()
+        hit = _scan(gains.reshape(-1), -(cost - 1e-12), -np.inf)[0]
+        if hit is None:
             break
-        medoids[best_swap[0]] = best_swap[1]
+        pos, cand = divmod(hit, m)
+        medoids[pos] = cand
+        stale = [q for q in range(n) if q != pos]
     return sorted(medoids)
 
 
@@ -182,13 +197,8 @@ def select_mmd_critic(K: np.ndarray, n: int) -> list[int]:
         vals = (K[P[:, :, None], P[:, None, :]].reshape(m, size * size).mean(axis=1)
                 - 2.0 * colmean[P].mean(axis=1))
         vals[chosen] = np.inf  # a chosen row never improves on the start value
-        best_j = None
-        best_val = np.inf
-        for j, val in enumerate(vals.tolist()):
-            if val < best_val - 1e-15:  # strict improvement keeps ties at the lowest index
-                best_val = val
-                best_j = j
-        chosen.append(best_j)
+        # a value must undercut the best by more than 1e-15; ties go to the lowest index
+        chosen.append(_scan(-vals, -np.inf, -np.inf, tol=1e-15)[0])
     return chosen
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import digamma
 
-from .bench import _gains, _impurity, _scan
+from .bench import _gains, _impurity, _scan, _threshold
 from .core import BLOCK, ContractViolation, TabularDataset
 
 JITTER_SCALE = 1e-10
@@ -138,7 +138,7 @@ def _tree_edges(X: np.ndarray, y: np.ndarray, n_classes: int, max_depth: int) ->
             if i is None:
                 continue
             f, c, first, last = int(feature[j]), int(pos[a + i]), int(lo[j]), int(hi[j])
-            threshold = float((vals[f, c] + vals[f, c + 1]) / 2.0)
+            threshold = _threshold(vals[f, c], vals[f, c + 1])
             edges[f].append(threshold)
             # rows at or below the threshold go left, as in the decision tree
             cut = first + int(np.searchsorted(vals[f, first:last], threshold, side="right"))

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xmeter import bench, mi
@@ -203,13 +203,24 @@ def _node_impurity(counts, kind):
     return -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum(axis=-1)
 
 
+def cut_thresholds(lower, upper):
+    """Thresholds between sorted neighbours lower < upper: the midpoint; where
+    the sum overflows, the sum of the halves; where that is not below upper
+    (adjacent doubles), lower itself."""
+    with np.errstate(over="ignore"):
+        mid = (lower + upper) / 2.0
+    mid = np.where(np.isinf(mid), lower / 2.0 + upper / 2.0, mid)
+    return np.where((lower <= mid) & (mid < upper), mid, lower)
+
+
 def node_split(X, y, n_classes, impurity):
-    """Best (feature, midpoint threshold) of one node's rows, or None.
+    """Best (feature, threshold) of one node's rows, or None.
 
     Sorts every column of the node, scores every cut between distinct values
     from prefix class counts as the impurity gain per row, and scans all cuts
     in (feature, threshold) order: a cut replaces the running best only when
-    its gain is higher by more than 1e-12, starting from 1e-12.
+    its gain is higher by more than 1e-12, starting from 1e-12. The threshold
+    is the midpoint where it separates the two values (``cut_thresholds``).
     """
     n = len(y)
     parent = _node_impurity(np.bincount(y, minlength=n_classes), impurity)
@@ -217,7 +228,7 @@ def node_split(X, y, n_classes, impurity):
     for f in range(X.shape[1]):
         order = np.argsort(X[:, f], kind="stable")
         vals = X[order, f]
-        cuts = np.nonzero(np.diff(vals) > 0)[0]
+        cuts = np.nonzero(vals[1:] > vals[:-1])[0]
         prefix = np.zeros((n, n_classes))
         prefix[np.arange(n), y[order]] = 1.0
         prefix = np.cumsum(prefix, axis=0)
@@ -227,7 +238,7 @@ def node_split(X, y, n_classes, impurity):
                     + _node_impurity(prefix[-1] - left, impurity) * (n - n_left))
         gains.append(parent - children / n)
         features.append(np.full(cuts.size, f))
-        thresholds.append((vals[cuts] + vals[cuts + 1]) / 2.0)
+        thresholds.append(cut_thresholds(vals[cuts], vals[cuts + 1]))
     best, best_gain = None, 1e-12
     for i, g in enumerate(np.concatenate(gains).tolist()):
         if g > best_gain + 1e-12:
@@ -436,6 +447,62 @@ class TestDeepTrees:
         edges = mi.fit_entropy_discretizer(data, 5000).bin_edges
         assert edges == (tuple(np.arange(data.n_samples - 1) + 0.5),)
         assert edges == reference_edges(data.features, data.labels, 2, 5000)
+
+
+# values whose neighbouring doubles round midpoints onto them, or whose sums
+# leave the double range
+EXTREMES = [0.0, 1.0, -1.0, 5e-324, 1e308, -1e308, 1.7e308, -1.7e308]
+
+
+@st.composite
+def _extreme_columns(draw):
+    """Labelled rows whose columns draw from a run of adjacent doubles and a
+    few values of magnitude up to 1.7e308."""
+    n, d = draw(st.integers(2, 30)), draw(st.integers(1, 3))
+    value = st.sampled_from(EXTREMES) | st.floats(-1.7e308, 1.7e308)
+    columns = []
+    for _ in range(d):
+        pool = [draw(value)]
+        for _ in range(draw(st.integers(1, 3))):
+            pool.append(float(np.nextafter(pool[-1], np.inf)))
+        pool += draw(st.lists(value, max_size=3))
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    y = draw(st.lists(st.integers(0, draw(st.integers(1, 2))), min_size=n, max_size=n))
+    return np.array(columns).T, np.array(y)
+
+
+_ONE = 1.0
+_ONE_UP = float(np.nextafter(_ONE, np.inf))
+_ONE_UP_UP = float(np.nextafter(_ONE_UP, np.inf))
+
+
+class TestCutsSeparate:
+    @settings(max_examples=150, deadline=None)
+    @given(_extreme_columns())
+    @example((np.array([[_ONE], [_ONE], [_ONE_UP], [_ONE_UP], [_ONE_UP_UP], [_ONE_UP_UP]]),
+              np.array([0, 0, 1, 1, 0, 0])))  # midpoints of adjacent doubles round up
+    @example((np.array([[1e308], [1e308], [1.7e308], [1.7e308]]), np.array([0, 0, 1, 1])))
+    @example((np.array([[-1.7e308], [-1.7e308], [1.7e308], [1.7e308]]), np.array([0, 1, 1, 0])))
+    def test_every_cut_sends_a_training_row_each_way(self, case):
+        X, y = case
+        data = TabularDataset(X, y)
+        tree = bench.fit_decision_tree(data, 4)
+        stack = [(tree.root, np.arange(len(y)))]
+        while stack:
+            node, rows = stack.pop()
+            if node.is_leaf:
+                assert np.isfinite(node.distribution).all()
+                continue
+            left = X[rows, node.feature] <= node.threshold
+            assert left.any() and not left.all()
+            stack += [(node.left, rows[left]), (node.right, rows[~left])]
+        assert tree_shape(tree.root) == reference_tree(X, y, data.n_classes, 4, "gini")
+        # a one-column tree's leaves are the bins, each holding a training row
+        edges = mi.fit_entropy_discretizer(data, 3).bin_edges
+        assert edges == reference_edges(X, y, data.n_classes, 3)
+        for column, column_edges in zip(X.T, edges):
+            bins = np.searchsorted(np.array(column_edges), column, side="left")
+            assert set(bins.tolist()) == set(range(len(column_edges) + 1))
 
 
 @st.composite

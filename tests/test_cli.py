@@ -322,6 +322,25 @@ class TestMICommand:
         assert code == EXIT_CONFIG
 
 
+class TestCutsOfExtremeValues:
+    def test_a_column_whose_midpoints_overflow_still_splits(self, tmp_path, capsys):
+        # x is 1e308 in class 0 and 1.7e308 in class 1: their sum overflows
+        path = tmp_path / "extreme.csv"
+        path.write_text("x,b,label\n" + "".join(
+            f"{1e308 if i < 14 else 1.7e308!r},{float(i % 7)!r},{i // 14}\n" for i in range(28)))
+        data = load_dataset_csv(path)
+        tree = bench.fit_decision_tree(data, 3)
+        assert tree.root.threshold == 1.35e308
+        np.testing.assert_array_equal(tree.predict_proba_batch(data.features),
+                                      np.eye(2)[data.labels])
+        for argv in (["example-eval", "--model", "tree:3"],
+                     ["mi", "--model", "tree:3", "--ood-count", "1"]):
+            code = main(argv[:1] + ["--dataset", str(path)] + argv[1:])
+            captured = capsys.readouterr()
+            assert code == EXIT_OK, captured.err
+            assert "NaN" not in captured.out and "Infinity" not in captured.out
+
+
 class TestDatasetLoading:
     def test_csv_with_label_column(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -154,18 +154,49 @@ def classes(draw):
     return X[rng.integers(0, m, size=m)] if draw(st.booleans()) else X
 
 
+# 40 rows on a 3-value grid: many equal distances, and PAM swaps 4 times at budget 6
+TIE_HEAVY_GRID = np.random.default_rng(169).integers(0, 3, size=(40, 3)).astype(float)
+
+
 class TestBlockedPassesMatchTheFullMatrixReferences:
     @settings(max_examples=30, deadline=None)
     @given(classes())
     @example(np.ones((1, 3)))
     @example(np.arange(600 * 12, dtype=float).reshape(600, 12) % 7)
+    @example(np.array([[0.0], [1.0]]))  # one distance above the diagonal
+    @example(np.array([[0.0], [1.0], [3.0]]))  # three: an odd count
+    @example(np.array([[0.0], [1.0], [3.0], [7.0]]))  # six: the mean of two middle values
+    @example(np.full((7, 2), 3.0))  # all duplicates: median 0, bandwidth 1
+    # partitioned at the middle index, this one's entry just below it is not the
+    # lower middle value
+    @example(np.random.default_rng(532).normal(size=(64, 2)))
+    @example(np.random.default_rng(3).normal(size=(9, 2)) * 1e200)  # infinite distances
+    @example(TIE_HEAVY_GRID)
     def test_distances_bandwidth_and_medoids_are_bitwise_the_references(self, X):
-        D = pairwise_distances(X)
-        assert np.array_equal(D.view(np.uint64), reference_pairwise_distances(X).view(np.uint64))
+        with np.errstate(over="ignore"):  # only the 1e200 example overflows, to inf
+            D, reference = pairwise_distances(X), reference_pairwise_distances(X)
+        assert np.array_equal(D.view(np.uint64), reference.view(np.uint64))
         assert np.array_equal(D.view(np.uint64), D.T.view(np.uint64))
         assert median_bandwidth(D) == reference_median_bandwidth(D)
+        if not np.isfinite(D).all():
+            return  # metrics_vs_n refuses such a class before any selector runs
         for n in range(1, min(len(X), 6) + 1):
             assert select_kmedoids(D, n) == reference_full_matrix_kmedoids(D, n)
+            if len(X) <= 40:  # the one-swap-at-a-time reference is slow
+                assert select_kmedoids(D, n) == reference_kmedoids(D, n)
+
+    def test_the_tie_heavy_grid_class_takes_several_swap_passes(self, monkeypatch):
+        # each SWAP pass scans once, so this counts the swaps the example above checks
+        swaps = []
+
+        def counting(*args, **kwargs):
+            found = bench._scan(*args, **kwargs)
+            swaps.append(found[0] is not None)
+            return found
+
+        monkeypatch.setattr(example_based, "_scan", counting)
+        select_kmedoids(pairwise_distances(TIE_HEAVY_GRID), 6)
+        assert sum(swaps) >= 3 and swaps[-1] is False
 
     def test_a_class_costs_its_two_matrices_whatever_the_width(self):
         # D and K, plus a few blocks: the m x m x d difference tensor would be 8 m²
