@@ -34,6 +34,14 @@ class AttributionVector:
         return self.values.size
 
 
+def _computed(x: np.ndarray, values: np.ndarray, method: str) -> AttributionVector:
+    """The attribution of finite ``values`` computed at x. Values whose arithmetic
+    overflowed are a numeric failure (FloatingPointError), not a bad input."""
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError(f"the {method} attribution overflowed to a non-finite value")
+    return AttributionVector(x, values, method)
+
+
 def _target_class(model: ModelHandle, x: np.ndarray) -> int | None:
     if model.output_kind == "probs":
         return int(np.argmax(model.predict(x)))
@@ -51,7 +59,9 @@ def input_x_gradient(model: ModelHandle, x_star) -> AttributionVector:
     """Gradient multiplied coordinatewise by the input."""
     x = np.asarray(x_star, dtype=float)
     g = gradient(model, x, target=_target_class(model, x))
-    return AttributionVector(x, x * g, "input-x-gradient")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = x * g
+    return _computed(x, values, "input-x-gradient")
 
 
 def integrated_gradients(model: ModelHandle, x_star, baseline=None,
@@ -68,12 +78,14 @@ def integrated_gradients(model: ModelHandle, x_star, baseline=None,
     if steps < 1:
         raise ContractViolation("steps must be >= 1")
     target = _target_class(model, x)
+    grads = [gradient(model, b + (t + 0.5) / steps * (x - b), target=target)
+             for t in range(steps)]
     acc = np.zeros_like(x)
-    for t in range(steps):
-        alpha = (t + 0.5) / steps
-        acc += gradient(model, b + alpha * (x - b), target=target)
-    values = (x - b) * acc / steps
-    return AttributionVector(x, values, "integrated-gradients")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in grads:
+            acc += g
+        values = (x - b) * acc / steps
+    return _computed(x, values, "integrated-gradients")
 
 
 def random_attribution(x_star, seed: int) -> AttributionVector:

@@ -6,16 +6,16 @@ The generators are bit-reproducible per seed and small enough to run on a
 laptop; they stand in for large-scale image/text corpora while exhibiting the
 same metric phenomena.
 
-One presorted grower, ``_grow``, grows the tree (Gini) on a stack, so only
-``max_depth`` limits the depth. Each node scores every cut between consecutive
-distinct values of every column from prefix class counts, in column blocks of
-``BLOCK`` entries, as the impurity gain per row (``_gains``), and keeps the
-lowest (feature, threshold) whose gain exceeds 2e-12 and beats every earlier
-cut by more than 1e-12 (``_scan``). Measured per row, the rounding noise of a
-zero-gain cut stays far below 2e-12 at any node size. A cut's threshold is the
-midpoint of its two values unless that fails to separate them (``_threshold``),
-so every cut sends a row each way. The entropy discretizer in ``mi`` grows its
-one-column trees by the same rule, from the same four functions.
+One presorted grower, ``_grow_forest``, grows the CART tree (Gini) and the
+entropy discretizer's one-column trees in ``mi``, level by level, so only
+``max_depth`` limits the depth. Each level scores every cut between
+consecutive distinct values of every column of every open node from prefix
+class counts, in column blocks of ``BLOCK`` entries, as the impurity gain per
+row (``_gains``), and each node keeps the lowest (feature, threshold) whose
+gain exceeds 2e-12 and beats every earlier cut by more than 1e-12 (``_scan``).
+Measured per row, the rounding noise of a zero-gain cut stays far below 2e-12
+at any node size. A cut's threshold is the midpoint of its two values unless
+that fails to separate them (``_threshold``), so every cut sends a row each way.
 """
 
 from __future__ import annotations
@@ -87,47 +87,88 @@ def _threshold(a, b) -> float:
     return t if a <= t < b else a
 
 
-def _best_cut(Xt, y, orders, counts, kind):
-    """Best (feature, threshold) of one node, or None, by the rule in
-    the module docstring; ``orders[f]`` holds the node's rows sorted by column f."""
-    (n_features, m), n_classes = orders.shape, len(counts)
-    parent = _impurity(counts, m, kind)
-    best, best_gain, peak = None, 1e-12, -np.inf
-    step = max(1, BLOCK // (m * n_classes))
-    for lo in range(0, n_features, step):
-        rows = orders[lo:lo + step]
-        vals = np.take_along_axis(Xt[lo:lo + step], rows, axis=1)
-        f, c = np.nonzero(vals[:, 1:] > vals[:, :-1])
-        if not c.size:
-            continue
-        # prefix class counts, K x columns x m (np.eye(K)[y] would take K x K, K = max label + 1)
-        prefix = np.cumsum(y[rows] == np.arange(n_classes)[:, None, None], axis=2, dtype=float)
-        gains = _gains(parent, prefix[:, f, c], prefix[:, f, -1], c + 1.0, m, kind)
-        i, best_gain, peak = _scan(gains, best_gain, peak)
-        if i is not None:
-            best = lo + int(f[i]), _threshold(vals[f[i], c[i]], vals[f[i], c[i] + 1])
-    return best
-
-
-def _grow(X, y, n_classes, max_depth, kind) -> TreeNode:
-    """Greedy top-down tree. Columns are sorted once at the root; a stable mask keeps
-    each child's rows sorted. A node is a leaf at max_depth, pure, or without a cut."""
-    Xt, root = np.ascontiguousarray(X.T, dtype=float), TreeNode()
-    stack = [(root, np.argsort(Xt, axis=1, kind="stable"), 0)]
-    while stack:
-        node, orders, depth = stack.pop()
-        counts = np.bincount(y[orders[0]], minlength=n_classes)
-        split = (_best_cut(Xt, y, orders, counts, kind)
-                 if depth < max_depth and counts.max() < orders.shape[1] else None)
-        if split is None:
-            node.distribution = counts / counts.sum()
-            continue
-        node.feature, node.threshold = split
-        go_left = (Xt[node.feature] <= node.threshold)[orders]
-        node.left, node.right = TreeNode(), TreeNode()
-        stack.append((node.right, orders[~go_left].reshape(len(orders), -1), depth + 1))
-        stack.append((node.left, orders[go_left].reshape(len(orders), -1), depth + 1))
-    return root
+def _grow_forest(X, y, n_classes, max_depth, kind, per_column=False) -> list[TreeNode]:
+    """Greedy top-down trees, level by level: one over all columns of X, or with
+    ``per_column`` one per column (split features are X's columns). Each column
+    is sorted once; a node is a run ``lo:hi`` of every column of its tree, its
+    class counts exact integer differences of prefix counts. Each level scores
+    every cut of every open node in one ``_gains`` call per column block, and
+    ``_scan`` reads each node's cuts in (feature, position) order, its best
+    carried over the blocks. A split partitions the node's run stably in every
+    column of its tree (a one-column tree's cut already does). A node is a leaf
+    at max_depth, pure, or without a cut."""
+    Xt = np.ascontiguousarray(X.T, dtype=float)
+    (d, n), classes = Xt.shape, np.arange(n_classes)[:, None, None]
+    order = np.argsort(Xt, axis=1, kind="stable")
+    n_trees = d if per_column else 1
+    roots = [TreeNode() for _ in range(n_trees)]
+    # the nodes of a level: their trees, runs lo:hi and class counts (classes first)
+    nodes, tree, lo, hi = roots, np.arange(n_trees), np.zeros(n_trees, dtype=np.intp), \
+        np.full(n_trees, n)
+    counts = np.repeat(np.bincount(y, minlength=n_classes)[:, None], n_trees, axis=1)
+    step = max(1, BLOCK // (n * n_classes))
+    for depth in range(max_depth + 1):
+        m = hi - lo
+        # cut q of a column leaves its first q positions left; node_at[t, q]: its open node
+        node_at = np.full((n_trees, n + 1), -1)
+        for k in np.flatnonzero((counts.max(axis=0) < m) & (depth < max_depth)).tolist():
+            node_at[tree[k], lo[k] + 1:hi[k]] = k
+        parent = _impurity(counts, m, kind)
+        best, best_gain, peak = [None] * len(nodes), [1e-12] * len(nodes), [-np.inf] * len(nodes)
+        for first in range(0, d, step):
+            cols = slice(first, first + step)
+            trees = cols if per_column else slice(0, 1)
+            v = np.take_along_axis(Xt[cols], order[cols], axis=1)
+            cut = np.zeros((len(v), n + 1), dtype=bool)
+            np.greater(v[:, 1:], v[:, :-1], out=cut[:, 1:n])
+            at = np.flatnonzero(cut & (node_at[trees] >= 0))  # column * (n + 1) + q
+            if not at.size:
+                continue
+            q = at % (n + 1)
+            j = np.take(node_at[trees], at if per_column else q)
+            if not per_column:  # group the cuts by node, each node's in (feature, position) order
+                s = np.argsort(j, kind="stable")
+                at, q, j = at[s], q[s], j[s]
+            bounds = np.searchsorted(j, np.arange(len(nodes) + 1))
+            size = np.diff(bounds)
+            # prefix counts, K x columns x (n + 1), from a class mask (np.eye(K)[y] would
+            # take K x K, K = max label + 1); a cut's left counts are its prefix less the
+            # prefix at its node's run start
+            prefix = np.zeros((n_classes, len(v), n + 1))
+            np.cumsum(y[order[cols]] == classes, axis=2, out=prefix[:, :, 1:])
+            prefix = prefix.reshape(n_classes, -1)
+            n_left = q - np.repeat(lo, size)
+            left = np.take(prefix, at, axis=1) - np.take(prefix, at - n_left, axis=1)
+            del prefix  # the scoring's temporaries are as large; hold one fewer
+            gains = _gains(np.repeat(parent, size), left, np.repeat(counts, size, axis=1),
+                           n_left.astype(float), np.repeat(m, size), kind)
+            for k in np.flatnonzero(size).tolist():
+                a, b = bounds[k], bounds[k + 1]
+                i, best_gain[k], peak[k] = _scan(gains[a:b], best_gain[k], peak[k])
+                if i is not None:  # feature, cut, the left child's counts
+                    best[k] = (first + int(at[a + i]) // (n + 1), int(q[a + i]),
+                               left[:, a + i].copy())
+        goes_left, children = np.zeros(n, dtype=bool), []
+        for k, node in enumerate(nodes):
+            if best[k] is None:
+                node.distribution = counts[:, k] / m[k]
+                continue
+            f, c, left = best[k]
+            t, a, b = int(tree[k]), int(lo[k]), int(hi[k])
+            node.feature, node.threshold = f, _threshold(*Xt[f, order[f, c - 1:c + 1]])
+            node.left, node.right = TreeNode(), TreeNode()
+            children += [(node.left, t, a, c, left), (node.right, t, c, b, counts[:, k] - left)]
+            if not per_column:
+                # rows at or below the threshold go left: the cut column's positions a..c - 1
+                goes_left[order[f, a:c]] = True
+                run = order[:, a:b]
+                side = np.take(goes_left, run)
+                run[:] = np.hstack((run[side].reshape(d, -1), run[~side].reshape(d, -1)))
+        if not children:
+            break
+        nodes, tree, lo, hi, counts = zip(*children)
+        tree, lo, hi, counts = np.array(tree), np.array(lo), np.array(hi), np.stack(counts, 1)
+    return roots
 
 
 @dataclass
@@ -172,19 +213,20 @@ class DecisionTreeModel:
 
 
 def fit_decision_tree(data: TabularDataset, max_depth: int) -> DecisionTreeModel:
-    """Greedy top-down CART on labeled data.
+    """Greedy top-down CART on labeled data, one tree over all features.
 
     Splits minimize weighted Gini impurity over midpoint thresholds between
-    consecutive distinct values; growth stops at max_depth, purity, or
-    fewer than 2 samples. All tie-breaks are deterministic (lowest feature,
+    consecutive distinct values; growth stops at max_depth, purity, or when
+    no cut gains (see the module docstring). The tree grows level by level
+    (``_grow_forest``). All tie-breaks are deterministic (lowest feature,
     lowest threshold), so the fit is invariant to sample order.
     """
     if data.labels is None:
         raise ContractViolation("decision tree needs labeled data")
     if max_depth < 0:
         raise ContractViolation("max_depth must be >= 0")
-    return DecisionTreeModel(_grow(data.features, data.labels, data.n_classes, max_depth, "gini"),
-                             max_depth, data.n_features, data.n_classes)
+    root, = _grow_forest(data.features, data.labels, data.n_classes, max_depth, "gini")
+    return DecisionTreeModel(root, max_depth, data.n_features, data.n_classes)
 
 
 # ---------------------------------------------------------------------------

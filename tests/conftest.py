@@ -3,7 +3,6 @@ import pytest
 from scipy.spatial.distance import cdist
 from scipy.special import digamma
 
-from xmeter import bench
 from xmeter import park as park_module
 from xmeter.core import (
     BLOCK,
@@ -486,23 +485,115 @@ def reference_extractor_table(data: TabularDataset, names, y: np.ndarray | None,
     return table
 
 
+# Reference trees: the per-node split search, and trees grown node by node on a
+# stack from it. xmeter.bench grows every node of a level at once; its trees and
+# the discretizer's edges must be the same, bit for bit.
+
+
+def node_impurity(counts, kind):
+    """Reference Gini or entropy (nats) of class counts, classes last."""
+    p = counts / counts.sum(axis=-1, keepdims=True)
+    if kind == "gini":
+        return 1.0 - (p * p).sum(axis=-1)
+    return -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum(axis=-1)
+
+
+def cut_thresholds(lower, upper):
+    """Thresholds between sorted neighbours lower < upper: the midpoint; where
+    the sum overflows, the sum of the halves; where that is not below upper
+    (adjacent doubles), lower itself."""
+    with np.errstate(over="ignore"):
+        mid = (lower + upper) / 2.0
+    mid = np.where(np.isinf(mid), lower / 2.0 + upper / 2.0, mid)
+    return np.where((lower <= mid) & (mid < upper), mid, lower)
+
+
+def node_split(X, y, n_classes, impurity):
+    """Best (feature, threshold) of one node's rows, or None.
+
+    Sorts every column of the node, scores every cut between distinct values
+    from prefix class counts as the impurity gain per row, and scans all cuts
+    in (feature, threshold) order: a cut replaces the running best only when
+    its gain is higher by more than 1e-12, starting from 1e-12. The threshold
+    is the midpoint where it separates the two values (``cut_thresholds``).
+    """
+    n = len(y)
+    parent = node_impurity(np.bincount(y, minlength=n_classes), impurity)
+    gains, features, thresholds = [], [], []
+    for f in range(X.shape[1]):
+        order = np.argsort(X[:, f], kind="stable")
+        vals = X[order, f]
+        cuts = np.nonzero(vals[1:] > vals[:-1])[0]
+        prefix = np.zeros((n, n_classes))
+        prefix[np.arange(n), y[order]] = 1.0
+        prefix = np.cumsum(prefix, axis=0)
+        left = prefix[cuts]
+        n_left = cuts + 1.0
+        children = (node_impurity(left, impurity) * n_left
+                    + node_impurity(prefix[-1] - left, impurity) * (n - n_left))
+        gains.append(parent - children / n)
+        features.append(np.full(cuts.size, f))
+        thresholds.append(cut_thresholds(vals[cuts], vals[cuts + 1]))
+    best, best_gain = None, 1e-12
+    for i, g in enumerate(np.concatenate(gains).tolist()):
+        if g > best_gain + 1e-12:
+            best, best_gain = i, g
+    if best is None:
+        return None
+    return int(np.concatenate(features)[best]), float(np.concatenate(thresholds)[best])
+
+
+def reference_tree(X, y, n_classes, max_depth, impurity, split=node_split):
+    """Pre-order shape (see ``tree_shape``) of the tree grown by calling
+    ``split`` on the rows of each node; a node is a leaf at max_depth, when
+    pure, or when ``split`` finds no cut."""
+    out, stack = [], [(np.arange(len(y)), 0)]
+    while stack:
+        idx, depth = stack.pop()
+        found = None
+        if depth < max_depth and len(np.unique(y[idx])) > 1:
+            found = split(X[idx], y[idx], n_classes, impurity)
+        if found is None:
+            counts = np.bincount(y[idx], minlength=n_classes).astype(float)
+            out.append((counts / counts.sum()).tolist())
+            continue
+        f, t = found
+        out.append((f, t))
+        mask = X[idx, f] <= t
+        stack += [(idx[~mask], depth + 1), (idx[mask], depth + 1)]
+    return out
+
+
+def reference_edges(X, y, n_classes, max_depth, split=node_split):
+    """Bin edges of the entropy discretizer grown with ``reference_tree``."""
+    return tuple(tuple(sorted(node[1] for node in reference_tree(
+        X[:, [f]], y, n_classes, max_depth, "entropy", split) if isinstance(node, tuple)))
+        for f in range(X.shape[1]))
+
+
+def tree_shape(root):
+    """Pre-order list of a tree: (feature, threshold) for a split, the class
+    distribution as a list for a leaf; walked on a stack, so any depth works."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            out.append(node.distribution.tolist())
+        else:
+            out.append((node.feature, node.threshold))
+            stack += [node.right, node.left]
+    return out
+
+
+
 def reference_fit_entropy_discretizer(data: TabularDataset, max_depth: int) -> FeatureExtractor:
-    """The entropy discretizer grown one feature at a time: a one-column tree
-    per feature from the decision tree's grower, its thresholds the bin edges.
+    """The entropy discretizer from the per-node search: one ``reference_tree``
+    per feature, its thresholds the bin edges (``reference_edges``).
     ``mi.fit_entropy_discretizer`` grows all features level by level in one
     pass; it must give the same edges, bit for bit."""
     if data.labels is None:
         raise ContractViolation("discretizer needs labeled data")
     if max_depth < 1:
         raise ContractViolation("max_depth must be >= 1")
-    all_edges = []
-    for f in range(data.n_features):
-        stack, edges = [bench._grow(data.features[:, [f]], data.labels, data.n_classes,
-                                    max_depth, "entropy")], []
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                edges.append(node.threshold)
-                stack += [node.left, node.right]
-        all_edges.append(tuple(sorted(edges)))
-    return FeatureExtractor("entropy-discretizer", bin_edges=tuple(all_edges))
+    return FeatureExtractor("entropy-discretizer", bin_edges=reference_edges(
+        data.features, data.labels, data.n_classes, max_depth))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import tracemalloc
 
 import numpy as np
@@ -6,10 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xmeter import bench, mi
+from xmeter.cli import main
 from xmeter.core import ContractViolation, TabularDataset, gradient
 from xmeter.mi import estimate_mi
 from xmeter.park import PARK_POINT, DomainWarning, park_batch, park_gradient
-from conftest import park_value
+from conftest import (
+    node_impurity,
+    node_split,
+    park_value,
+    reference_edges,
+    reference_tree,
+    tree_shape,
+)
 
 
 class TestParkFunction:
@@ -196,100 +206,6 @@ def _reference_split(X, y, n_classes, impurity):
     return None if t is None else (0, t)
 
 
-def _node_impurity(counts, kind):
-    p = counts / counts.sum(axis=-1, keepdims=True)
-    if kind == "gini":
-        return 1.0 - (p * p).sum(axis=-1)
-    return -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum(axis=-1)
-
-
-def cut_thresholds(lower, upper):
-    """Thresholds between sorted neighbours lower < upper: the midpoint; where
-    the sum overflows, the sum of the halves; where that is not below upper
-    (adjacent doubles), lower itself."""
-    with np.errstate(over="ignore"):
-        mid = (lower + upper) / 2.0
-    mid = np.where(np.isinf(mid), lower / 2.0 + upper / 2.0, mid)
-    return np.where((lower <= mid) & (mid < upper), mid, lower)
-
-
-def node_split(X, y, n_classes, impurity):
-    """Best (feature, threshold) of one node's rows, or None.
-
-    Sorts every column of the node, scores every cut between distinct values
-    from prefix class counts as the impurity gain per row, and scans all cuts
-    in (feature, threshold) order: a cut replaces the running best only when
-    its gain is higher by more than 1e-12, starting from 1e-12. The threshold
-    is the midpoint where it separates the two values (``cut_thresholds``).
-    """
-    n = len(y)
-    parent = _node_impurity(np.bincount(y, minlength=n_classes), impurity)
-    gains, features, thresholds = [], [], []
-    for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        vals = X[order, f]
-        cuts = np.nonzero(vals[1:] > vals[:-1])[0]
-        prefix = np.zeros((n, n_classes))
-        prefix[np.arange(n), y[order]] = 1.0
-        prefix = np.cumsum(prefix, axis=0)
-        left = prefix[cuts]
-        n_left = cuts + 1.0
-        children = (_node_impurity(left, impurity) * n_left
-                    + _node_impurity(prefix[-1] - left, impurity) * (n - n_left))
-        gains.append(parent - children / n)
-        features.append(np.full(cuts.size, f))
-        thresholds.append(cut_thresholds(vals[cuts], vals[cuts + 1]))
-    best, best_gain = None, 1e-12
-    for i, g in enumerate(np.concatenate(gains).tolist()):
-        if g > best_gain + 1e-12:
-            best, best_gain = i, g
-    if best is None:
-        return None
-    return int(np.concatenate(features)[best]), float(np.concatenate(thresholds)[best])
-
-
-def reference_tree(X, y, n_classes, max_depth, impurity, split=node_split):
-    """Pre-order shape (see ``tree_shape``) of the tree grown by calling
-    ``split`` on the rows of each node; a node is a leaf at max_depth, when
-    pure, or when ``split`` finds no cut."""
-    out, stack = [], [(np.arange(len(y)), 0)]
-    while stack:
-        idx, depth = stack.pop()
-        found = None
-        if depth < max_depth and len(np.unique(y[idx])) > 1:
-            found = split(X[idx], y[idx], n_classes, impurity)
-        if found is None:
-            counts = np.bincount(y[idx], minlength=n_classes).astype(float)
-            out.append((counts / counts.sum()).tolist())
-            continue
-        f, t = found
-        out.append((f, t))
-        mask = X[idx, f] <= t
-        stack += [(idx[~mask], depth + 1), (idx[mask], depth + 1)]
-    return out
-
-
-def reference_edges(X, y, n_classes, max_depth, split=node_split):
-    """Bin edges of the entropy discretizer grown with ``reference_tree``."""
-    return tuple(tuple(sorted(node[1] for node in reference_tree(
-        X[:, [f]], y, n_classes, max_depth, "entropy", split) if isinstance(node, tuple)))
-        for f in range(X.shape[1]))
-
-
-def tree_shape(root):
-    """Pre-order list of a tree: (feature, threshold) for a split, the class
-    distribution as a list for a leaf; walked on a stack, so any depth works."""
-    out, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            out.append(node.distribution.tolist())
-        else:
-            out.append((node.feature, node.threshold))
-            stack += [node.right, node.left]
-    return out
-
-
 def tree_depth(root):
     """Longest root-to-leaf path, in splits; walked on a stack."""
     deepest, stack = 0, [(root, 0)]
@@ -302,7 +218,7 @@ def tree_depth(root):
 
 
 def root_split(X, y, n_classes, impurity):
-    root = bench._grow(X, y, n_classes, 1, impurity)
+    root, = bench._grow_forest(X, y, n_classes, 1, impurity)
     return None if root.is_leaf else (root.feature, root.threshold)
 
 
@@ -344,7 +260,7 @@ class TestSplitSweep:
         for kind in ("gini", "entropy"):
             np.testing.assert_array_equal(
                 bench._impurity(class_first, counts.sum(axis=1), kind),
-                _node_impurity(counts.astype(float), kind))
+                node_impurity(counts.astype(float), kind))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(-8, 8), min_size=1, max_size=30), st.sampled_from([0.0, 1.0]),
@@ -369,18 +285,35 @@ class TestSplitSweep:
            st.integers(0, 6))
     def test_grown_trees_match_the_per_node_search(self, case, impurity, max_depth):
         X, y, n_classes = case
-        assert tree_shape(bench._grow(X, y, n_classes, max_depth, impurity)) == \
-            reference_tree(X, y, n_classes, max_depth, impurity)
+        root, = bench._grow_forest(X, y, n_classes, max_depth, impurity)
+        assert tree_shape(root) == reference_tree(X, y, n_classes, max_depth, impurity)
 
-    @pytest.mark.parametrize("block", [1, 7, 1 << 17])
+    @pytest.mark.parametrize("block", [1, 7, 3 * 40 * 3, 1 << 17])
     def test_column_blocks_do_not_change_the_tree(self, block, monkeypatch):
         # 3 classes x 40 rows: a block of 1 or 7 entries scores one column at a time,
-        # one of 2^17 (above core.BLOCK) scores every column in one block
+        # 360 entries blocks of 3 and 1 columns, and 2^17 (above core.BLOCK) every
+        # column in one block, for the CART tree and the discretizer's trees alike
         data = bench.synth_tabular(bench.SynthSpec(n_samples=40, n_features=4, n_classes=3,
                                                    separation=1.0), seed=2)
         monkeypatch.setattr(bench, "BLOCK", block)
         assert tree_shape(bench.fit_decision_tree(data, 6).root) == \
             reference_tree(data.features, data.labels, 3, 6, "gini")
+        assert mi.fit_entropy_discretizer(data, 6).bin_edges == \
+            reference_edges(data.features, data.labels, 3, 6)
+
+    @pytest.mark.parametrize("block,calls", [(None, 6), (3 * 1500 * 3, 12)])
+    def test_one_gain_evaluation_per_level_and_column_block(self, monkeypatch, block, calls):
+        # the example-eval spec at depth 6 searches 24 nodes on 6 levels, each with
+        # a cut: one block of all four columns, or blocks of 3 and 1 columns
+        data = bench.synth_tabular(bench.SynthSpec(n_samples=1500, n_features=4, n_classes=3,
+                                                   separation=3.0), 0)
+        expected = reference_tree(data.features, data.labels, 3, 6, "gini")
+        counted, gains = [], bench._gains
+        monkeypatch.setattr(bench, "_gains", lambda *args: counted.append(1) or gains(*args))
+        if block is not None:
+            monkeypatch.setattr(bench, "BLOCK", block)
+        assert tree_shape(bench.fit_decision_tree(data, 6).root) == expected
+        assert len(counted) == calls
 
     def test_entropy_ignores_rounding_noise_at_many_rows(self):
         # every cut leaves both classes in equal shares, so every gain is zero;
@@ -503,6 +436,52 @@ class TestCutsSeparate:
         for column, column_edges in zip(X.T, edges):
             bins = np.searchsorted(np.array(column_edges), column, side="left")
             assert set(bins.tolist()) == set(range(len(column_edges) + 1))
+
+
+@st.composite
+def _extreme_csv(draw):
+    """A labelled CSV dataset: ``_extreme_columns`` plus, at will, a column of
+    zeros of both signs, a constant column and a class of one or two rows."""
+    X, y = draw(_extreme_columns())
+    n = len(y)
+    if draw(st.booleans()):
+        X = np.column_stack([X, draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n,
+                                              max_size=n))])
+    if draw(st.booleans()):
+        X = np.column_stack([X, np.full(n, draw(st.sampled_from(EXTREMES + [-0.0])))])
+    small = draw(st.integers(0, min(2, n - 1)))
+    y[:small] = y.max() + 1
+    header = [f"x{i}" for i in range(X.shape[1])] + ["label"]
+    rows = [[repr(float(v)) for v in row] + [str(label)] for row, label in zip(X, y)]
+    return "\n".join(",".join(row) for row in [header] + rows) + "\n"
+
+
+class TestAdversarialTreeCommands:
+    @settings(max_examples=40, deadline=None)
+    @given(_extreme_csv(), st.integers(0, 4))
+    def test_tree_commands_keep_the_exit_code_contract(self, tmp_path_factory, text, depth):
+        # RuntimeWarnings fail the test (pytest's filterwarnings), as in every test
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_text(text)
+        fitted, fit = [], bench.fit_decision_tree
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bench, "fit_decision_tree",
+                          lambda *args: fitted.append(fit(*args)) or fitted[-1])
+            for command in (["mi", "--runs", "1", "--ood-count", "1"],
+                            ["example-eval", "--n", "1"]):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(command + ["--dataset", str(path), "--model", f"tree:{depth}"])
+                assert code in (0, 2, 3, 4)
+                assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
+        for tree in fitted:
+            stack = [tree.root]
+            while stack:
+                node = stack.pop()
+                if node.is_leaf:
+                    assert np.isfinite(node.distribution).all()
+                else:
+                    stack += [node.left, node.right]
 
 
 @st.composite

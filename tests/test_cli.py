@@ -166,6 +166,28 @@ class TestAttrEvalCommand:
         assert message in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("point,method,name", [
+        ("0.5,0.5,3.14,1e308,0.5,0.5", "inpxgrad", "input-x-gradient"),
+        ("0,710,0,0,0,0", "intgrad", "integrated-gradients"),
+    ], ids=["inpxgrad", "intgrad"])
+    def test_overflowing_attribution_is_numeric_failure(self, point, method, name, capsys):
+        # finite points and gradients whose product or path sum leaves the double range
+        code = main(["attr-eval", "--model", "park", "--point", point, "--uniform", "0,1",
+                     "--methods", method])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        assert f"the {name} attribution overflowed" in captured.err
+        assert captured.out == ""
+
+    def test_non_finite_attr_file_values_are_config_errors(self, tmp_path, capsys):
+        attr_path = tmp_path / "attr.json"
+        attr_path.write_text('{"point": [0.24, 0.48, 0.56, 0.99, 0.68, 0.86], '
+                             '"values": [1e999, 1.37, 0.16, -0.53, 0.0, 0.0], "method": "m"}')
+        code = main(["attr-eval", "--model", "park", "--attr-file", str(attr_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert "attribution point/values must be finite" in captured.err
+
     def test_attr_file_with_extra_keys_rejected(self, tmp_path, capsys):
         attr_path = tmp_path / "attr.json"
         attr_path.write_text(json.dumps({"point": [0.0], "values": [1.0],
