@@ -10,7 +10,6 @@ import argparse
 import contextlib
 import csv
 import io
-import itertools
 import json
 import math
 import queue
@@ -24,7 +23,6 @@ import numpy as np
 
 from . import attr_metrics, attr_methods, bench, example_based, park, protocol
 from .core import (
-    PROB_SUM_TOL,
     ContractViolation,
     FeatureDistribution,
     ModelHandle,
@@ -33,6 +31,7 @@ from .core import (
     UnsupportedOperation,
     loss_by_name,
 )
+from .protocol import ModelProtocolError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,28 +57,6 @@ class ConfigError(ValueError):
     """Invalid command configuration (maps to exit code 2)."""
 
 
-class ModelProtocolError(RuntimeError):
-    """The external model child violated the line-delimited JSON protocol."""
-
-
-def _reply_matrix(ys: list, kind: str) -> np.ndarray | None:
-    """A reply's rows converted at once when each is well formed for the
-    output kind: a nonempty list of JSON numbers, as long as every other row,
-    holding one number (scalar) or one integer (label). Else None.
-    ``_reply_matrix([v], "probs")`` is the rule for any JSON list of numbers.
-    The values themselves are checked by ``ExternalModel._checked``."""
-    if not (set(map(type, ys)) <= {list} and set(map(type, itertools.chain.from_iterable(ys)))
-            <= ({int} if kind == "label" else {int, float})):
-        return None
-    try:
-        P = np.array(ys, dtype=np.int64 if kind == "label" else float)
-    except (OverflowError, ValueError):  # an int beyond the range, or ragged rows
-        return None
-    if P.ndim != 2 or P.shape[1] == 0 or (kind != "probs" and P.shape[1] != 1):
-        return None
-    return P
-
-
 # ---------------------------------------------------------------------------
 # External model adapter (JSON lines over a child process's standard streams)
 # ---------------------------------------------------------------------------
@@ -89,8 +66,8 @@ class ExternalModel:
 
     ``command`` is the child's argument list. Requests are strictly
     serialized per child; responses are matched to requests by order. The
-    child's stderr is captured for diagnostics. Rows go to a child that
-    advertises ``binary`` in the format of ``xmeter.protocol``.
+    child's stderr is captured for diagnostics. ``form``, the prediction form
+    of ``xmeter.protocol``, is the handshake's best: binary, batch or row.
     """
 
     def __init__(self, command, timeout: float = PROTOCOL_TIMEOUT):
@@ -120,6 +97,8 @@ class ExternalModel:
         except BaseException:
             self._kill()
             raise
+        self.form = ("binary" if self.info.get("binary", False)
+                     else "batch" if self.info.get("batch", False) else "row")
 
     # Each pump closes its stream at EOF: no other thread reads it, and
     # closing a stream while a thread reads it is unsafe. Lines are read at
@@ -197,112 +176,30 @@ class ExternalModel:
 
     def predict(self, X) -> np.ndarray:
         """Predictions for the rows of ``X`` (an ``(n, arity)`` matrix, or one
-        point), in one request: ``predict_batch`` to a child that advertises
-        ``batch``, with the rows in binary if it also advertises ``binary``,
-        else ``predict``, which carries one row."""
+        point), in one request of the child's form; a ``row`` request carries
+        one row."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        binary, batch = self.info.get("binary", False), self.info.get("batch", False)
-        if binary:
-            request = {"op": "predict_batch", "Xb": protocol.encode(X, protocol.FLOAT64)}
-        elif batch:
-            request = {"op": "predict_batch", "X": X.tolist()}
-        elif len(X) == 1:
-            request = {"op": "predict", "x": X[0].tolist()}
-        else:
+        if self.form == "row" and len(X) != 1:
             raise ContractViolation(f"a child without 'batch' takes one row per "
                                     f"request, got {len(X)}")
-        response = self._request(request)
+        response = self._request(protocol.request(self.form, X))
         if "error" in response:
             self._fail(f"predict failed: {response['error']}")
-        if binary:
-            return self._binary_predictions(response.get("yb"), len(X))
-        ys = response.get("y")
-        return self._predictions(ys if batch else [ys], len(X))
-
-    def _predictions(self, ys, n: int) -> np.ndarray:
-        """The n rows of a reply's ``y``, checked as the protocol states: each
-        holds one number (scalar), one class index (label), or one probability
-        per class, with the same class count in every row and reply, and
-        nonnegative entries summing to 1."""
-        if not isinstance(ys, list):
-            self._fail(f"predict_batch returned a 'y' that is not a list: {ys!r:.200}")
-        if len(ys) != n:
-            self._fail(f"predict_batch returned {len(ys)} entries for {n} rows")
-        kind = self.info["output"]
-        P = _reply_matrix(ys, kind)
-        if P is None or (kind == "probs" and P.shape[1] != self._class_count(P.shape[1])):
-            self._fail_at_bad_row(ys, kind)
-        return self._checked(P)
-
-    def _binary_predictions(self, yb, n: int) -> np.ndarray:
-        """The n rows of a reply's ``yb``, checked as ``_predictions`` checks
-        a ``y``: n values (scalar, label) or n rows of one class count in every
-        reply (probs)."""
-        kind = self.info["output"]
         try:
-            values = protocol.decode(yb, protocol.reply_dtype(kind))
-        except ValueError as exc:
-            self._fail(f"predict_batch returned a malformed 'yb': {exc}")
-        width = len(values) // n if n else 0
-        if width == 0 or width * n != len(values) or (kind != "probs" and width != 1):
-            self._fail(f"predict_batch returned {len(values)} {kind} values in 'yb' "
-                       f"for {n} rows")
-        if kind == "probs" and width != self._class_count(width):
-            self._fail(f"predict returned {width} class probabilities per row "
-                       f"after {self._classes}")
-        return self._checked(values.reshape(n, width))
-
-    def _class_count(self, width: int) -> int:
-        """The probability-row length: ``width`` if this is the first probs reply."""
-        with self._lock:  # set once, by the first probs reply
-            self._classes = self._classes or width
-        return self._classes
-
-    def _checked(self, P: np.ndarray) -> np.ndarray:
-        """The predictions of a reply's rows ``P`` (n x 1, or n x classes for
-        probs) once their values pass: finite (else FloatingPointError, a
-        numeric failure), a nonnegative class index per label row, and
-        nonnegative probabilities summing to 1 per probs row."""
-        kind = self.info["output"]
-        if kind != "label" and not np.isfinite(P).all():
-            row = np.flatnonzero(~np.isfinite(P).all(axis=1))[0]
-            raise FloatingPointError(f"model {self.command!r} returned a non-finite "
-                                     f"output at row {row}: {P[row].tolist()!r:.200}")
-        if kind == "label":
-            bad = np.flatnonzero(P[:, 0] < 0)
-            if bad.size:
-                self._fail(f"predict returned a negative class index at row {bad[0]}: "
-                           f"{int(P[bad[0], 0])}")
-        elif kind == "probs":
-            bad = np.flatnonzero(np.any(P < -PROB_SUM_TOL, axis=1)
-                                 | (np.abs(P.sum(axis=1) - 1.0) > PROB_SUM_TOL))
-            if bad.size:
-                self._fail(f"predict returned a negative class probability or a row that "
-                           f"does not sum to 1 at row {bad[0]}: {P[bad[0]].tolist()!r:.200}")
-            return P
-        return P.reshape(len(P))
-
-    def _fail_at_bad_row(self, ys: list, kind: str):
-        """Fail naming the first row the reply rule rejects on its own, else
-        (probs rows each well formed alone) the first row whose width differs
-        from the class count. Runs only for a reply already rejected."""
-        for i, y in enumerate(ys):
-            if _reply_matrix([y], kind) is None:
-                self._fail(f"predict returned a malformed 'y' at row {i}: {y!r}")
-        if not ys:
-            self._fail("predict returned no rows")
-        classes = self._class_count(len(ys[0]))
-        for i, y in enumerate(ys):
-            if len(y) != classes:
-                self._fail(f"predict returned {len(y)} class probabilities "
-                           f"after {classes} at row {i}: {y!r}")
+            with self._lock:  # the first probs reply sets the class count
+                Y = protocol.read_reply(self.form, response, self.info["output"], len(X),
+                                        self._classes)
+                self._classes = Y.shape[1] if Y.ndim == 2 else 0
+        except ModelProtocolError as exc:
+            self._fail(str(exc))
+        return Y
 
     def gradient(self, x, target=None):
-        response = self._request({"op": "gradient", "x": [float(v) for v in np.asarray(x)]})
+        response = self._request({"op": "gradient", "x": np.asarray(x, dtype=float).tolist()})
         if "error" in response:
             self._fail(f"gradient failed: {response['error']}")
-        g = _reply_matrix([response.get("g")], "probs")
-        if g is None or g.size != self.info["arity"]:
+        g = protocol.number_matrix([response.get("g")], width=self.info["arity"])
+        if g is None:
             self._fail(f"gradient returned a malformed 'g': {response!r}")
         return g[0]
 
@@ -313,7 +210,7 @@ class ExternalModel:
         and predict an empty array of the replies' shape and type: (0, classes)
         for ``probs``, with the class count of the replies so far (0 before any)."""
         has_grad = bool(self.info["gradient"])
-        step = BATCH_ROWS if self.info.get("batch", False) else 1
+        step = 1 if self.form == "row" else BATCH_ROWS
         kind = self.info["output"]
 
         def predict_fn(X):
@@ -655,7 +552,7 @@ def _load_attr_file(path: str) -> tuple[np.ndarray, np.ndarray, str]:
     required = {"point", "values", "method"}
     if not isinstance(payload, dict) or set(payload) != required:
         raise ConfigError("attribution file must hold exactly point, values, method")
-    point, values = (_reply_matrix([payload[key]], "probs") for key in ("point", "values"))
+    point, values = (protocol.number_matrix([payload[key]]) for key in ("point", "values"))
     if point is None or values is None:
         raise ConfigError("attribution file point and values must be lists of numbers")
     return point[0], values[0], str(payload["method"])

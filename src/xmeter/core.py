@@ -149,10 +149,12 @@ def evaluate_loss_batch(loss: LossFunction, y_ref, batch: np.ndarray) -> np.ndar
             y_ref = int(np.argmax(y_ref)) if _is_vector(y_ref) else int(y_ref)
         return (batch != y_ref).astype(float)
     if loss.kind == "squared-error":
-        if batch.ndim == 2:
-            d = batch - np.asarray(y_ref, float)[None, :]
-            return np.einsum("ij,ij->i", d, d)
-        return (batch.astype(float) - float(y_ref)) ** 2
+        with np.errstate(over="ignore"):
+            d = batch.astype(float) - np.asarray(y_ref, float)
+            losses = np.einsum("ij,ij->i", d, d) if d.ndim == 2 else d * d
+        if not np.isfinite(losses).all():
+            raise FloatingPointError("the squared-error loss overflowed to a non-finite value")
+        return losses
     if loss.kind == "cross-entropy":
         if batch.ndim != 2:
             raise ContractViolation("cross-entropy needs probability vectors on both sides")
@@ -200,11 +202,16 @@ def finite_difference_gradient(model: ModelHandle, x, target: int | None = None)
     """Central finite differences with per-coordinate step 1e-5 * max(1, |x_i|).
 
     All 2 * arity points go to the model as one batch, in the order
-    x + h_0 e_0, x - h_0 e_0, x + h_1 e_1, ... A ``probs`` model needs the
+    x + h_0 e_0, x - h_0 e_0, x + h_1 e_1, ...; a step that overflows is a
+    FloatingPointError naming its coordinate. A ``probs`` model needs the
     target class; ``gradient`` resolves it.
     """
     x = np.array(x, dtype=float)
     h = 1e-5 * np.maximum(1.0, np.abs(x))
+    with np.errstate(over="ignore"):
+        out = np.flatnonzero(np.abs(x) + h == np.inf)
+    if out.size:
+        raise FloatingPointError(f"the finite-difference step at coordinate {out[0]} overflows")
     steps = np.diag(h)
     y = model.predict_batch(x + np.stack([steps, -steps], axis=1).reshape(-1, x.size))
     if model.output_kind == "probs":

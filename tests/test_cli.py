@@ -33,7 +33,6 @@ from xmeter.cli import (
     STOP_TIMEOUT,
     ExternalModel,
     ModelProtocolError,
-    _reply_matrix,
     load_dataset_csv,
     main,
     parse_dataset_spec,
@@ -45,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
 PARK_SERVER = [sys.executable, str(FIXTURES / "park_server.py")]
 BUILTIN_SERVER = [sys.executable, "-m", "xmeter.model_server"]
+ECHO_SERVER = BUILTIN_SERVER + ["--model", "echo", "--arity", "2"]
 PARK_POINT = "0.24,0.48,0.56,0.99,0.68,0.86"
 
 PARK_ARGS = ["attr-eval", "--model", "park",
@@ -225,6 +225,31 @@ class TestAttrEvalCommand:
                             capsys)
         assert code == EXIT_NUMERIC
         assert out == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_difference_step_beyond_the_range_fails_before_a_request(
+            self, monkeypatch, capsys):
+        sent = []
+        send = ExternalModel._request
+        monkeypatch.setattr(ExternalModel, "_request",
+                            lambda self, payload: sent.append(payload["op"]) or send(self, payload))
+        code = main(["attr-eval", "--model", exec_spec(ECHO_SERVER),
+                     "--point", "1.7976931348623157e308,0.5", "--uniform", "0,1",
+                     "--n-mc", "100", "--methods", "saliency"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        assert "finite-difference step at coordinate 0" in captured.err
+        assert sent == ["info"]
+        assert captured.out == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_squared_error_names_the_loss(self, capsys):
+        code = main(["attr-eval", "--model", exec_spec(ECHO_SERVER), "--point", "1.7e308,0.5",
+                     "--uniform", "0,1", "--n-mc", "100", "--methods", "saliency"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        assert "the squared-error loss overflowed" in captured.err
+        assert captured.out == ""
 
     def test_token_benchmark_trained_once(self, monkeypatch, capsys):
         calls = []
@@ -844,26 +869,39 @@ class TestExternalModelAdapter:
                 ys[i] = odd
             else:
                 ys[i][data.draw(st.integers(0, width - 1))] = odd
-        # a reply is accepted when each row passes alone and, for probs, the
-        # rows share one width
-        alone = [_reply_matrix([y], kind) for y in ys]
+        # the number rule converts the rows at once exactly when each row
+        # passes it alone and all rows share one width
+        dtype = protocol.reply_dtype(kind)
+        alone = [protocol.number_matrix([y], dtype) for y in ys]
         rejected = [i for i, row in enumerate(alone) if row is None]
-        widths = [len(y) for y in ys] if not rejected else []
-        at_once = _reply_matrix(ys, kind)
-        assert (at_once is None) == bool(rejected or (kind == "probs" and len(set(widths)) > 1))
+        widths = {len(y) for y in ys} if not rejected else set()
+        at_once = protocol.number_matrix(ys, dtype)
+        assert (at_once is None) == bool(rejected or len(widths) > 1)
         if at_once is not None:
             stacked = np.concatenate(alone)
             assert at_once.dtype == stacked.dtype
             assert np.array_equal(at_once, stacked)
-            return
-        # the error names the first row rejected alone, else the first of another width
-        first = rejected[0] if rejected else next(i for i, w in enumerate(widths)
-                                                  if w != widths[0])
-        model = ExternalModel.__new__(ExternalModel)  # no child: checks replies only
-        model.command, model.info, model._stderr = ["none"], {"output": kind}, []
-        model._lock, model._classes = threading.Lock(), 0
-        with pytest.raises(ModelProtocolError, match=rf"at row {first}: "):
-            model._predictions(ys, len(ys))
+        # the reply rule names the first row that is rejected alone or whose
+        # width is not the kind's (row 0's for probs); rows of one wrong width
+        # are refused by their count
+        expected = len(ys[0]) if kind == "probs" and alone[0] is not None else 1
+        faulty = [i for i, (y, row) in enumerate(zip(ys, alone))
+                  if row is None or len(y) != expected]
+        read = lambda: protocol.read_reply("batch", {"y": ys}, kind, len(ys))  # noqa: E731
+        if at_once is None:
+            with pytest.raises(ModelProtocolError, match=rf"at row {faulty[0]}: "):
+                read()
+        elif faulty:
+            with pytest.raises(ModelProtocolError,
+                               match=rf"returned {at_once.size} {kind} values in 'y' for"):
+                read()
+        else:  # well formed: the stacked rows, unless a value breaks the value rule
+            try:
+                Y = read()
+            except (ModelProtocolError, FloatingPointError) as exc:
+                assert re.search("non-finite output|negative class|sum to 1", str(exc))
+            else:
+                assert np.array_equal(Y, stacked if kind == "probs" else stacked[:, 0])
 
     def test_batch_reply_error_names_the_row(self):
         server = scripted_server('{"arity": 1, "output": "scalar", "gradient": false, '
@@ -1199,6 +1237,89 @@ class TestModelServer:
                                      + json.dumps({"y": row_payload(Y[0])}) + "\n"
                                      + json.dumps({"yb": packed("q" if kind == "label" else "d",
                                                                 values)}) + "\n")
+
+
+def served(model, requests) -> list:
+    """The replies of ``model_server.serve`` to ``requests``, in process."""
+    stdout = io.StringIO()
+    model_server.serve(model, io.StringIO("".join(json.dumps(r) + "\n" for r in requests)),
+                       stdout)
+    return [json.loads(line) for line in stdout.getvalue().splitlines()]
+
+
+def softmax_rows(X):
+    z = np.stack([X[:, 0] - X[:, 1], 2 * X[:, 1] - 0.3, np.sin(X[:, 0])], axis=1)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+# in-process models of each output kind, arity 2
+KIND_MODELS = {
+    "scalar": ModelHandle(2, "scalar", lambda X: X[:, 0] * np.exp(X[:, 1]) / 3),
+    "label": ModelHandle(2, "label", lambda X: np.argmax(softmax_rows(X), axis=1)),
+    "probs": ModelHandle(2, "probs", softmax_rows),
+}
+# rows whose predictions include -0.0, a subnormal and values near the range's ends
+SIDE_ROWS = np.array([[0.1, 0.2], [-0.0, 1.0], [5e-324, 0.0], [1e300, 1.5], [-2.5, -700.0],
+                      [0.7, 0.3], [3.0, -1e-9]])
+
+
+class TestProtocolSides:
+    """The driver's half of ``xmeter.protocol`` against the reference server's,
+    in process: requests go through ``model_server.serve`` on a string."""
+
+    @pytest.mark.parametrize("kind", list(KIND_MODELS))
+    @pytest.mark.parametrize("form", list(protocol.FORMS))
+    def test_driver_reads_the_in_process_predictions(self, form, kind):
+        model = KIND_MODELS[kind]
+        X = SIDE_ROWS[:1] if form == "row" else SIDE_ROWS
+        (reply,) = served(model, [protocol.request(form, X)])
+        Y = protocol.read_reply(form, reply, kind, len(X))
+        expected = model.predict_batch(X)
+        assert (Y.shape, Y.dtype) == (expected.shape, expected.dtype)
+        assert Y.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("request_", [
+        {"op": "predict", "x": [True, False]},
+        {"op": "predict_batch", "X": [[True, 0.5]]},
+        {"op": "predict_batch", "X": [["0.5", "1"]]},
+        {"op": "predict", "x": ["0.5", 1]},
+        {"op": "predict", "x": [[0.5, 0.5]]},
+        {"op": "predict_batch", "X": [[[0.5, 0.5]]]},
+        {"op": "predict_batch", "X": [[0.5, 0.5], [0.5]]},
+        {"op": "predict", "x": [0.5, 0.5, 0.5]},
+        {"op": "predict", "x": []},
+        {"op": "predict_batch", "X": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]},
+        {"op": "predict_batch", "X": [[0.5, 0.5, 0.5, 0.5]]},
+        {"op": "predict_batch", "X": {"0": [0.5, 0.5]}},
+        {"op": "predict_batch", "X": [[10 ** 400, 0.5]]},
+        {"op": "predict_batch"},
+    ], ids=["row-bools", "batch-bool", "batch-strings", "row-string", "row-nested",
+            "batch-nested", "batch-ragged", "row-arity", "row-empty", "batch-arity",
+            "batch-width-of-two-rows", "batch-object", "batch-huge-integer", "batch-no-rows"])
+    def test_server_refuses_rows_the_number_rule_refuses(self, request_):
+        # and keeps serving
+        replies = served(KIND_MODELS["scalar"], [request_, {"op": "predict", "x": [0.75, 0.0]}])
+        assert set(replies[0]) == {"error"}
+        assert replies[1] == {"y": [0.25]}
+
+    def test_empty_rows_get_the_same_answer_in_both_batch_forms(self):
+        replies = served(KIND_MODELS["probs"], [{"op": "predict_batch", "X": []},
+                                               protocol.request("binary", np.zeros((0, 2)))])
+        assert replies == [{"y": []}, {"yb": ""}]
+
+    @pytest.mark.parametrize("x", [[0.5] * 6 + [9, 9], [0.5] * 4, [1e308, 1e308] + [0.5] * 4,
+                                   [True] * 6, ["0.5"] * 6],
+                             ids=["eight-coordinates", "four-coordinates", "overflow",
+                                  "bools", "strings"])
+    def test_server_gradient_checks_its_point_and_output(self, x, park):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            replies = served(park, [{"op": "gradient", "x": x},
+                                    {"op": "gradient", "x": list(xmeter.park.PARK_POINT)}])
+        assert [w.category for w in caught] == []
+        assert set(replies[0]) == {"error"}
+        assert replies[1] == {"g": xmeter.park.park_gradient(xmeter.park.PARK_POINT).tolist()}
 
 
 # float64 bit patterns the binary format must carry unchanged: zeros, the

@@ -112,6 +112,16 @@ class TestLosses:
         assert evaluate_loss_batch(SQUARED_ERROR, 2.0, batch) == pytest.approx(expected)
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("y_ref,batch", [
+        (1.7e308, np.array([0.5, -0.5])),
+        (np.array([1e308, 0.0]), np.array([[-1e308, 0.0], [0.0, 0.0]])),
+        (np.array([1e155, 1e155]), np.array([[-1e155, -1e155]])),
+    ], ids=["scalar", "vector-difference", "vector-sum"])
+    def test_squared_error_overflow_is_numeric_failure(self, y_ref, batch):
+        with pytest.raises(FloatingPointError, match="the squared-error loss overflowed"):
+            evaluate_loss_batch(SQUARED_ERROR, y_ref, batch)
+
 class TestModelHandle:
     def test_probs_must_sum_to_one(self):
         bad = ModelHandle(2, "probs", lambda X: np.tile([0.5, 0.2], (len(X), 1)), name="bad")
@@ -185,6 +195,19 @@ class TestGradient:
             approx = gradient(fd_park, x)
             scale = max(1.0, float(np.max(np.abs(exact))))
             assert np.max(np.abs(approx - exact)) / scale < 1e-5
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x,coordinate", [
+        ([1.7976931348623157e308, 0.5, 0.0], 0), ([0.5, 0.0, -1.7976931348623157e308], 2),
+    ], ids=["positive", "negative"])
+    def test_finite_difference_step_beyond_the_range_is_numeric_failure(self, x, coordinate):
+        calls = []
+        model = ModelHandle(3, "scalar", lambda X: calls.append(len(X)) or X[:, 0],
+                            gradient_capability="finite-difference")
+        with pytest.raises(FloatingPointError,
+                           match=f"finite-difference step at coordinate {coordinate} "):
+            gradient(model, x)
+        assert calls == []
 
     def test_finite_difference_is_one_batch(self, park, park_point):
         calls = []

@@ -118,10 +118,10 @@ def test_import_loads_no_scipy(module):
 def test_model_server_imports_only_its_model():
     # the exec: child serves park, so it starts without bench's tree,
     # generator and token-benchmark code, without core's datasets, losses and
-    # sampling, and without scipy
+    # sampling, without scipy, and without the driver's transport
     result = run_python(["-c", "import sys, xmeter.model_server; "
                                "print(sorted(m for m in sys.modules "
-                               "if m in ('xmeter.bench', 'xmeter.core') "
+                               "if m in ('xmeter.bench', 'xmeter.core', 'subprocess', 'queue') "
                                "or m.startswith('scipy')))"])
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
