@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, ModelHandle, gradient
+from .core import ContractViolation, ModelHandle, explained_class, gradient
 
 
 @dataclass(frozen=True)
@@ -42,23 +42,16 @@ def _computed(x: np.ndarray, values: np.ndarray, method: str) -> AttributionVect
     return AttributionVector(x, values, method)
 
 
-def _target_class(model: ModelHandle, x: np.ndarray) -> int | None:
-    if model.output_kind == "probs":
-        return int(np.argmax(model.predict(x)))
-    return None
-
-
 def saliency(model: ModelHandle, x_star) -> AttributionVector:
     """Plain gradient of the explained output at the point."""
     x = np.asarray(x_star, dtype=float)
-    g = gradient(model, x, target=_target_class(model, x))
-    return AttributionVector(x, g, "saliency")
+    return AttributionVector(x, gradient(model, x), "saliency")
 
 
 def input_x_gradient(model: ModelHandle, x_star) -> AttributionVector:
     """Gradient multiplied coordinatewise by the input."""
     x = np.asarray(x_star, dtype=float)
-    g = gradient(model, x, target=_target_class(model, x))
+    g = gradient(model, x)
     with np.errstate(over="ignore", invalid="ignore"):
         values = x * g
     return _computed(x, values, "input-x-gradient")
@@ -77,7 +70,7 @@ def integrated_gradients(model: ModelHandle, x_star, baseline=None,
         raise ContractViolation("baseline must have the same arity as the point")
     if steps < 1:
         raise ContractViolation("steps must be >= 1")
-    target = _target_class(model, x)
+    target = explained_class(model, x)
     grads = [gradient(model, b + (t + 0.5) / steps * (x - b), target=target)
              for t in range(steps)]
     acc = np.zeros_like(x)

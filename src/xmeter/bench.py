@@ -257,12 +257,14 @@ class SynthSpec:
             raise ContractViolation("need at least one sample per class")
         if self.n_noise_features < 0 or self.n_noise_features >= self.n_features:
             raise ContractViolation("noise features must leave at least one informative feature")
-        if self.separation < 0:
-            raise ContractViolation("separation must be nonnegative")
+        if not 0 <= self.separation < math.inf:
+            raise ContractViolation("separation must be finite and nonnegative")
+        if self.layout not in ("spread", "ring"):
+            raise ContractViolation(f"layout must be 'spread' or 'ring', got {self.layout!r}")
         if self.layout == "ring" and self.n_features - self.n_noise_features < 2:
             raise ContractViolation("ring layout needs at least two informative features")
-        if self.quantize_step is not None and self.quantize_step <= 0:
-            raise ContractViolation("quantize_step must be positive")
+        if self.quantize_step is not None and not 0 < self.quantize_step < math.inf:
+            raise ContractViolation("quantize_step must be finite and positive")
 
 
 def synth_tabular(spec: SynthSpec, seed: int) -> TabularDataset:

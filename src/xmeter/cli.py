@@ -17,6 +17,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .core import (
     UnsupportedOperation,
     loss_by_name,
 )
+from .handle import OutputKind
 from .protocol import ModelProtocolError
 
 EXIT_OK = 0
@@ -165,7 +167,7 @@ class ExternalModel:
         arity = info.get("arity")
         if type(arity) is not int or arity < 1:  # true is an int to isinstance
             self._fail(f"invalid arity in handshake: {info!r}")
-        if info.get("output") not in ("probs", "label", "scalar"):
+        if info.get("output") not in typing.get_args(OutputKind):
             self._fail(f"invalid output kind in handshake: {info!r}")
         for flag, default in (("gradient", None), ("batch", False), ("binary", False)):
             if not isinstance(info.get(flag, default), bool):
@@ -330,6 +332,13 @@ def _parse_int(text: str, what: str, minimum: int | None = None) -> int:
     return value
 
 
+def _parse_float(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{what} must be a number, got {text!r}") from None
+
+
 def _check_size(option: str, rows: int, width: int):
     """Reject, before the run, a size whose ``(rows, width)`` float matrix numpy
     refuses (without allocating it); a negative size is left to the callee."""
@@ -367,13 +376,13 @@ def parse_dataset_spec(spec: str, class_matrices: bool = False) -> TabularDatase
         quantize = kv.pop("quantize", None)
         try:
             gen = bench.SynthSpec(
-                n_samples=int(kv.pop("n", "300")),
-                n_features=int(kv.pop("features", "2")),
-                n_classes=int(kv.pop("classes", "3")),
-                separation=float(kv.pop("sep", "3.0")),
-                n_noise_features=int(kv.pop("noise", "0")),
+                n_samples=_parse_int(kv.pop("n", "300"), "synth n"),
+                n_features=_parse_int(kv.pop("features", "2"), "synth features"),
+                n_classes=_parse_int(kv.pop("classes", "3"), "synth classes"),
+                separation=_parse_float(kv.pop("sep", "3.0"), "synth sep"),
+                n_noise_features=_parse_int(kv.pop("noise", "0"), "synth noise"),
                 layout=kv.pop("layout", "spread"),
-                quantize_step=float(quantize) if quantize else None,
+                quantize_step=_parse_float(quantize, "synth quantize") if quantize else None,
             )
         except (ValueError, ContractViolation) as exc:
             raise ConfigError(f"bad synth spec: {exc}") from None

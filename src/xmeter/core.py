@@ -12,9 +12,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-# the model handle lives in its own module, which the exec: server loads
-# without the rest of core; core re-exports it with the tolerance it checks
-from .handle import PROB_SUM_TOL, ContractViolation, ModelHandle
+from .handle import ContractViolation, ModelHandle
 
 CROSS_ENTROPY_CLIP = 1e-12
 # Entries in one block of an n²-sized pass (512 KB of doubles): the pairwise
@@ -103,36 +101,6 @@ def loss_by_name(kind: str) -> LossFunction:
         raise ContractViolation(f"unknown loss kind {kind!r}") from None
 
 
-def _is_vector(y) -> bool:
-    return isinstance(y, np.ndarray) and y.ndim == 1 and y.size > 1
-
-
-def evaluate_loss(loss: LossFunction, y_ref, y) -> float:
-    """Pointwise loss l(y_ref, y); both predictions must share a representation.
-
-    The reference form of ``evaluate_loss_batch``, which the metrics use.
-    """
-    if loss.kind == "zero-one":
-        if _is_vector(y_ref) != _is_vector(y):
-            raise ContractViolation("zero-one loss needs predictions of the same kind")
-        if _is_vector(y_ref):
-            y_ref, y = int(np.argmax(y_ref)), int(np.argmax(y))
-        return 0.0 if int(y_ref) == int(y) else 1.0
-    if loss.kind == "squared-error":
-        if _is_vector(y_ref) != _is_vector(y):
-            raise ContractViolation("squared-error loss needs predictions of the same kind")
-        if _is_vector(y_ref):
-            d = np.asarray(y_ref, float) - np.asarray(y, float)
-            return float(d @ d)
-        return float(y_ref - y) ** 2
-    if loss.kind == "cross-entropy":
-        if not (_is_vector(y_ref) and _is_vector(y)):
-            raise ContractViolation("cross-entropy needs probability vectors on both sides")
-        q = np.clip(np.asarray(y, float), CROSS_ENTROPY_CLIP, None)
-        return float(-(np.asarray(y_ref, float) * np.log(q)).sum())
-    raise ContractViolation(f"unknown loss kind {loss.kind!r}")
-
-
 def batch_predictions(model: ModelHandle, X, loss: LossFunction) -> np.ndarray:
     """One batch call, in the representation the loss consumes: labels for zero-one."""
     if loss.kind == "zero-one":
@@ -141,12 +109,12 @@ def batch_predictions(model: ModelHandle, X, loss: LossFunction) -> np.ndarray:
 
 
 def evaluate_loss_batch(loss: LossFunction, y_ref, batch: np.ndarray) -> np.ndarray:
-    """Vectorized loss of a batch of predictions against one reference."""
+    """Vectorized loss of a batch of predictions against one reference; zero-one
+    loss takes class labels (``batch_predictions`` gives them)."""
     batch = np.asarray(batch)
     if loss.kind == "zero-one":
-        if batch.ndim == 2:
-            batch = np.argmax(batch, axis=1)
-            y_ref = int(np.argmax(y_ref)) if _is_vector(y_ref) else int(y_ref)
+        if batch.ndim != 1 or np.ndim(y_ref) != 0:
+            raise ContractViolation("zero-one loss takes class labels")
         return (batch != y_ref).astype(float)
     if loss.kind == "squared-error":
         with np.errstate(over="ignore"):
@@ -198,15 +166,29 @@ class FeatureDistribution:
         return np.column_stack([self.data[rng.integers(0, rows, size=n), i] for i in indices])
 
 
-def finite_difference_gradient(model: ModelHandle, x, target: int | None = None) -> np.ndarray:
-    """Central finite differences with per-coordinate step 1e-5 * max(1, |x_i|).
+def explained_class(model: ModelHandle, x: np.ndarray) -> int | None:
+    """The class a gradient at x explains: x's label for ``probs`` output, else None."""
+    return int(model.predict_labels(x[None])[0]) if model.output_kind == "probs" else None
 
-    All 2 * arity points go to the model as one batch, in the order
-    x + h_0 e_0, x - h_0 e_0, x + h_1 e_1, ...; a step that overflows is a
-    FloatingPointError naming its coordinate. A ``probs`` model needs the
-    target class; ``gradient`` resolves it.
+
+def gradient(model: ModelHandle, x, target: int | None = None) -> np.ndarray:
+    """Gradient of the model's scalar output (or of the target-class probability,
+    by default the class of x) at x: ``arity`` finite floats, else FloatingPointError.
+
+    Without an exact gradient, central finite differences with per-coordinate
+    step h_i = 1e-5 * max(1, |x_i|): all 2 * arity points go to the model as one
+    batch, in the order x + h_0 e_0, x - h_0 e_0, x + h_1 e_1, ...; a step that
+    overflows is a FloatingPointError naming its coordinate.
     """
-    x = np.array(x, dtype=float)
+    if model.gradient_capability == "none":
+        raise UnsupportedOperation(f"model {model.name!r} does not support gradients")
+    if model.output_kind == "label":
+        raise UnsupportedOperation("label-only outputs are not differentiable")
+    x = model._check_point(x)
+    if target is None:
+        target = explained_class(model, x)
+    if model.gradient_capability == "exact":
+        return model.checked_gradient(model.gradient_fn(x, target))
     h = 1e-5 * np.maximum(1.0, np.abs(x))
     with np.errstate(over="ignore"):
         out = np.flatnonzero(np.abs(x) + h == np.inf)
@@ -216,20 +198,5 @@ def finite_difference_gradient(model: ModelHandle, x, target: int | None = None)
     y = model.predict_batch(x + np.stack([steps, -steps], axis=1).reshape(-1, x.size))
     if model.output_kind == "probs":
         y = y[:, target]
-    return (y[0::2] - y[1::2]) / (2 * h)
-
-
-def gradient(model: ModelHandle, x, target: int | None = None) -> np.ndarray:
-    """Gradient of the model's scalar output (or target-class probability) at x."""
-    if model.gradient_capability == "none":
-        raise UnsupportedOperation(f"model {model.name!r} does not support gradients")
-    if model.output_kind == "label":
-        raise UnsupportedOperation("label-only outputs are not differentiable")
-    x = model._check_point(x)
-    if model.output_kind == "probs" and target is None:
-        target = int(np.argmax(model.predict(x)))
-    if model.gradient_capability == "exact" and model.gradient_fn is not None:
-        g = np.asarray(model.gradient_fn(x, target), dtype=float)
-        model._check_finite(g)
-        return g
-    return finite_difference_gradient(model, x, target)
+    with np.errstate(over="ignore"):
+        return model.checked_gradient((y[0::2] - y[1::2]) / (2 * h))

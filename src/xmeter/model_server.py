@@ -64,9 +64,7 @@ def _answer(model: ModelHandle, line: str) -> dict:
             if op == "gradient" and has_gradient:
                 # its point is checked as the one row of a predict request is
                 x = protocol.read_rows("row", request, model.arity)[0]
-                g = np.asarray(model.gradient_fn(x, None), dtype=float)
-                model._check_finite(g)
-                return {"g": g.tolist()}
+                return {"g": model.checked_gradient(model.gradient_fn(x, None)).tolist()}
         if op == "info":
             return {"arity": model.arity, "output": model.output_kind,
                     "gradient": has_gradient, "batch": True, "binary": True}

@@ -18,7 +18,7 @@ import itertools
 
 import numpy as np
 
-from .handle import PROB_SUM_TOL
+from .handle import check_outputs
 
 FLOAT64 = np.dtype("<f8")
 INT64 = np.dtype("<i8")
@@ -114,11 +114,10 @@ def reply(form: str, Y, kind: str) -> dict:
 
 
 def read_reply(form: str, message: dict, kind: str, n: int, classes: int = 0) -> np.ndarray:
-    """The predictions a reply of ``form`` carries for n rows: n floats
-    (scalar), n nonnegative class indices (label), or n rows of ``classes``
-    (any one count while 0) nonnegative probabilities summing to 1 (probs).
-    Raises ModelProtocolError naming the fault, FloatingPointError (a numeric
-    failure) for a non-finite value."""
+    """The n predictions of ``kind`` that a reply of ``form`` carries, ``classes`` per
+    row for probs (any one count while 0). A reply that breaks the number or shape rule,
+    or a value that the output rule (``handle.check_outputs``) refuses, is a
+    ModelProtocolError; a non-finite value is a FloatingPointError (a numeric failure)."""
     op, _, field = FORMS[form]
     width = classes if kind == "probs" else 1
     if form == "binary":
@@ -138,22 +137,9 @@ def read_reply(form: str, message: dict, kind: str, n: int, classes: int = 0) ->
             f"{op} returned {P.shape[1]} class probabilities per row after {width}"
             if kind == "probs" and len(P) == n and P.size else
             f"{op} returned {P.size} {kind} values in {field!r} for {n} rows")
-    if kind != "label" and not np.isfinite(P).all():
-        row = np.flatnonzero(~np.isfinite(P).all(axis=1))[0]
-        raise FloatingPointError(f"{op} returned a non-finite output at row {row}: "
-                                 f"{P[row].tolist()!r:.200}")
-    if kind == "scalar":
-        return P.reshape(n)
-    if kind == "label":
-        bad, fault = P[:, 0] < 0, "a negative class index"
-    else:
-        bad = np.any(P < -PROB_SUM_TOL, axis=1) | (np.abs(P.sum(axis=1) - 1.0) > PROB_SUM_TOL)
-        fault = "a negative class probability or a row that does not sum to 1"
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        shown = P[i] if kind == "probs" else P[i, 0]
-        raise ModelProtocolError(f"{op} returned {fault} at row {i}: {shown.tolist()!r:.200}")
-    return P if kind == "probs" else P.reshape(n)
+    Y = P if kind == "probs" else P.reshape(n)
+    check_outputs(Y, kind, op, ModelProtocolError)
+    return Y
 
 
 def _refused_row(rows, kind: str, width: int) -> str:

@@ -6,6 +6,7 @@ from scipy.special import digamma
 from xmeter import park as park_module
 from xmeter.core import (
     BLOCK,
+    CROSS_ENTROPY_CLIP,
     ContractViolation,
     FeatureDistribution,
     SQUARED_ERROR,
@@ -80,6 +81,34 @@ def linear_model(weights):
         gradient_capability="exact",
         name="linear",
     )
+
+
+def _is_vector(y) -> bool:
+    return isinstance(y, np.ndarray) and y.ndim == 1 and y.size > 1
+
+
+def evaluate_loss(loss, y_ref, y) -> float:
+    """Reference pointwise loss l(y_ref, y); both predictions must share a
+    representation. ``core.evaluate_loss_batch`` is the form the metrics use."""
+    if loss.kind == "zero-one":
+        if _is_vector(y_ref) != _is_vector(y):
+            raise ContractViolation("zero-one loss needs predictions of the same kind")
+        if _is_vector(y_ref):
+            y_ref, y = int(np.argmax(y_ref)), int(np.argmax(y))
+        return 0.0 if int(y_ref) == int(y) else 1.0
+    if loss.kind == "squared-error":
+        if _is_vector(y_ref) != _is_vector(y):
+            raise ContractViolation("squared-error loss needs predictions of the same kind")
+        if _is_vector(y_ref):
+            d = np.asarray(y_ref, float) - np.asarray(y, float)
+            return float(d @ d)
+        return float(y_ref - y) ** 2
+    if loss.kind == "cross-entropy":
+        if not (_is_vector(y_ref) and _is_vector(y)):
+            raise ContractViolation("cross-entropy needs probability vectors on both sides")
+        q = np.clip(np.asarray(y, float), CROSS_ENTROPY_CLIP, None)
+        return float(-(np.asarray(y_ref, float) * np.log(q)).sum())
+    raise ContractViolation(f"unknown loss kind {loss.kind!r}")
 
 
 def park_value(x) -> float:

@@ -38,6 +38,7 @@ from xmeter.cli import (
     parse_dataset_spec,
 )
 from xmeter.core import ContractViolation, ModelHandle
+from xmeter.handle import PROB_SUM_TOL
 from conftest import park_value, reference_attribution_report
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -423,6 +424,13 @@ class TestDatasetLoading:
 
 BAD_INPUTS = {
     "synth-seed": ["mi", "--dataset", "synth:preset=mi,seed=x"],
+    "synth-layout-unknown": ["example-eval", "--dataset", "synth:layout=zig", "--n", "2"],
+    "synth-sep-inf": ["example-eval", "--dataset", "synth:sep=inf", "--n", "2"],
+    "synth-sep-nan": ["example-eval", "--dataset", "synth:sep=nan", "--n", "2"],
+    "synth-sep-not-a-number": ["example-eval", "--dataset", "synth:sep=x", "--n", "2"],
+    "synth-quantize-nan": ["example-eval", "--dataset", "synth:quantize=nan", "--n", "2"],
+    "synth-n-not-an-integer": ["example-eval", "--dataset", "synth:n=x", "--n", "2"],
+    "synth-n-exponent": ["example-eval", "--dataset", "synth:n=1e3", "--n", "2"],
     "tokens-dataset-seed": ["mi", "--dataset", "tokens:seed=x"],
     "tokens-model-seed": ["attr-eval", "--model", "tokens:seed=x", "--point", "0"],
     "tree-depth": ["example-eval", "--dataset", "synth:n=60,seed=0", "--model", "tree:x"],
@@ -516,10 +524,18 @@ BAD_INPUTS = {
 # synth specs refused for their size before any row is generated
 NOT_GENERATED = {"synth-n-too-big", "synth-features-too-big", "class-beyond-memory"}
 
-# the option that the error message of a size or work limit names
+# the option, or the synth key, that the error message of a size or work
+# limit or of a refused synth value names
 NAMED_OPTION = {"n-mc-too-big": "--n-mc", "n-mc-beyond-memory": "--n-mc",
                 "pt-n-too-big": "--pt-n", "class-beyond-memory": "--dataset",
-                "steps-above-limit": "--steps", "runs-above-limit": "--runs"}
+                "steps-above-limit": "--steps", "runs-above-limit": "--runs",
+                "synth-layout-unknown": "synth spec: layout must be 'spread' or 'ring'",
+                "synth-sep-inf": "synth spec: separation must be finite",
+                "synth-sep-nan": "synth spec: separation must be finite",
+                "synth-sep-not-a-number": "synth sep must be a number, got 'x'",
+                "synth-quantize-nan": "synth spec: quantize_step must be finite",
+                "synth-n-not-an-integer": "synth n must be an integer, got 'x'",
+                "synth-n-exponent": "synth n must be an integer, got '1e3'"}
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
@@ -1320,6 +1336,101 @@ class TestProtocolSides:
         assert [w.category for w in caught] == []
         assert set(replies[0]) == {"error"}
         assert replies[1] == {"g": xmeter.park.park_gradient(xmeter.park.PARK_POINT).tolist()}
+
+
+
+# label values: those a label reply can carry (JSON integers that int64 holds),
+# then those it cannot
+CARRIED_LABELS = st.one_of(st.integers(0, 3), st.sampled_from([-1, 2 ** 63 - 1]))
+OTHER_LABELS = st.sampled_from([1.5, 2 ** 63, math.nan, math.inf])
+SCALAR_VALUES = st.one_of(st.floats(-1e6, 1e6),
+                          st.sampled_from([math.nan, math.inf, -math.inf, -1.7e308]))
+
+
+@st.composite
+def prob_rows(draw, width):
+    """A probability row, at times with one fault: an entry (and so the sum) off
+    by 2 * PROB_SUM_TOL, a negative entry (within PROB_SUM_TOL or not) that the
+    next one makes up for, or a non-finite entry."""
+    weights = draw(st.lists(st.integers(1, 4), min_size=width, max_size=width))
+    row = [w / sum(weights) for w in weights]
+    j = draw(st.integers(0, width - 1))
+    fault = draw(st.sampled_from(["none", "none", "sum", "negative", "non-finite"]))
+    if fault == "sum":
+        row[j] += draw(st.sampled_from([2 * PROB_SUM_TOL, -2 * PROB_SUM_TOL]))
+    elif fault == "negative" and width > 1:
+        low = draw(st.sampled_from([PROB_SUM_TOL / 2, 2 * PROB_SUM_TOL, 0.5]))
+        row[(j + 1) % width] += row[j] + low
+        row[j] = -low
+    elif fault == "non-finite":
+        row[j] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return row
+
+
+def first_bad_row(Y: np.ndarray, kind: str):
+    """(row, non-finite) of the first row of predictions ``Y`` that the output
+    rule refuses, row by row in plain Python; (None, False) if none."""
+    for i, y in enumerate(Y.tolist()):
+        values = y if kind == "probs" else [y]
+        if not all(math.isfinite(v) for v in values):
+            return i, True
+        if kind == "label" and not (float(y).is_integer() and 0 <= y < 2 ** 63):
+            return i, False
+        if kind == "probs" and (min(values) < -PROB_SUM_TOL
+                                or abs(math.fsum(values) - 1) > PROB_SUM_TOL):
+            return i, False
+    return None, False
+
+
+def outcome(read) -> tuple:
+    """("ok", None) or (the refusal's kind, the row its message names)."""
+    try:
+        read()
+    except FloatingPointError as exc:
+        return "non-finite", int(re.search(r"at row (\d+): ", str(exc)).group(1))
+    except (ContractViolation, ModelProtocolError) as exc:
+        return "refused", int(re.search(r"at row (\d+): ", str(exc)).group(1))
+    return "ok", None
+
+
+class TestOneOutputRule:
+    """An in-process handle and the driver's reply reader pass predictions
+    through one rule, ``handle.check_outputs``: they accept the same outputs,
+    and refuse the same first row, as non-finite exactly when it is."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["scalar", "label", "probs"]), st.data())
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_in_process_and_exec_replies_pass_one_rule(self, kind, data):
+        n = data.draw(st.integers(1, 5))
+        if kind == "probs":
+            width = data.draw(st.integers(1, 3))
+            values = data.draw(st.lists(prob_rows(width), min_size=n, max_size=n))
+        else:
+            pool = {"scalar": SCALAR_VALUES,
+                    "label": st.one_of(CARRIED_LABELS, OTHER_LABELS)}[kind]
+            values = data.draw(st.lists(pool, min_size=n, max_size=n))
+        # a label model whose labels int64 cannot all hold returns floats
+        carried = kind != "label" or all(type(v) is int and v < 2 ** 63 for v in values)
+        Y = np.array(values, dtype=np.int64 if kind == "label" and carried else float)
+        row, non_finite = first_bad_row(Y, kind)
+        expected = ("ok", None) if row is None else (
+            "non-finite" if non_finite else "refused", row)
+
+        model = ModelHandle(1, kind, lambda X: Y)
+        assert outcome(lambda: model.predict_batch(np.zeros((n, 1)))) == expected
+        entries = values if kind == "probs" else [[v] for v in values]
+        batch = json.loads(json.dumps({"y": entries}))
+        if carried:
+            binary = {"yb": protocol.encode(Y, protocol.reply_dtype(kind))}
+            for form, reply in (("batch", batch), ("binary", binary)):
+                assert outcome(lambda: protocol.read_reply(form, reply, kind, n)) == expected
+        else:
+            # the JSON number rule takes only integers that int64 holds as labels,
+            # so a reply of these values is malformed, as the handle refuses them
+            assert expected[0] != "ok"
+            with pytest.raises(ModelProtocolError, match="a malformed 'y' at row"):
+                protocol.read_reply("batch", batch, kind, n)
 
 
 # float64 bit patterns the binary format must carry unchanged: zeros, the

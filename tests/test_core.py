@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,13 @@ from xmeter.core import (
     TabularDataset,
     UnsupportedOperation,
     ZERO_ONE,
-    evaluate_loss,
     evaluate_loss_batch,
     gradient,
 )
+from xmeter.attr_methods import saliency
 from xmeter.attr_metrics import _restriction_losses
 from xmeter import example_based
-from conftest import constant_model, linear_model, reference_sample_matrix
+from conftest import constant_model, evaluate_loss, linear_model, reference_sample_matrix
 
 
 class TestTabularDataset:
@@ -106,6 +108,15 @@ class TestLosses:
         q = np.array(q_raw[:size]) / sum(q_raw[:size])
         assert evaluate_loss(CROSS_ENTROPY, p, q) >= 0.0
 
+    @pytest.mark.parametrize("y_ref,batch", [
+        (1, np.array([[0.2, 0.8], [0.9, 0.1]])),
+        (np.array([0.2, 0.8]), np.array([1, 0])),
+    ], ids=["probability-rows", "probability-reference"])
+    def test_zero_one_takes_labels_only(self, y_ref, batch):
+        with pytest.raises(ContractViolation, match="zero-one loss takes class labels"):
+            evaluate_loss_batch(ZERO_ONE, y_ref, batch)
+        assert evaluate_loss_batch(ZERO_ONE, 1, np.array([1, 0, 1])).tolist() == [0.0, 1.0, 0.0]
+
     def test_batch_matches_pointwise(self):
         batch = np.array([1.0, 2.0, 4.0])
         expected = [evaluate_loss(SQUARED_ERROR, 2.0, v) for v in batch]
@@ -128,6 +139,12 @@ class TestModelHandle:
         with pytest.raises(ContractViolation):
             bad.predict([0.0, 0.0])
 
+    def test_probability_rows_without_classes_rejected(self):
+        m = ModelHandle(1, "probs", lambda X: np.empty((len(X), 0)), name="empty")
+        with pytest.raises(ContractViolation, match=r"returned shape \(2, 0\) for 2 rows"):
+            m.predict_batch(np.zeros((2, 1)))
+        assert m.predict_batch(np.zeros((0, 1))).shape == (0, 0)
+
     def test_argmax_tie_takes_lowest_index(self):
         tie = ModelHandle(1, "probs", lambda X: np.full((len(X), 2), 0.5))
         assert tie.predict_labels([[0.0]])[0] == 0
@@ -136,6 +153,38 @@ class TestModelHandle:
         m = linear_model([1.0, 2.0])
         with pytest.raises(ContractViolation):
             m.predict([1.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("labels,message", [
+        ([0, 1, 2, -1], "negative class index at row 3: -1"),
+        ([0.0, 1.7], "a class index that is not an integer int64 can hold at row 1: 1.7"),
+        ([1e20, 0.0], "a class index that is not an integer int64 can hold at row 0: 1e+20"),
+        (np.array([3, 2 ** 63], dtype=np.uint64), "int64 can hold at row 1: 9223372036854775808"),
+    ], ids=["negative", "fraction", "beyond-int64", "unsigned-beyond-int64"])
+    def test_label_outside_int64_class_indices_rejected(self, labels, message):
+        m = ModelHandle(1, "label", lambda X: np.asarray(labels)[:len(X)], name="bad")
+        with pytest.raises(ContractViolation, match="model 'bad' returned a "):
+            m.predict_labels(np.zeros((len(labels), 1)))
+        with pytest.raises(ContractViolation, match=re.escape(message)):
+            m.predict_batch(np.zeros((len(labels), 1)))
+
+    @pytest.mark.parametrize("labels", [[0, 3, 2 ** 63 - 1], [0.0, 3.0, 2.0 ** 62], [True, False],
+                                        np.array([3, 2 ** 63 - 1], dtype=np.uint64)],
+                             ids=["int64", "whole-floats", "bools", "unsigned"])
+    def test_label_that_int64_holds_is_its_class(self, labels):
+        m = ModelHandle(1, "label", lambda X: np.asarray(labels))
+        got = m.predict_labels(np.zeros((len(labels), 1)))
+        assert got.dtype == np.int64 and got.tolist() == [int(v) for v in labels]
+
+    @pytest.mark.parametrize("kwargs,field", [
+        (dict(output_kind="prob"), "output_kind"),
+        (dict(gradient_capability="fd"), "gradient_capability"),
+        (dict(gradient_capability="exact"), "gradient_fn"),
+    ], ids=["output-kind", "capability", "exact-without-gradient"])
+    def test_declaration_it_cannot_honour_is_refused(self, kwargs, field):
+        declared = dict(arity=2, output_kind="scalar", predict_fn=lambda X: X[:, 0]) | kwargs
+        with pytest.raises(ContractViolation, match=field):
+            ModelHandle(**declared)
 
     @pytest.mark.parametrize("kind,bad", [("scalar", np.nan), ("scalar", np.inf),
                                           ("probs", [np.nan, 1.0]), ("label", np.nan)],
@@ -208,6 +257,30 @@ class TestGradient:
                            match=f"finite-difference step at coordinate {coordinate} "):
             gradient(model, x)
         assert calls == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_difference_quotient_overflow_is_numeric_failure(self):
+        # the outputs at x0 = +-h lie 2e308 apart, beyond the double range
+        model = ModelHandle(1, "scalar", lambda X: 1e308 * np.tanh(1e6 * X[:, 0]),
+                            gradient_capability="finite-difference", name="steep")
+        with pytest.raises(FloatingPointError, match="model 'steep' has a non-finite gradient"):
+            saliency(model, [0.0])
+
+    @pytest.mark.parametrize("g,error", [([1.0, 2.0], ContractViolation),
+                                         ([1.0, np.inf, 0.0], FloatingPointError)],
+                             ids=["two-entries", "infinite"])
+    def test_exact_gradient_must_be_arity_finite_floats(self, g, error):
+        model = ModelHandle(3, "scalar", lambda X: X[:, 0], gradient_fn=lambda x, t: g,
+                            gradient_capability="exact")
+        with pytest.raises(error):
+            gradient(model, [0.0, 0.0, 0.0])
+
+    def test_probs_target_defaults_to_the_label_of_the_point(self):
+        # rows [0.5, 0.5] tie: the label rule takes class 0, whose gradient is -1
+        model = ModelHandle(1, "probs", lambda X: np.stack([0.5 - X[:, 0], 0.5 + X[:, 0]], axis=1),
+                            gradient_capability="finite-difference")
+        assert gradient(model, [0.0]) == pytest.approx([-1.0])
+        assert gradient(model, [0.0], target=1) == pytest.approx([1.0])
 
     def test_finite_difference_is_one_batch(self, park, park_point):
         calls = []
