@@ -291,7 +291,12 @@ def synth_tabular(spec: SynthSpec, seed: int) -> TabularDataset:
         labels.extend([c] * per[c])
     feats = np.vstack(blocks)
     if spec.quantize_step is not None:
-        feats = np.round(feats / spec.quantize_step) * spec.quantize_step
+        with np.errstate(over="ignore"):  # refused below
+            grid = np.round(feats / spec.quantize_step)
+        if not np.isfinite(grid).all():
+            raise ContractViolation(f"quantize_step {spec.quantize_step!r} is too small: "
+                                    "the features divided by it overflow")
+        feats = grid * spec.quantize_step
     names = tuple(
         f"x{i}" if i < d_inf else f"noise{i - d_inf}" for i in range(spec.n_features)
     )

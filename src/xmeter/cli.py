@@ -197,7 +197,12 @@ class ExternalModel:
         return Y
 
     def gradient(self, x, target=None):
-        response = self._request({"op": "gradient", "x": np.asarray(x, dtype=float).tolist()})
+        """The gradient at x, of the scalar output or of class ``target``'s
+        probability; a request names its ``target`` only when there is one."""
+        request = {"op": "gradient", "x": np.asarray(x, dtype=float).tolist()}
+        if target is not None:
+            request["target"] = int(target)
+        response = self._request(request)
         if "error" in response:
             self._fail(f"gradient failed: {response['error']}")
         g = protocol.number_matrix([response.get("g")], width=self.info["arity"])
@@ -392,7 +397,10 @@ def parse_dataset_spec(spec: str, class_matrices: bool = False) -> TabularDatase
         if class_matrices:
             largest = -(-gen.n_samples // gen.n_classes)
             _check_size("--dataset", largest, largest)
-        return bench.synth_tabular(gen, seed)
+        try:
+            return bench.synth_tabular(gen, seed)
+        except ContractViolation as exc:
+            raise ConfigError(f"bad synth spec: {exc}") from None
     if spec.startswith("tokens:"):
         return bench.token_benchmark(_tokens_seed(spec))[0]
     return load_dataset_csv(spec)

@@ -45,18 +45,31 @@ def pairwise_distances(X, out: np.ndarray | None = None) -> np.ndarray:
     Row blocks of the upper triangle, each at most ``BLOCK`` difference entries
     (or one row), are reduced by ``einsum`` and copied, transposed, into the
     lower triangle, so memory is the m x m result plus one block whatever the
-    width. An entry sums its squared differences in the same order as over a
-    full m x m x d difference tensor, and (x - y)² = (y - x)² exactly, so the
-    diagonal blocks are symmetric too.
+    width. Each block's differences are written, and its distances reduced,
+    into two buffers reused across blocks. An entry sums its squared
+    differences in the same order as over a full m x m x d difference tensor,
+    and (x - y)² = (y - x)² exactly, so the diagonal blocks are symmetric too.
     """
     X = np.asarray(X, dtype=float)
     m, d = X.shape
     D = np.empty((m, m)) if out is None else out
+    XT = np.ascontiguousarray(X.T)
+    # the largest block: all rows, or BLOCK entries, or one row beyond BLOCK
+    buf = np.empty(max(m * d, min(BLOCK, m * m * d)))
+    dist = np.empty(len(buf) // d)
     lo = 0
     while lo < m:
         hi = min(m, lo + max(1, BLOCK // ((m - lo) * d)))
-        diff = X[lo:hi, None, :] - X[None, lo:, :]
-        block = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        diff = buf[:(hi - lo) * (m - lo) * d].reshape(hi - lo, m - lo, d)
+        # a broadcast's inner loop runs over one pair's d features, so for a few
+        # features and long rows, subtracting one feature at a time is faster
+        if d < 8 <= m - lo:
+            for k in range(d):
+                np.subtract(XT[k, lo:hi, None], XT[k, None, lo:], out=diff[:, :, k])
+        else:
+            np.subtract(X[lo:hi, None, :], X[None, lo:, :], out=diff)
+        block = dist[:(hi - lo) * (m - lo)].reshape(hi - lo, m - lo)
+        np.sqrt(np.einsum("ijk,ijk->ij", diff, diff, out=block), out=block)
         D[lo:hi, lo:] = block
         D[lo:, lo:hi] = block.T
         lo = hi
@@ -111,6 +124,11 @@ def diversity(examples: ExampleSet) -> float:
     return total / (2.0 * n)
 
 
+def _row_buffer(m: int) -> np.ndarray:
+    """A buffer of whole rows of an m x m matrix, about ``BLOCK`` entries (at least one row)."""
+    return np.empty((min(m, max(1, BLOCK // m)), m))
+
+
 def _row_sums(D: np.ndarray, fills, sums, buf: np.ndarray) -> None:
     """Row sums of elementwise functions of D into the rows ``sums``, one row
     block of ``buf``'s height at a time, every function taking its turn while
@@ -143,7 +161,7 @@ def select_kmedoids(D: np.ndarray, n: int) -> list[int]:
     m = len(D)
     if n == m:
         return list(range(m))
-    buf = np.empty((min(m, max(1, BLOCK // m)), m))
+    buf = _row_buffer(m)
 
     # BUILD: start from the point with the lowest total distance, then add the
     # candidate with the largest reduction of assignment cost.
@@ -180,22 +198,65 @@ def select_kmedoids(D: np.ndarray, n: int) -> list[int]:
     return sorted(medoids)
 
 
-def select_mmd_critic(K: np.ndarray, n: int) -> list[int]:
+class RBFKernelView:
+    """The RBF kernel K = ``rbf_kernel(D, bandwidth)`` of a bitwise symmetric
+    distance matrix D, read without being built: by its row means ``means``
+    (``K.mean(axis=1)`` bit for bit), by ``row(j)`` and by ``diagonal()``, each
+    by ``rbf_kernel``'s formula on entries of D. A row is also a column, since
+    D is symmetric. Where D² / (2 bandwidth²) overflows, the kernel is 0."""
+
+    def __init__(self, D: np.ndarray, bandwidth: float):
+        self.D, self.bandwidth = D, bandwidth
+        m = len(D)
+        # whole rows, one block of at most BLOCK entries at a time through one
+        # buffer, each summed as a row of K would be; K.mean divides the same sums
+        self.means = np.empty(m)
+        with np.errstate(over="ignore"):
+            _row_sums(D, [lambda rows, out: rbf_kernel(rows, bandwidth, out=out)],
+                      [self.means], _row_buffer(m))
+        self.means /= m
+
+    def row(self, j: int) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return rbf_kernel(self.D[j], self.bandwidth)
+
+    def diagonal(self) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return rbf_kernel(np.diagonal(self.D), self.bandwidth)
+
+
+def _kernel_reads(K) -> tuple:
+    """The three reads the greedy selectors make of a kernel, a dense symmetric
+    matrix or an ``RBFKernelView``: its row means, a function of j giving row
+    j, and its diagonal."""
+    if isinstance(K, RBFKernelView):
+        return K.means, K.row, K.diagonal()
+    return K.mean(axis=1), K.__getitem__, np.diagonal(K)
+
+
+def select_mmd_critic(K, n: int) -> list[int]:
     """Greedy forward selection minimizing the biased MMD^2 to the sample whose
-    kernel matrix is K; returns row indices in the order chosen."""
-    m = len(K)
-    colmean = K.mean(axis=1)
+    kernel is K (a symmetric matrix or an ``RBFKernelView``); returns row
+    indices in the order chosen."""
+    colmean, row, diagonal = _kernel_reads(K)
+    m = len(colmean)
     chosen: list[int] = []
-    for _ in range(n):
-        # row j of P is chosen + [j]; each row's kernel block is reduced as
-        # one contiguous run, as K[np.ix_(P[j], P[j])].mean() would be
-        size = len(chosen) + 1
+    C = np.empty((n, m))  # the kernel rows of the chosen, which are also columns
+    for step in range(n):
+        if chosen:
+            C[step - 1] = row(chosen[-1])
+        # row j of P is chosen + [j]; row j of B is K[np.ix_(P[j], P[j])],
+        # row-major, reduced as one contiguous run
+        size = step + 1
         P = np.empty((m, size), dtype=np.intp)
         P[:, :-1] = chosen
         P[:, -1] = np.arange(m)
+        B = np.empty((m, size, size))
+        B[:, :-1, :-1] = C[:step, chosen]
+        B[:, :-1, -1] = B[:, -1, :-1] = C[:step].T
+        B[:, -1, -1] = diagonal
         # biased MMD^2 between P and the whole sample, up to the data-data term
-        vals = (K[P[:, :, None], P[:, None, :]].reshape(m, size * size).mean(axis=1)
-                - 2.0 * colmean[P].mean(axis=1))
+        vals = B.reshape(m, size * size).mean(axis=1) - 2.0 * colmean[P].mean(axis=1)
         vals[chosen] = np.inf  # a chosen row never improves on the start value
         # a value must undercut the best by more than 1e-15; ties go to the lowest index
         chosen.append(_scan(-vals, -np.inf, -np.inf, tol=1e-15)[0])
@@ -215,30 +276,35 @@ def _project_nonnegative_ls(K: np.ndarray, mu: np.ndarray, w0: np.ndarray) -> np
     return w
 
 
-def select_protodash(K: np.ndarray, n: int) -> tuple[list[int], np.ndarray]:
-    """Weighted greedy prototype selection on kernel matrix K; returns the row
-    indices in the order chosen and their weights.
+def select_protodash(K, n: int) -> tuple[list[int], np.ndarray]:
+    """Weighted greedy prototype selection on kernel K (a symmetric matrix or
+    an ``RBFKernelView``); returns the row indices in the order chosen and
+    their weights.
 
     Maximizes l(w) = w'mu - w'Kw/2 over nonnegative weights: each step adds the
     candidate with the largest gradient component at the current weights, then
     refits all weights by projected-gradient nonnegative least squares.
     """
-    m = len(K)
-    mu = K.mean(axis=1)
+    mu, row, _ = _kernel_reads(K)
+    m = len(mu)
     chosen: list[int] = []
+    C = np.empty((n, m))  # the kernel rows of the chosen, which are also columns
     w = np.zeros(0)
-    for _ in range(n):
-        grad = mu - (K[:, chosen] @ w if chosen else np.zeros(m))
+    for step in range(n):
+        # C[:step].T is K[:, chosen], in the same column-major layout
+        grad = mu - (C[:step].T @ w if chosen else np.zeros(m))
         grad_masked = grad.copy()
         grad_masked[chosen] = -np.inf
         j = int(np.argmax(grad_masked))  # argmax takes the lowest index on ties
         chosen.append(j)
-        Ks = K[np.ix_(chosen, chosen)]
+        C[step] = row(j)
+        Ks = np.ascontiguousarray(C[:step + 1, chosen])  # K[np.ix_(chosen, chosen)]
         w = _project_nonnegative_ls(Ks, mu[chosen], np.concatenate([w, [0.0]]))
     return chosen, w
 
 
-# Each selector's prototype rows from a class's distance matrix D and kernel K.
+# Each selector's prototype rows from a class's distance matrix D and kernel
+# view K.
 SELECTORS = {
     "kmedoids": lambda D, K, n: select_kmedoids(D, n),
     "mmd": lambda D, K, n: select_mmd_critic(K, n),
@@ -252,15 +318,15 @@ def _class_metrics(X: np.ndarray, label: int, model: ModelHandle, names: list[st
                    n_range: Sequence[int], bandwidth: float | None,
                    workspace: np.ndarray) -> list[tuple]:
     """(NR, D) of each selector at each budget, in that order, on one class's
-    rows X. The class's distance matrix and kernel fill the first 2 m² entries
-    of the flat array ``workspace`` and serve only this call; each greedy
-    selector runs once, to the largest budget."""
+    rows X. The class's distance matrix fills the first m² entries of the flat
+    array ``workspace`` and serves only this call; its RBF kernel is a view
+    that is never built. Each greedy selector runs once, to the largest budget."""
     m = len(X)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
         D = pairwise_distances(X, out=workspace[:m * m].reshape(m, m))
-        K = rbf_kernel(D, median_bandwidth(D) if bandwidth is None else bandwidth,
-                       out=workspace[m * m:2 * m * m].reshape(m, m))
-    if not (np.isfinite(D).all() and np.isfinite(K).all()):
+        K = RBFKernelView(D, median_bandwidth(D) if bandwidth is None else bandwidth)
+    # K's entries lie in [0, 1] or are NaN, and a NaN entry makes its row's mean NaN
+    if not (np.isfinite(D).all() and np.isfinite(K.means).all()):
         raise FloatingPointError(f"the distances or RBF kernel of class {label} overflow "
                                  "or are undefined; rescale the features")
     out = []
@@ -284,8 +350,9 @@ def metrics_vs_n(data: TabularDataset, model: ModelHandle, selectors: Sequence[s
     class-averaged (NR, D) of that selector's prototypes at that budget.
 
     Each class's distance matrix, bandwidth (the median distance unless one is
-    given) and RBF kernel are built once and serve every selector and budget.
-    Every class's matrices fill one workspace sized for the largest class.
+    given) and RBF kernel row means are computed once and serve every selector
+    and budget. Every class's distance matrix fills one workspace sized for the
+    largest class.
     """
     names = list(dict.fromkeys(selectors))
     for name in names:
@@ -305,7 +372,7 @@ def metrics_vs_n(data: TabularDataset, model: ModelHandle, selectors: Sequence[s
             raise ContractViolation(f"cannot select {n} examples from {counts.min()} samples")
     # a fresh m x m matrix per class above glibc's mmap threshold is a fresh
     # mapping, page-faulted in anew
-    workspace = np.empty(2 * int(counts.max()) ** 2)
+    workspace = np.empty(int(counts.max()) ** 2)
     # per (selector, budget) cell, in order, the (NR, D) pair of every class
     cells = iter(zip(*[_class_metrics(data.features[data.labels == c], c, model, names,
                                       n_range, bandwidth, workspace)

@@ -10,6 +10,7 @@ Requests, one JSON object per line:
                                        "batch": true, "binary": true}
     a prediction request of a form of ``xmeter.protocol.FORMS`` -> its reply
     {"op": "gradient", "x": [...]} -> {"g": [...]} or {"error": "unsupported"}
+    (with an optional "target": k, the gradient of class k's probability)
 
 Each prediction request is one ``predict_batch`` call of the model. A
 malformed request, rows that break the protocol's number rule and a
@@ -64,7 +65,10 @@ def _answer(model: ModelHandle, line: str) -> dict:
             if op == "gradient" and has_gradient:
                 # its point is checked as the one row of a predict request is
                 x = protocol.read_rows("row", request, model.arity)[0]
-                return {"g": model.checked_gradient(model.gradient_fn(x, None)).tolist()}
+                target = request.get("target")
+                if not (target is None or type(target) is int and target >= 0):
+                    raise ValueError(f"'target' must be a nonnegative integer, got {target!r}")
+                return {"g": model.checked_gradient(model.gradient_fn(x, target)).tolist()}
         if op == "info":
             return {"arity": model.arity, "output": model.output_kind,
                     "gradient": has_gradient, "batch": True, "binary": True}

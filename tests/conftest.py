@@ -14,6 +14,8 @@ from xmeter.core import (
     batch_predictions,
     evaluate_loss_batch,
 )
+from xmeter.bench import _scan
+from xmeter.example_based import _project_nonnegative_ls
 from xmeter.attr_metrics import (
     ExpectationConfig,
     complexity,
@@ -230,6 +232,48 @@ def reference_mmd_critic(K, n: int) -> list[int]:
                 best_j = j
         chosen.append(best_j)
     return chosen
+
+
+def reference_dense_mmd_critic(K: np.ndarray, n: int) -> list[int]:
+    """Reference MMD-critic greedy on a dense kernel matrix, as the selector
+    was before it read kernels by rows: each step gathers every candidate's
+    kernel block from K by one fancy index."""
+    m = len(K)
+    colmean = K.mean(axis=1)
+    chosen: list[int] = []
+    for _ in range(n):
+        # row j of P is chosen + [j]; each row's kernel block is reduced as
+        # one contiguous run, as K[np.ix_(P[j], P[j])].mean() would be
+        size = len(chosen) + 1
+        P = np.empty((m, size), dtype=np.intp)
+        P[:, :-1] = chosen
+        P[:, -1] = np.arange(m)
+        # biased MMD^2 between P and the whole sample, up to the data-data term
+        vals = (K[P[:, :, None], P[:, None, :]].reshape(m, size * size).mean(axis=1)
+                - 2.0 * colmean[P].mean(axis=1))
+        vals[chosen] = np.inf  # a chosen row never improves on the start value
+        # a value must undercut the best by more than 1e-15; ties go to the lowest index
+        chosen.append(_scan(-vals, -np.inf, -np.inf, tol=1e-15)[0])
+    return chosen
+
+
+def reference_dense_protodash(K: np.ndarray, n: int) -> tuple[list[int], np.ndarray]:
+    """Reference ProtoDash on a dense kernel matrix, as the selector was before
+    it read kernels by rows: gradients from ``K[:, chosen]`` and weights from
+    ``K[np.ix_(chosen, chosen)]``."""
+    m = len(K)
+    mu = K.mean(axis=1)
+    chosen: list[int] = []
+    w = np.zeros(0)
+    for _ in range(n):
+        grad = mu - (K[:, chosen] @ w if chosen else np.zeros(m))
+        grad_masked = grad.copy()
+        grad_masked[chosen] = -np.inf
+        j = int(np.argmax(grad_masked))  # argmax takes the lowest index on ties
+        chosen.append(j)
+        Ks = K[np.ix_(chosen, chosen)]
+        w = _project_nonnegative_ls(Ks, mu[chosen], np.concatenate([w, [0.0]]))
+    return chosen, w
 
 
 def chebyshev_distances(P) -> np.ndarray:

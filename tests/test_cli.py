@@ -429,6 +429,9 @@ BAD_INPUTS = {
     "synth-sep-nan": ["example-eval", "--dataset", "synth:sep=nan", "--n", "2"],
     "synth-sep-not-a-number": ["example-eval", "--dataset", "synth:sep=x", "--n", "2"],
     "synth-quantize-nan": ["example-eval", "--dataset", "synth:quantize=nan", "--n", "2"],
+    # a step so small that the features divided by it overflow
+    "synth-quantize-underflow": ["example-eval", "--dataset", "synth:quantize=1e-320",
+                                 "--n", "2"],
     "synth-n-not-an-integer": ["example-eval", "--dataset", "synth:n=x", "--n", "2"],
     "synth-n-exponent": ["example-eval", "--dataset", "synth:n=1e3", "--n", "2"],
     "tokens-dataset-seed": ["mi", "--dataset", "tokens:seed=x"],
@@ -534,6 +537,7 @@ NAMED_OPTION = {"n-mc-too-big": "--n-mc", "n-mc-beyond-memory": "--n-mc",
                 "synth-sep-nan": "synth spec: separation must be finite",
                 "synth-sep-not-a-number": "synth sep must be a number, got 'x'",
                 "synth-quantize-nan": "synth spec: quantize_step must be finite",
+                "synth-quantize-underflow": "synth spec: quantize_step 1e-320 is too small",
                 "synth-n-not-an-integer": "synth n must be an integer, got 'x'",
                 "synth-n-exponent": "synth n must be an integer, got '1e3'"}
 
@@ -755,6 +759,18 @@ class TestExternalModelAdapter:
                 assert handle.predict(x) == pytest.approx(park.predict(x), abs=1e-9)
             g = handle.gradient_fn(np.asarray(xmeter.park.PARK_POINT), None)
             assert g == pytest.approx(xmeter.park.park_gradient(xmeter.park.PARK_POINT), abs=1e-9)
+
+    def test_exec_intgrad_explains_the_class_of_the_explained_point(self):
+        # along the path from the baseline, the softmax's own class changes;
+        # every gradient request names x*'s class, as the in-process call does
+        data, model = bench.token_benchmark(0)
+        x = data.features[2]
+        server = [sys.executable, "-c", "from xmeter import bench, model_server; "
+                  "model_server.serve(bench.token_benchmark(0)[1])"]
+        with ExternalModel(server) as child:
+            remote = compute_attribution("intgrad", child.as_model_handle(), x).values
+        local = compute_attribution("intgrad", model, x).values
+        assert np.array_equal(remote.view(np.uint64), local.view(np.uint64))
 
     def test_garbage_child_raises_protocol_error(self):
         with pytest.raises(ModelProtocolError):
@@ -1198,6 +1214,32 @@ class TestModelServer:
         with ExternalModel(BUILTIN_SERVER + ["--model", "park"]) as child:
             response = child._request({"op": "mystery"})
             assert "error" in response
+
+    def test_gradient_requests_name_a_target_only_for_a_class(self, monkeypatch):
+        sent = []
+        monkeypatch.setattr(ExternalModel, "_request", lambda self, r: sent.append(r)
+                            or {"g": [0.0] * 6})
+        child = object.__new__(ExternalModel)
+        child.info = {"arity": 6}
+        child.gradient(np.zeros(6))
+        child.gradient(np.zeros(6), np.int64(1))
+        assert [json.dumps(r) for r in sent] == [
+            '{"op": "gradient", "x": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}',
+            '{"op": "gradient", "x": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0], "target": 1}']
+
+    def test_server_differentiates_the_requested_class(self):
+        model = bench.softmax_model(np.array([[1.0, -2.0], [0.5, 0.0], [-1.0, 3.0]]),
+                                    np.zeros(3))
+        x = [0.3, -0.2]
+        replies = served(model, [{"op": "gradient", "x": x, "target": t} for t in range(3)]
+                         + [{"op": "gradient", "x": x}]
+                         + [{"op": "gradient", "x": x, "target": bad}
+                            for bad in (-1, 1.0, True, "1", None)])
+        for t in range(3):
+            assert replies[t] == {"g": model.gradient_fn(np.array(x), t).tolist()}
+        assert replies[3] == {"g": model.gradient_fn(np.array(x), None).tolist()}
+        assert all(set(reply) == {"error"} for reply in replies[4:8])
+        assert replies[8] == replies[3]  # a null target is no target
 
     def test_server_answers_every_request_before_it_exits(self):
         # three requests and the end of input arrive in one write; the server

@@ -11,6 +11,7 @@ from xmeter.core import BLOCK, ContractViolation, TabularDataset, ZERO_ONE
 from xmeter.example_based import (
     SELECTORS,
     ExampleSet,
+    RBFKernelView,
     diversity,
     median_bandwidth,
     metrics_vs_n,
@@ -23,6 +24,8 @@ from xmeter.example_based import (
 )
 from conftest import (
     mmd_squared,
+    reference_dense_mmd_critic,
+    reference_dense_protodash,
     reference_full_matrix_kmedoids,
     reference_kmedoids,
     reference_median_bandwidth,
@@ -198,22 +201,76 @@ class TestBlockedPassesMatchTheFullMatrixReferences:
         select_kmedoids(pairwise_distances(TIE_HEAVY_GRID), 6)
         assert sum(swaps) >= 3 and swaps[-1] is False
 
-    def test_a_class_costs_its_two_matrices_whatever_the_width(self):
-        # D and K, plus a few blocks: the m x m x d difference tensor would be 8 m²
+    def test_a_class_costs_one_matrix_whatever_the_width(self):
+        # D, median_bandwidth's copy of its upper triangle, and a few blocks:
+        # the kernel is never built, and the m x m x d difference tensor would be 8 m²
         rng = np.random.default_rng(0)
-        X = rng.normal(size=(500, 8))
-        model = bench.fit_decision_tree(TabularDataset(X, (X[:, 0] > 0).astype(int)),
-                                        max_depth=3).as_model_handle()
-        example_based._class_metrics(X[:20], 0, model, list(SELECTORS), [2, 4], None,
-                                     np.empty(2 * 20 ** 2))  # warm-up
-        tracemalloc.start()
-        try:
-            example_based._class_metrics(X, 0, model, list(SELECTORS), [2, 4], None,
-                                         np.empty(2 * len(X) ** 2))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < (2 * len(X) ** 2 + 4 * BLOCK) * 8
+        for d in (1, 8):
+            X = rng.normal(size=(500, d))
+            model = bench.fit_decision_tree(TabularDataset(X, (X[:, 0] > 0).astype(int)),
+                                            max_depth=3).as_model_handle()
+            example_based._class_metrics(X[:20], 0, model, list(SELECTORS), [2, 4], None,
+                                         np.empty(20 ** 2))  # warm-up
+            m = len(X)
+            tracemalloc.start()
+            try:
+                example_based._class_metrics(X, 0, model, list(SELECTORS), [2, 4], None,
+                                             np.empty(m ** 2))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < (m ** 2 + m * (m - 1) // 2 + 2 * BLOCK) * 8
+
+
+@st.composite
+def kernel_cases(draw):
+    """A class's distance matrix with duplicate rows likely, a bandwidth (the
+    median, an extreme of the accepted range, or any in between) and a row
+    block size that leaves a ragged last block."""
+    m = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.normal(size=(draw(st.integers(1, m)), draw(st.integers(1, 3))))
+    D = pairwise_distances(X[rng.integers(0, len(X), size=m)])
+    bandwidth = draw(st.one_of(st.just(median_bandwidth(D)), st.sampled_from([1e-150, 1e150]),
+                               st.floats(1e-3, 1e3)))
+    return D, bandwidth, draw(st.integers(1, 3 * m + 1))
+
+
+class TestKernelView:
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_cases())
+    @example((np.zeros((1, 1)), 1e-150, 1))
+    @example((pairwise_distances([[0.0], [1.0]]), 1e150, 1))
+    @example((pairwise_distances([[0.0], [1.0], [0.0]]), 1e-150, 2))
+    @example((pairwise_distances([[0.0], [1.0], [0.0]]), 1e150, 5))
+    def test_means_rows_and_diagonal_are_bitwise_the_kernel(self, case):
+        D, bandwidth, block = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(example_based, "BLOCK", block)
+            K = RBFKernelView(D, bandwidth)
+        with np.errstate(over="ignore"):  # D² / (2 · 1e-300) overflows, to a kernel of 0
+            dense = rbf_kernel(D, bandwidth)
+        assert np.array_equal(K.means.view(np.uint64), dense.mean(axis=1).view(np.uint64))
+        rows = np.array([K.row(j) for j in range(len(D))])
+        assert np.array_equal(rows.view(np.uint64), dense.view(np.uint64))
+        assert np.array_equal(K.diagonal().view(np.uint64), np.diagonal(dense).view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(SAMPLES, st.data())
+    def test_selectors_on_the_view_are_the_dense_selectors(self, sample, data):
+        D = pairwise_distances(sample_points(sample))
+        bandwidth = median_bandwidth(D)
+        K = rbf_kernel(D, bandwidth)
+        n = data.draw(st.integers(1, len(D)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(example_based, "BLOCK", data.draw(st.integers(1, 3 * len(D))))
+            view = RBFKernelView(D, bandwidth)
+        chosen, w = reference_dense_protodash(K, n)
+        for kernel in (view, K):
+            assert select_mmd_critic(kernel, n) == reference_dense_mmd_critic(K, n)
+            picked, weights = select_protodash(kernel, n)
+            assert picked == chosen
+            assert np.array_equal(weights.view(np.uint64), w.view(np.uint64))
 
 
 class TestKernel:
@@ -460,12 +517,13 @@ class TestMetricsVsN:
     def test_one_distance_matrix_per_class(self, monkeypatch):
         # three selectors at two budgets share each class's distance matrix;
         # diversity's matrices over at most 4 prototypes are not counted. Every
-        # class's matrix fills the one workspace of the command.
+        # class's matrix fills the one workspace of the command, of one matrix
+        # of the largest class.
         data = bench.synth_tabular(bench.SynthSpec(90, 2, 3, separation=3.0),
                                    seed=0)
         model = bench.fit_decision_tree(data, max_depth=3).as_model_handle()
-        sizes, workspaces = [], []
-        build = example_based.pairwise_distances
+        sizes, workspaces, kernel_sizes = [], [], []
+        build, kernel = example_based.pairwise_distances, example_based.rbf_kernel
 
         def counting(X, out=None):
             sizes.append(len(X))
@@ -474,11 +532,16 @@ class TestMetricsVsN:
             return build(X, out=out)
 
         monkeypatch.setattr(example_based, "pairwise_distances", counting)
+        monkeypatch.setattr(example_based, "rbf_kernel", lambda D, bandwidth, out=None:
+                            kernel_sizes.append(D.size) or kernel(D, bandwidth, out))
+        monkeypatch.setattr(example_based, "BLOCK", 100)
         metrics_vs_n(data, model, SELECTORS, [2, 4])
         assert sorted(n for n in sizes if n > 4) == sorted(np.bincount(data.labels))
         assert len(workspaces) == data.n_classes
         assert all(w is workspaces[0] for w in workspaces)
-        assert workspaces[0].size == 2 * np.bincount(data.labels).max() ** 2
+        assert workspaces[0].size == np.bincount(data.labels).max() ** 2
+        # no kernel matrix is built: the kernel is computed a row block at a time
+        assert kernel_sizes and max(kernel_sizes) <= 100
 
     def test_greedy_selectors_run_once_per_class(self, monkeypatch):
         data = bench.synth_tabular(bench.SynthSpec(90, 2, 3, separation=3.0), seed=0)
