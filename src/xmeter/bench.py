@@ -443,9 +443,12 @@ def token_holdout_slice(data: TabularDataset) -> slice:
     return slice(n_train, data.n_samples)
 
 
-def choose_explained_point(data: TabularDataset, model: ModelHandle,
-                           min_confidence: float = 0.9) -> int:
-    """First holdout row that is confidently and correctly classified.
+EXPLAINED_MIN_CONFIDENCE = 0.9
+
+
+def choose_explained_point(data: TabularDataset, model: ModelHandle) -> int:
+    """First holdout row that is confidently (``EXPLAINED_MIN_CONFIDENCE``) and
+    correctly classified.
 
     Rows with nonzero counts in 'rare*' marker columns are skipped so the
     explained document is a typical one.
@@ -460,6 +463,6 @@ def choose_explained_point(data: TabularDataset, model: ModelHandle,
         if rare_cols and x[rare_cols].sum() > 0:
             continue
         p = model.predict(x)
-        if int(np.argmax(p)) == int(data.labels[i]) and float(np.max(p)) >= min_confidence:
+        if int(np.argmax(p)) == int(data.labels[i]) and p.max() >= EXPLAINED_MIN_CONFIDENCE:
             return i
     raise ContractViolation("no confidently classified holdout row found")

@@ -575,6 +575,17 @@ def _load_attr_file(path: str) -> tuple[np.ndarray, np.ndarray, str]:
     return point[0], values[0], str(payload["method"])
 
 
+def _benchmark_point(spec: str, model: ModelHandle) -> np.ndarray:
+    """A benchmark model's default point: ``park.PARK_POINT``, or the holdout row
+    ``bench.choose_explained_point`` picks on a token model's own corpus."""
+    if spec == "park":
+        return np.asarray(park.PARK_POINT)
+    if spec.startswith("tokens:"):
+        corpus = bench.token_benchmark(_tokens_seed(spec))[0]
+        return corpus.features[bench.choose_explained_point(corpus, model)]
+    raise ConfigError("attr-eval needs --point (or --attr-file)")
+
+
 # Each command returns the report's metrics, the CSV header and the CSV rows.
 Table = tuple[dict, list[str], list[list]]
 
@@ -594,8 +605,9 @@ def cmd_attr_eval(cfg: dict, stack: contextlib.ExitStack) -> Table:
         point, values, method = _load_attr_file(cfg["attr_file"])
     elif cfg["point"]:
         point = np.asarray(_parse_float_list(cfg["point"]), dtype=float)
-    else:
-        raise ConfigError("attr-eval needs --point (or --attr-file)")
+    else:  # a built-in benchmark's own point, which the report's config then names
+        point = _benchmark_point(cfg["model"], model)
+        cfg["point"] = ",".join(map(repr, point.tolist()))
     if point.size != model.arity:
         raise ConfigError(f"point has {point.size} coordinates, model takes {model.arity}")
     if cfg["attr_file"]:

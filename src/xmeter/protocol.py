@@ -131,6 +131,10 @@ def read_reply(form: str, message: dict, kind: str, n: int, classes: int = 0) ->
         rows = [message.get(field)] if form == "row" else message.get(field)
         P = number_matrix(rows, reply_dtype(kind))
         if P is None:
+            # labels that parse as floats, such as NaN or 1.7, break the output
+            # rule as they would in process; a whole float such as 1.0 does not
+            if kind == "label" and (F := number_matrix(rows, FLOAT64, 1)) is not None:
+                check_outputs(F[:, 0], kind, op, ModelProtocolError)
             raise ModelProtocolError(f"{op} returned {_refused_row(rows, kind, width)}")
     if P.shape != (n, width or P.shape[1]) or not P.size:
         raise ModelProtocolError(

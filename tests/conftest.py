@@ -1,3 +1,7 @@
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -36,6 +40,40 @@ from xmeter.mi import (
     fit_entropy_discretizer,
     identity_extractor,
 )
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands(seed: int, prefix: str, section: str | None = None) -> list:
+    """(comment, argv) of each ``xmeter`` command in README.md's fenced blocks, or
+    in those under the heading ``## section``: its ``\\``-continued lines joined,
+    ``S`` replaced by ``seed`` and ``PREFIX`` by ``prefix``. The comment is the first
+    line of the ``#`` lines above the command, "" if there are none."""
+    text = README.read_text(encoding="utf-8")
+    if section:
+        text = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S):
+        comment = ""
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("#"):
+                comment = comment or line.lstrip("# ")
+            elif line.startswith("xmeter "):
+                argv = [re.sub(r"\bS\b", str(seed), word).replace("PREFIX", prefix)
+                        for word in shlex.split(line)[1:]]
+                commands.append((comment, argv))
+                comment = ""
+            elif not line.strip():
+                comment = ""
+    return commands
+
+
+def readme_tables(seed: int, prefix: str) -> dict:
+    """The argv of each command of README's "Experiment tables", by the name its
+    comment starts with (attr-park, attr-tokens, mi, selectors, sweep)."""
+    return {comment.split(":")[0]: argv
+            for comment, argv in readme_commands(seed, prefix, "Experiment tables")}
 
 
 @pytest.fixture(scope="session")

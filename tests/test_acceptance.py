@@ -13,27 +13,24 @@ import numpy as np
 import pytest
 
 from xmeter import bench
-from xmeter.attr_methods import compute_attribution, random_attribution
+from xmeter.attr_methods import compute_attribution
 from xmeter.attr_metrics import (
     ExpectationConfig,
-    complexity,
     effective_complexity_detail,
-    non_sensitivity,
     perturbation_test,
     restriction_loss_vector,
     spearman,
 )
 from xmeter.cli import main as cli_main
-from xmeter.core import FeatureDistribution, SQUARED_ERROR, ZERO_ONE
+from xmeter.core import FeatureDistribution, SQUARED_ERROR
 from xmeter.example_based import (
-    metrics_vs_n,
     pairwise_distances,
     rbf_kernel,
     select_kmedoids,
     select_mmd_critic,
 )
-from xmeter.mi import estimate_mi, extractor_table
-from conftest import mmd_squared
+from xmeter.mi import estimate_mi
+from conftest import mmd_squared, readme_tables
 
 GRADIENT_METHODS = ("saliency", "inpxgrad", "intgrad")
 ALL_METHODS = GRADIENT_METHODS + ("random",)
@@ -51,14 +48,17 @@ def park_attributions(park, point):
     return attrs
 
 
-def test_criterion_1_table_3a_exact_cells(park, park_point):
+def table_report(name, capsys, prefix="PREFIX"):
+    """The report of README's experiment table ``name`` at seed 0."""
+    assert cli_main(readme_tables(0, prefix)[name]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_criterion_1_table_3a_exact_cells(capsys):
     start = time.time()
-    cfg = park_cfg(seed=0)
-    e = restriction_loss_vector(park, park_point, cfg)
-    attrs = park_attributions(park, park_point)
-    cells = {m: (complexity(a), non_sensitivity(a, e, cfg.zero_tolerance))
-             for m, a in attrs.items()}
+    metrics = table_report("attr-park", capsys)["metrics"]
     elapsed = time.time() - start
+    cells = {m: (entry["complexity"], entry["non_sensitivity"]) for m, entry in metrics.items()}
     for m in GRADIENT_METHODS:
         assert cells[m] == (4, 0), f"{m}: expected C=4, NS=0, got {cells[m]}"
     assert cells["random"] == (6, 2)
@@ -112,15 +112,10 @@ def test_criterion_3_mi_estimator_calibration():
           f"independent {indep:+.4f}, in {elapsed:.1f}s")
 
 
-def test_criterion_4_extractor_mi_phenomenon():
-    data = bench.synth_tabular(bench.MI_BENCH_SPEC, seed=0)
-    model = bench.fit_decision_tree(data, max_depth=5).as_model_handle()
-    y = model.predict_labels(data.features)
-    runs = 50
-    table = extractor_table(data, ("identity", "random-ood", "entropy"), y, runs, k=3, seed=0,
-                            ood_count=3, ood_value=-10.0, max_depth=3)
-    f_mean = {name: entry["feature_mi"] for name, entry in table.items()}
-    t_mean = {name: entry["target_mi"] for name, entry in table.items()}
+def test_criterion_4_extractor_mi_phenomenon(capsys):
+    report = table_report("mi", capsys)
+    f_mean = {name: entry["feature_mi"] for name, entry in report["metrics"].items()}
+    t_mean = {name: entry["target_mi"] for name, entry in report["metrics"].items()}
     assert f_mean["identity"] > f_mean["random-ood"] > f_mean["entropy"], f_mean
     assert abs(t_mean["random-ood"] - t_mean["identity"]) <= 0.1, t_mean
     # data processing inequality at estimator scale, against MI(X, Y)
@@ -128,46 +123,48 @@ def test_criterion_4_extractor_mi_phenomenon():
     for name, value in t_mean.items():
         assert value <= baseline + 0.05, f"{name}: {value} vs baseline {baseline}"
     print(f"\n[acceptance 4] PASS: feature MI {f_mean} ordered, "
-          f"target MI {t_mean} within 0.1, DPI within 0.05 ({runs} runs)")
+          f"target MI {t_mean} within 0.1, DPI within 0.05 ({report['config']['runs']} runs)")
 
 
-def test_criterion_5_example_metric_phenomena():
-    data = bench.synth_tabular(bench.CLUSTER_BENCH_SPEC, seed=0)
-    model = bench.fit_decision_tree(data, max_depth=5).as_model_handle()
-    selectors = ("kmedoids", "mmd", "protodash")
-    class_size = int(np.min(np.bincount(data.labels)))
-    table = metrics_vs_n(data, model, selectors, [6, 1, class_size])
-    nr = {s: rows[0]["non_representativeness"] for s, rows in table.items()}
-    d = {s: rows[0]["diversity"] for s, rows in table.items()}
+def test_criterion_5_example_metric_phenomena(tmp_path, capsys):
+    at_six = table_report("selectors", capsys)["metrics"]
+    sweep = table_report("sweep", capsys, str(tmp_path / "sweep"))["metrics"]
+    nr = {s: entry["non_representativeness"] for s, entry in at_six.items()}
+    d = {s: entry["diversity"] for s, entry in at_six.items()}
     assert nr["kmedoids"] < nr["mmd"] < nr["protodash"], nr
     assert d["protodash"] > d["mmd"] > d["kmedoids"], d
-    at_one = {s: rows[1]["diversity"] for s, rows in table.items()}
+    diversity = {s: {row["n"]: row["diversity"] for row in rows} for s, rows in sweep.items()}
+    assert all(rows[6] == d[s] for s, rows in diversity.items()), (diversity, d)
+    at_one = {s: rows[1] for s, rows in diversity.items()}
     assert all(v == 0.0 for v in at_one.values()), at_one
-    at_full = [table[s][2]["diversity"] for s in selectors]
-    assert at_full[0] == at_full[1] == at_full[2], at_full
+    class_size = int(np.min(np.bincount(bench.synth_tabular(bench.CLUSTER_BENCH_SPEC, 0).labels)))
+    at_full = {s: rows[class_size] for s, rows in diversity.items()}
+    assert len(set(at_full.values())) == 1, at_full
     print(f"\n[acceptance 5] PASS: NR {nr} and D {d} ordered at n=6; "
           f"D(n=1)=0; D coincides at n={class_size}")
 
 
-def test_criterion_6_perturbation_test_phenomenon():
-    data, model = bench.token_benchmark(0)
-    idx = bench.choose_explained_point(data, model)
-    x_star = data.features[idx]
-    cfg = ExpectationConfig(FeatureDistribution.empirical(data), ZERO_ONE,
-                            n_mc_samples=4000, seed=0)
-    attrs = {m: compute_attribution(m, model, x_star) for m in GRADIENT_METHODS}
-    ecs = {m: effective_complexity_detail(attrs[m], model, 0.02, cfg).k for m in GRADIENT_METHODS}
+def test_criterion_6_perturbation_test_phenomenon(capsys):
+    report = table_report("attr-tokens", capsys)
+    cfg, metrics = report["config"], report["metrics"]
+    ecs = {m: entry["effective_complexity"] for m, entry in metrics.items()}
     spread = max(ecs.values()) - min(ecs.values())
     assert spread >= 4, f"EC spread {spread} < 4 positions: {ecs}"
+    # the table's perturbation test, then the same at four more seeds
+    data, model = bench.token_benchmark(cfg["seed"])
+    x_star = np.array(cfg["point"].split(","), dtype=float)
+    attrs = {m: compute_attribution(m, model, x_star, steps=cfg["steps"]) for m in ecs}
     worst = 0.0
     for seed in range(5):
-        scores = {m: perturbation_test(attrs[m], model, ecs[m], data, 500, seed=seed)
-                  for m in GRADIENT_METHODS}
+        scores = {m: perturbation_test(attrs[m], model, ecs[m], data, cfg["pt_n"], seed=seed)
+                  for m in ecs}
+        if seed == cfg["seed"]:
+            assert scores == {m: entry["perturbation_test"] for m, entry in metrics.items()}
         gap = max(scores.values()) - min(scores.values())
         worst = max(worst, gap)
         assert gap <= 0.05, f"seed {seed}: PT spread {gap}: {scores}"
     print(f"\n[acceptance 6] PASS: ECs {ecs} (spread {spread}), "
-          f"max PT spread {worst:.3f} over 5 seeds x 500 perturbations")
+          f"max PT spread {worst:.3f} over 5 seeds x {cfg['pt_n']} perturbations")
 
 
 def test_criterion_7_oracle_equivalences(park):

@@ -33,13 +33,14 @@ from xmeter.cli import (
     STOP_TIMEOUT,
     ExternalModel,
     ModelProtocolError,
+    build_parser,
     load_dataset_csv,
     main,
     parse_dataset_spec,
 )
 from xmeter.core import ContractViolation, ModelHandle
 from xmeter.handle import PROB_SUM_TOL
-from conftest import park_value, reference_attribution_report
+from conftest import park_value, readme_commands, readme_tables, reference_attribution_report
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -100,8 +101,29 @@ class TestAttrEvalCommand:
         assert int(rows["random"]["non_sensitivity"]) == 2
 
     def test_missing_point_is_usage_error(self, capsys):
-        code, _ = run_cli(["attr-eval", "--model", "park"], capsys)
+        # only the built-in benchmark models have a point of their own
+        code = main(["attr-eval", "--model", "tree:3", "--dataset", "synth:n=60"])
         assert code == EXIT_CONFIG
+        assert "needs --point" in capsys.readouterr().err
+
+    def test_benchmark_models_default_to_their_own_point(self, tmp_path, capsys):
+        # README's table commands explain park at PARK_POINT and a token model
+        # at its chosen holdout row; the report's config names the point, and
+        # giving it as --point prints the same bytes
+        cases = [("attr-park", 3, [], xmeter.park.PARK_POINT)]
+        for seed in (0, 1):
+            data, model = bench.token_benchmark(seed)
+            x_star = data.features[bench.choose_explained_point(data, model)]
+            # (seed 1's restriction losses are all equal at 500 rows or fewer)
+            cases.append(("attr-tokens", seed, ["--n-mc", "1000", "--pt-n", "50"],
+                          x_star.tolist()))
+        for name, seed, smaller, point in cases:
+            args = readme_tables(seed, str(tmp_path))[name] + smaller
+            given = ",".join(map(repr, point))
+            code, out = run_cli(args, capsys)
+            assert code == EXIT_OK
+            assert json.loads(out)["config"]["point"] == given
+            assert run_cli(args + ["--point", given], capsys) == (EXIT_OK, out)
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         out_a = str(tmp_path / "a")
@@ -116,11 +138,8 @@ class TestAttrEvalCommand:
         # method's effective complexity: sharing passes changes no byte
         from xmeter import attr_metrics
 
-        data, model = bench.token_benchmark(0)
-        x_star = data.features[bench.choose_explained_point(data, model)]
         args = ["attr-eval", "--model", "tokens:seed=0", "--dataset", "tokens:seed=0",
-                "--methods", "saliency,inpxgrad,intgrad,random",
-                "--point", ",".join(map(repr, x_star.tolist())), "--epsilon", "0.02",
+                "--methods", "saliency,inpxgrad,intgrad,random", "--epsilon", "0.02",
                 "--pt", "ec", "--pt-n", "200", "--n-mc", "200"]
         shared = run_cli(args, capsys)
         assert shared[0] == EXIT_OK
@@ -706,6 +725,15 @@ def test_readme_lists_the_integer_and_real_options():
             for key, (option_kind, _, _) in options.items() if option_kind is kind}
 
 
+def test_readme_commands_parse(tmp_path):
+    # every xmeter line of README's code blocks, usage examples and tables
+    # alike, names only options the parser has
+    commands = readme_commands(0, str(tmp_path / "out"))
+    assert len(commands) >= 10
+    for _, argv in commands:
+        assert build_parser().parse_args(argv).command in COMMANDS, argv
+
+
 # The handshake flags of the reference server that each request path keeps.
 PATH_FLAGS = {"per-row": set(), "batch": {"batch"}, "binary": {"batch", "binary"}}
 
@@ -848,6 +876,18 @@ class TestExternalModelAdapter:
         assert code == EXIT_NUMERIC
         assert "NaN" not in out
 
+    @pytest.mark.parametrize("batch", ["false", "true"], ids=["row", "batch"])
+    def test_non_finite_label_reply_is_numeric_failure(self, batch, capsys):
+        # as a label model's NaN is in process, not a malformed integer
+        server = scripted_server('{"arity": 2, "output": "label", "gradient": false, '
+                                 f'"batch": {batch}}}', predict='{"y": [1]}\n{"y": [NaN]}')
+        code = main(["attr-eval", "--model", exec_spec(server), "--point", "0.1,0.2",
+                     "--methods", "random", "--uniform", "0,1", "--n-mc", "100"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        assert "non-finite output" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("output,predict,gradient,batch", [
         ("scalar", '{"y": ["a"]}', "false", None),
         ("scalar", '{"y": [null]}', "false", None),
@@ -857,6 +897,8 @@ class TestExternalModelAdapter:
         ("scalar", '{"y": [0.5]}', "true", None),
         ("label", '{"y": [1.7]}', "false", None),
         ("label", '{"y": [-1]}', "false", None),
+        ("label", '{"y": [1.0]}', "false", None),
+        ("label", '{"y": [%d]}' % 2 ** 63, "false", None),
         ("probs", '{"y": [[0.5, 0.5]]}', "false", None),
         ("probs", '{"y": [0.5, 0.5]}\n{"y": [0.2, 0.3, 0.5]}', "false", None),
         ("probs", '{"y": [0.2, 0.2]}', "false", None),
@@ -869,7 +911,8 @@ class TestExternalModelAdapter:
         ("probs", '{"y": [0.5, 0.5]}\n' * 4 + '{"y": [0.2, 0.2]}', "false", ("true", "")),
         ("scalar", '{"y": [0.5]}', "false", ('"yes"', "")),
     ], ids=["string", "null", "bool", "two-scalars", "huge-integer", "gradient-string",
-            "label-fraction", "label-negative", "probs-nested", "probs-ragged",
+            "label-fraction", "label-negative", "label-whole-float", "label-beyond-int64",
+            "probs-nested", "probs-ragged",
             "probs-sum", "probs-negative", "batch-row-missing", "batch-not-a-list",
             "batch-later-string", "batch-later-label-fraction", "batch-later-probs-sum",
             "batch-flag-string"])
@@ -1467,12 +1510,8 @@ class TestOneOutputRule:
             binary = {"yb": protocol.encode(Y, protocol.reply_dtype(kind))}
             for form, reply in (("batch", batch), ("binary", binary)):
                 assert outcome(lambda: protocol.read_reply(form, reply, kind, n)) == expected
-        else:
-            # the JSON number rule takes only integers that int64 holds as labels,
-            # so a reply of these values is malformed, as the handle refuses them
-            assert expected[0] != "ok"
-            with pytest.raises(ModelProtocolError, match="a malformed 'y' at row"):
-                protocol.read_reply("batch", batch, kind, n)
+        else:  # JSON, not binary, carries these labels, as floats
+            assert outcome(lambda: protocol.read_reply("batch", batch, kind, n)) == expected
 
 
 # float64 bit patterns the binary format must carry unchanged: zeros, the
