@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, ModelHandle, explained_class, gradient
+from .core import BATCH_ROWS, ContractViolation, ModelHandle, explained_class, gradient
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,8 @@ def integrated_gradients(model: ModelHandle, x_star, baseline=None,
     """Path integral of gradients from a baseline, midpoint Riemann sum.
 
     a_i = (x*_i - b_i) * (1/steps) * sum_t df/dx_i(b + (t - 1/2)/steps * (x* - b)).
-    The midpoint rule avoids gradient evaluations at the endpoints.
+    The midpoint rule avoids gradient evaluations at the endpoints. The path's
+    gradients are asked for and summed ``BATCH_ROWS`` rows at a time.
     """
     x = np.asarray(x_star, dtype=float)
     b = np.zeros_like(x) if baseline is None else np.asarray(baseline, dtype=float)
@@ -71,12 +72,14 @@ def integrated_gradients(model: ModelHandle, x_star, baseline=None,
     if steps < 1:
         raise ContractViolation("steps must be >= 1")
     target = explained_class(model, x)
-    grads = [gradient(model, b + (t + 0.5) / steps * (x - b), target=target)
-             for t in range(steps)]
     acc = np.zeros_like(x)
+    for start in range(0, steps, BATCH_ROWS):  # one gradient call per chunk of the path
+        t = np.arange(start, min(start + BATCH_ROWS, steps))[:, None]
+        grads = gradient(model, b + (t + 0.5) / steps * (x - b), target=target)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for g in grads:  # in path order, as the sum of one gradient at a time
+                acc += g
     with np.errstate(over="ignore", invalid="ignore"):
-        for g in grads:
-            acc += g
         values = (x - b) * acc / steps
     return _computed(x, values, "integrated-gradients")
 

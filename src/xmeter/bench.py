@@ -395,10 +395,14 @@ def softmax_model(W: np.ndarray, b: np.ndarray, name: str = "softmax") -> ModelH
     def predict(X):
         return _softmax(X @ W.T + b)
 
-    def grad(x, target=None):
-        p = _softmax(np.asarray(x, dtype=float) @ W.T + b)
-        t = int(np.argmax(p)) if target is None else int(target)
-        return p[t] * (W[t] - p @ W)
+    def grad(X, target=None):
+        X = np.asarray(X, dtype=float)
+        G = np.empty_like(X)
+        for i, x in enumerate(X):  # row by row: a matrix product would round differently
+            p = _softmax(x @ W.T + b)
+            t = int(np.argmax(p)) if target is None else int(target)
+            G[i] = p[t] * (W[t] - p @ W)
+        return G
 
     return ModelHandle(
         arity=arity,

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import attr_metrics, attr_methods, bench, example_based, park, protocol
 from .core import (
+    BATCH_ROWS,
     ContractViolation,
     FeatureDistribution,
     ModelHandle,
@@ -43,10 +44,9 @@ EXIT_NUMERIC = 4
 PROTOCOL_TIMEOUT = 30.0
 # Seconds a child may take to exit once its stdin is closed before it is killed.
 STOP_TIMEOUT = 2.0
-# Rows per predict_batch request. A request carries at most this many, so a
-# child's time per request, which PROTOCOL_TIMEOUT limits, stays bounded
-# however many rows a batch holds.
-BATCH_ROWS = 1000
+# BATCH_ROWS (core) is the most rows a predict_batch or batched gradient request
+# carries, so a child's time per request, which PROTOCOL_TIMEOUT limits, stays
+# bounded however many rows a batch holds.
 # Characters read of one line from a child; a longer reply fails the protocol
 # and a longer stderr line is cut. A BATCH_ROWS-row probs reply with 1000
 # classes at 25 characters per probability is 25 M characters.
@@ -70,6 +70,8 @@ class ExternalModel:
     serialized per child; responses are matched to requests by order. The
     child's stderr is captured for diagnostics. ``form``, the prediction form
     of ``xmeter.protocol``, is the handshake's best: binary, batch or row.
+    ``gradient_form`` is ``form`` for a child that advertises
+    ``gradient_batch``, else row.
     """
 
     def __init__(self, command, timeout: float = PROTOCOL_TIMEOUT):
@@ -101,6 +103,7 @@ class ExternalModel:
             raise
         self.form = ("binary" if self.info.get("binary", False)
                      else "batch" if self.info.get("batch", False) else "row")
+        self.gradient_form = self.form if self.info.get("gradient_batch", False) else "row"
 
     # Each pump closes its stream at EOF: no other thread reads it, and
     # closing a stream while a thread reads it is unsafe. Lines are read at
@@ -169,69 +172,76 @@ class ExternalModel:
             self._fail(f"invalid arity in handshake: {info!r}")
         if info.get("output") not in typing.get_args(OutputKind):
             self._fail(f"invalid output kind in handshake: {info!r}")
-        for flag, default in (("gradient", None), ("batch", False), ("binary", False)):
+        for flag, default in (("gradient", None), ("batch", False), ("binary", False),
+                              ("gradient_batch", False)):
             if not isinstance(info.get(flag, default), bool):
                 self._fail(f"invalid {flag} flag in handshake: {info!r}")
-        if info.get("binary", False) and not info.get("batch", False):
-            self._fail(f"'binary' without 'batch' in handshake: {info!r}")
+        for flag, needed in (("binary", "batch"), ("gradient_batch", "gradient")):
+            if info.get(flag, False) and not info.get(needed, False):
+                self._fail(f"{flag!r} without {needed!r} in handshake: {info!r}")
         return info
 
-    def predict(self, X) -> np.ndarray:
-        """Predictions for the rows of ``X`` (an ``(n, arity)`` matrix, or one
-        point), in one request of the child's form; a ``row`` request carries
-        one row."""
+    def _send(self, form: str, X, kind: str | None = None, target=None):
+        """The rows of ``X`` (an ``(n, arity)`` matrix, or one point) and the reply
+        to one request of ``form`` for their predictions, or with ``kind``
+        GRADIENT for their gradients; a ``row`` request carries one row."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.form == "row" and len(X) != 1:
-            raise ContractViolation(f"a child without 'batch' takes one row per "
-                                    f"request, got {len(X)}")
-        response = self._request(protocol.request(self.form, X))
+        if form == "row" and len(X) != 1:
+            raise ContractViolation(f"a row request carries one row, got {len(X)}")
+        response = self._request(protocol.request(form, X, kind, target))
         if "error" in response:
-            self._fail(f"predict failed: {response['error']}")
+            self._fail(f"{'gradient' if kind else 'predict'} failed: {response['error']}")
+        return X, response
+
+    def _read(self, form: str, response: dict, kind: str, n: int, width: int) -> np.ndarray:
         try:
-            with self._lock:  # the first probs reply sets the class count
-                Y = protocol.read_reply(self.form, response, self.info["output"], len(X),
-                                        self._classes)
-                self._classes = Y.shape[1] if Y.ndim == 2 else 0
+            return protocol.read_reply(form, response, kind, n, width)
         except ModelProtocolError as exc:
             self._fail(str(exc))
+
+    def predict(self, X) -> np.ndarray:
+        """Predictions for the rows of ``X`` in one request of the child's form."""
+        X, response = self._send(self.form, X)
+        with self._lock:  # the first probs reply sets the class count
+            Y = self._read(self.form, response, self.info["output"], len(X), self._classes)
+            self._classes = Y.shape[1] if Y.ndim == 2 else 0
         return Y
 
-    def gradient(self, x, target=None):
-        """The gradient at x, of the scalar output or of class ``target``'s
-        probability; a request names its ``target`` only when there is one."""
-        request = {"op": "gradient", "x": np.asarray(x, dtype=float).tolist()}
-        if target is not None:
-            request["target"] = int(target)
-        response = self._request(request)
-        if "error" in response:
-            self._fail(f"gradient failed: {response['error']}")
-        g = protocol.number_matrix([response.get("g")], width=self.info["arity"])
-        if g is None:
-            self._fail(f"gradient returned a malformed 'g': {response!r}")
-        return g[0]
+    def gradient(self, X, target=None) -> np.ndarray:
+        """The gradients at the rows of ``X``, of the scalar output or of class
+        ``target``'s probability, in one request of ``gradient_form``."""
+        X, response = self._send(self.gradient_form, X, protocol.GRADIENT, target)
+        return self._read(self.gradient_form, response, protocol.GRADIENT, len(X),
+                          self.info["arity"])
 
     def as_model_handle(self) -> ModelHandle:
-        """A handle whose ``predict_fn`` sends the rows in order, one request per
-        chunk of consecutive rows: up to ``BATCH_ROWS`` rows to a child that
-        advertises ``batch``, one row to any other. Zero rows send no request
-        and predict an empty array of the replies' shape and type: (0, classes)
-        for ``probs``, with the class count of the replies so far (0 before any)."""
+        """A handle whose ``predict_fn`` and ``gradient_fn`` send the rows in order,
+        one request per chunk of consecutive rows: up to ``BATCH_ROWS`` rows in a
+        form that takes many, one row in the row form. Zero rows send no request and
+        give an empty array of the replies' shape and type: (0, classes) for
+        ``probs``, with the class count of the replies so far (0 before any)."""
         has_grad = bool(self.info["gradient"])
-        step = 1 if self.form == "row" else BATCH_ROWS
-        kind = self.info["output"]
+        kind, arity = self.info["output"], int(self.info["arity"])
+
+        def chunks(send, form, X, *args):
+            step = 1 if form == "row" else BATCH_ROWS
+            return [send(X[i:i + step], *args) for i in range(0, len(X), step)]
 
         def predict_fn(X):
-            chunks = [self.predict(X[i:i + step]) for i in range(0, len(X), step)]
-            if chunks:
-                return np.concatenate(chunks)
+            if parts := chunks(self.predict, self.form, X):
+                return np.concatenate(parts)
             return np.empty((0, self._classes) if kind == "probs" else 0,
                             dtype=protocol.reply_dtype(kind))
 
+        def gradient_fn(X, target=None):
+            parts = chunks(self.gradient, self.gradient_form, X, target)
+            return np.concatenate(parts) if parts else np.empty((0, arity))
+
         return ModelHandle(
-            arity=int(self.info["arity"]),
+            arity=arity,
             output_kind=kind,
             predict_fn=predict_fn,
-            gradient_fn=self.gradient if has_grad else None,
+            gradient_fn=gradient_fn if has_grad else None,
             gradient_capability="exact" if has_grad else "finite-difference",
             name=f"external({' '.join(self.command)})",
         )
@@ -705,8 +715,9 @@ def cmd_mi(cfg: dict, stack: contextlib.ExitStack) -> Table:
 _TEXT = (str, None, None)  # a text option without a default or help
 
 # Upper limits of the options that count a command's work: each --steps is one
-# gradient call (one round trip over exec:), each --runs one set of MI
-# estimates. A larger value is refused before any model is built.
+# row of a gradient request (a round trip of its own to an exec: child without
+# gradient_batch), each --runs one set of MI estimates. A larger value is
+# refused before any model is built.
 OPTION_LIMITS = {"steps": 100_000, "runs": 10_000}
 
 

@@ -19,6 +19,9 @@ CROSS_ENTROPY_CLIP = 1e-12
 # distances of the MI estimators and of example-eval, the split search's prefix
 # class counts and the k-medoids pricing each hold a few such blocks at a time.
 BLOCK = 1 << 16
+# Rows per model request over exec: (cli.ExternalModel) and per chunk of an
+# integrated-gradients path, which holds one chunk of its gradients at a time.
+BATCH_ROWS = 1000
 
 
 class UnsupportedOperation(RuntimeError):
@@ -172,31 +175,52 @@ def explained_class(model: ModelHandle, x: np.ndarray) -> int | None:
 
 
 def gradient(model: ModelHandle, x, target: int | None = None) -> np.ndarray:
-    """Gradient of the model's scalar output (or of the target-class probability,
-    by default the class of x) at x: ``arity`` finite floats, else FloatingPointError.
+    """Gradient of the model's scalar output (or of the target-class probability) at
+    the point x, or at each row of an ``(n, arity)`` matrix x: finite floats of x's
+    shape, else FloatingPointError. A point's target is by default its class; the
+    rows of a ``probs`` model need one. Each row's gradient is bit for bit the one
+    of that row alone.
 
     Without an exact gradient, central finite differences with per-coordinate
-    step h_i = 1e-5 * max(1, |x_i|): all 2 * arity points go to the model as one
-    batch, in the order x + h_0 e_0, x - h_0 e_0, x + h_1 e_1, ...; a step that
-    overflows is a FloatingPointError naming its coordinate.
+    step h_i = 1e-5 * max(1, |x_i|): the 2 * arity points of each row, in the order
+    x + h_0 e_0, x - h_0 e_0, x + h_1 e_1, ..., go to the model as one batch per
+    row; a step that overflows, at any row, is a FloatingPointError naming its
+    coordinate before any model call.
     """
     if model.gradient_capability == "none":
         raise UnsupportedOperation(f"model {model.name!r} does not support gradients")
     if model.output_kind == "label":
         raise UnsupportedOperation("label-only outputs are not differentiable")
-    x = model._check_point(x)
-    if target is None:
-        target = explained_class(model, x)
+    point = np.ndim(x) != 2
+    X = model._check_point(x)[None] if point else model._check_rows(x)
+    if target is None and model.output_kind == "probs":
+        if not point:
+            raise ContractViolation("gradients at many rows of a probs model need a target")
+        target = explained_class(model, X[0])
     if model.gradient_capability == "exact":
-        return model.checked_gradient(model.gradient_fn(x, target))
-    h = 1e-5 * np.maximum(1.0, np.abs(x))
+        G = model.gradient_fn(X, target)
+    else:
+        G = _finite_differences(model, X, target)
+    G = model.checked_gradients(G, len(X))
+    return G[0] if point else G
+
+
+def _finite_differences(model: ModelHandle, X: np.ndarray, target: int | None) -> np.ndarray:
+    """The central-difference gradients of ``gradient`` at the rows of X."""
+    n, d = X.shape
+    H = 1e-5 * np.maximum(1.0, np.abs(X))
     with np.errstate(over="ignore"):
-        out = np.flatnonzero(np.abs(x) + h == np.inf)
+        out = np.argwhere(np.abs(X) + H == np.inf)
     if out.size:
-        raise FloatingPointError(f"the finite-difference step at coordinate {out[0]} overflows")
-    steps = np.diag(h)
-    y = model.predict_batch(x + np.stack([steps, -steps], axis=1).reshape(-1, x.size))
-    if model.output_kind == "probs":
-        y = y[:, target]
-    with np.errstate(over="ignore"):
-        return model.checked_gradient((y[0::2] - y[1::2]) / (2 * h))
+        row = f" of row {out[0, 0]}" if n > 1 else ""
+        raise FloatingPointError(f"the finite-difference step at coordinate {out[0, 1]}{row} "
+                                 "overflows")
+    G = np.empty_like(X)
+    for i, (x, h) in enumerate(zip(X, H)):
+        steps = np.diag(h)
+        y = model.predict_batch(x + np.stack([steps, -steps], axis=1).reshape(-1, d))
+        if model.output_kind == "probs":
+            y = y[:, target]
+        with np.errstate(over="ignore"):
+            G[i] = (y[0::2] - y[1::2]) / (2 * h)
+    return G

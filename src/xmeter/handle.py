@@ -27,7 +27,8 @@ class ContractViolation(ValueError):
 def check_outputs(Y: np.ndarray, kind: str, who: str, error: type[Exception]) -> None:
     """The output rule for n predictions ``Y`` of ``kind``, of their shape: all finite; a
     ``label`` a nonnegative integer that int64 can hold; a ``probs`` row nonnegative and
-    summing to 1, both within ``PROB_SUM_TOL``. At the first row that breaks it, raises
+    summing to 1, both within ``PROB_SUM_TOL``; values of another kind, such as the rows
+    of an ``exec:`` gradient reply, only finite. At the first row that breaks it, raises
     FloatingPointError for a non-finite value, else ``error``, naming ``who`` and the row."""
     nonfinite = ~np.isfinite(Y)
     bad = nonfinite  # per entry; a probs row that does not sum to 1 marks all of its entries
@@ -59,8 +60,10 @@ class ModelHandle:
     ``(n, classes)`` matrix of probability rows for ``probs``, integer class
     indices for ``label``. It is the one way the model is evaluated; a single
     point is a one-row batch. ``gradient_fn``, which ``exact`` gradients need,
-    takes ``(x, target)`` and returns the exact gradient of the scalar output
-    (or of the target-class probability). Other declarations are refused.
+    takes ``(X, target)``, an ``(n, arity)`` matrix of rows and a class or None,
+    and returns the ``(n, arity)`` matrix of the exact gradients of the scalar
+    output (or of the target-class probability) at those rows, as ``predict_fn``
+    takes rows. Other declarations are refused.
     """
 
     arity: int
@@ -88,15 +91,21 @@ class ModelHandle:
             )
         return x
 
-    def checked_gradient(self, g) -> np.ndarray:
-        """``g`` as this model's gradient: ``arity`` floats, all finite."""
-        g = np.asarray(g, dtype=float)
-        if g.shape != (self.arity,):
-            raise ContractViolation(f"model {self.name!r} returned a gradient of shape "
-                                    f"{g.shape} for {self.arity} inputs")
-        if not np.isfinite(g).all():
+    def _check_rows(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.arity:
+            raise ContractViolation("batch must be (n, arity)")
+        return X
+
+    def checked_gradients(self, G, n: int) -> np.ndarray:
+        """``G`` as this model's gradients at n rows: an ``(n, arity)`` matrix, all finite."""
+        G = np.asarray(G, dtype=float)
+        if G.shape != (n, self.arity):
+            raise ContractViolation(f"model {self.name!r} returned gradients of shape "
+                                    f"{G.shape} for {n} rows of {self.arity} inputs")
+        if not np.isfinite(G).all():
             raise FloatingPointError(f"model {self.name!r} has a non-finite gradient")
-        return g
+        return G
 
     def predict(self, x):
         y = self.predict_batch(self._check_point(x)[None, :])[0]
@@ -105,9 +114,7 @@ class ModelHandle:
         return y if self.output_kind == "probs" else int(y)
 
     def predict_batch(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.arity:
-            raise ContractViolation("batch must be (n, arity)")
+        X = self._check_rows(X)
         out = np.asarray(self.predict_fn(X))
         # n predictions of the kind's shape; n > 0 probability rows have classes
         if out.ndim != (2 if self.output_kind == "probs" else 1) or len(out) != len(X) \

@@ -8,13 +8,15 @@ against a conforming child:
 Requests, one JSON object per line:
     {"op": "info"}                 -> {"arity": N, "output": "...", "gradient": bool,
                                        "batch": true, "binary": true}
+                                      and "gradient_batch": true with gradients
     a prediction request of a form of ``xmeter.protocol.FORMS`` -> its reply
-    {"op": "gradient", "x": [...]} -> {"g": [...]} or {"error": "unsupported"}
+    a gradient request of a form   -> its reply, or {"error": "unsupported"}
     (with an optional "target": k, the gradient of class k's probability)
 
-Each prediction request is one ``predict_batch`` call of the model. A
-malformed request, rows that break the protocol's number rule and a
-non-finite output get an ``error`` reply, and the server keeps serving.
+Each prediction request is one ``predict_batch`` call of the model, and each
+gradient request one ``gradient_fn`` call. A malformed request, rows that
+break the protocol's number rule and a non-finite output get an ``error``
+reply, and the server keeps serving.
 """
 
 from __future__ import annotations
@@ -59,20 +61,22 @@ def _answer(model: ModelHandle, line: str) -> dict:
         op, form = request.get("op"), protocol.form_of(request)
         # an overflow is refused as the non-finite output it gives, not warned about
         with np.errstate(all="ignore"):
-            if form:
+            if form and op != protocol.GRADIENT:
                 Y = model.predict_batch(protocol.read_rows(form, request, model.arity))
                 return protocol.reply(form, Y, model.output_kind)
-            if op == "gradient" and has_gradient:
-                # its point is checked as the one row of a predict request is
-                x = protocol.read_rows("row", request, model.arity)[0]
+            if form and has_gradient:
+                # its rows are checked as the rows of a predict request are
+                X = protocol.read_rows(form, request, model.arity)
                 target = request.get("target")
                 if not (target is None or type(target) is int and target >= 0):
                     raise ValueError(f"'target' must be a nonnegative integer, got {target!r}")
-                return {"g": model.checked_gradient(model.gradient_fn(x, target)).tolist()}
+                G = model.checked_gradients(model.gradient_fn(X, target), len(X))
+                return protocol.reply(form, G, protocol.GRADIENT)
         if op == "info":
             return {"arity": model.arity, "output": model.output_kind,
-                    "gradient": has_gradient, "batch": True, "binary": True}
-        return {"error": "unsupported" if op == "gradient"
+                    "gradient": has_gradient, "batch": True, "binary": True,
+                    **({"gradient_batch": True} if has_gradient else {})}
+        return {"error": "unsupported" if op == protocol.GRADIENT and not has_gradient
                 else f"unknown op {op!r} with fields {sorted(request)}"}
     except Exception as exc:  # malformed request: report, keep serving
         return {"error": f"{type(exc).__name__}: {exc}"}

@@ -31,10 +31,13 @@ def park_batch(X) -> np.ndarray:
     return (2.0 / 3.0) * np.exp(X[:, 0] + X[:, 1]) - X[:, 3] * np.sin(X[:, 2]) + X[:, 2]
 
 
-def park_gradient(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    e = (2.0 / 3.0) * np.exp(x[0] + x[1])
-    return np.array([e, e, 1.0 - x[3] * np.cos(x[2]), -np.sin(x[2]), 0.0, 0.0])
+def park_gradient(X) -> np.ndarray:
+    """The exact gradient of f at each row of X, or at the point X: an array of X's shape."""
+    X = np.asarray(X, dtype=float)
+    e = (2.0 / 3.0) * np.exp(X[..., 0] + X[..., 1])
+    zero = np.zeros_like(e)
+    return np.stack([e, e, 1.0 - X[..., 3] * np.cos(X[..., 2]), -np.sin(X[..., 2]), zero, zero],
+                    axis=-1)
 
 
 def park_model() -> ModelHandle:
@@ -49,7 +52,7 @@ def park_model() -> ModelHandle:
         arity=PARK_ARITY,
         output_kind="scalar",
         predict_fn=predict,
-        gradient_fn=lambda x, target=None: park_gradient(x),
+        gradient_fn=lambda X, target=None: park_gradient(X),
         gradient_capability="exact",
         name="park",
     )

@@ -1,14 +1,16 @@
-"""The prediction messages of the ``exec:`` model protocol, for both of its sides.
+"""The prediction and gradient messages of the ``exec:`` model protocol, for both
+of its sides.
 
-A prediction request carries rows and its reply one prediction per row, in a
-form of ``FORMS``. ``row`` and ``batch`` carry JSON lists: a reply's entry per
-row holds one number (scalar), one integer (label) or one probability per
-class (probs). ``binary`` carries base64 text (standard alphabet, padded, no
-line breaks) of little-endian row-major values: float64 rows and scalar or
-probs predictions, int64 labels. The driver (``cli.ExternalModel``) calls
-``request`` and ``read_reply``, the reference server (``model_server``)
-``read_rows`` and ``reply``. It needs only numpy and ``binascii``, which
-numpy loads anyway, so the server starts no slower.
+A request carries rows and its reply one prediction, or one gradient, per row,
+in a form of ``FORMS``. ``row`` and ``batch`` carry JSON lists: a reply's entry
+per row holds one number (scalar), one integer (label), one probability per
+class (probs) or ``arity`` numbers (a gradient). ``binary`` carries base64 text
+(standard alphabet, padded, no line breaks) of little-endian row-major values:
+float64 rows, scalar or probs predictions and gradients, int64 labels. The
+driver (``cli.ExternalModel``) calls ``request`` and ``read_reply``, the
+reference server (``model_server``) ``read_rows`` and ``reply``. It needs only
+numpy and ``binascii``, which numpy loads anyway, so the server starts no
+slower.
 """
 
 from __future__ import annotations
@@ -23,12 +25,15 @@ from .handle import check_outputs
 FLOAT64 = np.dtype("<f8")
 INT64 = np.dtype("<i8")
 
-# form -> (op, field of its rows, field of its reply)
+# form -> (op of its prediction request, field of its rows, field of its predictions,
+# field of its gradients); a gradient request of any form has the op GRADIENT
 FORMS = {
-    "row": ("predict", "x", "y"),
-    "batch": ("predict_batch", "X", "y"),
-    "binary": ("predict_batch", "Xb", "yb"),
+    "row": ("predict", "x", "y", "g"),
+    "batch": ("predict_batch", "X", "y", "g"),
+    "binary": ("predict_batch", "Xb", "yb", "gb"),
 }
+# The op of a gradient request, and the kind of the values its reply carries.
+GRADIENT = "gradient"
 
 
 class ModelProtocolError(RuntimeError):
@@ -77,17 +82,30 @@ def number_matrix(rows, dtype: np.dtype = FLOAT64, width: int = -1) -> np.ndarra
     return P if P.shape[1] else None
 
 
-def request(form: str, X: np.ndarray) -> dict:
-    """The request of ``form`` for the rows of the float matrix ``X`` (one for ``row``)."""
-    op, field, _ = FORMS[form]
+def _message(form: str, kind: str | None) -> tuple[str, str, str]:
+    """The op, field of the rows and field of the reply of a message of ``form``
+    whose reply carries values of ``kind``: predictions, or gradients (GRADIENT)."""
+    op, rows, predictions, gradients = FORMS[form]
+    return (GRADIENT, rows, gradients) if kind == GRADIENT else (op, rows, predictions)
+
+
+def request(form: str, X: np.ndarray, kind: str | None = None, target=None) -> dict:
+    """The request of ``form`` for the predictions, or with ``kind`` GRADIENT for the
+    gradients, at the rows of the float matrix ``X`` (one for ``row``). A gradient
+    request names its ``target`` class only when there is one."""
+    op, field, _ = _message(form, kind)
     rows = encode(X, FLOAT64) if form == "binary" else X.tolist()
-    return {"op": op, field: rows[0] if form == "row" else rows}
+    message = {"op": op, field: rows[0] if form == "row" else rows}
+    if target is not None:
+        message["target"] = int(target)
+    return message
 
 
 def form_of(message: dict) -> str | None:
-    """The form whose op and rows field a prediction request has; else None."""
-    return next((form for form, (op, field, _) in FORMS.items()
-                 if message.get("op") == op and field in message), None)
+    """The form whose rows field a prediction or gradient request has, with the
+    form's op or GRADIENT; else None."""
+    return next((form for form, (op, field, _, _) in FORMS.items()
+                 if message.get("op") in (op, GRADIENT) and field in message), None)
 
 
 def read_rows(form: str, message: dict, arity: int) -> np.ndarray:
@@ -104,22 +122,25 @@ def read_rows(form: str, message: dict, arity: int) -> np.ndarray:
 
 
 def reply(form: str, Y, kind: str) -> dict:
-    """The reply of ``form`` that carries a model's predictions ``Y`` of ``kind``."""
-    field = FORMS[form][2]
+    """The reply of ``form`` that carries a model's predictions ``Y`` of ``kind``, or
+    its gradients ``Y`` of kind GRADIENT."""
+    field = _message(form, kind)[2]
     if form == "binary":
         return {field: encode(Y, reply_dtype(kind))}
     Y = np.asarray(Y, dtype=reply_dtype(kind))
-    rows = (Y if kind == "probs" else Y[:, None]).tolist()
+    rows = (Y if Y.ndim == 2 else Y[:, None]).tolist()
     return {field: rows[0] if form == "row" else rows}
 
 
-def read_reply(form: str, message: dict, kind: str, n: int, classes: int = 0) -> np.ndarray:
-    """The n predictions of ``kind`` that a reply of ``form`` carries, ``classes`` per
-    row for probs (any one count while 0). A reply that breaks the number or shape rule,
-    or a value that the output rule (``handle.check_outputs``) refuses, is a
-    ModelProtocolError; a non-finite value is a FloatingPointError (a numeric failure)."""
-    op, _, field = FORMS[form]
-    width = classes if kind == "probs" else 1
+def read_reply(form: str, message: dict, kind: str, n: int, width: int = 0) -> np.ndarray:
+    """The n predictions of ``kind``, or gradients of kind GRADIENT, that a reply of
+    ``form`` carries, ``width`` values per row for probs (any one count while 0) and
+    gradients. A reply that breaks the number or shape rule, or a value that the output
+    rule (``handle.check_outputs``) refuses, is a ModelProtocolError; a non-finite
+    value is a FloatingPointError (a numeric failure)."""
+    op, _, field = _message(form, kind)
+    rows_of_values = kind in ("probs", GRADIENT)
+    width = width if rows_of_values else 1
     if form == "binary":
         try:
             P = decode(message.get(field), reply_dtype(kind))
@@ -130,29 +151,31 @@ def read_reply(form: str, message: dict, kind: str, n: int, classes: int = 0) ->
     else:
         rows = [message.get(field)] if form == "row" else message.get(field)
         P = number_matrix(rows, reply_dtype(kind))
+        if P is None and kind == "label" and (F := number_matrix(rows, FLOAT64, 1)) is not None:
+            # labels that parse only as floats pass the output rule as they would
+            # in process: NaN or 1.7 breaks it, and a whole float such as 1.0 is
+            # the class it names
+            check_outputs(F[:, 0], kind, op, ModelProtocolError)
+            P = F.astype(np.int64)
         if P is None:
-            # labels that parse as floats, such as NaN or 1.7, break the output
-            # rule as they would in process; a whole float such as 1.0 does not
-            if kind == "label" and (F := number_matrix(rows, FLOAT64, 1)) is not None:
-                check_outputs(F[:, 0], kind, op, ModelProtocolError)
-            raise ModelProtocolError(f"{op} returned {_refused_row(rows, kind, width)}")
+            raise ModelProtocolError(f"{op} returned {_refused_row(rows, kind, width, field)}")
     if P.shape != (n, width or P.shape[1]) or not P.size:
         raise ModelProtocolError(
             f"{op} returned {P.shape[1]} class probabilities per row after {width}"
             if kind == "probs" and len(P) == n and P.size else
             f"{op} returned {P.size} {kind} values in {field!r} for {n} rows")
-    Y = P if kind == "probs" else P.reshape(n)
+    Y = P if rows_of_values else P.reshape(n)
     check_outputs(Y, kind, op, ModelProtocolError)
     return Y
 
 
-def _refused_row(rows, kind: str, width: int) -> str:
+def _refused_row(rows, kind: str, width: int, field: str) -> str:
     """The first row, of a reply the number rule refused, that it refuses alone
     or with another length than ``width`` (than row 0 when ``width`` is 0)."""
     if type(rows) is not list:
-        return f"a 'y' that is not a list: {rows!r:.200}"
+        return f"a {field!r} that is not a list: {rows!r:.200}"
     for i, y in enumerate(rows):
         if number_matrix([y], reply_dtype(kind), width or -1) is None:
-            return f"a malformed 'y' at row {i}: {y!r}"
+            return f"a malformed {field!r} at row {i}: {y!r}"
         width = len(y)
     return "no rows"

@@ -103,7 +103,7 @@ def constant_model(arity, value=2.5):
         arity=arity,
         output_kind="scalar",
         predict_fn=lambda X: np.full(len(X), value),
-        gradient_fn=lambda x, target=None: np.zeros(arity),
+        gradient_fn=lambda X, target=None: np.zeros((len(X), arity)),
         gradient_capability="exact",
         name="constant",
     )
@@ -117,7 +117,7 @@ def linear_model(weights):
         arity=w.size,
         output_kind="scalar",
         predict_fn=lambda X: X @ w,
-        gradient_fn=lambda x, target=None: w.copy(),
+        gradient_fn=lambda X, target=None: np.tile(w, (len(X), 1)),
         gradient_capability="exact",
         name="linear",
     )

@@ -8,7 +8,7 @@ from xmeter.attr_methods import (
     random_attribution,
     saliency,
 )
-from xmeter.core import ContractViolation, ModelHandle, UnsupportedOperation
+from xmeter.core import BATCH_ROWS, ContractViolation, ModelHandle, UnsupportedOperation, gradient
 from conftest import constant_model, linear_model
 
 # hand-differentiated gradient of the test function at the reference point
@@ -101,6 +101,20 @@ class TestIntegratedGradients:
     def test_baseline_arity_checked(self, park, park_point):
         with pytest.raises(ContractViolation):
             integrated_gradients(park, park_point, baseline=np.zeros(3))
+
+    def test_path_goes_in_chunks_and_sums_one_gradient_at_a_time(self, park, park_point):
+        # one gradient call per BATCH_ROWS rows of the path; the values are the
+        # one-point gradients summed in path order, bit for bit
+        calls = []
+        model = ModelHandle(6, "scalar", park.predict_fn, gradient_capability="exact",
+                            gradient_fn=lambda X, t: calls.append(len(X)) or park.gradient_fn(X, t))
+        steps = 2 * BATCH_ROWS + 7
+        attr = integrated_gradients(model, park_point, steps=steps)
+        assert calls == [BATCH_ROWS, BATCH_ROWS, 7]
+        acc = np.zeros(6)
+        for t in range(steps):
+            acc += gradient(park, (t + 0.5) / steps * park_point)
+        assert attr.values.tobytes() == (park_point * acc / steps).tobytes()
 
 
 class TestRandomAttribution:

@@ -55,6 +55,16 @@ class TestParkFunction:
                 fd[i] = (park_value(xp) - park_value(xm)) / (2 * h)
             assert np.max(np.abs(exact - fd)) < 1e-6
 
+    def test_gradient_of_rows_is_the_gradient_of_each_point(self):
+        # the one-point formula, as the handle computed it before it took rows
+        def one(x):
+            e = (2.0 / 3.0) * np.exp(x[0] + x[1])
+            return np.array([e, e, 1.0 - x[3] * np.cos(x[2]), -np.sin(x[2]), 0.0, 0.0])
+
+        X = np.random.default_rng(6).uniform(0, 1, size=(1000, 6))
+        for n in (1, 7, 1000):
+            assert park_gradient(X[:n]).tobytes() == np.array([one(x) for x in X[:n]]).tobytes()
+
     def test_inert_coordinates(self):
         rng = np.random.default_rng(9)
         for _ in range(50):

@@ -735,15 +735,19 @@ def test_readme_commands_parse(tmp_path):
 
 
 # The handshake flags of the reference server that each request path keeps.
-PATH_FLAGS = {"per-row": set(), "batch": {"batch"}, "binary": {"batch", "binary"}}
+PATH_FLAGS = {"per-row": set(), "batch": {"batch", "gradient_batch"},
+              "binary": {"batch", "binary", "gradient_batch"},
+              "binary-row-gradients": {"batch", "binary"}}
 
 
 def park_run_requests(monkeypatch, capsys, path: str):
     """The report of a park attr-eval over the reference server, its requests
     counted by op, and the fields they carried. ``path`` drops handshake flags
-    that ExternalModel read (PATH_FLAGS): "per-row" drops batch and binary, which makes
-    ExternalModel send one predict request per row, and "batch" drops binary,
-    which makes it send the rows of predict_batch as JSON lists."""
+    that ExternalModel read (PATH_FLAGS): "per-row" drops them all, which makes
+    ExternalModel send one predict or gradient request per row, "batch" drops
+    binary, which makes it send the rows of predict_batch and gradient requests
+    as JSON lists, and "binary-row-gradients" drops gradient_batch, which makes
+    it send one gradient request per row."""
     requests, fields = {}, set()
     send, handshake = ExternalModel._request, ExternalModel._handshake
     dropped = PATH_FLAGS["binary"] - PATH_FLAGS[path]
@@ -763,7 +767,8 @@ def park_run_requests(monkeypatch, capsys, path: str):
                              "--methods", "saliency,inpxgrad,intgrad,random",
                              "--point", PARK_POINT, "--uniform", "0,1", "--n-mc", "100"], capsys)
     assert code == EXIT_OK
-    assert fields - {"op", "x"} == {"per-row": set(), "batch": {"X"}, "binary": {"Xb"}}[path]
+    assert fields - {"op", "x"} == {"per-row": set(), "batch": {"X"}, "binary": {"Xb"},
+                                    "binary-row-gradients": {"Xb"}}[path]
     return out, requests
 
 
@@ -785,7 +790,7 @@ class TestExternalModelAdapter:
             for _ in range(100):
                 x = rng.uniform(0, 1, size=6)
                 assert handle.predict(x) == pytest.approx(park.predict(x), abs=1e-9)
-            g = handle.gradient_fn(np.asarray(xmeter.park.PARK_POINT), None)
+            (g,) = handle.gradient_fn(np.asarray([xmeter.park.PARK_POINT]), None)
             assert g == pytest.approx(xmeter.park.park_gradient(xmeter.park.PARK_POINT), abs=1e-9)
 
     def test_exec_intgrad_explains_the_class_of_the_explained_point(self):
@@ -799,6 +804,42 @@ class TestExternalModelAdapter:
             remote = compute_attribution("intgrad", child.as_model_handle(), x).values
         local = compute_attribution("intgrad", model, x).values
         assert np.array_equal(remote.view(np.uint64), local.view(np.uint64))
+
+    def test_gradient_batch_changes_the_requests_not_the_report(self, monkeypatch, capsys):
+        # the token classifier served in a child that advertises gradient_batch,
+        # and in one that withholds it: one report, from 3 gradient requests (one
+        # per method) or 66 (one per gradient row), each naming the point's class
+        data, model = bench.token_benchmark(0)
+        x = data.features[bench.choose_explained_point(data, model)]
+        point = ",".join(map(repr, x.tolist()))
+        serve = ("import os\nfrom xmeter import bench, model_server\n"
+                 "answer = model_server._answer\n"
+                 "if os.environ.get('WITHHOLD_GRADIENT_BATCH'):\n"
+                 "    model_server._answer = lambda m, line: {\n"
+                 "        k: v for k, v in answer(m, line).items() if k != 'gradient_batch'}\n"
+                 "model_server.serve(bench.token_benchmark(0)[1])\n")
+        argv = ["attr-eval", "--dataset", "tokens:seed=0", "--point", point,
+                "--methods", "saliency,inpxgrad,intgrad", "--n-mc", "100"]
+        send = ExternalModel._request
+        reports, gradients = [], []
+        for withhold in ("", "1"):
+            requests = []
+            with monkeypatch.context() as patch:
+                patch.setenv("WITHHOLD_GRADIENT_BATCH", withhold)
+                patch.setattr(ExternalModel, "_request",
+                              lambda self, r: requests.append(r) or send(self, r))
+                code, out = run_cli(argv + ["--model", exec_spec([sys.executable, "-c", serve])],
+                                    capsys)
+            assert code == EXIT_OK
+            reports.append(out)
+            gradients.append([r for r in requests if r["op"] == "gradient"])
+        assert reports[0] == reports[1]
+        assert [len(g) for g in gradients] == [3, 1 + 1 + 64]
+        assert {"X", "Xb"} & set(gradients[0][2]) == {"Xb"}
+        target = int(model.predict_labels(x[None])[0])
+        assert {r["target"] for g in gradients for r in g} == {target}
+        _, in_process = run_cli(argv + ["--model", "tokens:seed=0"], capsys)
+        assert json.loads(in_process)["metrics"] == json.loads(reports[0])["metrics"]
 
     def test_garbage_child_raises_protocol_error(self):
         with pytest.raises(ModelProtocolError):
@@ -888,6 +929,22 @@ class TestExternalModelAdapter:
         assert "non-finite output" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("batch", ["false", "true"], ids=["row", "batch"])
+    def test_whole_float_label_reply_is_its_class(self, batch, capsys):
+        # as a label model's 1.0 is in process
+        reports = []
+        labels = [1, 0, 0, 2, 1, 1, 0]
+        for whole in (int, float):
+            replies = "\n".join(json.dumps({"y": [whole(y)]}) for y in labels)
+            server = scripted_server('{"arity": 2, "output": "label", "gradient": false, '
+                                     f'"batch": {batch}}}', predict=replies)
+            code, out = run_cli(["attr-eval", "--model", exec_spec(server), "--point", "0.1,0.2",
+                                 "--methods", "random", "--uniform", "0,1", "--n-mc", "100"],
+                                capsys)
+            assert code == EXIT_OK
+            reports.append(json.loads(out)["metrics"])
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("output,predict,gradient,batch", [
         ("scalar", '{"y": ["a"]}', "false", None),
         ("scalar", '{"y": [null]}', "false", None),
@@ -897,7 +954,7 @@ class TestExternalModelAdapter:
         ("scalar", '{"y": [0.5]}', "true", None),
         ("label", '{"y": [1.7]}', "false", None),
         ("label", '{"y": [-1]}', "false", None),
-        ("label", '{"y": [1.0]}', "false", None),
+        ("label", '{"y": [1e19]}', "false", None),  # a whole float int64 cannot hold
         ("label", '{"y": [%d]}' % 2 ** 63, "false", None),
         ("probs", '{"y": [[0.5, 0.5]]}', "false", None),
         ("probs", '{"y": [0.5, 0.5]}\n{"y": [0.2, 0.3, 0.5]}', "false", None),
@@ -963,7 +1020,15 @@ class TestExternalModelAdapter:
         faulty = [i for i, (y, row) in enumerate(zip(ys, alone))
                   if row is None or len(y) != expected]
         read = lambda: protocol.read_reply("batch", {"y": ys}, kind, len(ys))  # noqa: E731
-        if at_once is None:
+        floats = protocol.number_matrix(ys, protocol.FLOAT64, 1) if kind == "label" else None
+        if at_once is None and floats is not None:
+            # labels that only the float rule reads pass the output rule as in process
+            model = ModelHandle(1, "label", lambda X: floats[:, 0])
+            expected = outcome(lambda: model.predict_batch(np.zeros((len(ys), 1))))
+            assert outcome(read) == expected
+            if expected[0] == "ok":
+                assert np.array_equal(read(), floats[:, 0]) and read().dtype == np.int64
+        elif at_once is None:
             with pytest.raises(ModelProtocolError, match=rf"at row {faulty[0]}: "):
                 read()
         elif faulty:
@@ -995,8 +1060,15 @@ class TestExternalModelAdapter:
         ('{"arity": 2, "output": "scalar", "gradient": false, "binary": true}', "0.1,0.2"),
         ('{"arity": 2, "output": "scalar", "gradient": false, "batch": false, '
          '"binary": true}', "0.1,0.2"),
+        ('{"arity": 2, "output": "scalar", "gradient": true, "batch": true, '
+         '"gradient_batch": "yes"}', "0.1,0.2"),
+        ('{"arity": 2, "output": "scalar", "gradient": true, "batch": true, '
+         '"gradient_batch": null}', "0.1,0.2"),
+        ('{"arity": 2, "output": "scalar", "gradient": false, "batch": true, '
+         '"gradient_batch": true}', "0.1,0.2"),
     ], ids=["arity-bool", "binary-string", "binary-int", "binary-without-batch",
-            "binary-with-batch-false"])
+            "binary-with-batch-false", "gradient-batch-string", "gradient-batch-null",
+            "gradient-batch-without-gradient"])
     def test_bad_handshake_is_protocol_error(self, info, point, capsys):
         code = main(["attr-eval", "--model", exec_spec(scripted_server(info)),
                      "--point", point, "--methods", "random", "--uniform", "0,1"])
@@ -1131,18 +1203,25 @@ class TestExternalModelAdapter:
         # one request for f(x*), per restriction batch and per distinct prefix
         assert batched["predict_batch"] == 1 + 6 + len(distinct)
         assert "predict_batch" not in per_row and "predict" not in batched
-        for requests in (per_row, batched):
-            assert requests["gradient"] == 1 + 1 + 64  # saliency, inpxgrad, intgrad
+        # saliency, inpxgrad and intgrad: one request per gradient row, or one
+        # per method to a child that takes gradients in batches
+        assert per_row["gradient"] == 1 + 1 + 64
+        assert batched["gradient"] == 3
 
     def test_batch_and_per_row_paths_give_the_same_report(self, monkeypatch, capsys):
-        # per-row JSON, batch JSON and batch binary requests: one report, and
-        # the two batch paths send the same requests
+        # per-row JSON, batch JSON and batch binary requests, and binary rows with
+        # one gradient request per row: one report, and the two batch paths send
+        # the same requests
         per_row, _ = park_run_requests(monkeypatch, capsys, "per-row")
         batched, json_requests = park_run_requests(monkeypatch, capsys, "batch")
         binary, binary_requests = park_run_requests(monkeypatch, capsys, "binary")
+        row_gradients, row_gradient_requests = park_run_requests(monkeypatch, capsys,
+                                                                 "binary-row-gradients")
         assert batched == per_row
         assert binary == per_row
+        assert row_gradients == per_row
         assert binary_requests == json_requests
+        assert row_gradient_requests == {**binary_requests, "gradient": 1 + 1 + 64}
 
     def test_concurrent_predicts_are_serialized(self):
         with ExternalModel(PARK_SERVER) as child:
@@ -1263,7 +1342,7 @@ class TestModelServer:
         monkeypatch.setattr(ExternalModel, "_request", lambda self, r: sent.append(r)
                             or {"g": [0.0] * 6})
         child = object.__new__(ExternalModel)
-        child.info = {"arity": 6}
+        child.info, child.gradient_form = {"arity": 6}, "row"
         child.gradient(np.zeros(6))
         child.gradient(np.zeros(6), np.int64(1))
         assert [json.dumps(r) for r in sent] == [
@@ -1279,8 +1358,8 @@ class TestModelServer:
                          + [{"op": "gradient", "x": x, "target": bad}
                             for bad in (-1, 1.0, True, "1", None)])
         for t in range(3):
-            assert replies[t] == {"g": model.gradient_fn(np.array(x), t).tolist()}
-        assert replies[3] == {"g": model.gradient_fn(np.array(x), None).tolist()}
+            assert replies[t] == {"g": model.gradient_fn(np.array([x]), t)[0].tolist()}
+        assert replies[3] == {"g": model.gradient_fn(np.array([x]), None)[0].tolist()}
         assert all(set(reply) == {"error"} for reply in replies[4:8])
         assert replies[8] == replies[3]  # a null target is no target
 
@@ -1380,6 +1459,22 @@ class TestProtocolSides:
         assert (Y.shape, Y.dtype) == (expected.shape, expected.dtype)
         assert Y.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("model", ["park", "softmax"])
+    @pytest.mark.parametrize("form", list(protocol.FORMS))
+    def test_driver_reads_the_in_process_gradients(self, form, model, park):
+        model, target = (park, None) if model == "park" else (
+            bench.softmax_model(np.array([[1.0, -2.0, 0.5], [0.5, 0.0, 0.1], [-1.0, 3.0, 2.0]]),
+                                np.zeros(3)), 2)
+        X = np.random.default_rng(5).uniform(0.05, 0.95, (1 if form == "row" else 40, 3))
+        X = np.hstack([X, X])[:, :model.arity]
+        request = protocol.request(form, X, protocol.GRADIENT, target)
+        assert request["op"] == "gradient" and request.get("target") == target
+        (reply,) = served(model, [request])
+        G = protocol.read_reply(form, reply, protocol.GRADIENT, len(X), model.arity)
+        assert G.tobytes() == model.gradient_fn(X, target).tobytes()
+        assert G.tobytes() == np.array([model.gradient_fn(x[None], target)[0]
+                                        for x in X]).tobytes()
+
     @pytest.mark.parametrize("request_", [
         {"op": "predict", "x": [True, False]},
         {"op": "predict_batch", "X": [[True, 0.5]]},
@@ -1425,8 +1520,9 @@ class TestProtocolSides:
 
 
 # label values: those a label reply can carry (JSON integers that int64 holds),
-# then those it cannot
+# whole floats, then values that are no integer int64 holds
 CARRIED_LABELS = st.one_of(st.integers(0, 3), st.sampled_from([-1, 2 ** 63 - 1]))
+WHOLE_FLOAT_LABELS = st.sampled_from([0.0, 1.0, 3.0, -1.0, 2.0 ** 62])
 OTHER_LABELS = st.sampled_from([1.5, 2 ** 63, math.nan, math.inf])
 SCALAR_VALUES = st.one_of(st.floats(-1e6, 1e6),
                           st.sampled_from([math.nan, math.inf, -math.inf, -1.7e308]))
@@ -1493,11 +1589,11 @@ class TestOneOutputRule:
             values = data.draw(st.lists(prob_rows(width), min_size=n, max_size=n))
         else:
             pool = {"scalar": SCALAR_VALUES,
-                    "label": st.one_of(CARRIED_LABELS, OTHER_LABELS)}[kind]
+                    "label": st.one_of(CARRIED_LABELS, WHOLE_FLOAT_LABELS, OTHER_LABELS)}[kind]
             values = data.draw(st.lists(pool, min_size=n, max_size=n))
-        # a label model whose labels int64 cannot all hold returns floats
-        carried = kind != "label" or all(type(v) is int and v < 2 ** 63 for v in values)
-        Y = np.array(values, dtype=np.int64 if kind == "label" and carried else float)
+        # a label model returns floats unless its labels are integers int64 holds
+        ints = kind != "label" or all(type(v) is int and v < 2 ** 63 for v in values)
+        Y = np.array(values, dtype=np.int64 if kind == "label" and ints else float)
         row, non_finite = first_bad_row(Y, kind)
         expected = ("ok", None) if row is None else (
             "non-finite" if non_finite else "refused", row)
@@ -1506,12 +1602,13 @@ class TestOneOutputRule:
         assert outcome(lambda: model.predict_batch(np.zeros((n, 1)))) == expected
         entries = values if kind == "probs" else [[v] for v in values]
         batch = json.loads(json.dumps({"y": entries}))
-        if carried:
-            binary = {"yb": protocol.encode(Y, protocol.reply_dtype(kind))}
-            for form, reply in (("batch", batch), ("binary", binary)):
-                assert outcome(lambda: protocol.read_reply(form, reply, kind, n)) == expected
-        else:  # JSON, not binary, carries these labels, as floats
-            assert outcome(lambda: protocol.read_reply("batch", batch, kind, n)) == expected
+        replies = [("batch", batch)]  # JSON carries every label, some as floats
+        # binary carries int64 labels: whole floats as the integers they are
+        if kind != "label" or all(math.isfinite(v) and v == int(v) and v < 2 ** 63
+                                  for v in Y.tolist()):
+            replies.append(("binary", {"yb": protocol.encode(Y, protocol.reply_dtype(kind))}))
+        for form, reply in replies:
+            assert outcome(lambda: protocol.read_reply(form, reply, kind, n)) == expected
 
 
 # float64 bit patterns the binary format must carry unchanged: zeros, the

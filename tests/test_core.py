@@ -18,6 +18,8 @@ from xmeter.core import (
     gradient,
 )
 from xmeter.attr_methods import saliency
+from xmeter.bench import fit_decision_tree
+from xmeter.park import park_model
 from xmeter.attr_metrics import _restriction_losses
 from xmeter import example_based
 from conftest import constant_model, evaluate_loss, linear_model, reference_sample_matrix
@@ -217,6 +219,26 @@ class TestRestrictModel:
         assert np.mean(losses) == 0.0
 
 
+def _gradient_handles() -> dict:
+    """Exact and finite-difference handles for the many-rows gradient property."""
+    park = park_model()
+    w = np.random.default_rng(3).normal(size=64)
+    rng = np.random.default_rng(4)
+    X = rng.uniform(0, 1, (120, 3))
+    tree = fit_decision_tree(TabularDataset(X, (X.sum(axis=1) * 3).astype(int) % 3), 4)
+    fd = dict(gradient_capability="finite-difference")
+    return {
+        "park": park,
+        "park-fd": ModelHandle(6, "scalar", park.predict_fn, **fd),
+        "linear": linear_model(w[:5]),
+        "linear-fd-wide": ModelHandle(64, "scalar", lambda X: X @ w, **fd),
+        "tree-fd": ModelHandle(3, "probs", tree.predict_proba_batch, **fd),
+    }
+
+
+GRADIENT_HANDLES = _gradient_handles()
+
+
 class TestGradient:
     def test_exact_park_gradient(self, park, park_point):
         g = gradient(park, park_point)
@@ -270,7 +292,7 @@ class TestGradient:
                                          ([1.0, np.inf, 0.0], FloatingPointError)],
                              ids=["two-entries", "infinite"])
     def test_exact_gradient_must_be_arity_finite_floats(self, g, error):
-        model = ModelHandle(3, "scalar", lambda X: X[:, 0], gradient_fn=lambda x, t: g,
+        model = ModelHandle(3, "scalar", lambda X: X[:, 0], gradient_fn=lambda X, t: [g],
                             gradient_capability="exact")
         with pytest.raises(error):
             gradient(model, [0.0, 0.0, 0.0])
@@ -307,6 +329,42 @@ class TestGradient:
         m = ModelHandle(2, "scalar", lambda X: np.zeros(len(X)), gradient_capability="none")
         with pytest.raises(UnsupportedOperation):
             gradient(m, [0.0, 0.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(list(GRADIENT_HANDLES)), st.integers(1, 40),
+           st.integers(0, 2 ** 32 - 1))
+    def test_gradients_of_many_rows_are_the_gradients_of_each_row(self, name, n, seed):
+        # bit for bit, for exact and finite-difference handles
+        model = GRADIENT_HANDLES[name]
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0.0, 1.0, (n, model.arity)) * rng.choice([1.0, 1e-3, 50.0], (n, 1))
+        if name.startswith("park"):
+            X = np.clip(X, 0.01, 0.9)  # its domain, with the steps, is [0, 1)^6
+        target = int(rng.integers(3)) if model.output_kind == "probs" else None
+        G = gradient(model, X, target)
+        rows = np.array([gradient(model, x, target) for x in X])
+        assert G.shape == X.shape
+        assert G.tobytes() == rows.tobytes()
+
+    def test_finite_differences_of_many_rows_are_one_batch_per_row(self, park, park_point):
+        calls = []
+        fd_park = ModelHandle(6, "scalar", lambda X: calls.append(len(X)) or park.predict_fn(X),
+                              gradient_capability="finite-difference")
+        gradient(fd_park, np.tile(park_point, (64, 1)))
+        assert calls == [2 * 6] * 64
+
+    def test_rows_of_a_probs_model_need_a_target(self):
+        model = GRADIENT_HANDLES["tree-fd"]
+        with pytest.raises(ContractViolation, match="need a target"):
+            gradient(model, np.zeros((2, model.arity)))
+
+    def test_finite_difference_step_names_its_row(self):
+        calls = []
+        model = ModelHandle(2, "scalar", lambda X: calls.append(len(X)) or X[:, 0],
+                            gradient_capability="finite-difference")
+        with pytest.raises(FloatingPointError, match="coordinate 1 of row 2 overflows"):
+            gradient(model, [[0.0, 0.0], [1.0, 1.0], [0.5, -1.7976931348623157e308]])
+        assert calls == []
 
 
 class TestFeatureDistribution:
