@@ -16,8 +16,10 @@ each worker up first.
 For each kind it prints each side's median command time, the median of the
 per-command time ratios (this / other), in how many command pairs this tree
 was faster, each side's minor page faults per command (its own and its
-children's), and whether every report matched its recorded digest. The last
-line is the same as one JSON object.
+children's), and whether every report matched its recorded digest. For each
+command whose two reports differ, it then prints the first JSON paths whose
+values differ, with both values. The last line is the summary as one JSON
+object.
 
 Pairs of one command on one CPU, seconds apart, resolve changes of a few
 percent that the benchmark's own medians, which move by up to ±5 % on
@@ -64,6 +66,36 @@ def serve() -> None:
                  "report": out.getvalue()}
         sys.stdout.write(json.dumps(reply) + "\n")
         sys.stdout.flush()
+
+
+def value_diff(this: str, other: str) -> list[tuple[str, str, str]]:
+    """The JSON paths at which two reports' values differ, in document order,
+    each with this side's and the other side's value as JSON text, or
+    ``absent`` where a side has no such key or list index. Text that is not
+    JSON is compared whole, at ``$``."""
+    def load(text):
+        try:
+            return json.loads(text)
+        except ValueError:
+            return text
+
+    diffs, absent = [], object()
+
+    def walk(path, a, b):
+        if isinstance(a, dict) and isinstance(b, dict):
+            for key in list(a) + [key for key in b if key not in a]:
+                walk(f"{path}.{key}", a.get(key, absent), b.get(key, absent))
+        elif isinstance(a, list) and isinstance(b, list):
+            for i in range(max(len(a), len(b))):
+                walk(f"{path}[{i}]", a[i] if i < len(a) else absent,
+                     b[i] if i < len(b) else absent)
+        else:  # leaves compare as JSON text, so 1 and 1.0 differ and NaN equals NaN
+            a, b = ("absent" if v is absent else json.dumps(v) for v in (a, b))
+            if a != b:
+                diffs.append((path, a, b))
+
+    walk("$", load(this), load(other))
+    return diffs
 
 
 class Worker:
@@ -115,6 +147,7 @@ def main(argv=None) -> int:
     sides = {"this": Worker(ROOT / "src", cpu), "other": Worker(args.other_src, cpu)}
     stats = {kind: {side: {"wall": [], "faults": [], "matched": True} for side in sides}
              for kind in kinds}
+    diffs = {}  # by command, the value diff of its first pair of unequal reports
     try:
         for kind in kinds:  # warm-up: imports and first-call set-up
             argv = next(a for k, a in commands if k == kind)
@@ -124,6 +157,7 @@ def main(argv=None) -> int:
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for kind, argv in commands:
                 reference = refs["reports"][kind][workloads.command_key(argv, python)]
+                reports = {}
                 for side in order:
                     reply = sides[side].run(argv)
                     entry = stats[kind][side]
@@ -131,6 +165,10 @@ def main(argv=None) -> int:
                     entry["faults"].append(reply["faults"])
                     entry["matched"] &= reply["code"] == 0 and \
                         workloads.report_digest(reply["report"], python) == reference
+                    reports[side] = reply["report"]
+                if reports["this"] != reports["other"]:
+                    diffs.setdefault(" ".join(argv), value_diff(reports["this"],
+                                                                reports["other"]))
     finally:
         for worker in sides.values():
             worker.close()
@@ -156,6 +194,14 @@ def main(argv=None) -> int:
               f"this faster in {s['this_faster_in']}/{s['commands']}; minor faults per command "
               f"{s['this_faults_per_command']:.0f} vs {s['other_faults_per_command']:.0f}; "
               f"digests matched: {s['this_digests_matched']} / {s['other_digests_matched']}")
+    for command, paths in diffs.items():
+        print(f"reports differ: {command}")
+        for path, this_value, other_value in paths[:5]:
+            print(f"  {path}: {this_value} (this) vs {other_value} (other)")
+        if len(paths) > 5:
+            print(f"  and {len(paths) - 5} more")
+        if not paths:
+            print("  the same values in other text")
     print(json.dumps({"cpu": cpu, "rounds": args.rounds, "other_src": str(args.other_src),
                       "kinds": summary}))
     return 0 if all(s["this_digests_matched"] and s["other_digests_matched"]

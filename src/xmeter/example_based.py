@@ -143,9 +143,12 @@ def _row_sums(D: np.ndarray, fills, sums, buf: np.ndarray) -> None:
             out.sum(axis=1, out=s[lo:lo + len(rows)])
 
 
-def select_kmedoids(D: np.ndarray, n: int) -> list[int]:
-    """PAM on distance matrix D: greedy BUILD then best-improvement SWAP passes
-    (at most 100); returns the sorted row indices of the n medoids.
+def select_kmedoids(D: np.ndarray, budgets: Sequence[int]) -> list[list[int]]:
+    """PAM on distance matrix D: the sorted row indices of n medoids for each
+    budget n of ``budgets``, in that order. BUILD is greedy, so its first n
+    medoids are its result at budget n: it runs once, to the largest budget
+    below m, and each budget's best-improvement SWAP passes (at most 100) start
+    from that prefix. A budget of m returns every row.
 
     Deterministic: a swap must lower the cost by more than 1e-12 and ties
     resolve to the lowest (position, candidate), by ``bench._scan``'s rule on
@@ -159,43 +162,48 @@ def select_kmedoids(D: np.ndarray, n: int) -> list[int]:
     never an m x m temporary.
     """
     m = len(D)
-    if n == m:
-        return list(range(m))
     buf = _row_buffer(m)
 
     # BUILD: start from the point with the lowest total distance, then add the
     # candidate with the largest reduction of assignment cost.
-    medoids = [int(np.argmin(D.sum(axis=1)))]
+    longest = max((n for n in budgets if n < m), default=0)
+    build = [int(np.argmin(D.sum(axis=1)))] if longest else []
     savings = np.empty(m)
-    while len(medoids) < n:
-        nearest = D[:, medoids].min(axis=1)
+    while len(build) < longest:
+        nearest = D[:, build].min(axis=1)
         _row_sums(D, [lambda rows, out: np.maximum(
             np.subtract(nearest, rows, out=out), 0.0, out=out)], [savings], buf)
-        savings[medoids] = -np.inf
-        medoids.append(int(np.argmax(savings)))
+        savings[build] = -np.inf
+        build.append(int(np.argmax(savings)))
 
     # SWAP: apply the single best improving (medoid, candidate) exchange. With
     # r each point's distance to the other medoids of position pos, swapping in
     # cand there costs costs[pos, cand] = sum_i min(D[i, cand], r[i]), a row sum.
-    costs, gains = np.empty((n, m)), np.empty((n, m))
-    stale = range(n)
-    for _ in range(100):
-        fills = []
-        for pos in stale:
-            others = medoids[:pos] + medoids[pos + 1:]
-            r = D[others].min(axis=0) if others else np.full(m, np.inf)
-            fills.append(lambda rows, out, r=r: np.minimum(rows, r, out=out))
-        _row_sums(D, fills, [costs[pos] for pos in stale], buf)
-        np.negative(costs, out=gains)
-        gains[:, medoids] = -np.inf  # a medoid is no candidate
-        cost = D[:, medoids].min(axis=1).sum()
-        hit = _scan(gains.reshape(-1), -(cost - 1e-12), -np.inf)[0]
-        if hit is None:
-            break
-        pos, cand = divmod(hit, m)
-        medoids[pos] = cand
-        stale = [q for q in range(n) if q != pos]
-    return sorted(medoids)
+    picks = []
+    for n in budgets:
+        if n == m:
+            picks.append(list(range(m)))
+            continue
+        medoids, stale = build[:n], range(n)
+        costs, gains = np.empty((n, m)), np.empty((n, m))
+        for _ in range(100):
+            fills = []
+            for pos in stale:
+                others = medoids[:pos] + medoids[pos + 1:]
+                r = D[others].min(axis=0) if others else np.full(m, np.inf)
+                fills.append(lambda rows, out, r=r: np.minimum(rows, r, out=out))
+            _row_sums(D, fills, [costs[pos] for pos in stale], buf)
+            np.negative(costs, out=gains)
+            gains[:, medoids] = -np.inf  # a medoid is no candidate
+            cost = D[:, medoids].min(axis=1).sum()
+            hit = _scan(gains.reshape(-1), -(cost - 1e-12), -np.inf)[0]
+            if hit is None:
+                break
+            pos, cand = divmod(hit, m)
+            medoids[pos] = cand
+            stale = [q for q in range(n) if q != pos]
+        picks.append(sorted(medoids))
+    return picks
 
 
 class RBFKernelView:
@@ -303,15 +311,17 @@ def select_protodash(K, n: int) -> tuple[list[int], np.ndarray]:
     return chosen, w
 
 
-# Each selector's prototype rows from a class's distance matrix D and kernel
-# view K.
+# Each selector's prototype rows at every budget, in order, from a class's
+# distance matrix D and kernel view K. MMD-critic and ProtoDash are greedy, so
+# their rows at budget n are the first n at any larger budget: each runs once,
+# to the largest budget.
 SELECTORS = {
-    "kmedoids": lambda D, K, n: select_kmedoids(D, n),
-    "mmd": lambda D, K, n: select_mmd_critic(K, n),
-    "protodash": lambda D, K, n: select_protodash(K, n)[0],
+    "kmedoids": lambda D, K, budgets: select_kmedoids(D, budgets),
+    "mmd": lambda D, K, budgets: [rows[:n] for rows in [select_mmd_critic(K, max(budgets))]
+                                  for n in budgets],
+    "protodash": lambda D, K, budgets: [rows[:n] for rows in [select_protodash(K, max(budgets))[0]]
+                                        for n in budgets],
 }
-# Greedy selectors: their rows at budget n are the first n at any larger budget.
-NESTED = {"mmd", "protodash"}
 
 
 def _class_metrics(X: np.ndarray, label: int, model: ModelHandle, names: list[str],
@@ -320,7 +330,7 @@ def _class_metrics(X: np.ndarray, label: int, model: ModelHandle, names: list[st
     """(NR, D) of each selector at each budget, in that order, on one class's
     rows X. The class's distance matrix fills the first m² entries of the flat
     array ``workspace`` and serves only this call; its RBF kernel is a view
-    that is never built. Each greedy selector runs once, to the largest budget."""
+    that is never built. Each selector runs once, for every budget."""
     m = len(X)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
         D = pairwise_distances(X, out=workspace[:m * m].reshape(m, m))
@@ -331,13 +341,7 @@ def _class_metrics(X: np.ndarray, label: int, model: ModelHandle, names: list[st
                                  "or are undefined; rescale the features")
     out = []
     for name in names:
-        select = SELECTORS[name]
-        if name in NESTED:
-            longest = select(D, K, max(n_range))
-            picks = [longest[:n] for n in n_range]
-        else:
-            picks = [select(D, K, n) for n in n_range]
-        for rows in picks:
+        for rows in SELECTORS[name](D, K, n_range):
             examples = ExampleSet(X[rows], label)
             out.append((non_representativeness(examples, model, ZERO_ONE),
                         diversity(examples)))

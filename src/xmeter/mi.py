@@ -124,6 +124,7 @@ class MIEstimate:
     estimator: str  # "ksg-continuous" | "mixed-discrete" | "plugin-discrete"
     k_neighbors: int
     n_samples: int
+    n_used: int  # the rows the estimate rests on: the mixed estimator drops some
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -139,28 +140,22 @@ def _jitter(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return a.astype(float) + JITTER_SCALE * rng.random(a.shape)
 
 
-def _distance_blocks(points: np.ndarray):
-    """Exact Chebyshev distances from the rows of ``points`` to all of its
-    rows, as ``(rows, matrix)`` pairs of about ``BLOCK`` entries in row order.
+def _kth_distance(points: np.ndarray, k: int) -> np.ndarray:
+    """For each row, the k-th smallest Chebyshev distance to the rows of
+    ``points``, counting from 0, so the row itself is the 0-th.
 
-    Each entry is ``max |x_i - y_i|`` in doubles. A plain scan rather than a
-    k-d tree, because in the 10 dimensions the extractors see a tree prunes
-    almost nothing.
+    Exact: ``cdist`` writes each block of about ``BLOCK`` entries, each
+    ``max |x_i - y_i|`` in doubles, into one reused buffer, partitioned in
+    place. A plain scan rather than a k-d tree, because in the 10 dimensions
+    the extractors see a tree prunes almost nothing.
     """
     n = len(points)
     step = max(1, BLOCK // n)
+    buf, out = np.empty((min(step, n), n)), np.empty(n)
     for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        yield rows, cdist(points[rows], points, "chebyshev")
-
-
-def _kth_distance(points: np.ndarray, k: int) -> np.ndarray:
-    """For each row, the k-th smallest Chebyshev distance to the rows of
-    ``points``, counting from 0, so the row itself is the 0-th."""
-    out = np.empty(len(points))
-    for rows, d in _distance_blocks(points):
+        d = cdist(points[lo:lo + step], points, "chebyshev", out=buf[:min(step, n - lo)])
         d.partition(k, axis=1)
-        out[rows] = d[:, k]
+        out[lo:lo + step] = d[:, k]
     return out
 
 
@@ -178,11 +173,11 @@ def _intern(sets: list, points: np.ndarray) -> int:
 def _sweep(sets: list, estimates) -> None:
     """The distance passes of ``estimates`` over the point sets ``sets``.
 
-    Walks each distinct set's rows in ``_distance_blocks``' blocks, computes
-    the block once and hands it to every estimate that reads the set (its
-    ``reads`` indices, in that order, to its ``take``). Blocks are shared, so
-    readers must not write to them. Sets of one size are walked together:
-    memory is one block per distinct set, never an n x n matrix.
+    Walks each distinct set's rows in blocks of about ``BLOCK`` entries,
+    computes each block once and hands it to every estimate that reads the
+    set (its ``reads`` indices, in that order, to its ``take``). Blocks are
+    shared, so readers must not write to them. Sets of one size are walked
+    together: memory is one block per distinct set, never an n x n matrix.
     """
     for n in dict.fromkeys(len(points) for points in sets):
         members = [i for i, points in enumerate(sets) if len(points) == n]
@@ -209,7 +204,7 @@ class _Ksg:
         a = _jitter(a, rng)
         b = _jitter(b, rng)
         self.reads = (_intern(sets, a), _intern(sets, b))
-        self.k, self.n = k, len(a)
+        self.k, self.n, self.n_used = k, len(a), len(a)
         self.nx = np.empty(self.n, dtype=np.intp)
         self.ny = np.empty(self.n, dtype=np.intp)
 
@@ -286,7 +281,7 @@ class _Mixed(_RadiusCount):
         if keep.sum() < 2:
             raise ContractViolation("mixed estimator needs repeated discrete values")
         super().__init__(sets, c[keep], eps[keep])
-        self.k, self.n = k, n
+        self.k, self.n, self.n_used = k, n, int(keep.sum())
         self.k_eff, self.value_counts = k_eff[keep], counts[keep]
 
     def raw(self) -> float:
@@ -319,7 +314,7 @@ class _Plugin:
     reads = ()
 
     def __init__(self, da: np.ndarray, db: np.ndarray, k: int):
-        self.k, self.n = k, len(da)
+        self.k, self.n, self.n_used = k, len(da), len(da)
         self.value = _plugin_mi(da, db)
 
     def raw(self) -> float:
@@ -360,7 +355,7 @@ def _prepare(sets: list, a, b, k: int, seed: int, a_discrete: bool | None,
 def _result(est) -> MIEstimate:
     raw = est.raw()
     return MIEstimate(value=max(raw, 0.0), raw_value=raw, estimator=est.estimator,
-                      k_neighbors=est.k, n_samples=est.n)
+                      k_neighbors=est.k, n_samples=est.n, n_used=est.n_used)
 
 
 def estimate_mi(a, b, k: int = 3, seed: int = 0,

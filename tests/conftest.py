@@ -528,6 +528,7 @@ def reference_estimate_mi(a, b, k: int = 3, seed: int = 0, a_discrete: bool | No
     if b_discrete is None:
         b_discrete = np.issubdtype(B.dtype, np.integer)
     rng = np.random.default_rng([seed, 41])
+    n_used = n
     if a_discrete and b_discrete:
         raw = _plugin_mi(A, B)
         estimator = "plugin-discrete"
@@ -538,8 +539,11 @@ def reference_estimate_mi(a, b, k: int = 3, seed: int = 0, a_discrete: bool | No
         cont, disc = (A, B) if not a_discrete else (B, A)
         raw = _mixed_mi(cont.astype(float), disc, k, rng)
         estimator = "mixed-discrete"
+        # the rows whose discrete value repeats
+        counts = np.unique(disc, axis=0, return_counts=True)[1]
+        n_used = int(counts[counts > 1].sum())
     return MIEstimate(value=max(raw, 0.0), raw_value=raw, estimator=estimator,
-                      k_neighbors=k, n_samples=n)
+                      k_neighbors=k, n_samples=n, n_used=n_used)
 
 
 def reference_extractor_report(data: TabularDataset, g: FeatureExtractor,

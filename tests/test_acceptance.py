@@ -182,7 +182,7 @@ def test_criterion_7_oracle_equivalences(park):
                                     rng.normal(6.0, 0.5, size=(size - half, 2))])))
     for n, X in cases:
         D = pairwise_distances(X)
-        pam_cost = D[:, select_kmedoids(D, n)].min(axis=1).sum()
+        pam_cost = D[:, select_kmedoids(D, [n])[0]].min(axis=1).sum()
         best = min(D[:, list(combo)].min(axis=1).sum()
                    for combo in itertools.combinations(range(len(X)), n))
         assert pam_cost == pytest.approx(best, abs=1e-9)

@@ -124,7 +124,7 @@ class TestSelectorsMatchReference:
         D = pairwise_distances(sample_points(sample))
         K = rbf_kernel(D, median_bandwidth(D))
         n = data.draw(st.integers(1, len(D)))
-        assert select_kmedoids(D, n) == reference_kmedoids(D, n)
+        assert select_kmedoids(D, [n])[0] == reference_kmedoids(D, n)
         assert select_mmd_critic(K, n) == reference_mmd_critic(K, n)
 
     @settings(max_examples=25, deadline=None)
@@ -184,9 +184,21 @@ class TestBlockedPassesMatchTheFullMatrixReferences:
         if not np.isfinite(D).all():
             return  # metrics_vs_n refuses such a class before any selector runs
         for n in range(1, min(len(X), 6) + 1):
-            assert select_kmedoids(D, n) == reference_full_matrix_kmedoids(D, n)
+            assert select_kmedoids(D, [n])[0] == reference_full_matrix_kmedoids(D, n)
             if len(X) <= 40:  # the one-swap-at-a-time reference is slow
-                assert select_kmedoids(D, n) == reference_kmedoids(D, n)
+                assert select_kmedoids(D, [n])[0] == reference_kmedoids(D, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.just(TIE_HEAVY_GRID), SAMPLES.map(sample_points)), st.data())
+    def test_a_budget_list_gives_each_budget_its_own_selection(self, X, data):
+        # one BUILD, to the largest budget below the class size, serves every
+        # budget: shuffled, repeated, and at the class size
+        D = pairwise_distances(X)
+        m = len(D)
+        drawn = data.draw(st.lists(st.integers(1, min(m, 8)), min_size=1, max_size=4))
+        extra = data.draw(st.lists(st.sampled_from([m, drawn[0]]), max_size=2))
+        budgets = data.draw(st.permutations(drawn + extra))
+        assert select_kmedoids(D, budgets) == [reference_kmedoids(D, n) for n in budgets]
 
     def test_the_tie_heavy_grid_class_takes_several_swap_passes(self, monkeypatch):
         # each SWAP pass scans once, so this counts the swaps the example above checks
@@ -198,7 +210,7 @@ class TestBlockedPassesMatchTheFullMatrixReferences:
             return found
 
         monkeypatch.setattr(example_based, "_scan", counting)
-        select_kmedoids(pairwise_distances(TIE_HEAVY_GRID), 6)
+        select_kmedoids(pairwise_distances(TIE_HEAVY_GRID), [6])
         assert sum(swaps) >= 3 and swaps[-1] is False
 
     def test_a_class_costs_one_matrix_whatever_the_width(self):
@@ -313,12 +325,20 @@ def kernel_of(X, bandwidth):
 class TestKMedoids:
     def test_full_budget_returns_dataset(self):
         X = np.random.default_rng(0).uniform(0, 1, (8, 2))
-        chosen = select_kmedoids(pairwise_distances(X), 8)
+        chosen = select_kmedoids(pairwise_distances(X), [8])[0]
         np.testing.assert_array_equal(np.sort(X[chosen], axis=0), np.sort(X, axis=0))
+
+    def test_a_budget_of_the_class_size_takes_no_build_step(self, monkeypatch):
+        # BUILD runs only to the largest budget below the class size
+        passes = []
+        monkeypatch.setattr(example_based, "_row_sums", lambda *args: passes.append(args))
+        D = pairwise_distances(TIE_HEAVY_GRID)
+        assert select_kmedoids(D, [40, 40]) == [list(range(40))] * 2
+        assert passes == []
 
     def test_single_medoid_matches_brute_force_1d(self):
         X = np.array([[0.0], [1.0], [2.0], [10.0]])
-        chosen = select_kmedoids(pairwise_distances(X), 1)
+        chosen = select_kmedoids(pairwise_distances(X), [1])[0]
         expected, _ = brute_force_medoids(X, 1)
         assert set(chosen) == expected
         assert X[chosen][0, 0] in (1.0, 2.0)
@@ -328,7 +348,7 @@ class TestKMedoids:
         cluster_a = rng.normal(0.0, 0.3, size=(5, 2))
         cluster_b = rng.normal(8.0, 0.3, size=(5, 2))
         X = np.vstack([cluster_a, cluster_b])
-        chosen = select_kmedoids(pairwise_distances(X), 2)
+        chosen = select_kmedoids(pairwise_distances(X), [2])[0]
         expected, expected_cost = brute_force_medoids(X, 2)
         assert set(chosen) == expected
 
@@ -338,7 +358,7 @@ class TestKMedoids:
         rng = np.random.default_rng(seed)
         X = rng.uniform(0, 1, size=(size, 2))
         D = pairwise_distances(X)
-        pam_cost = D[:, select_kmedoids(D, 1)].min(axis=1).sum()
+        pam_cost = D[:, select_kmedoids(D, [1])[0]].min(axis=1).sum()
         _, best_cost = brute_force_medoids(X, 1)
         assert pam_cost == pytest.approx(best_cost, abs=1e-9)
 
@@ -348,7 +368,7 @@ class TestKMedoids:
         X = np.vstack([rng.normal(0.0, 0.5, size=(20, 2)),
                        rng.normal(6.0, 0.5, size=(20, 2))])
         D = pairwise_distances(X)
-        pam_cost = D[:, select_kmedoids(D, 2)].min(axis=1).sum()
+        pam_cost = D[:, select_kmedoids(D, [2])[0]].min(axis=1).sum()
         _, best_cost = brute_force_medoids(X, 2)
         assert pam_cost == pytest.approx(best_cost, abs=1e-9)
 
@@ -359,7 +379,7 @@ class TestKMedoids:
         rng = np.random.default_rng(seed)
         X = rng.uniform(0, 1, size=(40, 2))
         D = pairwise_distances(X)
-        meds = select_kmedoids(D, 2)
+        meds = select_kmedoids(D, [2])[0]
         cost = D[:, meds].min(axis=1).sum()
         for pos in range(len(meds)):
             for cand in range(len(X)):
@@ -552,8 +572,8 @@ class TestMetricsVsN:
             monkeypatch.setattr(example_based, name, lambda M, n, name=name, select=select:
                                 calls.append((name, n)) or select(M, n))
         table = metrics_vs_n(data, model, SELECTORS, [2, 5, 3])
-        assert calls == [("select_kmedoids", 2), ("select_kmedoids", 5), ("select_kmedoids", 3),
-                         ("select_mmd_critic", 5), ("select_protodash", 5)] * 3
+        assert calls == [("select_kmedoids", [2, 5, 3]), ("select_mmd_critic", 5),
+                         ("select_protodash", 5)] * 3
         monkeypatch.undo()
         for name, rows in table.items():  # the same rows as one selection per budget
             assert rows == [metrics_vs_n(data, model, [name], [n])[name][0] for n in (2, 5, 3)]

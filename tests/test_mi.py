@@ -477,6 +477,22 @@ class TestExtractorReport:
         assert feature.value == pytest.approx(0.0, abs=0.05)
         assert target.value == pytest.approx(0.0, abs=0.05)
 
+    @pytest.mark.parametrize("seed,kept", [(0, 45), (5, 8)])
+    def test_n_used_counts_the_rows_an_estimate_rests_on(self, seed, kept):
+        data, y = _mi_bench_setup(seed)
+        g = fit_entropy_discretizer(data, max_depth=3)
+        # the mixed estimator keeps only the rows whose discretized row repeats
+        _, inverse, counts = np.unique(apply_extractor(g, data).features, axis=0,
+                                       return_inverse=True, return_counts=True)
+        repeated = int((counts[inverse.reshape(-1)] > 1).sum())
+        feature, target = extractor_report(data, g, y, seed=seed)
+        assert feature.estimator == "mixed-discrete"
+        assert feature.n_used == repeated == kept
+        assert feature.n_samples == data.n_samples
+        assert target.estimator == "plugin-discrete" and target.n_used == data.n_samples
+        ksg, _ = extractor_report(data, identity_extractor(), y, seed=seed)
+        assert ksg.estimator == "ksg-continuous" and ksg.n_used == data.n_samples
+
     def test_labels_used_when_no_model(self):
         data, _ = _mi_bench_setup()
         _, target = extractor_report(data, identity_extractor(), seed=0)

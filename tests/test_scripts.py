@@ -21,9 +21,9 @@ def run_python(args):
                           capture_output=True, text=True, timeout=120)
 
 
-def load_perfbench(name):
-    """The benchmark's module ``perfbench/NAME.py``."""
-    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+def load_perfbench(name, folder="perfbench"):
+    """The benchmark's module ``perfbench/NAME.py``, or ``FOLDER/NAME.py``."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -125,6 +125,22 @@ def test_compare_trees_pairs_every_recorded_command():
     assert entry["this_digests_matched"] and entry["other_digests_matched"]
     assert 0 <= entry["this_faster_in"] <= entry["commands"]
     assert result.stdout.startswith(f"example-eval: {entry['commands']} pairs; median ")
+
+
+def test_compare_trees_names_the_values_that_differ():
+    value_diff = load_perfbench("compare_trees", "scripts").value_diff
+    this = json.dumps({"config": {"n": 6, "seed": 1}, "rows": [{"d": 0.1}, {"d": 2.0}],
+                       "same": [1.0, None]})
+    other = json.dumps({"config": {"n": 6, "sweep": "2,4"},
+                        "rows": [{"d": 0.30000000000000004}], "same": [1.0, None]})
+    assert value_diff(this, other) == [
+        ("$.config.seed", "1", "absent"),  # a removed key
+        ("$.config.sweep", "absent", '"2,4"'),  # an added key
+        ("$.rows[0].d", "0.1", "0.30000000000000004"),  # a changed float
+        ("$.rows[1]", '{"d": 2.0}', "absent"),  # a shorter list
+    ]
+    assert value_diff(this, this) == []
+    assert value_diff("usage: xmeter", this)[0][0] == "$"
 
 
 @pytest.mark.parametrize("args", [["src-that-is-not-there"], [SRC, "no-such-kind"],
