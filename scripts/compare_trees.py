@@ -17,9 +17,12 @@ For each kind it prints each side's median command time, the median of the
 per-command time ratios (this / other), in how many command pairs this tree
 was faster, each side's minor page faults per command (its own and its
 children's), and whether every report matched its recorded digest. For each
-command whose two reports differ, it then prints the first JSON paths whose
-values differ, with both values. The last line is the summary as one JSON
-object.
+benchmark workload whose kinds all ran, it prints the mean of their medians
+on each side, the figure the workload's ``cmd_ref_s_p50`` is built from
+before its speed scaling (``tabular``: the mean of the ``mi`` and
+``example-eval`` medians). For each command whose two reports differ, it
+then prints the first JSON paths whose values differ, with both values. The
+last line is the summary as one JSON object.
 
 Pairs of one command on one CPU, seconds apart, resolve changes of a few
 percent that the benchmark's own medians, which move by up to ±5 % on
@@ -96,6 +99,19 @@ def value_diff(this: str, other: str) -> list[tuple[str, str, str]]:
 
     walk("$", load(this), load(other))
     return diffs
+
+
+def workload_medians(summary: dict, workloads: dict) -> dict:
+    """For each workload (name -> kinds) whose kinds are all in ``summary``,
+    the mean of their median command times on each side and its ratio."""
+    means = {}
+    for name, kinds in workloads.items():
+        if all(kind in summary for kind in kinds):
+            this, other = (statistics.fmean(summary[kind][f"{side}_median_s"] for kind in kinds)
+                           for side in ("this", "other"))
+            means[name] = {"kinds": list(kinds), "this_mean_median_s": this,
+                           "other_mean_median_s": other, "ratio": this / other}
+    return means
 
 
 class Worker:
@@ -194,6 +210,11 @@ def main(argv=None) -> int:
               f"this faster in {s['this_faster_in']}/{s['commands']}; minor faults per command "
               f"{s['this_faults_per_command']:.0f} vs {s['other_faults_per_command']:.0f}; "
               f"digests matched: {s['this_digests_matched']} / {s['other_digests_matched']}")
+    workload_summary = workload_medians(summary, workloads.WORKLOADS)
+    for name, w in workload_summary.items():
+        print(f"{name}: mean of the {' and '.join(w['kinds'])} medians "
+              f"{w['this_mean_median_s']:.4f} s (this) vs {w['other_mean_median_s']:.4f} s "
+              f"(other); ratio {w['ratio']:.4f}")
     for command, paths in diffs.items():
         print(f"reports differ: {command}")
         for path, this_value, other_value in paths[:5]:
@@ -203,7 +224,7 @@ def main(argv=None) -> int:
         if not paths:
             print("  the same values in other text")
     print(json.dumps({"cpu": cpu, "rounds": args.rounds, "other_src": str(args.other_src),
-                      "kinds": summary}))
+                      "kinds": summary, "workloads": workload_summary}))
     return 0 if all(s["this_digests_matched"] and s["other_digests_matched"]
                     for s in summary.values()) else 1
 

@@ -4,8 +4,8 @@ Estimator selection follows the column types: Kraskov-style k-NN (estimator 1,
 Chebyshev metric) for continuous/continuous, the nearest-neighbor mixed
 estimator for continuous/discrete, and the plug-in estimator on joint
 frequencies for discrete/discrete. All values are in nats. The estimates of
-one ``extractor_table`` run share one Chebyshev distance pass per distinct
-jittered point set (``_sweep``).
+one ``extractor_table`` run share one Chebyshev distance pass per point set,
+and a set's jittered twin reads that pass within a proven bound (``_sweep``).
 """
 
 from __future__ import annotations
@@ -170,28 +170,99 @@ def _intern(sets: list, points: np.ndarray) -> int:
     return len(sets) - 1
 
 
+def _margin(delta, d):
+    """M(d) >= |d_Q - d_P| for a Chebyshev distance d = d_P of point set P and
+    the same entry of a set Q within ``delta`` of P elementwise. ``cdist``
+    rounds each |p_i - p_j| once: with u = 2^-53 it gives D(1 + t), |t| <= u,
+    for the exact D, and |q - p| <= delta / (1 - u), so |D_Q - D_P| <=
+    2 delta / (1 - u) and |d_Q - d_P| <= u (D_Q + D_P) + |D_Q - D_P| <=
+    2 delta (1 + u) / (1 - u) + 2u d_P / (1 - u). M, rounded, exceeds that at
+    d + M(d), so d_P < eps - M(eps) gives d_Q < eps and d_P > eps + M(eps)
+    gives d_Q > eps. An infinite eps makes M infinite and decides nothing; as
+    delta < 2 JITTER_SCALE, an infinite d_P gives d_Q >= any finite eps."""
+    return 2 * delta * (1 + 2.0 ** -40) + 2.0 ** -50 * d
+
+
+class _View:
+    """The Chebyshev distances of the block ``rows`` of a point set to all its
+    rows: ``d``, or within ``_margin(delta, d)`` of ``d``, a twin's block that
+    readers share and must not write to. ``scratch`` is the sweep's."""
+
+    def __init__(self, points, rows, d, delta, scratch):
+        self.points, self.rows, self.d, self.delta, self.near = points, rows, d, delta, {}
+        self.work, *self.masks = (block[:len(d)] for block in scratch)
+
+    def entries(self, r, c):
+        """The set's own distances from block rows ``r`` to rows ``c``, bit for bit."""
+        return self.d[r, c] if self.delta is None else \
+            np.abs(self.points[self.rows.start + r] - self.points[c]).max(axis=-1)
+
+    def exact(self):
+        return cdist(self.points[self.rows], self.points, "chebyshev") if self.delta else self.d
+
+    def count_below(self, eps):
+        """Each row's count of the set's distances below its ``eps`` (a column);
+        a twin computes only its entries of ``d`` within M of eps exactly."""
+        if self.delta is None:
+            return np.count_nonzero(np.less(self.d, eps, out=self.masks[0]), axis=1)
+        m = _margin(self.delta, eps)  # an infinite eps gives a NaN eps - m: no entry below
+        below = np.less(self.d, eps - m, out=self.masks[0])
+        upto = np.less_equal(self.d, eps + m, out=self.masks[1])
+        r, c = np.divmod(np.flatnonzero(np.logical_xor(upto, below, out=upto)), len(self.points))
+        return (np.count_nonzero(below, axis=1)
+                + np.bincount(r[self.entries(r, c) < eps[r, 0]], minlength=len(eps)))
+
+    def nearest(self, k):
+        """Each row's (k + 1)-th smallest distance (a column) and the columns of
+        its k + 1 smallest, for every KSG reading the block as side a; None on ties."""
+        if k not in self.near and self.delta is None:
+            np.copyto(self.work, self.d)
+            self.work.partition(k + 1, axis=1)
+            vk = self.work[:, :k + 1].max(axis=1, keepdims=True)
+            c = np.flatnonzero(np.less_equal(self.d, vk, out=self.masks[0])) % len(self.points)
+            vk1 = self.work[:, k + 1, None].copy()
+            self.near[k] = (vk1, c.reshape(-1, k + 1)) if len(c) == vk1.size * (k + 1) else None
+        return self.near.get(k)
+
+
+# as in cdist, a difference beyond the double range is inf (and inf - inf NaN)
+@np.errstate(over="ignore", invalid="ignore")
 def _sweep(sets: list, estimates) -> None:
     """The distance passes of ``estimates`` over the point sets ``sets``.
 
-    Walks each distinct set's rows in blocks of about ``BLOCK`` entries,
-    computes each block once and hands it to every estimate that reads the
-    set (its ``reads`` indices, in that order, to its ``take``). Blocks are
-    shared, so readers must not write to them. Sets of one size are walked
-    together: memory is one block per distinct set, never an n x n matrix.
+    Walks the sets' rows in blocks of about ``BLOCK`` entries and hands each
+    block, as a ``_View``, to every estimate that reads the set (its ``reads``
+    indices, in that order, to its ``take``). A set within delta <
+    2 JITTER_SCALE elementwise of an earlier swept set of its shape, its
+    jittered twin, is not swept: its view holds the twin's block, and readers
+    compute its own entries only where ``_margin`` leaves a decision open.
+    Sets of one size are walked together: memory is one block per swept set.
     """
     for n in dict.fromkeys(len(points) for points in sets):
         members = [i for i, points in enumerate(sets) if len(points) == n]
         readers = [e for e in estimates if e.reads and e.reads[0] in members]
+        twins, swept = {}, []
+        for i in members:
+            delta, j = min(((np.abs(sets[i] - sets[j]).max(), j) for j in swept
+                            if sets[j].shape == sets[i].shape), default=(np.inf, None))
+            if delta < 2 * JITTER_SCALE:
+                twins[i] = j, delta
+            else:
+                swept.append(i)
         step = max(1, BLOCK // n)
-        # one reused buffer per set: a fresh array for every block, one alive
-        # per set, page-faulted away the whole saving
-        buffers = {i: np.empty((min(step, n), n)) for i in members}
+        # reused buffers, as fresh arrays for every block page-faulted away the saving
+        shape = (min(step, n), n)
+        buffers = {i: np.empty(shape) for i in swept}
+        scratch = np.empty(shape), np.empty(shape, bool), np.empty(shape, bool)
         for lo in range(0, n, step):
             rows = slice(lo, min(lo + step, n))
-            blocks = {i: cdist(sets[i][rows], sets[i], "chebyshev",
-                               out=buffers[i][:rows.stop - lo]) for i in members}
+            views = {i: _View(sets[i], rows, cdist(sets[i][rows], sets[i], "chebyshev",
+                                                   out=buf[:rows.stop - lo]), None, scratch)
+                     for i, buf in buffers.items()}
+            views.update({i: _View(sets[i], rows, views[j].d, delta, scratch)
+                          for i, (j, delta) in twins.items()})
             for e in readers:
-                e.take(rows, *(blocks[i] for i in e.reads))
+                e.take(rows, *(views[i] for i in e.reads))
 
 
 class _Ksg:
@@ -207,15 +278,29 @@ class _Ksg:
         self.k, self.n, self.n_used = k, len(a), len(a)
         self.nx = np.empty(self.n, dtype=np.intp)
         self.ny = np.empty(self.n, dtype=np.intp)
+        self.shortcut = True  # off after a block falls back, as where b's nearest are not a's
 
-    def take(self, rows: slice, da: np.ndarray, db: np.ndarray) -> None:
-        # the joint Chebyshev distance is the larger of the two sides'
-        # distances; partitioned as a fresh array, since da and db are shared
-        joint = np.maximum(da, db)
-        joint.partition(self.k, axis=1)
-        eps = joint[:, self.k, None]
-        self.nx[rows] = (da < eps).sum(axis=1) - 1
-        self.ny[rows] = (db < eps).sum(axis=1) - 1
+    def take(self, rows: slice, va: _View, vb: _View) -> None:
+        # the joint distance is the larger of the two sides', so if the
+        # largest joint distance eps of a row's k + 1 nearest in a is at most
+        # a's next distance vk1, eps is its k-th and a has no other entry below
+        near, from_db = self.shortcut and va.nearest(self.k), False
+        if near:
+            vk1, cols = near
+            r = np.arange(len(cols))[:, None]
+            da, db = va.entries(r, cols), vb.entries(r, cols)
+            eps = np.maximum(da, db).max(axis=1, keepdims=True)
+            # b a twin of a, whose other entries lie at vk1 or above
+            from_db = vb.delta is not None and vb.d is va.d and \
+                bool((vk1 > eps + _margin(vb.delta, eps)).all())
+        if not near or (eps > vk1).any():  # the joint partition
+            da, db, from_db, self.shortcut = va.exact(), vb.exact(), True, False
+            joint = np.maximum(da, db)
+            joint.partition(self.k, axis=1)
+            eps = joint[:, self.k, None]
+        self.nx[rows] = np.count_nonzero(da < eps, axis=1) - 1
+        self.ny[rows] = (np.count_nonzero(db < eps, axis=1) if from_db
+                         else vb.count_below(eps)) - 1
 
     def raw(self) -> float:
         return float(digamma(self.k) + digamma(self.n)
@@ -231,8 +316,8 @@ class _RadiusCount:
         self.eps = eps
         self.within = np.empty(len(points), dtype=np.intp)
 
-    def take(self, rows: slice, d: np.ndarray) -> None:
-        self.within[rows] = (d < self.eps[rows, None]).sum(axis=1)
+    def take(self, rows: slice, v: _View) -> None:
+        self.within[rows] = v.count_below(self.eps[rows, None])
 
 
 def _discrete_codes(d: np.ndarray) -> np.ndarray:
@@ -334,8 +419,6 @@ def _prepare(sets: list, a, b, k: int, seed: int, a_discrete: bool | None,
         raise ContractViolation("k must be >= 1")
     if n < max(20, k + 2):
         raise ContractViolation(f"need at least max(20, k+2) samples, got {n}")
-    if k >= n:
-        raise ContractViolation("k must be smaller than the sample count")
     for side, M in (("a", A), ("b", B)):
         if M.dtype.kind == "f" and not np.isfinite(M).all():
             raise ContractViolation(f"column block {side} holds a NaN or infinite value")
@@ -409,8 +492,8 @@ def extractor_table(data: TabularDataset, names, y: np.ndarray | None, runs: int
     Run r estimates with seed ``seed + r`` and, for ``random-ood``, draws a
     fresh set of ``ood_count`` replaced features from that seed; the entropy
     discretizer is fitted once. The estimates of one run share one distance
-    pass per distinct point set. Returns ``{name: {"feature_mi", "target_mi",
-    "runs"}}``.
+    pass per point set and its jittered twin (``_sweep``). Returns
+    ``{name: {"feature_mi", "target_mi", "runs"}}``.
     """
     for name in names:
         if name not in EXTRACTORS:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from conftest import (
     chebyshev_distances,
@@ -635,6 +636,29 @@ class TestSweepCost:
         # one pass per estimate computed 13,337,600 entries here
         assert sum(entries) <= 9_400_000
 
+    def test_jittered_twins_are_not_swept(self, monkeypatch):
+        # a preset run's four 1000-row sets are X + j1, its twin X + j2, the
+        # ood features' Zood + j2 and its twin Zood + j1: two are swept
+        data, y = _mi_bench_setup(0)
+        n, swept, sizes = data.n_samples, [], []
+        cdist, sweep = mi.cdist, mi._sweep
+
+        def spy(XA, XB, metric, **kwargs):
+            if len(XB) == n:
+                swept.append(hashlib.sha1(XB.tobytes()).digest())
+            return cdist(XA, XB, metric, **kwargs)
+
+        def sizes_spy(sets, estimates):
+            sizes.append(sum(len(points) == n for points in sets))
+            sweep(sets, estimates)
+
+        monkeypatch.setattr(mi, "cdist", spy)
+        monkeypatch.setattr(mi, "_sweep", sizes_spy)
+        extractor_table(data, EXTRACTORS, y, 1, 3, 0, 3, -10.0, 3)
+        blocks = -(-n // (mi.BLOCK // n))
+        assert sizes == [4]
+        assert sorted(swept.count(key) for key in set(swept)) == [blocks, blocks]
+
     def test_holds_no_distance_matrix(self):
         data, y = _mi_bench_setup(0)
         args = (data, EXTRACTORS, y, 2, 3, 0, 3, -10.0, 3)
@@ -652,3 +676,124 @@ class TestSweepCost:
                 tracemalloc.stop()
         n = data.n_samples
         assert peak < n * n * 8 / 2
+
+
+# Point sets P for the twin bound: normal or grid columns with repeated rows,
+# scaled by 10^e for e in -12..8, so the 1e-10 jitter that makes the twin
+# Q = P + jitter ranges from dominant to lost in rounding.
+TWIN_SETS = st.tuples(st.sampled_from(["real", "grid"]), st.integers(2, 60), st.integers(1, 4),
+                      st.integers(-12, 8), st.integers(0, 2 ** 32 - 1))
+
+
+def _scratch(shape):
+    return np.empty(shape), np.empty(shape, bool), np.empty(shape, bool)
+
+
+class TestTwinBound:
+    @settings(max_examples=150, deadline=None)
+    @given(TWIN_SETS)
+    def test_twin_distances_lie_within_the_margin(self, twin_set):
+        kind, n, d, exponent, seed = twin_set
+        rng = np.random.default_rng(seed)
+        pool = rng.normal(size=(n // 2 + 1, d)) if kind == "real" \
+            else rng.integers(0, 4, size=(n // 2 + 1, d)) * 0.25
+        P = pool[rng.integers(0, len(pool), size=n)] * 10.0 ** exponent
+        Q = P + JITTER_SCALE * rng.random(P.shape)
+        delta = np.abs(Q - P).max()
+        dP, dQ = cdist(P, P, "chebyshev"), cdist(Q, Q, "chebyshev")
+        assert (np.abs(dQ - dP) <= mi._margin(delta, dP)).all()
+        # a twin's own entries are cdist's, bit for bit
+        rows = slice(n // 3, n)
+        view = mi._View(Q, rows, dP[rows], delta, _scratch(dP[rows].shape))
+        r, c = np.divmod(np.arange(dP[rows].size), n)
+        assert view.entries(r, c).tobytes() == dQ[rows].tobytes()
+        assert view.exact().tobytes() == dQ[rows].tobytes()
+
+
+def _sweep_case(case):
+    """Point sets for ``_sweep`` and their readers: a KSG whose side b is a
+    twin of its side a, an unrelated set, or a twin of a set that a radius
+    count swept earlier, and radius counts over a twin of side a."""
+    rng = np.random.default_rng([case, 32])
+    kind = ("real", "grid", "huge")[case % 3]
+    relation = ("twin", "other", "elsewhere")[case // 3 % 3]
+    n, k = int(rng.integers(20, 90)), int(rng.integers(1, 6))
+
+    def draw(d):
+        pool = rng.normal(size=(n // 2 + 1, d)) if kind == "real" \
+            else rng.integers(0, 4, size=(n // 2 + 1, d)) * 0.25
+        return pool[rng.integers(0, len(pool), size=n)] * (1e8 if kind == "huge" else 1.0)
+
+    def radii(S):  # each a distance of its row, some one ulp up
+        eps = cdist(S, S, "chebyshev")[np.arange(n), rng.integers(0, n, size=n)]
+        return np.where(rng.random(n) < 0.3, np.nextafter(eps, np.inf), eps)
+
+    a = draw(int(rng.integers(1, 4)))
+    b = a if relation == "twin" else draw(int(rng.integers(1, 4)))
+    sets, readers = [], []
+    if relation == "elsewhere":  # swept first, so the KSG's b is its twin
+        b_twin = b + JITTER_SCALE * rng.random(b.shape)
+        readers.append(_RadiusCount(sets, b_twin, radii(b_twin)))
+    readers.append(mi._Ksg(sets, a, b, k, np.random.default_rng([case, 41])))
+    P = sets[readers[-1].reads[0]]
+    Q = P + JITTER_SCALE * rng.random(P.shape)
+    readers += [_RadiusCount(sets, Q, radii(Q)) for _ in range(2)]
+    return sets, readers, int(rng.integers(1, 8))
+
+
+class TestSweepAgainstBruteForce:
+    def test_counts_equal_the_brute_force(self, monkeypatch):
+        paths = dict.fromkeys(["fast", "fallback", "exact", "twin counts"], 0)
+        take, exact, count_below = mi._Ksg.take, mi._View.exact, mi._View.count_below
+
+        def spy_take(est, rows, va, vb):
+            before = paths["exact"]
+            take(est, rows, va, vb)
+            paths["fallback" if paths["exact"] > before else "fast"] += 1
+
+        def spy_exact(view):
+            paths["exact"] += 1
+            return exact(view)
+
+        def spy_count_below(view, eps):
+            paths["twin counts"] += view.delta is not None
+            return count_below(view, eps)
+
+        monkeypatch.setattr(mi._Ksg, "take", spy_take)
+        monkeypatch.setattr(mi._View, "exact", spy_exact)
+        monkeypatch.setattr(mi._View, "count_below", spy_count_below)
+        for case in range(45):
+            sets, readers, block_rows = _sweep_case(case)
+            monkeypatch.setattr(mi, "BLOCK", block_rows * len(sets[0]))  # ragged blocks
+            _sweep(sets, readers)
+            for est in readers:
+                if isinstance(est, _RadiusCount):
+                    P = sets[est.reads[0]]
+                    np.testing.assert_array_equal(est.within, reference_count_within(P, est.eps))
+                    continue
+                da, db = (chebyshev_distances(sets[i]) for i in est.reads)
+                eps = np.sort(np.maximum(da, db), axis=1)[:, est.k, None]
+                np.testing.assert_array_equal(est.nx, (da < eps).sum(axis=1) - 1)
+                np.testing.assert_array_equal(est.ny, (db < eps).sum(axis=1) - 1)
+        assert paths["fast"] > 0 and paths["fallback"] > 0 and paths["twin counts"] > 0
+
+    def test_overflowing_distances_are_counted_exactly(self):
+        # a column of +-1e308 beside small jittered columns: rows of opposite
+        # signs lie at an infinite distance; with 3 rows at -1e308 those
+        # rows' KSG radii are infinite too
+        rng = np.random.default_rng(33)
+        for negative in (30, 3):
+            a = np.column_stack([np.where(np.arange(60) < negative, -1e308, 1e308),
+                                 rng.normal(size=(60, 2))])
+            assert repr(estimate_mi(a, a)) == repr(reference_estimate_mi(a, a))
+        # radius counts over a twin, with infinite and largest finite radii
+        P = a + JITTER_SCALE * rng.random(a.shape)
+        Q = P + JITTER_SCALE * rng.random(a.shape)
+        dQ = cdist(Q, Q, "chebyshev")
+        assert np.isinf(dQ).any()
+        eps = np.where(np.arange(60) % 3 == 0, np.inf, dQ[:, 5])
+        eps[1] = np.finfo(float).max
+        sets = []
+        counts = [_RadiusCount(sets, P, eps), _RadiusCount(sets, Q, eps)]
+        _sweep(sets, counts)
+        np.testing.assert_array_equal(counts[1].within, (dQ < eps[:, None]).sum(axis=1))

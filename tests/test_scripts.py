@@ -125,6 +125,21 @@ def test_compare_trees_pairs_every_recorded_command():
     assert entry["this_digests_matched"] and entry["other_digests_matched"]
     assert 0 <= entry["this_faster_in"] <= entry["commands"]
     assert result.stdout.startswith(f"example-eval: {entry['commands']} pairs; median ")
+    # no workload has all its kinds here, so no workload figure is printed
+    assert json.loads(result.stdout.splitlines()[-1])["workloads"] == {}
+
+
+def test_compare_trees_averages_each_workloads_medians():
+    # tabular's cmd_ref_s_p50 is the mean of its kinds' medians, scaled
+    workload_medians = load_perfbench("compare_trees", "scripts").workload_medians
+    summary = {"mi": {"this_median_s": 0.06, "other_median_s": 0.09},
+               "example-eval": {"this_median_s": 0.05, "other_median_s": 0.05}}
+    means = workload_medians(summary, load_perfbench("workloads").WORKLOADS)
+    assert list(means) == ["tabular"]  # attr-exec's attr-eval did not run
+    assert means["tabular"]["kinds"] == ["mi", "example-eval"]
+    assert means["tabular"]["this_mean_median_s"] == pytest.approx(0.055)
+    assert means["tabular"]["other_mean_median_s"] == pytest.approx(0.07)
+    assert means["tabular"]["ratio"] == pytest.approx(0.055 / 0.07)
 
 
 def test_compare_trees_names_the_values_that_differ():
