@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time this checkout against another source tree, command by command.
 
-    python scripts/compare_trees.py OTHER_SRC [KIND ...] [--rounds N]
+    python scripts/compare_trees.py OTHER_SRC [KIND ...] [--rounds N] [--aa]
 
 Starts two long-lived workers, one with this checkout's src/ and one with
 OTHER_SRC (a directory holding an ``xmeter`` package, for example the src/ of
@@ -23,6 +23,12 @@ before its speed scaling (``tabular``: the mean of the ``mi`` and
 ``example-eval`` medians). For each command whose two reports differ, it
 then prints the first JSON paths whose values differ, with both values. The
 last line is the summary as one JSON object.
+
+With --aa a third worker, a control, runs this checkout's src/ too, and
+every command runs on it as well; the side that goes first rotates every
+round. Each ratio printed (this / other) then has the harness's own A/A
+ratio (this / control) beside it, the same figure for two copies of one
+tree: a ratio is a change only where it lies outside the A/A spread.
 
 Pairs of one command on one CPU, seconds apart, resolve changes of a few
 percent that the benchmark's own medians, which move by up to ±5 % on
@@ -103,15 +109,25 @@ def value_diff(this: str, other: str) -> list[tuple[str, str, str]]:
 
 def workload_medians(summary: dict, workloads: dict) -> dict:
     """For each workload (name -> kinds) whose kinds are all in ``summary``,
-    the mean of their median command times on each side and its ratio."""
+    the mean of their median command times on each side and its ratio, and
+    the A/A ratio (this / control) where the kinds ran on a control."""
     means = {}
     for name, kinds in workloads.items():
         if all(kind in summary for kind in kinds):
-            this, other = (statistics.fmean(summary[kind][f"{side}_median_s"] for kind in kinds)
-                           for side in ("this", "other"))
-            means[name] = {"kinds": list(kinds), "this_mean_median_s": this,
-                           "other_mean_median_s": other, "ratio": this / other}
+            mean = {side: statistics.fmean(summary[kind][f"{side}_median_s"] for kind in kinds)
+                    for side in ("this", "other", "control")
+                    if all(f"{side}_median_s" in summary[kind] for kind in kinds)}
+            means[name] = {"kinds": list(kinds), "this_mean_median_s": mean["this"],
+                           "other_mean_median_s": mean["other"],
+                           "ratio": mean["this"] / mean["other"]}
+            if "control" in mean:
+                means[name]["aa_ratio"] = mean["this"] / mean["control"]
     return means
+
+
+def beside_aa(entry: dict, ratio: str, aa: str) -> str:
+    """``entry[ratio]`` as printed, with ``entry[aa]`` beside it when there."""
+    return f"{entry[ratio]:.4f}" + (f" (A/A {entry[aa]:.4f})" if aa in entry else "")
 
 
 class Worker:
@@ -145,6 +161,8 @@ def main(argv=None) -> int:
     parser.add_argument("other_src", type=Path)
     parser.add_argument("kinds", nargs="*", metavar="KIND")
     parser.add_argument("--rounds", type=int, default=2)
+    parser.add_argument("--aa", action="store_true",
+                        help="also run this tree on a control worker and print A/A ratios")
     args = parser.parse_args(argv)
     if not (args.other_src / "xmeter" / "__init__.py").is_file():
         parser.error(f"{args.other_src} holds no xmeter package")
@@ -161,6 +179,8 @@ def main(argv=None) -> int:
     commands = [entry for row in zip(*columns) for entry in row]
     cpu = max(os.sched_getaffinity(0))
     sides = {"this": Worker(ROOT / "src", cpu), "other": Worker(args.other_src, cpu)}
+    if args.aa:
+        sides["control"] = Worker(ROOT / "src", cpu)
     stats = {kind: {side: {"wall": [], "faults": [], "matched": True} for side in sides}
              for kind in kinds}
     diffs = {}  # by command, the value diff of its first pair of unequal reports
@@ -170,7 +190,7 @@ def main(argv=None) -> int:
             for worker in sides.values():
                 worker.run(argv)
         for r in range(args.rounds):
-            order = list(sides) if r % 2 == 0 else list(sides)[::-1]
+            order = list(sides)[r % len(sides):] + list(sides)[:r % len(sides)]
             for kind, argv in commands:
                 reference = refs["reports"][kind][workloads.command_key(argv, python)]
                 reports = {}
@@ -205,8 +225,15 @@ def main(argv=None) -> int:
             "other_digests_matched": other["matched"],
         }
         s = summary[kind]
+        if "control" in by_side:
+            control = by_side["control"]
+            s.update(control_median_s=statistics.median(control["wall"]),
+                     aa_median_ratio=statistics.median(
+                         a / b for a, b in zip(this["wall"], control["wall"])),
+                     control_digests_matched=control["matched"])
         print(f"{kind}: {s['commands']} pairs; median {s['this_median_s']:.4f} s (this) "
-              f"vs {s['other_median_s']:.4f} s (other); median ratio {s['median_ratio']:.4f}; "
+              f"vs {s['other_median_s']:.4f} s (other); median ratio "
+              f"{beside_aa(s, 'median_ratio', 'aa_median_ratio')}; "
               f"this faster in {s['this_faster_in']}/{s['commands']}; minor faults per command "
               f"{s['this_faults_per_command']:.0f} vs {s['other_faults_per_command']:.0f}; "
               f"digests matched: {s['this_digests_matched']} / {s['other_digests_matched']}")
@@ -214,7 +241,7 @@ def main(argv=None) -> int:
     for name, w in workload_summary.items():
         print(f"{name}: mean of the {' and '.join(w['kinds'])} medians "
               f"{w['this_mean_median_s']:.4f} s (this) vs {w['other_mean_median_s']:.4f} s "
-              f"(other); ratio {w['ratio']:.4f}")
+              f"(other); ratio {beside_aa(w, 'ratio', 'aa_ratio')}")
     for command, paths in diffs.items():
         print(f"reports differ: {command}")
         for path, this_value, other_value in paths[:5]:
@@ -226,7 +253,7 @@ def main(argv=None) -> int:
     print(json.dumps({"cpu": cpu, "rounds": args.rounds, "other_src": str(args.other_src),
                       "kinds": summary, "workloads": workload_summary}))
     return 0 if all(s["this_digests_matched"] and s["other_digests_matched"]
-                    for s in summary.values()) else 1
+                    and s.get("control_digests_matched", True) for s in summary.values()) else 1
 
 
 if __name__ == "__main__":

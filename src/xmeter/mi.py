@@ -4,8 +4,9 @@ Estimator selection follows the column types: Kraskov-style k-NN (estimator 1,
 Chebyshev metric) for continuous/continuous, the nearest-neighbor mixed
 estimator for continuous/discrete, and the plug-in estimator on joint
 frequencies for discrete/discrete. All values are in nats. The estimates of
-one ``extractor_table`` run share one Chebyshev distance pass per point set,
-and a set's jittered twin reads that pass within a proven bound (``_sweep``).
+one ``extractor_table`` run share one Chebyshev distance pass per point set, in
+the order of the target's classes; a jittered twin reads its twin's pass within
+a proven bound, and sets that share columns share their distances (``_sweep``).
 """
 
 from __future__ import annotations
@@ -183,13 +184,22 @@ def _margin(delta, d):
     return 2 * delta * (1 + 2.0 ** -40) + 2.0 ** -50 * d
 
 
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """Each row's number of True entries, exact: the mask's bytes summed as
+    int8 to int16, which holds any count below 2^15 columns (intp beyond)."""
+    return mask.view(np.int8).sum(axis=1, dtype=np.int16 if mask.shape[1] < 2 ** 15 else np.intp)
+
+
 class _View:
     """The Chebyshev distances of the block ``rows`` of a point set to all its
-    rows: ``d``, or within ``_margin(delta, d)`` of ``d``, a twin's block that
-    readers share and must not write to. ``scratch`` is the sweep's."""
+    rows, in the sweep's order: ``d``, or within ``_margin(delta, d)`` of ``d``,
+    a twin's block that readers share and must not write to. ``scratch`` is the
+    sweep's; ``classes`` its codes, order, and each code's first row and size
+    in that order, where it walks in class order."""
 
-    def __init__(self, points, rows, d, delta, scratch):
-        self.points, self.rows, self.d, self.delta, self.near = points, rows, d, delta, {}
+    def __init__(self, points, rows, d, delta, scratch, classes=None):
+        self.points, self.rows, self.d, self.delta, self.classes = points, rows, d, delta, classes
+        self.near, self.part = {}, {}
         self.work, *self.masks = (block[:len(d)] for block in scratch)
 
     def entries(self, r, c):
@@ -204,51 +214,103 @@ class _View:
         """Each row's count of the set's distances below its ``eps`` (a column);
         a twin computes only its entries of ``d`` within M of eps exactly."""
         if self.delta is None:
-            return np.count_nonzero(np.less(self.d, eps, out=self.masks[0]), axis=1)
+            return _row_counts(np.less(self.d, eps, out=self.masks[0]))
         m = _margin(self.delta, eps)  # an infinite eps gives a NaN eps - m: no entry below
         below = np.less(self.d, eps - m, out=self.masks[0])
         upto = np.less_equal(self.d, eps + m, out=self.masks[1])
         r, c = np.divmod(np.flatnonzero(np.logical_xor(upto, below, out=upto)), len(self.points))
-        return (np.count_nonzero(below, axis=1)
+        return (_row_counts(below)
                 + np.bincount(r[self.entries(r, c) < eps[r, 0]], minlength=len(eps)))
+
+    def in_class(self, k):
+        """Each row's k-th and (k + 1)-th smallest distance to its class's rows,
+        counting from 0, from one partition of its class's columns at k + 1;
+        NaN where the class has under k + 2 rows. None for a twin or no classes."""
+        if k not in self.part and self.classes is not None and self.delta is None:
+            codes, order, starts, sizes = self.classes
+            lo, hi = self.rows.start, self.rows.stop
+            self.part[k] = kth = np.full((hi - lo, 2), np.nan)
+            for code in range(codes[order[lo]], codes[order[hi - 1]] + 1):
+                c0, m = starts[code], sizes[code]
+                if m >= k + 2:
+                    r0, r1 = max(c0, lo) - lo, min(c0 + m, hi) - lo
+                    w = self.work[:r1 - r0, :m]
+                    np.copyto(w, self.d[r0:r1, c0:c0 + m])
+                    w.partition(k + 1, axis=1)
+                    kth[r0:r1, 0], kth[r0:r1, 1] = w[:, :k + 1].max(axis=1), w[:, k + 1]
+        return self.part.get(k)
 
     def nearest(self, k):
         """Each row's (k + 1)-th smallest distance (a column) and the columns of
-        its k + 1 smallest, for every KSG reading the block as side a; None on ties."""
+        its k + 1 smallest, for every KSG reading the block as side a; None on
+        ties. A row's k + 2 smallest lie at or below its (k + 1)-th distance in
+        its class (``in_class``): one compare pass finds them, or else a copy of
+        the block is partitioned."""
         if k not in self.near and self.delta is None:
-            np.copyto(self.work, self.d)
-            self.work.partition(k + 1, axis=1)
-            vk = self.work[:, :k + 1].max(axis=1, keepdims=True)
-            c = np.flatnonzero(np.less_equal(self.d, vk, out=self.masks[0])) % len(self.points)
-            vk1 = self.work[:, k + 1, None].copy()
+            n, bound = len(self.points), self.in_class(k)
+            if bound is not None and not np.isnan(bound).any():
+                r, c = np.divmod(np.flatnonzero(
+                    np.less_equal(self.d, bound[:, 1:], out=self.masks[0])), n)
+                values, sizes = self.d[r, c], np.bincount(r, minlength=len(self.d))
+                top = np.full((len(self.d), sizes.max()), np.inf)
+                top[r, np.arange(len(r)) - (np.cumsum(sizes) - sizes)[r]] = values
+            else:
+                top = self.work
+                np.copyto(top, self.d)
+            top.partition(k + 1, axis=1)
+            vk = top[:, :k + 1].max(axis=1, keepdims=True)
+            c = c[values <= vk[r, 0]] if top is not self.work else \
+                np.flatnonzero(np.less_equal(self.d, vk, out=self.masks[0])) % n
+            vk1 = top[:, k + 1, None].copy()
             self.near[k] = (vk1, c.reshape(-1, k + 1)) if len(c) == vk1.size * (k + 1) else None
         return self.near.get(k)
 
 
 # as in cdist, a difference beyond the double range is inf (and inf - inf NaN)
 @np.errstate(over="ignore", invalid="ignore")
-def _sweep(sets: list, estimates) -> None:
+def _sweep(sets: list, estimates, codes=None) -> None:
     """The distance passes of ``estimates`` over the point sets ``sets``.
 
     Walks the sets' rows in blocks of about ``BLOCK`` entries and hands each
     block, as a ``_View``, to every estimate that reads the set (its ``reads``
-    indices, in that order, to its ``take``). A set within delta <
-    2 JITTER_SCALE elementwise of an earlier swept set of its shape, its
-    jittered twin, is not swept: its view holds the twin's block, and readers
-    compute its own entries only where ``_margin`` leaves a decision open.
-    Sets of one size are walked together: memory is one block per swept set.
+    indices, in that order, to its ``take``, with the block rows' indices).
+    Sets as long as ``codes``, a class code per row, are permuted in place to
+    the codes' stable order, so each class's columns are contiguous; readers
+    write each row's result at its original index, so means add in the
+    original order. A set within delta < 2 JITTER_SCALE elementwise of an
+    earlier swept set of its shape, its jittered twin, is not swept: its view
+    holds the twin's block, and readers compute its own entries only where
+    ``_margin`` leaves a decision open. Two swept sets of one shape that agree
+    on columns S and differ on the rest R share d_S: each block is
+    max(d_S, d_R), cdist's entry bit for bit, as cdist rounds each |x - y|
+    once and a maximum does not round. Sets of one size are walked together:
+    memory is one block per swept set.
     """
     for n in dict.fromkeys(len(points) for points in sets):
         members = [i for i, points in enumerate(sets) if len(points) == n]
         readers = [e for e in estimates if e.reads and e.reads[0] in members]
-        twins, swept = {}, []
+        order, classes = np.arange(n), None
+        if codes is not None and len(codes) == n:
+            order, sizes = np.argsort(codes, kind="stable"), np.bincount(codes)
+            classes = codes, order, np.cumsum(sizes) - sizes, sizes
+            for i in members:
+                sets[i] = sets[i][order]
+        twins, swept, pairs, paired = {}, [], {}, set()
         for i in members:
             delta, j = min(((np.abs(sets[i] - sets[j]).max(), j) for j in swept
                             if sets[j].shape == sets[i].shape), default=(np.inf, None))
             if delta < 2 * JITTER_SCALE:
                 twins[i] = j, delta
-            else:
-                swept.append(i)
+                continue
+            for j in swept:  # the first unpaired swept set that shares some columns
+                same = sets[j].shape == sets[i].shape and (sets[j] == sets[i]).all(axis=0)
+                if j not in paired and 0 < np.sum(same) < sets[i].shape[1]:
+                    pairs[j], paired = (i, same), paired | {i, j}
+                    break
+            swept.append(i)
+        # each pair's second set, then its S, first R and second R columns, contiguous
+        groups = {j: (i, *(np.ascontiguousarray(sets[h][:, cols]) for h, cols in
+                           ((j, same), (j, ~same), (i, ~same)))) for j, (i, same) in pairs.items()}
         step = max(1, BLOCK // n)
         # reused buffers, as fresh arrays for every block page-faulted away the saving
         shape = (min(step, n), n)
@@ -256,13 +318,20 @@ def _sweep(sets: list, estimates) -> None:
         scratch = np.empty(shape), np.empty(shape, bool), np.empty(shape, bool)
         for lo in range(0, n, step):
             rows = slice(lo, min(lo + step, n))
-            views = {i: _View(sets[i], rows, cdist(sets[i][rows], sets[i], "chebyshev",
-                                                   out=buf[:rows.stop - lo]), None, scratch)
-                     for i, buf in buffers.items()}
-            views.update({i: _View(sets[i], rows, views[j].d, delta, scratch)
+            work, out = scratch[0][:rows.stop - lo], {i: b[:rows.stop - lo]
+                                                      for i, b in buffers.items()}
+            d = {i: cdist(sets[i][rows], sets[i], "chebyshev", out=out[i])
+                 for i in swept if i not in paired}
+            for j, (i, shared, rest_j, rest_i) in groups.items():
+                d[j] = cdist(shared[rows], shared, "chebyshev", out=out[j])
+                d[i] = np.maximum(d[j], cdist(rest_i[rows], rest_i, "chebyshev", out=work),
+                                  out=out[i])
+                np.maximum(d[j], cdist(rest_j[rows], rest_j, "chebyshev", out=work), out=out[j])
+            views = {i: _View(sets[i], rows, d[i], None, scratch, classes) for i in swept}
+            views.update({i: _View(sets[i], rows, views[j].d, delta, scratch, classes)
                           for i, (j, delta) in twins.items()})
             for e in readers:
-                e.take(rows, *(views[i] for i in e.reads))
+                e.take(order[rows], *(views[i] for i in e.reads))
 
 
 class _Ksg:
@@ -280,7 +349,7 @@ class _Ksg:
         self.ny = np.empty(self.n, dtype=np.intp)
         self.shortcut = True  # off after a block falls back, as where b's nearest are not a's
 
-    def take(self, rows: slice, va: _View, vb: _View) -> None:
+    def take(self, rows: np.ndarray, va: _View, vb: _View) -> None:
         # the joint distance is the larger of the two sides', so if the
         # largest joint distance eps of a row's k + 1 nearest in a is at most
         # a's next distance vk1, eps is its k-th and a has no other entry below
@@ -298,9 +367,8 @@ class _Ksg:
             joint = np.maximum(da, db)
             joint.partition(self.k, axis=1)
             eps = joint[:, self.k, None]
-        self.nx[rows] = np.count_nonzero(da < eps, axis=1) - 1
-        self.ny[rows] = (np.count_nonzero(db < eps, axis=1) if from_db
-                         else vb.count_below(eps)) - 1
+        self.nx[rows] = _row_counts(da < eps) - 1
+        self.ny[rows] = (_row_counts(db < eps) if from_db else vb.count_below(eps)) - 1
 
     def raw(self) -> float:
         return float(digamma(self.k) + digamma(self.n)
@@ -316,7 +384,7 @@ class _RadiusCount:
         self.eps = eps
         self.within = np.empty(len(points), dtype=np.intp)
 
-    def take(self, rows: slice, v: _View) -> None:
+    def take(self, rows: np.ndarray, v: _View) -> None:
         self.within[rows] = v.count_below(self.eps[rows, None])
 
 
@@ -339,35 +407,50 @@ class _Mixed(_RadiusCount):
     For each point, the k-th neighbor distance among same-value points defines
     a radius; counting neighbors within it in the full sample yields the
     digamma correction terms. Values occurring once carry no neighborhood
-    information and are dropped.
+    information and are dropped. With none dropped, a value of k + 2 or more
+    rows takes its radii, the k-th of the same distances, from a sweep in the
+    order of ``codes`` (``_View.in_class``); the others use ``_kth_distance``.
     """
 
     estimator = "mixed-discrete"
 
-    def __init__(self, sets: list, cont: np.ndarray, disc: np.ndarray, k: int,
+    def __init__(self, sets: list, cont: np.ndarray, codes: np.ndarray, k: int,
                  rng: np.random.Generator):
         c = _jitter(cont, rng)
-        codes = _discrete_codes(disc)
-        n = len(c)
-        eps = np.zeros(n)
-        k_eff = np.zeros(n)
         sizes = np.bincount(codes)
         counts = sizes[codes]
-        # one stable sort groups the rows of each value in their original order
-        order = np.argsort(codes, kind="stable")
-        starts = np.cumsum(sizes) - sizes
-        for code in np.flatnonzero(sizes > 1):
-            m = int(sizes[code])
-            rows = order[starts[code]:starts[code] + m]
-            kk = min(k, m - 1)
-            eps[rows] = _kth_distance(c[rows], kk)
-            k_eff[rows] = kk
         keep = counts > 1
         if keep.sum() < 2:
             raise ContractViolation("mixed estimator needs repeated discrete values")
+        self.k, self.n, self.n_used = k, len(c), int(keep.sum())
+        self.codes, self.sizes, self.waiting = codes, sizes, bool(keep.all())
+        eps = np.zeros(len(c))
+        self._radii(eps, (sizes > 1) & ((sizes < k + 2) | (not self.waiting)), c)
         super().__init__(sets, c[keep], eps[keep])
-        self.k, self.n, self.n_used = k, n, int(keep.sum())
-        self.k_eff, self.value_counts = k_eff[keep], counts[keep]
+        self.k_eff, self.value_counts = np.minimum(k, counts[keep] - 1), counts[keep]
+
+    def _radii(self, eps: np.ndarray, values: np.ndarray, points: np.ndarray) -> None:
+        """``_kth_distance``'s radii of ``points`` for the rows of the codes set
+        in ``values``."""
+        # one stable sort groups the rows of each value in their original order
+        order = np.argsort(self.codes, kind="stable")
+        starts = np.cumsum(self.sizes) - self.sizes
+        for code in np.flatnonzero(values):
+            m = int(self.sizes[code])
+            rows = order[starts[code]:starts[code] + m]
+            eps[rows] = _kth_distance(points[rows], min(self.k, m - 1))
+
+    def take(self, rows: np.ndarray, v: _View) -> None:
+        kth = v.in_class(self.k) if self.waiting and v.classes is not None and \
+            np.array_equal(v.classes[0], self.codes) else None
+        if kth is not None:
+            own = ~np.isnan(kth[:, 0])
+            self.eps[rows[own]] = kth[own, 0]
+        elif self.waiting:  # a twin's view, or another order: the set in its own order
+            self._radii(self.eps, self.sizes >= self.k + 2,
+                        v.points if v.classes is None else v.points[np.argsort(v.classes[1])])
+            self.waiting = False
+        super().take(rows, v)
 
     def raw(self) -> float:
         return float(
@@ -378,38 +461,34 @@ class _Mixed(_RadiusCount):
         )
 
 
-def _plugin_mi(da: np.ndarray, db: np.ndarray) -> float:
-    ca = _discrete_codes(da)
-    cb = _discrete_codes(db)
-    n = len(ca)
-    na = ca.max() + 1
-    nb = cb.max() + 1
-    joint = np.bincount(ca * nb + cb, minlength=na * nb).reshape(na, nb) / n
-    pa = joint.sum(axis=1)
-    pb = joint.sum(axis=0)
-    nz = joint > 0
-    ratio = joint[nz] / np.outer(pa, pb)[nz]
-    return float((joint[nz] * np.log(ratio)).sum())
-
-
 class _Plugin:
-    """Plug-in estimator on the joint frequencies of two discrete sides."""
+    """Plug-in estimator on the joint frequencies of two discrete sides, given
+    as their ``_discrete_codes``."""
 
     estimator = "plugin-discrete"
     reads = ()
 
-    def __init__(self, da: np.ndarray, db: np.ndarray, k: int):
-        self.k, self.n, self.n_used = k, len(da), len(da)
-        self.value = _plugin_mi(da, db)
+    def __init__(self, ca: np.ndarray, cb: np.ndarray, k: int):
+        n = len(ca)
+        self.k, self.n, self.n_used = k, n, n
+        na = ca.max() + 1
+        nb = cb.max() + 1
+        joint = np.bincount(ca * nb + cb, minlength=na * nb).reshape(na, nb) / n
+        pa = joint.sum(axis=1)
+        pb = joint.sum(axis=0)
+        nz = joint > 0
+        ratio = joint[nz] / np.outer(pa, pb)[nz]
+        self.value = float((joint[nz] * np.log(ratio)).sum())
 
     def raw(self) -> float:
         return self.value
 
 
 def _prepare(sets: list, a, b, k: int, seed: int, a_discrete: bool | None,
-             b_discrete: bool | None):
+             b_discrete: bool | None, codes=(None, None)):
     """Checks the columns of one ``estimate_mi`` call and builds its estimate,
-    whose point sets go to ``sets``; its value is ready after ``_sweep``."""
+    whose point sets go to ``sets``; its value is ready after ``_sweep``.
+    ``codes`` holds each discrete side's ``_discrete_codes`` where known."""
     A = _as_matrix(a)
     B = _as_matrix(b)
     if len(A) != len(B):
@@ -426,12 +505,14 @@ def _prepare(sets: list, a, b, k: int, seed: int, a_discrete: bool | None,
         a_discrete = np.issubdtype(A.dtype, np.integer)
     if b_discrete is None:
         b_discrete = np.issubdtype(B.dtype, np.integer)
+    ca, cb = (_discrete_codes(M) if discrete and known is None else known
+              for M, discrete, known in zip((A, B), (a_discrete, b_discrete), codes))
     rng = np.random.default_rng([seed, 41])
     if a_discrete and b_discrete:
-        return _Plugin(A, B, k)
+        return _Plugin(ca, cb, k)
     if not a_discrete and not b_discrete:
         return _Ksg(sets, A.astype(float), B.astype(float), k, rng)
-    cont, disc = (A, B) if not a_discrete else (B, A)
+    cont, disc = (A, cb) if not a_discrete else (B, ca)
     return _Mixed(sets, cont.astype(float), disc, k, rng)
 
 
@@ -451,20 +532,28 @@ def estimate_mi(a, b, k: int = 3, seed: int = 0,
     """
     sets: list = []
     est = _prepare(sets, a, b, k, seed, a_discrete, b_discrete)
-    _sweep(sets, [est])
+    _sweep(sets, [est], getattr(est, "codes", None))
     return _result(est)
 
 
-def _report(sets: list, data: TabularDataset, g: FeatureExtractor, y, k: int, seed: int):
-    """The feature and target estimates of ``extractor_report``, prepared."""
+def _report(sets: list, data: TabularDataset, g: FeatureExtractor, y, k: int, seed: int,
+            codes: dict):
+    """The feature and target estimates of ``extractor_report``, prepared, the
+    target's first: so random-ood's Zood + j1, sharing X + j1's other columns,
+    is swept and Zood + j2 is its twin. ``codes`` keeps the discrete codes of
+    y (as "y") and of a discretizer's Z (under ``g``) for later runs."""
     y = data.labels if y is None else y
     if y is None:
         raise ContractViolation("need target labels or a labeled dataset")
     X = data.features
     Z = apply_extractor(g, data).features
     z_disc = g.output_discrete
-    return (_prepare(sets, X, Z, k, seed, False, z_disc),
-            _prepare(sets, Z, y, k, seed, z_disc, True))
+    if "y" not in codes:
+        codes["y"] = _discrete_codes(_as_matrix(y))
+    if z_disc and g not in codes:
+        codes[g] = _discrete_codes(Z)
+    target = _prepare(sets, Z, y, k, seed, z_disc, True, (codes.get(g), codes["y"]))
+    return _prepare(sets, X, Z, k, seed, False, z_disc, (None, codes.get(g))), target
 
 
 def extractor_report(data: TabularDataset, g: FeatureExtractor,
@@ -475,9 +564,9 @@ def extractor_report(data: TabularDataset, g: FeatureExtractor,
     Y is the given target labels, one per sample (for example a model's
     predicted labels), otherwise the dataset labels.
     """
-    sets: list = []
-    feature, target = _report(sets, data, g, y, k, seed)
-    _sweep(sets, [feature, target])
+    sets, codes = [], {}
+    feature, target = _report(sets, data, g, y, k, seed, codes)
+    _sweep(sets, [feature, target], codes["y"])
     return _result(feature), _result(target)
 
 
@@ -491,9 +580,10 @@ def extractor_table(data: TabularDataset, names, y: np.ndarray | None, runs: int
 
     Run r estimates with seed ``seed + r`` and, for ``random-ood``, draws a
     fresh set of ``ood_count`` replaced features from that seed; the entropy
-    discretizer is fitted once. The estimates of one run share one distance
-    pass per point set and its jittered twin (``_sweep``). Returns
-    ``{name: {"feature_mi", "target_mi", "runs"}}``.
+    discretizer is fitted once, and the discrete codes of y and of its Z are
+    found once. The estimates of one run share one distance pass per point
+    set and its jittered twin, in the order of y's classes (``_sweep``).
+    Returns ``{name: {"feature_mi", "target_mi", "runs"}}``.
     """
     for name in names:
         if name not in EXTRACTORS:
@@ -501,7 +591,7 @@ def extractor_table(data: TabularDataset, names, y: np.ndarray | None, runs: int
     if runs < 1:
         raise ContractViolation(f"runs must be >= 1, got {runs}")
     discretizer = fit_entropy_discretizer(data, max_depth) if "entropy" in names else None
-    values = {name: ([], []) for name in names}
+    values, codes = {name: ([], []) for name in names}, {}
     for run_seed in range(seed, seed + runs):
         sets: list = []
         reports = {}
@@ -513,8 +603,8 @@ def extractor_table(data: TabularDataset, names, y: np.ndarray | None, runs: int
                                                       value=ood_value)
             else:
                 extractor = discretizer
-            reports[name] = _report(sets, data, extractor, y, k, run_seed)
-        _sweep(sets, [est for pair in reports.values() for est in pair])
+            reports[name] = _report(sets, data, extractor, y, k, run_seed, codes)
+        _sweep(sets, [est for pair in reports.values() for est in pair], codes.get("y"))
         for name, pair in reports.items():
             for vals, est in zip(values[name], pair):
                 vals.append(_result(est).value)

@@ -638,26 +638,53 @@ class TestSweepCost:
 
     def test_jittered_twins_are_not_swept(self, monkeypatch):
         # a preset run's four 1000-row sets are X + j1, its twin X + j2, the
-        # ood features' Zood + j2 and its twin Zood + j1: two are swept
+        # ood target's Zood + j1 and its twin Zood + j2: two are swept, each
+        # block of them a view of its own distances
         data, y = _mi_bench_setup(0)
         n, swept, sizes = data.n_samples, [], []
-        cdist, sweep = mi.cdist, mi._sweep
+        view, sweep = mi._View, mi._sweep
 
-        def spy(XA, XB, metric, **kwargs):
-            if len(XB) == n:
-                swept.append(hashlib.sha1(XB.tobytes()).digest())
-            return cdist(XA, XB, metric, **kwargs)
+        def spy(points, rows, d, delta, *args):
+            if len(points) == n and delta is None:
+                swept.append(hashlib.sha1(points.tobytes()).digest())
+            return view(points, rows, d, delta, *args)
 
-        def sizes_spy(sets, estimates):
+        def sizes_spy(sets, estimates, codes):
             sizes.append(sum(len(points) == n for points in sets))
-            sweep(sets, estimates)
+            sweep(sets, estimates, codes)
 
-        monkeypatch.setattr(mi, "cdist", spy)
+        monkeypatch.setattr(mi, "_View", spy)
         monkeypatch.setattr(mi, "_sweep", sizes_spy)
         extractor_table(data, EXTRACTORS, y, 1, 3, 0, 3, -10.0, 3)
         blocks = -(-n // (mi.BLOCK // n))
         assert sizes == [4]
         assert sorted(swept.count(key) for key in set(swept)) == [blocks, blocks]
+
+    @pytest.mark.parametrize("names,columns", [(("identity", "random-ood"), 26_000_000),
+                                               (EXTRACTORS, 26_042_640)])
+    def test_target_radii_and_shared_columns(self, monkeypatch, names, columns):
+        # two runs: X + j1 and Zood + j1 share 7 of 10 columns, so a run
+        # computes 7 + 3 + 3 columns of 1000 x 1000 entries (20 at one pass
+        # per swept set), and the target estimates take their per-class
+        # radii from the sweep's partitions, not from _kth_distance (at one
+        # pass per set: 53,333,360 and 53,376,000 column-entries)
+        data, y = _mi_bench_setup(0)
+        computed, targets = [], []
+        cdist, kth_distance = mi.cdist, mi._kth_distance
+
+        def spy(XA, XB, metric, **kwargs):
+            computed.append(len(XA) * len(XB) * XA.shape[1])
+            return cdist(XA, XB, metric, **kwargs)
+
+        def kth_spy(points, k):
+            targets.append(len(points) > 10)  # the entropy codes' classes have 2 to 4 rows
+            return kth_distance(points, k)
+
+        monkeypatch.setattr(mi, "cdist", spy)
+        monkeypatch.setattr(mi, "_kth_distance", kth_spy)
+        extractor_table(data, names, y, 2, 3, 0, 3, -10.0, 3)
+        assert sum(computed) == columns
+        assert not any(targets)
 
     def test_holds_no_distance_matrix(self):
         data, y = _mi_bench_setup(0)
@@ -797,3 +824,139 @@ class TestSweepAgainstBruteForce:
         counts = [_RadiusCount(sets, P, eps), _RadiusCount(sets, Q, eps)]
         _sweep(sets, counts)
         np.testing.assert_array_equal(counts[1].within, (dQ < eps[:, None]).sum(axis=1))
+
+
+# Class-ordered sweeps: point kind (normal columns, or a 0.25 grid whose rows
+# repeat, so distances tie), n, k, width, whether the KSG's side b is a twin
+# of its side a, the smallest class size (1 drops rows from the mixed
+# estimates), the seed and rows per block, so blocks end raggedly.
+CLASS_SWEEPS = st.tuples(st.sampled_from(["real", "grid"]), st.integers(20, 90),
+                         st.integers(1, 4), st.integers(1, 3), st.booleans(), st.integers(1, 2),
+                         st.integers(0, 2 ** 32 - 1), st.integers(1, 7))
+
+
+def _class_sweep(case) -> dict:
+    """Sweeps, in the order of labels with a few classes of 1 to k + 2 rows
+    beside one or two larger ones, a mixed estimate, a KSG whose side a is
+    that estimate's set, and a second mixed estimate over a twin of it;
+    checks every count and radius against the brute force and returns how
+    often each path ran."""
+    kind, n, k, width, twin, smallest, seed, block_rows = case
+    rng = np.random.default_rng(seed)
+    sizes = list(rng.integers(smallest, k + 3, size=rng.integers(0, 4)))
+    rest = n - sum(sizes)
+    sizes += [rest // 2, rest - rest // 2] if rest >= 2 * (k + 2) else [rest]
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+
+    def draw():
+        pool = rng.normal(size=(n // 2 + 1, width)) if kind == "real" \
+            else rng.integers(0, 4, size=(n // 2 + 1, width)) * 0.25
+        return pool[rng.integers(0, len(pool), size=n)]
+
+    a = draw()
+    b = a if twin else draw()
+    sets = []
+    # one jitter stream, so the KSG's side a is the first estimate's set
+    readers = [mi._Mixed(sets, a, labels, k, np.random.default_rng([seed, 41])),
+               mi._Ksg(sets, a, b, k, np.random.default_rng([seed, 41])),
+               mi._Mixed(sets, a, labels, k, np.random.default_rng([seed, 42]))]
+    before = [points.copy() for points in sets]
+    paths = dict.fromkeys(["bound", "partition", "kth", "twin"], 0)
+    nearest, kth_distance, take = mi._View.nearest, mi._kth_distance, mi._Mixed.take
+
+    def spy_nearest(view, k):
+        if k not in view.near and view.delta is None:
+            bound = view.in_class(k)
+            paths["bound" if bound is not None and not np.isnan(bound).any()
+                  else "partition"] += 1
+        return nearest(view, k)
+
+    def spy_kth(points, k):
+        paths["kth"] += 1
+        return kth_distance(points, k)
+
+    def spy_take(est, rows, v):
+        paths["twin"] += v.delta is not None
+        take(est, rows, v)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mi._View, "nearest", spy_nearest)
+        patch.setattr(mi, "_kth_distance", spy_kth)
+        patch.setattr(mi._Mixed, "take", spy_take)
+        patch.setattr(mi, "BLOCK", block_rows * n)
+        _sweep(sets, readers, labels)
+    ksg = readers[1]
+    da, db = (chebyshev_distances(before[i]) for i in ksg.reads)
+    eps = np.sort(np.maximum(da, db), axis=1)[:, k, None]
+    np.testing.assert_array_equal(ksg.nx, (da < eps).sum(axis=1) - 1)
+    np.testing.assert_array_equal(ksg.ny, (db < eps).sum(axis=1) - 1)
+    for est in readers[::2]:
+        kept = labels[np.bincount(labels)[labels] > 1]
+        D = chebyshev_distances(before[est.reads[0]])
+        radii = [np.sort(row[kept == c])[min(k, np.sum(kept == c) - 1)]
+                 for row, c in zip(D, kept)]
+        np.testing.assert_array_equal(est.eps, radii)
+        np.testing.assert_array_equal(est.within, (D < est.eps[:, None]).sum(axis=1))
+    return paths
+
+
+class TestClassOrderedSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(CLASS_SWEEPS)
+    def test_counts_and_radii_equal_the_brute_force(self, case):
+        _class_sweep(case)
+
+    def test_every_path_runs(self):
+        # the in-class bound, the full partition where a block holds a row of
+        # a class under k + 2 rows, _kth_distance for such classes and for a
+        # twin's mixed estimate, and the twins themselves
+        totals = dict.fromkeys(["bound", "partition", "kth", "twin"], 0)
+        for seed in range(24):
+            case = ("grid" if seed % 3 else "real", 40 + seed, 1 + seed % 4, 1 + seed % 3,
+                    seed % 2 == 0, 1 + seed // 12, seed, 1 + seed % 5)
+            for path, count in _class_sweep(case).items():
+                totals[path] += count
+        assert all(totals.values()), totals
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 6), st.integers(20, 80), st.booleans(), st.integers(0, 2 ** 32 - 1),
+           st.integers(1, 7))
+    def test_column_group_blocks_equal_cdist(self, d, n, by_class, seed, block_rows):
+        # P and Q agree on 1 to d - 1 columns, one of which holds 0.0 in P
+        # where Q holds -0.0; a column of +-1e308 overflows to inf
+        rng = np.random.default_rng(seed)
+        P, Q = rng.normal(size=(2, n, d))
+        huge = rng.integers(d)
+        P[:, huge], Q[:, huge] = rng.choice([-1e308, 1e308], size=(2, n))
+        Q[0, huge] = -P[0, huge]
+        shared = rng.permutation(d)[:rng.integers(1, d)]
+        Q[:, shared] = P[:, shared]
+        P[::3, shared[0]], Q[::3, shared[0]] = 0.0, -0.0
+        codes = rng.integers(0, 3, size=n) if by_class else None
+
+        class Blocks:
+            reads = (0, 1)
+
+            def __init__(self):
+                self.seen = []
+
+            def take(self, rows, vp, vq):
+                self.seen.append((rows, vp.d.copy(), vq.d.copy()))
+
+        columns, cdist_ = [], mi.cdist
+
+        def spy(XA, XB, metric, **kwargs):
+            columns.append(XA.shape[1])
+            return cdist_(XA, XB, metric, **kwargs)
+
+        reader = Blocks()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mi, "cdist", spy)
+            patch.setattr(mi, "BLOCK", block_rows * n)
+            _sweep([P.copy(), Q.copy()], [reader], codes)
+        order = np.concatenate([rows for rows, _, _ in reader.seen])
+        for rows, dp, dq in reader.seen:
+            assert dp.tobytes() == cdist(P[rows], P[order], "chebyshev").tobytes()
+            assert dq.tobytes() == cdist(Q[rows], Q[order], "chebyshev").tobytes()
+        # per block, the shared columns once and the other columns once per set
+        assert sum(columns) == len(reader.seen) * (2 * d - len(shared))

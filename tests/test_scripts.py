@@ -129,6 +129,24 @@ def test_compare_trees_pairs_every_recorded_command():
     assert json.loads(result.stdout.splitlines()[-1])["workloads"] == {}
 
 
+def test_compare_trees_prints_the_harness_ratio_beside_each_ratio():
+    # --aa: this checkout on a control worker too, so each kind's ratio has
+    # the A/A ratio of two copies of one tree beside it
+    result = run_python([str(ROOT / "scripts" / "compare_trees.py"), SRC, "example-eval",
+                         "--rounds", "1", "--aa"])
+    assert result.returncode == 0, result.stderr
+    entry = json.loads(result.stdout.splitlines()[-1])["kinds"]["example-eval"]
+    assert entry["control_digests_matched"] and entry["aa_median_ratio"] > 0
+    assert f"median ratio {entry['median_ratio']:.4f} (A/A {entry['aa_median_ratio']:.4f});" \
+        in result.stdout.splitlines()[0]
+    workload_medians = load_perfbench("compare_trees", "scripts").workload_medians
+    summary = {"mi": {"this_median_s": 0.06, "other_median_s": 0.09, "control_median_s": 0.05},
+               "example-eval": {"this_median_s": 0.05, "other_median_s": 0.05,
+                                "control_median_s": 0.05}}
+    means = workload_medians(summary, load_perfbench("workloads").WORKLOADS)
+    assert means["tabular"]["aa_ratio"] == pytest.approx(0.055 / 0.05)
+
+
 def test_compare_trees_averages_each_workloads_medians():
     # tabular's cmd_ref_s_p50 is the mean of its kinds' medians, scaled
     workload_medians = load_perfbench("compare_trees", "scripts").workload_medians
