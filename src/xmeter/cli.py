@@ -68,10 +68,9 @@ class ExternalModel:
 
     ``command`` is the child's argument list. Requests are strictly
     serialized per child; responses are matched to requests by order. The
-    child's stderr is captured for diagnostics. ``form``, the prediction form
-    of ``xmeter.protocol``, is the handshake's best: binary, batch or row.
-    ``gradient_form`` is ``form`` for a child that advertises
-    ``gradient_batch``, else row.
+    child's stderr is captured for diagnostics. ``form``, the form of
+    ``xmeter.protocol`` in which predictions and gradients travel, is binary
+    for a child that advertises it, else batch.
     """
 
     def __init__(self, command, timeout: float = PROTOCOL_TIMEOUT):
@@ -101,9 +100,7 @@ class ExternalModel:
         except BaseException:
             self._kill()
             raise
-        self.form = ("binary" if self.info.get("binary", False)
-                     else "batch" if self.info.get("batch", False) else "row")
-        self.gradient_form = self.form if self.info.get("gradient_batch", False) else "row"
+        self.form = "binary" if self.info.get("binary", False) else "batch"
 
     # Each pump closes its stream at EOF: no other thread reads it, and
     # closing a stream while a thread reads it is unsafe. Lines are read at
@@ -172,69 +169,64 @@ class ExternalModel:
             self._fail(f"invalid arity in handshake: {info!r}")
         if info.get("output") not in typing.get_args(OutputKind):
             self._fail(f"invalid output kind in handshake: {info!r}")
-        for flag, default in (("gradient", None), ("batch", False), ("binary", False),
-                              ("gradient_batch", False)):
+        for flag, default in (("gradient", None), ("binary", False)):
             if not isinstance(info.get(flag, default), bool):
                 self._fail(f"invalid {flag} flag in handshake: {info!r}")
-        for flag, needed in (("binary", "batch"), ("gradient_batch", "gradient")):
-            if info.get(flag, False) and not info.get(needed, False):
-                self._fail(f"{flag!r} without {needed!r} in handshake: {info!r}")
+        if info.get("batch") is not True:
+            self._fail(f"handshake lacks \"batch\": true; a child that takes one row per "
+                       f"request must migrate (README, External model protocol): {info!r}")
         return info
 
-    def _send(self, form: str, X, kind: str | None = None, target=None):
+    def _send(self, X, kind: str | None = None, target=None):
         """The rows of ``X`` (an ``(n, arity)`` matrix, or one point) and the reply
-        to one request of ``form`` for their predictions, or with ``kind``
-        GRADIENT for their gradients; a ``row`` request carries one row."""
+        to one request for their predictions, or with ``kind`` GRADIENT for their
+        gradients."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if form == "row" and len(X) != 1:
-            raise ContractViolation(f"a row request carries one row, got {len(X)}")
-        response = self._request(protocol.request(form, X, kind, target))
+        response = self._request(protocol.request(self.form, X, kind, target))
         if "error" in response:
             self._fail(f"{'gradient' if kind else 'predict'} failed: {response['error']}")
         return X, response
 
-    def _read(self, form: str, response: dict, kind: str, n: int, width: int) -> np.ndarray:
+    def _read(self, response: dict, kind: str, n: int, width: int) -> np.ndarray:
         try:
-            return protocol.read_reply(form, response, kind, n, width)
+            return protocol.read_reply(self.form, response, kind, n, width)
         except ModelProtocolError as exc:
             self._fail(str(exc))
 
     def predict(self, X) -> np.ndarray:
-        """Predictions for the rows of ``X`` in one request of the child's form."""
-        X, response = self._send(self.form, X)
+        """Predictions for the rows of ``X`` in one request."""
+        X, response = self._send(X)
         with self._lock:  # the first probs reply sets the class count
-            Y = self._read(self.form, response, self.info["output"], len(X), self._classes)
+            Y = self._read(response, self.info["output"], len(X), self._classes)
             self._classes = Y.shape[1] if Y.ndim == 2 else 0
         return Y
 
     def gradient(self, X, target=None) -> np.ndarray:
         """The gradients at the rows of ``X``, of the scalar output or of class
-        ``target``'s probability, in one request of ``gradient_form``."""
-        X, response = self._send(self.gradient_form, X, protocol.GRADIENT, target)
-        return self._read(self.gradient_form, response, protocol.GRADIENT, len(X),
-                          self.info["arity"])
+        ``target``'s probability, in one request."""
+        X, response = self._send(X, protocol.GRADIENT, target)
+        return self._read(response, protocol.GRADIENT, len(X), self.info["arity"])
 
     def as_model_handle(self) -> ModelHandle:
         """A handle whose ``predict_fn`` and ``gradient_fn`` send the rows in order,
-        one request per chunk of consecutive rows: up to ``BATCH_ROWS`` rows in a
-        form that takes many, one row in the row form. Zero rows send no request and
-        give an empty array of the replies' shape and type: (0, classes) for
-        ``probs``, with the class count of the replies so far (0 before any)."""
+        one request per chunk of up to ``BATCH_ROWS`` consecutive rows. Zero rows
+        send no request and give an empty array of the replies' shape and type:
+        (0, classes) for ``probs``, with the class count of the replies so far (0
+        before any)."""
         has_grad = bool(self.info["gradient"])
         kind, arity = self.info["output"], int(self.info["arity"])
 
-        def chunks(send, form, X, *args):
-            step = 1 if form == "row" else BATCH_ROWS
-            return [send(X[i:i + step], *args) for i in range(0, len(X), step)]
+        def chunks(send, X, *args):
+            return [send(X[i:i + BATCH_ROWS], *args) for i in range(0, len(X), BATCH_ROWS)]
 
         def predict_fn(X):
-            if parts := chunks(self.predict, self.form, X):
+            if parts := chunks(self.predict, X):
                 return np.concatenate(parts)
             return np.empty((0, self._classes) if kind == "probs" else 0,
                             dtype=protocol.reply_dtype(kind))
 
         def gradient_fn(X, target=None):
-            parts = chunks(self.gradient, self.gradient_form, X, target)
+            parts = chunks(self.gradient, X, target)
             return np.concatenate(parts) if parts else np.empty((0, arity))
 
         return ModelHandle(
@@ -715,9 +707,8 @@ def cmd_mi(cfg: dict, stack: contextlib.ExitStack) -> Table:
 _TEXT = (str, None, None)  # a text option without a default or help
 
 # Upper limits of the options that count a command's work: each --steps is one
-# row of a gradient request (a round trip of its own to an exec: child without
-# gradient_batch), each --runs one set of MI estimates. A larger value is
-# refused before any model is built.
+# row of a gradient request, each --runs one set of MI estimates. A larger value
+# is refused before any model is built.
 OPTION_LIMITS = {"steps": 100_000, "runs": 10_000}
 
 

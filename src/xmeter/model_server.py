@@ -8,15 +8,15 @@ against a conforming child:
 Requests, one JSON object per line:
     {"op": "info"}                 -> {"arity": N, "output": "...", "gradient": bool,
                                        "batch": true, "binary": true}
-                                      and "gradient_batch": true with gradients
     a prediction request of a form of ``xmeter.protocol.FORMS`` -> its reply
     a gradient request of a form   -> its reply, or {"error": "unsupported"}
     (with an optional "target": k, the gradient of class k's probability)
 
 Each prediction request is one ``predict_batch`` call of the model, and each
 gradient request one ``gradient_fn`` call. A malformed request, rows that
-break the protocol's number rule and a non-finite output get an ``error``
-reply, and the server keeps serving.
+break the protocol's number rule, a one-row request (``"x"``, a form that is
+gone) and a non-finite output get an ``error`` reply, and the server keeps
+serving.
 """
 
 from __future__ import annotations
@@ -31,17 +31,6 @@ import numpy as np
 from . import protocol
 from .handle import ModelHandle
 from .park import park_model
-
-
-def echo_model(arity: int) -> ModelHandle:
-    """Scalar fixture that returns its first coordinate; no gradient support."""
-    return ModelHandle(
-        arity=arity,
-        output_kind="scalar",
-        predict_fn=lambda X: X[:, 0],
-        gradient_capability="none",
-        name="echo",
-    )
 
 
 def serve(model: ModelHandle, stdin=None, stdout=None) -> None:
@@ -74,8 +63,7 @@ def _answer(model: ModelHandle, line: str) -> dict:
                 return protocol.reply(form, G, protocol.GRADIENT)
         if op == "info":
             return {"arity": model.arity, "output": model.output_kind,
-                    "gradient": has_gradient, "batch": True, "binary": True,
-                    **({"gradient_batch": True} if has_gradient else {})}
+                    "gradient": has_gradient, "batch": True, "binary": True}
         return {"error": "unsupported" if op == protocol.GRADIENT and not has_gradient
                 else f"unknown op {op!r} with fields {sorted(request)}"}
     except Exception as exc:  # malformed request: report, keep serving
@@ -84,11 +72,9 @@ def _answer(model: ModelHandle, line: str) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--model", choices=["park", "echo"], default="park")
-    parser.add_argument("--arity", type=int, default=4, help="arity of the echo model")
-    args = parser.parse_args(argv)
-    model = park_model() if args.model == "park" else echo_model(args.arity)
-    serve(model)
+    parser.add_argument("--model", choices=["park"], default="park")
+    parser.parse_args(argv)
+    serve(park_model())
     return 0
 
 

@@ -2,9 +2,9 @@
 of its sides.
 
 A request carries rows and its reply one prediction, or one gradient, per row,
-in a form of ``FORMS``. ``row`` and ``batch`` carry JSON lists: a reply's entry
-per row holds one number (scalar), one integer (label), one probability per
-class (probs) or ``arity`` numbers (a gradient). ``binary`` carries base64 text
+in a form of ``FORMS``. ``batch`` carries JSON lists: a reply's entry per row
+holds one number (scalar), one integer (label), one probability per class
+(probs) or ``arity`` numbers (a gradient). ``binary`` carries base64 text
 (standard alphabet, padded, no line breaks) of little-endian row-major values:
 float64 rows, scalar or probs predictions and gradients, int64 labels. The
 driver (``cli.ExternalModel``) calls ``request`` and ``read_reply``, the
@@ -28,7 +28,6 @@ INT64 = np.dtype("<i8")
 # form -> (op of its prediction request, field of its rows, field of its predictions,
 # field of its gradients); a gradient request of any form has the op GRADIENT
 FORMS = {
-    "row": ("predict", "x", "y", "g"),
     "batch": ("predict_batch", "X", "y", "g"),
     "binary": ("predict_batch", "Xb", "yb", "gb"),
 }
@@ -91,11 +90,10 @@ def _message(form: str, kind: str | None) -> tuple[str, str, str]:
 
 def request(form: str, X: np.ndarray, kind: str | None = None, target=None) -> dict:
     """The request of ``form`` for the predictions, or with ``kind`` GRADIENT for the
-    gradients, at the rows of the float matrix ``X`` (one for ``row``). A gradient
-    request names its ``target`` class only when there is one."""
+    gradients, at the rows of the float matrix ``X``. A gradient request names its
+    ``target`` class only when there is one."""
     op, field, _ = _message(form, kind)
-    rows = encode(X, FLOAT64) if form == "binary" else X.tolist()
-    message = {"op": op, field: rows[0] if form == "row" else rows}
+    message = {"op": op, field: encode(X, FLOAT64) if form == "binary" else X.tolist()}
     if target is not None:
         message["target"] = int(target)
     return message
@@ -114,8 +112,7 @@ def read_rows(form: str, message: dict, arity: int) -> np.ndarray:
     field = FORMS[form][1]
     if form == "binary":
         return decode(message[field], FLOAT64).reshape(-1, arity)
-    rows = message[field]
-    X = number_matrix([rows] if form == "row" else rows, FLOAT64, arity)
+    X = number_matrix(message[field], FLOAT64, arity)
     if X is None:
         raise ValueError(f"{field!r} must hold rows of {arity} JSON numbers")
     return X
@@ -128,8 +125,7 @@ def reply(form: str, Y, kind: str) -> dict:
     if form == "binary":
         return {field: encode(Y, reply_dtype(kind))}
     Y = np.asarray(Y, dtype=reply_dtype(kind))
-    rows = (Y if Y.ndim == 2 else Y[:, None]).tolist()
-    return {field: rows[0] if form == "row" else rows}
+    return {field: (Y if Y.ndim == 2 else Y[:, None]).tolist()}
 
 
 def read_reply(form: str, message: dict, kind: str, n: int, width: int = 0) -> np.ndarray:
@@ -149,7 +145,7 @@ def read_reply(form: str, message: dict, kind: str, n: int, width: int = 0) -> n
         # n rows of the values' width; a count that n does not divide fails below
         P = P.reshape(n, -1) if n and P.size % n == 0 else P[:, None]
     else:
-        rows = [message.get(field)] if form == "row" else message.get(field)
+        rows = message.get(field)
         P = number_matrix(rows, reply_dtype(kind))
         if P is None and kind == "label" and (F := number_matrix(rows, FLOAT64, 1)) is not None:
             # labels that parse only as floats pass the output rule as they would

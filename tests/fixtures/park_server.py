@@ -1,7 +1,8 @@
 """Standalone line-delimited JSON model server re-implementing the Park function.
 
 Deliberately does not import the package under test: it is the independent
-side of the cross-implementation check for the external-model adapter.
+side of the cross-implementation check for the external-model adapter. It
+takes JSON rows ('X') only, as a child without "binary" does.
 """
 
 import json
@@ -27,11 +28,11 @@ def main():
             req = json.loads(line)
             op = req.get("op")
             if op == "info":
-                resp = {"arity": 6, "output": "scalar", "gradient": True}
-            elif op == "predict":
-                resp = {"y": [f(req["x"])]}
+                resp = {"arity": 6, "output": "scalar", "gradient": True, "batch": True}
+            elif op == "predict_batch":
+                resp = {"y": [[f(x)] for x in req["X"]]}
             elif op == "gradient":
-                resp = {"g": grad(req["x"])}
+                resp = {"g": [grad(x) for x in req["X"]]}
             else:
                 resp = {"error": f"unknown op {op!r}"}
         except Exception as exc:

@@ -1,6 +1,8 @@
 import base64
+import collections
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -46,7 +48,14 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
 PARK_SERVER = [sys.executable, str(FIXTURES / "park_server.py")]
 BUILTIN_SERVER = [sys.executable, "-m", "xmeter.model_server"]
-ECHO_SERVER = BUILTIN_SERVER + ["--model", "echo", "--arity", "2"]
+
+
+def echo_server(arity: int) -> list:
+    """Command of the reference server serving the scalar model of ``arity``
+    coordinates that returns its first one and declines gradients."""
+    return [sys.executable, str(FIXTURES / "echo_server.py"), str(arity)]
+
+
 PARK_POINT = "0.24,0.48,0.56,0.99,0.68,0.86"
 
 PARK_ARGS = ["attr-eval", "--model", "park",
@@ -253,7 +262,7 @@ class TestAttrEvalCommand:
         send = ExternalModel._request
         monkeypatch.setattr(ExternalModel, "_request",
                             lambda self, payload: sent.append(payload["op"]) or send(self, payload))
-        code = main(["attr-eval", "--model", exec_spec(ECHO_SERVER),
+        code = main(["attr-eval", "--model", exec_spec(echo_server(2)),
                      "--point", "1.7976931348623157e308,0.5", "--uniform", "0,1",
                      "--n-mc", "100", "--methods", "saliency"])
         captured = capsys.readouterr()
@@ -264,7 +273,7 @@ class TestAttrEvalCommand:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_squared_error_names_the_loss(self, capsys):
-        code = main(["attr-eval", "--model", exec_spec(ECHO_SERVER), "--point", "1.7e308,0.5",
+        code = main(["attr-eval", "--model", exec_spec(echo_server(2)), "--point", "1.7e308,0.5",
                      "--uniform", "0,1", "--n-mc", "100", "--methods", "saliency"])
         captured = capsys.readouterr()
         assert code == EXIT_NUMERIC
@@ -735,46 +744,107 @@ def test_readme_commands_parse(tmp_path):
 
 
 # The handshake flags of the reference server that each request path keeps.
-PATH_FLAGS = {"per-row": set(), "batch": {"batch", "gradient_batch"},
-              "binary": {"batch", "binary", "gradient_batch"},
-              "binary-row-gradients": {"batch", "binary"}}
+PATH_FLAGS = {"batch": {"batch"}, "binary": {"batch", "binary"}}
 
 
-def park_run_requests(monkeypatch, capsys, path: str):
-    """The report of a park attr-eval over the reference server, its requests
-    counted by op, and the fields they carried. ``path`` drops handshake flags
-    that ExternalModel read (PATH_FLAGS): "per-row" drops them all, which makes
-    ExternalModel send one predict or gradient request per row, "batch" drops
-    binary, which makes it send the rows of predict_batch and gradient requests
-    as JSON lists, and "binary-row-gradients" drops gradient_batch, which makes
-    it send one gradient request per row."""
-    requests, fields = {}, set()
+@contextlib.contextmanager
+def spied_requests(monkeypatch, path: str):
+    """The list of requests that ExternalModel sends, in order, while ``path``
+    drops the handshake flags that ExternalModel read and PATH_FLAGS does not
+    keep for it: "batch" drops binary, which makes ExternalModel send the rows
+    of predict_batch and gradient requests as JSON lists."""
+    requests = []
     send, handshake = ExternalModel._request, ExternalModel._handshake
     dropped = PATH_FLAGS["binary"] - PATH_FLAGS[path]
-
-    def counting(self, payload):
-        requests[payload["op"]] = requests.get(payload["op"], 0) + 1
-        fields.update(payload)
-        return send(self, payload)
-
     with monkeypatch.context() as patch:
-        patch.setattr(ExternalModel, "_request", counting)
+        patch.setattr(ExternalModel, "_request",
+                      lambda self, r: requests.append(r) or send(self, r))
         patch.setattr(ExternalModel, "_handshake",
                       lambda self: {k: v for k, v in handshake(self).items()
                                     if k not in dropped})
+        yield requests
+
+
+def park_run_requests(monkeypatch, capsys, path: str):
+    """The report of a park attr-eval over the reference server on ``path``,
+    and its requests counted by op."""
+    with spied_requests(monkeypatch, path) as requests:
         server = exec_spec(BUILTIN_SERVER + ["--model", "park"])
         code, out = run_cli(["attr-eval", "--model", server,
                              "--methods", "saliency,inpxgrad,intgrad,random",
                              "--point", PARK_POINT, "--uniform", "0,1", "--n-mc", "100"], capsys)
     assert code == EXIT_OK
-    assert fields - {"op", "x"} == {"per-row": set(), "batch": {"X"}, "binary": {"Xb"},
-                                    "binary-row-gradients": {"Xb"}}[path]
-    return out, requests
+    assert {f for r in requests for f in r} - {"op"} == {"batch": {"X"}, "binary": {"Xb"}}[path]
+    return out, collections.Counter(r["op"] for r in requests)
+
+
+# The reference server's serve loop over the model that a spec names, fitted
+# on a dataset spec as a command fits it: python -c SERVE_SPEC MODEL [DATASET]
+SERVE_SPEC = ("import contextlib, sys\nfrom xmeter import cli, model_server\n"
+              "data = cli.parse_dataset_spec(sys.argv[2]) if sys.argv[2:] else None\n"
+              "model_server.serve(cli.parse_model_spec(sys.argv[1], data, "
+              "contextlib.ExitStack()))\n")
+
+
+@functools.cache
+def token_point() -> str:
+    """The token classifier's explained point, as --point text."""
+    data, model = bench.token_benchmark(0)
+    return ",".join(map(repr, data.features[bench.choose_explained_point(data, model)]
+                        .tolist()))
+
+
+# name -> (the command without its model, the model spec)
+TRANSPORT_COMMANDS = {
+    "mi": (["mi", "--dataset", "synth:preset=mi,seed=0", "--runs", "2"], "tree:5"),
+    "mi-four-features": (["mi", "--dataset", "synth:n=300,features=4"], "tree:3"),
+    "example-eval": (["example-eval", "--dataset", "synth:n=300,features=4,classes=3,seed=1",
+                      "--sweep", "2,4"], "tree:6"),
+    "attr-eval-tree": (["attr-eval", "--dataset", "synth:n=300,features=4,classes=3,seed=2",
+                        "--point", "0.3,-0.2,1.1,0.4", "--methods", "random",
+                        "--n-mc", "200"], "tree:4"),
+    "attr-eval-park": (["attr-eval", "--point", PARK_POINT, "--uniform", "0,1",
+                        "--methods", "saliency,inpxgrad,intgrad,random", "--n-mc", "100"],
+                       "park"),
+    "attr-eval-tokens": (["attr-eval", "--dataset", "tokens:seed=0", "--point", token_point,
+                          "--methods", "saliency,inpxgrad,intgrad", "--n-mc", "100"],
+                         "tokens:seed=0"),
+}
+
+
+class TestOneReportWhateverTheTransport:
+    """A command gives one ``metrics`` and ``seeds`` section whether its model
+    runs in process or in an ``exec:`` child that serves the same model
+    through ``model_server.serve``, in either form of the protocol; and the
+    driver sends rows in every request, never the one-row form."""
+
+    def test_every_form_is_a_path(self):
+        assert set(PATH_FLAGS) == set(protocol.FORMS) == {"batch", "binary"}
+
+    @pytest.mark.parametrize("path", sorted(PATH_FLAGS))
+    @pytest.mark.parametrize("name", sorted(TRANSPORT_COMMANDS))
+    def test_in_process_and_exec_reports_agree(self, name, path, monkeypatch, capsys):
+        argv, spec = TRANSPORT_COMMANDS[name]
+        argv = [arg() if callable(arg) else arg for arg in argv]
+        dataset = argv[argv.index("--dataset") + 1:][:1] if "--dataset" in argv else []
+        code, local = run_cli(argv + ["--model", spec], capsys)
+        assert code == EXIT_OK
+        with spied_requests(monkeypatch, path) as requests:
+            server = [sys.executable, "-c", SERVE_SPEC, spec] + dataset
+            code, remote = run_cli(argv + ["--model", exec_spec(server)], capsys)
+        assert code == EXIT_OK
+        for section in ("metrics", "seeds"):
+            assert json.loads(remote)[section] == json.loads(local)[section]
+        rows = {"batch": "X", "binary": "Xb"}[path]
+        assert {r["op"] for r in requests} <= {"info", "predict_batch", "gradient"}
+        assert all(set(r) - {"op", "target"} == {rows} for r in requests[1:])
+        gradients = sum(r["op"] == "gradient" for r in requests)
+        assert gradients == (3 if name in ("attr-eval-park", "attr-eval-tokens") else 0)
 
 
 class TestExternalModelAdapter:
     def test_info_round_trip_on_echo_fixture(self):
-        with ExternalModel(BUILTIN_SERVER + ["--model", "echo", "--arity", "7"]) as child:
+        with ExternalModel(echo_server(7)) as child:
             assert child.info == {"arity": 7, "output": "scalar", "gradient": False,
                                   "batch": True, "binary": True}
             handle = child.as_model_handle()
@@ -805,42 +875,6 @@ class TestExternalModelAdapter:
         local = compute_attribution("intgrad", model, x).values
         assert np.array_equal(remote.view(np.uint64), local.view(np.uint64))
 
-    def test_gradient_batch_changes_the_requests_not_the_report(self, monkeypatch, capsys):
-        # the token classifier served in a child that advertises gradient_batch,
-        # and in one that withholds it: one report, from 3 gradient requests (one
-        # per method) or 66 (one per gradient row), each naming the point's class
-        data, model = bench.token_benchmark(0)
-        x = data.features[bench.choose_explained_point(data, model)]
-        point = ",".join(map(repr, x.tolist()))
-        serve = ("import os\nfrom xmeter import bench, model_server\n"
-                 "answer = model_server._answer\n"
-                 "if os.environ.get('WITHHOLD_GRADIENT_BATCH'):\n"
-                 "    model_server._answer = lambda m, line: {\n"
-                 "        k: v for k, v in answer(m, line).items() if k != 'gradient_batch'}\n"
-                 "model_server.serve(bench.token_benchmark(0)[1])\n")
-        argv = ["attr-eval", "--dataset", "tokens:seed=0", "--point", point,
-                "--methods", "saliency,inpxgrad,intgrad", "--n-mc", "100"]
-        send = ExternalModel._request
-        reports, gradients = [], []
-        for withhold in ("", "1"):
-            requests = []
-            with monkeypatch.context() as patch:
-                patch.setenv("WITHHOLD_GRADIENT_BATCH", withhold)
-                patch.setattr(ExternalModel, "_request",
-                              lambda self, r: requests.append(r) or send(self, r))
-                code, out = run_cli(argv + ["--model", exec_spec([sys.executable, "-c", serve])],
-                                    capsys)
-            assert code == EXIT_OK
-            reports.append(out)
-            gradients.append([r for r in requests if r["op"] == "gradient"])
-        assert reports[0] == reports[1]
-        assert [len(g) for g in gradients] == [3, 1 + 1 + 64]
-        assert {"X", "Xb"} & set(gradients[0][2]) == {"Xb"}
-        target = int(model.predict_labels(x[None])[0])
-        assert {r["target"] for g in gradients for r in g} == {target}
-        _, in_process = run_cli(argv + ["--model", "tokens:seed=0"], capsys)
-        assert json.loads(in_process)["metrics"] == json.loads(reports[0])["metrics"]
-
     def test_garbage_child_raises_protocol_error(self):
         with pytest.raises(ModelProtocolError):
             ExternalModel([sys.executable, "-c", "print('garbage'); import time; time.sleep(5)"],
@@ -855,20 +889,21 @@ class TestExternalModelAdapter:
             ExternalModel([sys.executable, "-c", "import time; time.sleep(30)"], timeout=0.5)
 
     def test_unsupported_gradient_response(self):
-        with ExternalModel(BUILTIN_SERVER + ["--model", "echo", "--arity", "2"]) as child:
-            with pytest.raises(ModelProtocolError):
+        with ExternalModel(echo_server(2)) as child:
+            with pytest.raises(ModelProtocolError, match="unsupported"):
                 child.gradient([0.0, 0.0])
 
     def test_declared_gradient_refused_is_protocol_error(self, capsys):
-        server = scripted_server('{"arity": 3, "output": "scalar", "gradient": true}')
+        server = scripted_server('{"arity": 3, "output": "scalar", "gradient": true, '
+                                 '"batch": true}')
         code, _ = run_cli(["attr-eval", "--model", exec_spec(server),
                            "--point", "0.1,0.2,0.3", "--methods", "saliency",
                            "--uniform", "0,1", "--n-mc", "200"], capsys)
         assert code == EXIT_PROTOCOL
 
     def test_late_reply_is_not_paired_with_the_next_request(self):
-        server = scripted_server('{"arity": 1, "output": "scalar", "gradient": false}',
-                                 predict='{"y": [1.0]}', delay=1.0)
+        server = scripted_server('{"arity": 1, "output": "scalar", "gradient": false, '
+                                 '"batch": true}', predict='{"y": [1.0]}', delay=1.0)
         with ExternalModel(server, timeout=0.5) as child:
             with pytest.raises(ModelProtocolError):
                 child.predict([0.0])
@@ -909,19 +944,19 @@ class TestExternalModelAdapter:
     ], ids=["predict", "gradient", "probs-inf", "probs-nan"])
     def test_non_finite_output_is_numeric_failure(self, output, predict, gradient, capsys):
         # a non-finite probability is numeric too, not a row that fails to sum to 1
-        server = scripted_server(f'{{"arity": 3, "output": "{output}", "gradient": {gradient}}}',
-                                 predict=predict, gradient='{"g": [NaN, 0.0, 0.0]}')
+        server = scripted_server(f'{{"arity": 3, "output": "{output}", "gradient": {gradient}, '
+                                 '"batch": true}', predict=predict,
+                                 gradient='{"g": [NaN, 0.0, 0.0]}')
         code, out = run_cli(["attr-eval", "--model", exec_spec(server),
                              "--point", "0.1,0.2,0.3", "--methods", "saliency",
                              "--uniform", "0,1", "--n-mc", "200"], capsys)
         assert code == EXIT_NUMERIC
         assert "NaN" not in out
 
-    @pytest.mark.parametrize("batch", ["false", "true"], ids=["row", "batch"])
-    def test_non_finite_label_reply_is_numeric_failure(self, batch, capsys):
+    def test_non_finite_label_reply_is_numeric_failure(self, capsys):
         # as a label model's NaN is in process, not a malformed integer
         server = scripted_server('{"arity": 2, "output": "label", "gradient": false, '
-                                 f'"batch": {batch}}}', predict='{"y": [1]}\n{"y": [NaN]}')
+                                 '"batch": true}', predict='{"y": [1]}\n{"y": [NaN]}')
         code = main(["attr-eval", "--model", exec_spec(server), "--point", "0.1,0.2",
                      "--methods", "random", "--uniform", "0,1", "--n-mc", "100"])
         captured = capsys.readouterr()
@@ -929,15 +964,14 @@ class TestExternalModelAdapter:
         assert "non-finite output" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("batch", ["false", "true"], ids=["row", "batch"])
-    def test_whole_float_label_reply_is_its_class(self, batch, capsys):
+    def test_whole_float_label_reply_is_its_class(self, capsys):
         # as a label model's 1.0 is in process
         reports = []
         labels = [1, 0, 0, 2, 1, 1, 0]
         for whole in (int, float):
             replies = "\n".join(json.dumps({"y": [whole(y)]}) for y in labels)
             server = scripted_server('{"arity": 2, "output": "label", "gradient": false, '
-                                     f'"batch": {batch}}}', predict=replies)
+                                     '"batch": true}', predict=replies)
             code, out = run_cli(["attr-eval", "--model", exec_spec(server), "--point", "0.1,0.2",
                                  "--methods", "random", "--uniform", "0,1", "--n-mc", "100"],
                                 capsys)
@@ -946,40 +980,36 @@ class TestExternalModelAdapter:
         assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("output,predict,gradient,batch", [
-        ("scalar", '{"y": ["a"]}', "false", None),
-        ("scalar", '{"y": [null]}', "false", None),
-        ("scalar", '{"y": [true]}', "false", None),
-        ("scalar", '{"y": [0.5, 0.5]}', "false", None),
-        ("scalar", '{"y": [%s]}' % ("9" * 400), "false", None),
-        ("scalar", '{"y": [0.5]}', "true", None),
-        ("label", '{"y": [1.7]}', "false", None),
-        ("label", '{"y": [-1]}', "false", None),
-        ("label", '{"y": [1e19]}', "false", None),  # a whole float int64 cannot hold
-        ("label", '{"y": [%d]}' % 2 ** 63, "false", None),
-        ("probs", '{"y": [[0.5, 0.5]]}', "false", None),
-        ("probs", '{"y": [0.5, 0.5]}\n{"y": [0.2, 0.3, 0.5]}', "false", None),
-        ("probs", '{"y": [0.2, 0.2]}', "false", None),
-        ("probs", '{"y": [-0.5, 1.5]}', "false", None),
-        # (the handshake's batch flag, the fixture's BATCH argument)
-        ("scalar", '{"y": [0.5]}', "false", ("true", "short")),
-        ("scalar", '{"y": [0.5]}', "false", ("true", '{"y": {"0": [0.5]}}')),
-        ("scalar", '{"y": [0.5]}\n' * 4 + '{"y": ["a"]}', "false", ("true", "")),
-        ("label", '{"y": [1]}\n' * 4 + '{"y": [1.7]}', "false", ("true", "")),
-        ("probs", '{"y": [0.5, 0.5]}\n' * 4 + '{"y": [0.2, 0.2]}', "false", ("true", "")),
-        ("scalar", '{"y": [0.5]}', "false", ('"yes"', "")),
+        ("scalar", '{"y": ["a"]}', "false", ""),
+        ("scalar", '{"y": [null]}', "false", ""),
+        ("scalar", '{"y": [true]}', "false", ""),
+        ("scalar", '{"y": [0.5, 0.5]}', "false", ""),
+        ("scalar", '{"y": [%s]}' % ("9" * 400), "false", ""),
+        ("scalar", '{"y": [0.5]}', "true", ""),
+        ("label", '{"y": [1.7]}', "false", ""),
+        ("label", '{"y": [-1]}', "false", ""),
+        ("label", '{"y": [1e19]}', "false", ""),  # a whole float int64 cannot hold
+        ("label", '{"y": [%d]}' % 2 ** 63, "false", ""),
+        ("probs", '{"y": [[0.5, 0.5]]}', "false", ""),
+        ("probs", '{"y": [0.5, 0.5]}\n{"y": [0.2, 0.3, 0.5]}', "false", ""),
+        ("probs", '{"y": [0.2, 0.2]}', "false", ""),
+        ("probs", '{"y": [-0.5, 1.5]}', "false", ""),
+        # the fixture's BATCH argument
+        ("scalar", '{"y": [0.5]}', "false", "short"),
+        ("scalar", '{"y": [0.5]}', "false", '{"y": {"0": [0.5]}}'),
+        ("scalar", '{"y": [0.5]}\n' * 4 + '{"y": ["a"]}', "false", ""),
+        ("label", '{"y": [1]}\n' * 4 + '{"y": [1.7]}', "false", ""),
+        ("probs", '{"y": [0.5, 0.5]}\n' * 4 + '{"y": [0.2, 0.2]}', "false", ""),
     ], ids=["string", "null", "bool", "two-scalars", "huge-integer", "gradient-string",
             "label-fraction", "label-negative", "label-whole-float", "label-beyond-int64",
             "probs-nested", "probs-ragged",
             "probs-sum", "probs-negative", "batch-row-missing", "batch-not-a-list",
-            "batch-later-string", "batch-later-label-fraction", "batch-later-probs-sum",
-            "batch-flag-string"])
+            "batch-later-string", "batch-later-label-fraction", "batch-later-probs-sum"])
     def test_reply_of_the_wrong_type_is_protocol_error(self, output, predict, gradient,
                                                        batch, capsys):
-        flag, batch_reply = batch or (None, "")
         server = scripted_server(
-            f'{{"arity": 2, "output": "{output}", "gradient": {gradient}'
-            + (f', "batch": {flag}}}' if flag else "}"),
-            predict=predict, gradient='{"g": ["a", 1]}', batch=batch_reply)
+            f'{{"arity": 2, "output": "{output}", "gradient": {gradient}, "batch": true}}',
+            predict=predict, gradient='{"g": ["a", 1]}', batch=batch)
         code = main(["attr-eval", "--model", exec_spec(server), "--point", "0.1,0.2",
                      "--methods", "saliency" if gradient == "true" else "random",
                      "--uniform", "0,1", "--n-mc", "100"])
@@ -1060,15 +1090,8 @@ class TestExternalModelAdapter:
         ('{"arity": 2, "output": "scalar", "gradient": false, "binary": true}', "0.1,0.2"),
         ('{"arity": 2, "output": "scalar", "gradient": false, "batch": false, '
          '"binary": true}', "0.1,0.2"),
-        ('{"arity": 2, "output": "scalar", "gradient": true, "batch": true, '
-         '"gradient_batch": "yes"}', "0.1,0.2"),
-        ('{"arity": 2, "output": "scalar", "gradient": true, "batch": true, '
-         '"gradient_batch": null}', "0.1,0.2"),
-        ('{"arity": 2, "output": "scalar", "gradient": false, "batch": true, '
-         '"gradient_batch": true}', "0.1,0.2"),
     ], ids=["arity-bool", "binary-string", "binary-int", "binary-without-batch",
-            "binary-with-batch-false", "gradient-batch-string", "gradient-batch-null",
-            "gradient-batch-without-gradient"])
+            "binary-with-batch-false"])
     def test_bad_handshake_is_protocol_error(self, info, point, capsys):
         code = main(["attr-eval", "--model", exec_spec(scripted_server(info)),
                      "--point", point, "--methods", "random", "--uniform", "0,1"])
@@ -1157,10 +1180,21 @@ class TestExternalModelAdapter:
         assert "Traceback" not in err.getvalue()
         assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
 
-    def test_child_without_batch_gets_one_row_per_request(self):
-        with ExternalModel(PARK_SERVER) as child:
-            with pytest.raises(ContractViolation):
-                child.predict(np.zeros((2, 6)))
+    @pytest.mark.parametrize("batch", [None, "false", '"yes"', "1"],
+                             ids=["absent", "false", "string", "int"])
+    def test_child_without_batch_fails_the_handshake(self, batch, capsys):
+        # a child that takes one row per request: exit 3, naming the flag and
+        # README's migration note
+        info = ('{"arity": 2, "output": "scalar", "gradient": false'
+                + (f', "batch": {batch}}}' if batch else "}"))
+        code = main(["attr-eval", "--model", exec_spec(scripted_server(info)),
+                     "--point", "0.1,0.2", "--methods", "random", "--uniform", "0,1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_PROTOCOL
+        assert 'handshake lacks "batch": true' in captured.err
+        assert "migrate (README, External model protocol)" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_each_chunk_of_a_batch_has_its_own_timeout(self):
         # one full chunk answers in a quarter of the timeout, a batch of five
@@ -1183,9 +1217,8 @@ class TestExternalModelAdapter:
         estimate = attr_metrics.restriction_loss_vector
         monkeypatch.setattr(attr_metrics, "restriction_loss_vector",
                             lambda *a: passes.append(1) or estimate(*a))
-        out, per_row = park_run_requests(monkeypatch, capsys, "per-row")
-        _, batched = park_run_requests(monkeypatch, capsys, "binary")
-        assert len(passes) == 2  # one per run
+        out, batched = park_run_requests(monkeypatch, capsys, "binary")
+        assert len(passes) == 1
         metrics = json.loads(out)["metrics"]
         park = xmeter.park.park_model()
         point = np.array(PARK_POINT.split(","), dtype=float)
@@ -1199,29 +1232,16 @@ class TestExternalModelAdapter:
             searched += len(prefixes)
             distinct.update(prefixes)
         assert len(distinct) < searched  # the methods share some prefixes here
-        assert per_row["predict"] == 1 + 6 * 100 + len(distinct) * 100
-        # one request for f(x*), per restriction batch and per distinct prefix
-        assert batched["predict_batch"] == 1 + 6 + len(distinct)
-        assert "predict_batch" not in per_row and "predict" not in batched
-        # saliency, inpxgrad and intgrad: one request per gradient row, or one
-        # per method to a child that takes gradients in batches
-        assert per_row["gradient"] == 1 + 1 + 64
-        assert batched["gradient"] == 3
+        # one request for f(x*), per restriction batch and per distinct prefix,
+        # and one gradient request per method: saliency, inpxgrad and intgrad
+        assert batched == {"info": 1, "predict_batch": 1 + 6 + len(distinct), "gradient": 3}
 
-    def test_batch_and_per_row_paths_give_the_same_report(self, monkeypatch, capsys):
-        # per-row JSON, batch JSON and batch binary requests, and binary rows with
-        # one gradient request per row: one report, and the two batch paths send
-        # the same requests
-        per_row, _ = park_run_requests(monkeypatch, capsys, "per-row")
+    def test_batch_and_binary_paths_give_the_same_report(self, monkeypatch, capsys):
+        # JSON and binary rows: one report, from the same requests
         batched, json_requests = park_run_requests(monkeypatch, capsys, "batch")
         binary, binary_requests = park_run_requests(monkeypatch, capsys, "binary")
-        row_gradients, row_gradient_requests = park_run_requests(monkeypatch, capsys,
-                                                                 "binary-row-gradients")
-        assert batched == per_row
-        assert binary == per_row
-        assert row_gradients == per_row
+        assert binary == batched
         assert binary_requests == json_requests
-        assert row_gradient_requests == {**binary_requests, "gradient": 1 + 1 + 64}
 
     def test_concurrent_predicts_are_serialized(self):
         with ExternalModel(PARK_SERVER) as child:
@@ -1269,21 +1289,21 @@ class TestExternalModelAdapter:
 
     def test_reply_line_longer_than_the_cap_is_a_protocol_error(self, monkeypatch, capsys):
         monkeypatch.setattr("xmeter.cli.LINE_CAP", 200)
-        info = '{"arity": 2, "output": "scalar", "gradient": false}'
+        info = '{"arity": 2, "output": "scalar", "gradient": false, "batch": true}'
 
-        def reply(length):  # a predict reply of ``length`` characters, newline included
-            return '{"y": [0.5]' + " " * (length - 13) + "}"
+        def reply(length):  # a one-row reply of ``length`` characters, newline included
+            return '{"y": [[0.5]]' + " " * (length - 15) + "}"
 
-        with ExternalModel(scripted_server(info, predict=reply(200))) as child:
+        with ExternalModel(scripted_server(info, batch=reply(200))) as child:
             assert child.predict([0.1, 0.2]).tolist() == [0.5]
-        code = main(["attr-eval", "--model", exec_spec(scripted_server(info, predict=reply(201))),
+        code = main(["attr-eval", "--model", exec_spec(scripted_server(info, batch=reply(201))),
                      "--point", "0.1,0.2", "--methods", "random", "--uniform", "0,1"])
         assert code == EXIT_PROTOCOL
         assert "response line longer than LINE_CAP = 200 characters" in capsys.readouterr().err
 
     def test_stderr_lines_are_cut_at_the_cap(self, monkeypatch):
         monkeypatch.setattr("xmeter.cli.LINE_CAP", 100)
-        info = '{"arity": 1, "output": "scalar", "gradient": false}'
+        info = '{"arity": 1, "output": "scalar", "gradient": false, "batch": true}'
         child = ExternalModel([sys.executable, "-c", "import sys; "
                                "sys.stderr.write('x' * 250 + '\\nend\\n'); "
                                f"print({info!r}, flush=True)"])
@@ -1291,7 +1311,7 @@ class TestExternalModelAdapter:
         assert child._stderr == ["x" * 100, "end"]
 
     def test_child_ignoring_end_of_input_is_killed_at_the_stop_limit(self):
-        info = '{"arity": 1, "output": "scalar", "gradient": false}'
+        info = '{"arity": 1, "output": "scalar", "gradient": false, "batch": true}'
         child = ExternalModel([sys.executable, "-c", f"import sys, time; print({info!r}, "
                                "flush=True); sys.stdin.read(); time.sleep(30)"])
         start = time.perf_counter()
@@ -1309,15 +1329,15 @@ class TestExternalModelAdapter:
         # children that decline gradients are driven by central differences
         from xmeter.core import gradient
 
-        with ExternalModel(BUILTIN_SERVER + ["--model", "echo", "--arity", "3"]) as child:
+        with ExternalModel(echo_server(3)) as child:
             handle = child.as_model_handle()
             g = gradient(handle, [0.4, 0.1, 0.9])
             assert g == pytest.approx([1.0, 0.0, 0.0], abs=1e-6)
 
     def test_cli_exit_code_for_undefined_correlation(self, capsys):
         # a constant model: every restriction loss is zero
-        server = scripted_server('{"arity": 3, "output": "scalar", "gradient": false}',
-                                 predict='{"y": [2.5]}')
+        server = scripted_server('{"arity": 3, "output": "scalar", "gradient": false, '
+                                 '"batch": true}', predict='{"y": [2.5]}')
         code, _ = run_cli(["attr-eval", "--model", exec_spec(server),
                            "--point", "0.1,0.2,0.3", "--methods", "random",
                            "--uniform", "0,1", "--n-mc", "200"], capsys)
@@ -1340,56 +1360,57 @@ class TestModelServer:
     def test_gradient_requests_name_a_target_only_for_a_class(self, monkeypatch):
         sent = []
         monkeypatch.setattr(ExternalModel, "_request", lambda self, r: sent.append(r)
-                            or {"g": [0.0] * 6})
+                            or {"g": [[0.0] * 6]})
         child = object.__new__(ExternalModel)
-        child.info, child.gradient_form = {"arity": 6}, "row"
+        child.info, child.form = {"arity": 6}, "batch"
         child.gradient(np.zeros(6))
         child.gradient(np.zeros(6), np.int64(1))
         assert [json.dumps(r) for r in sent] == [
-            '{"op": "gradient", "x": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}',
-            '{"op": "gradient", "x": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0], "target": 1}']
+            '{"op": "gradient", "X": [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0]]}',
+            '{"op": "gradient", "X": [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0]], "target": 1}']
 
     def test_server_differentiates_the_requested_class(self):
         model = bench.softmax_model(np.array([[1.0, -2.0], [0.5, 0.0], [-1.0, 3.0]]),
                                     np.zeros(3))
-        x = [0.3, -0.2]
-        replies = served(model, [{"op": "gradient", "x": x, "target": t} for t in range(3)]
-                         + [{"op": "gradient", "x": x}]
-                         + [{"op": "gradient", "x": x, "target": bad}
+        X = [[0.3, -0.2]]
+        replies = served(model, [{"op": "gradient", "X": X, "target": t} for t in range(3)]
+                         + [{"op": "gradient", "X": X}]
+                         + [{"op": "gradient", "X": X, "target": bad}
                             for bad in (-1, 1.0, True, "1", None)])
         for t in range(3):
-            assert replies[t] == {"g": model.gradient_fn(np.array([x]), t)[0].tolist()}
-        assert replies[3] == {"g": model.gradient_fn(np.array([x]), None)[0].tolist()}
+            assert replies[t] == {"g": model.gradient_fn(np.array(X), t).tolist()}
+        assert replies[3] == {"g": model.gradient_fn(np.array(X), None).tolist()}
         assert all(set(reply) == {"error"} for reply in replies[4:8])
         assert replies[8] == replies[3]  # a null target is no target
 
-    def test_server_answers_every_request_before_it_exits(self):
-        # three requests and the end of input arrive in one write; the server
+    def test_server_answers_every_request_before_it_exits(self, park):
+        # four requests and the end of input arrive in one write; the server
         # skips interpreter teardown, so its output must be flushed before
-        # (a buffered stdout, as without PYTHONUNBUFFERED)
-        requests = ['{"op": "info"}', '{"op": "predict", "x": [0.5, 0.5]}',
-                    '{"op": "predict_batch", "X": [[0.25, 0], [0.75, 0]]}']
+        # (a buffered stdout, as without PYTHONUNBUFFERED). A one-row request
+        # of the form that is gone gets an error reply, and the server keeps
+        # serving.
+        X = [[0.5] * 6, [0.25] * 6]
+        requests = ['{"op": "info"}', '{"op": "predict", "x": [0.5, 0.5, 0.5, 0.5, 0.5, 0.5]}',
+                    '{"op": "gradient", "x": [0.5, 0.5, 0.5, 0.5, 0.5, 0.5]}',
+                    json.dumps({"op": "predict_batch", "X": X})]
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        result = subprocess.run(BUILTIN_SERVER + ["--model", "echo", "--arity", "2"],
+        result = subprocess.run(BUILTIN_SERVER + ["--model", "park"],
                                 input="\n".join(requests) + "\n", capture_output=True,
                                 text=True, timeout=30, env=env)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == [
-            '{"arity": 2, "output": "scalar", "gradient": false, "batch": true, '
-            '"binary": true}',
-            '{"y": [0.5]}', '{"y": [[0.25], [0.75]]}']
+        replies = [json.loads(line) for line in result.stdout.splitlines()]
+        assert replies[0] == {"arity": 6, "output": "scalar", "gradient": True, "batch": True,
+                              "binary": True}
+        assert [set(reply) for reply in replies[1:3]] == [{"error"}, {"error"}]
+        assert replies[3] == {"y": park.predict_batch(np.array(X))[:, None].tolist()}
 
     def test_server_answers_binary_rows_in_binary(self):
-        rows = '{"op": "predict_batch", "Xb": "%s"}' % packed("d", [0.25, 0.0, 0.75, -0.0])
-        bad = ['{"op": "predict_batch", "Xb": "%s"}' % packed("d", [0.25]),
-               '{"op": "predict_batch", "Xb": "AAA"}', '{"op": "predict_batch", "Xb": 5}']
-        result = subprocess.run(BUILTIN_SERVER + ["--model", "echo", "--arity", "2"],
-                                input="\n".join([rows] + bad) + "\n", capture_output=True,
-                                text=True, timeout=30)
-        assert result.returncode == 0, result.stderr
-        replies = [json.loads(line) for line in result.stdout.splitlines()]
-        assert replies[0] == {"yb": packed("d", [0.25, 0.75])}
-        assert all(set(reply) == {"error"} for reply in replies[1:])  # and it kept serving
+        rows = {"op": "predict_batch", "Xb": packed("d", [0.25, 0.0, 0.75, -0.0])}
+        bad = [{"op": "predict_batch", "Xb": packed("d", [0.25])},
+               {"op": "predict_batch", "Xb": "AAA"}, {"op": "predict_batch", "Xb": 5}]
+        replies = served(ECHO, [rows] + bad + [rows])
+        assert replies[0] == replies[-1] == {"yb": packed("d", [0.25, 0.75])}
+        assert all(set(reply) == {"error"} for reply in replies[1:-1])  # and it kept serving
 
     @pytest.mark.parametrize("kind,Y", [
         ("scalar", np.linspace(-3.0, 7.0, 300) ** 3 / 7),
@@ -1408,13 +1429,11 @@ class TestModelServer:
         stdout = io.StringIO()
         model_server.serve(model, io.StringIO(
             json.dumps({"op": "predict_batch", "X": X}) + "\n"
-            + json.dumps({"op": "predict", "x": [0.0]}) + "\n"
             + json.dumps({"op": "predict_batch", "Xb": packed("d", [0.0] * len(Y))}) + "\n"),
             stdout)
         # the binary reply holds the JSON reply's values, flattened row-major
         values = [v for y in Y for v in row_payload(y)]
         assert stdout.getvalue() == (json.dumps({"y": [row_payload(y) for y in Y]}) + "\n"
-                                     + json.dumps({"y": row_payload(Y[0])}) + "\n"
                                      + json.dumps({"yb": packed("q" if kind == "label" else "d",
                                                                 values)}) + "\n")
 
@@ -1433,6 +1452,8 @@ def softmax_rows(X):
     return e / e.sum(axis=1, keepdims=True)
 
 
+# the scalar model of arity 2 that returns its first coordinate, as fixtures/echo_server.py
+ECHO = ModelHandle(2, "scalar", lambda X: X[:, 0], name="echo")
 # in-process models of each output kind, arity 2
 KIND_MODELS = {
     "scalar": ModelHandle(2, "scalar", lambda X: X[:, 0] * np.exp(X[:, 1]) / 3),
@@ -1452,7 +1473,7 @@ class TestProtocolSides:
     @pytest.mark.parametrize("form", list(protocol.FORMS))
     def test_driver_reads_the_in_process_predictions(self, form, kind):
         model = KIND_MODELS[kind]
-        X = SIDE_ROWS[:1] if form == "row" else SIDE_ROWS
+        X = SIDE_ROWS
         (reply,) = served(model, [protocol.request(form, X)])
         Y = protocol.read_reply(form, reply, kind, len(X))
         expected = model.predict_batch(X)
@@ -1465,7 +1486,7 @@ class TestProtocolSides:
         model, target = (park, None) if model == "park" else (
             bench.softmax_model(np.array([[1.0, -2.0, 0.5], [0.5, 0.0, 0.1], [-1.0, 3.0, 2.0]]),
                                 np.zeros(3)), 2)
-        X = np.random.default_rng(5).uniform(0.05, 0.95, (1 if form == "row" else 40, 3))
+        X = np.random.default_rng(5).uniform(0.05, 0.95, (40, 3))
         X = np.hstack([X, X])[:, :model.arity]
         request = protocol.request(form, X, protocol.GRADIENT, target)
         assert request["op"] == "gradient" and request.get("target") == target
@@ -1476,28 +1497,31 @@ class TestProtocolSides:
                                         for x in X]).tobytes()
 
     @pytest.mark.parametrize("request_", [
-        {"op": "predict", "x": [True, False]},
+        {"op": "predict_batch", "X": [[True, False]]},
         {"op": "predict_batch", "X": [[True, 0.5]]},
         {"op": "predict_batch", "X": [["0.5", "1"]]},
-        {"op": "predict", "x": ["0.5", 1]},
-        {"op": "predict", "x": [[0.5, 0.5]]},
+        {"op": "predict_batch", "X": [[0.5, 0.5], ["0.5", 1]]},
+        {"op": "predict_batch", "X": [[0.5, [0.5, 0.5]]]},
         {"op": "predict_batch", "X": [[[0.5, 0.5]]]},
         {"op": "predict_batch", "X": [[0.5, 0.5], [0.5]]},
-        {"op": "predict", "x": [0.5, 0.5, 0.5]},
-        {"op": "predict", "x": []},
+        {"op": "predict_batch", "X": [[0.5, 0.5, 0.5]]},
+        {"op": "predict_batch", "X": [[]]},
         {"op": "predict_batch", "X": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]},
         {"op": "predict_batch", "X": [[0.5, 0.5, 0.5, 0.5]]},
         {"op": "predict_batch", "X": {"0": [0.5, 0.5]}},
         {"op": "predict_batch", "X": [[10 ** 400, 0.5]]},
         {"op": "predict_batch"},
+        {"op": "predict", "x": [0.5, 0.5]},
     ], ids=["row-bools", "batch-bool", "batch-strings", "row-string", "row-nested",
             "batch-nested", "batch-ragged", "row-arity", "row-empty", "batch-arity",
-            "batch-width-of-two-rows", "batch-object", "batch-huge-integer", "batch-no-rows"])
+            "batch-width-of-two-rows", "batch-object", "batch-huge-integer", "batch-no-rows",
+            "one-row-form"])
     def test_server_refuses_rows_the_number_rule_refuses(self, request_):
         # and keeps serving
-        replies = served(KIND_MODELS["scalar"], [request_, {"op": "predict", "x": [0.75, 0.0]}])
+        replies = served(KIND_MODELS["scalar"],
+                         [request_, {"op": "predict_batch", "X": [[0.75, 0.0]]}])
         assert set(replies[0]) == {"error"}
-        assert replies[1] == {"y": [0.25]}
+        assert replies[1] == {"y": [[0.25]]}
 
     def test_empty_rows_get_the_same_answer_in_both_batch_forms(self):
         replies = served(KIND_MODELS["probs"], [{"op": "predict_batch", "X": []},
@@ -1511,11 +1535,11 @@ class TestProtocolSides:
     def test_server_gradient_checks_its_point_and_output(self, x, park):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            replies = served(park, [{"op": "gradient", "x": x},
-                                    {"op": "gradient", "x": list(xmeter.park.PARK_POINT)}])
+            replies = served(park, [{"op": "gradient", "X": [x]},
+                                    {"op": "gradient", "X": [list(xmeter.park.PARK_POINT)]}])
         assert [w.category for w in caught] == []
         assert set(replies[0]) == {"error"}
-        assert replies[1] == {"g": xmeter.park.park_gradient(xmeter.park.PARK_POINT).tolist()}
+        assert replies[1] == {"g": [xmeter.park.park_gradient(xmeter.park.PARK_POINT).tolist()]}
 
 
 

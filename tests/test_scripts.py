@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
+from numpy._core import _multiarray_umath
 
 from xmeter.cli import main
 
@@ -87,6 +90,79 @@ def test_first_recorded_benchmark_input_reproduces_its_report(kind, monkeypatch,
         assert main(argv) == 0, argv
         assert workloads.report_digest(capsys.readouterr().out, python) == \
             refs["reports"][kind][workloads.command_key(argv, python)], argv
+
+
+# numpy's AVX-512 dispatch targets that are active on this CPU; their float64
+# np.exp differs from the AVX2 and baseline kernels in the last bit
+AVX512_TARGETS = [target for target in _multiarray_umath.__cpu_dispatch__
+                  if (target.startswith("AVX512") or target == "X86_V4")
+                  and _multiarray_umath.__cpu_features__.get(target)]
+# name -> (kind, input seed) of recorded benchmark commands; attr-eval runs park
+# in process at the point the benchmark builds for the seed
+DISPATCH_COMMANDS = {"mi-0": ("mi", 0), "mi-1": ("mi", 1),
+                     "example-eval-0": ("example-eval", 0), "example-eval-1": ("example-eval", 1),
+                     "attr-eval-0": ("attr-eval", 0), "attr-eval-3": ("attr-eval", 3),
+                     "attr-eval-20": ("attr-eval", 20)}
+# np.exp(x0 + x1) in park moves one e_vector entry by an ulp at these seeds
+EXP_ULP_SEEDS = {"attr-eval-3", "attr-eval-20"}
+# every DISPATCH_COMMANDS report, built in one child process
+DISPATCH_CHILD = """
+import contextlib, io, json, sys
+from xmeter.cli import main
+reports = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    reports[name] = out.getvalue() if code == 0 else f"exit {code}"
+print(json.dumps(reports))
+"""
+
+
+def dispatch_argv(name: str) -> list:
+    kind, seed = DISPATCH_COMMANDS[name]
+    argv = load_perfbench("workloads").command(kind, seed, sys.executable)
+    if kind == "attr-eval":
+        argv[argv.index("--model") + 1] = "park"
+    return argv
+
+
+@pytest.fixture(scope="module")
+def reports_without_avx512():
+    """The DISPATCH_COMMANDS reports of a child whose numpy runs without the
+    AVX-512 dispatch targets. On a CPU without them the child runs numpy's
+    default dispatch, so the comparison is of like with like."""
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    argvs = json.dumps({name: dispatch_argv(name) for name in DISPATCH_COMMANDS})
+    result = subprocess.run([sys.executable, "-c", DISPATCH_CHILD, argvs], env=env, cwd=ROOT,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(
+        name in EXP_ULP_SEEDS and bool(AVX512_TARGETS), strict=True,
+        reason="ROADMAP item 17: park's np.exp differs by an ulp without AVX-512"))
+    for name in DISPATCH_COMMANDS])
+def test_reports_keep_their_bytes_without_avx512(name, reports_without_avx512, capsys):
+    assert main(dispatch_argv(name)) == 0
+    assert reports_without_avx512[name] == capsys.readouterr().out
+
+
+def test_check_references_names_the_numpy_build_it_ran_on():
+    # a digest that differs on another CPU is read beside numpy's versions
+    # and its active dispatch targets
+    result = run_python([str(ROOT / "scripts" / "check_references.py"), "example-eval"])
+    assert result.returncode == 0, result.stdout + result.stderr
+    active = [target for target in _multiarray_umath.__cpu_dispatch__
+              if _multiarray_umath.__cpu_features__.get(target)]
+    assert result.stderr.splitlines()[0] == (
+        f"numpy {np.__version__}, scipy {scipy.__version__}, "
+        f"numpy dispatch targets active: {' '.join(active) or 'none'}")
+    commands = len(load_perfbench("workloads").recorded()["seeds"]["example-eval"])
+    assert result.stderr.splitlines()[1].startswith(f"example-eval: {commands} commands checked")
 
 
 @pytest.mark.parametrize("module", ["xmeter.model_server", "xmeter.cli"])
