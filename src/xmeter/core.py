@@ -198,7 +198,8 @@ def gradient(model: ModelHandle, x, target: int | None = None) -> np.ndarray:
             raise ContractViolation("gradients at many rows of a probs model need a target")
         target = explained_class(model, X[0])
     if model.gradient_capability == "exact":
-        G = model.gradient_fn(X, target)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
+            G = model.gradient_fn(X, target)
     else:
         G = _finite_differences(model, X, target)
     G = model.checked_gradients(G, len(X))

@@ -115,7 +115,8 @@ class ModelHandle:
 
     def predict_batch(self, X) -> np.ndarray:
         X = self._check_rows(X)
-        out = np.asarray(self.predict_fn(X))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
+            out = np.asarray(self.predict_fn(X))
         # n predictions of the kind's shape; n > 0 probability rows have classes
         if out.ndim != (2 if self.output_kind == "probs" else 1) or len(out) != len(X) \
                 or out.size == 0 < len(X):

@@ -141,25 +141,6 @@ def _jitter(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return a.astype(float) + JITTER_SCALE * rng.random(a.shape)
 
 
-def _kth_distance(points: np.ndarray, k: int) -> np.ndarray:
-    """For each row, the k-th smallest Chebyshev distance to the rows of
-    ``points``, counting from 0, so the row itself is the 0-th.
-
-    Exact: ``cdist`` writes each block of about ``BLOCK`` entries, each
-    ``max |x_i - y_i|`` in doubles, into one reused buffer, partitioned in
-    place. A plain scan rather than a k-d tree, because in the 10 dimensions
-    the extractors see a tree prunes almost nothing.
-    """
-    n = len(points)
-    step = max(1, BLOCK // n)
-    buf, out = np.empty((min(step, n), n)), np.empty(n)
-    for lo in range(0, n, step):
-        d = cdist(points[lo:lo + step], points, "chebyshev", out=buf[:min(step, n - lo)])
-        d.partition(k, axis=1)
-        out[lo:lo + step] = d[:, k]
-    return out
-
-
 def _intern(sets: list, points: np.ndarray) -> int:
     """The index of ``points`` in ``sets``, appended unless an equal set is
     there. Each estimate jitters its own copy of its columns, so sets are
@@ -222,35 +203,51 @@ class _View:
         return (_row_counts(below)
                 + np.bincount(r[self.entries(r, c) < eps[r, 0]], minlength=len(eps)))
 
-    def in_class(self, k):
+    def in_class(self, k, codes=None):
         """Each row's k-th and (k + 1)-th smallest distance to its class's rows,
-        counting from 0, from one partition of its class's columns at k + 1;
-        NaN where the class has under k + 2 rows. None for a twin or no classes."""
-        if k not in self.part and self.classes is not None and self.delta is None:
-            codes, order, starts, sizes = self.classes
-            lo, hi = self.rows.start, self.rows.stop
-            self.part[k] = kth = np.full((hi - lo, 2), np.nan)
-            for code in range(codes[order[lo]], codes[order[hi - 1]] + 1):
-                c0, m = starts[code], sizes[code]
-                if m >= k + 2:
-                    r0, r1 = max(c0, lo) - lo, min(c0 + m, hi) - lo
-                    w = self.work[:r1 - r0, :m]
-                    np.copyto(w, self.d[r0:r1, c0:c0 + m])
-                    w.partition(k + 1, axis=1)
-                    kth[r0:r1, 0], kth[r0:r1, 1] = w[:, :k + 1].max(axis=1), w[:, k + 1]
-        return self.part.get(k)
+        counting from 0, from one partition at k + 1; in a class of m <= k + 1
+        rows its largest and inf (inf twice if m = 1). The classes are the
+        sweep's, read contiguously, or those of ``codes`` (one per row of the
+        set in its own order), gathered; a twin reads its ``exact()`` distances."""
+        own = self.classes is not None and (codes is None
+                                            or np.array_equal(codes, self.classes[0]))
+        key = k if own else (k, id(codes))
+        if key not in self.part:
+            d = self.exact()
+            self.part[key] = kth = np.full((len(d), 2), np.inf)
+            if own:  # a class's rows in the block, and its columns, are contiguous
+                codes, order, starts, sizes = self.classes
+                lo, hi = self.rows.start, self.rows.stop
+                span = slice(codes[order[lo]], codes[order[hi - 1]] + 1)
+                groups = ((slice(max(c0, lo) - lo, min(c0 + m, hi) - lo), slice(c0, c0 + m))
+                          for c0, m in zip(starts[span], sizes[span]))
+            else:  # the codes of the view's columns, then of its rows
+                codes = codes if self.classes is None else codes[self.classes[1]]
+                mine = codes[self.rows]
+                groups = ((np.flatnonzero(mine == code), np.flatnonzero(codes == code))
+                          for code in np.unique(mine))
+            for r, c in groups:
+                block = d[r, c] if own else d[np.ix_(r, c)]
+                if block.shape[1] > 1:
+                    w = self.work[:len(block), :block.shape[1]]
+                    np.copyto(w, block)
+                    if w.shape[1] > k + 1:
+                        w.partition(k + 1, axis=1)
+                        kth[r, 1] = w[:, k + 1]
+                    kth[r, 0] = w[:, :k + 1].max(axis=1)
+        return self.part[key]
 
     def nearest(self, k):
         """Each row's (k + 1)-th smallest distance (a column) and the columns of
         its k + 1 smallest, for every KSG reading the block as side a; None on
         ties. A row's k + 2 smallest lie at or below its (k + 1)-th distance in
-        its class (``in_class``): one compare pass finds them, or else a copy of
-        the block is partitioned."""
+        its class (``in_class``; inf in a class under k + 2 rows): one compare
+        pass finds them, or without classes a copy of the block is partitioned."""
         if k not in self.near and self.delta is None:
-            n, bound = len(self.points), self.in_class(k)
-            if bound is not None and not np.isnan(bound).any():
+            n = len(self.points)
+            if self.classes is not None:
                 r, c = np.divmod(np.flatnonzero(
-                    np.less_equal(self.d, bound[:, 1:], out=self.masks[0])), n)
+                    np.less_equal(self.d, self.in_class(k)[:, 1:], out=self.masks[0])), n)
                 values, sizes = self.d[r, c], np.bincount(r, minlength=len(self.d))
                 top = np.full((len(self.d), sizes.max()), np.inf)
                 top[r, np.arange(len(r)) - (np.cumsum(sizes) - sizes)[r]] = values
@@ -407,9 +404,8 @@ class _Mixed(_RadiusCount):
     For each point, the k-th neighbor distance among same-value points defines
     a radius; counting neighbors within it in the full sample yields the
     digamma correction terms. Values occurring once carry no neighborhood
-    information and are dropped. With none dropped, a value of k + 2 or more
-    rows takes its radii, the k-th of the same distances, from a sweep in the
-    order of ``codes`` (``_View.in_class``); the others use ``_kth_distance``.
+    information and are dropped. The radii come from the sweep's partition of
+    each row's class (``_View.in_class``) under the kept rows' ``codes``.
     """
 
     estimator = "mixed-discrete"
@@ -417,39 +413,17 @@ class _Mixed(_RadiusCount):
     def __init__(self, sets: list, cont: np.ndarray, codes: np.ndarray, k: int,
                  rng: np.random.Generator):
         c = _jitter(cont, rng)
-        sizes = np.bincount(codes)
-        counts = sizes[codes]
+        counts = np.bincount(codes)[codes]
         keep = counts > 1
         if keep.sum() < 2:
             raise ContractViolation("mixed estimator needs repeated discrete values")
         self.k, self.n, self.n_used = k, len(c), int(keep.sum())
-        self.codes, self.sizes, self.waiting = codes, sizes, bool(keep.all())
-        eps = np.zeros(len(c))
-        self._radii(eps, (sizes > 1) & ((sizes < k + 2) | (not self.waiting)), c)
-        super().__init__(sets, c[keep], eps[keep])
+        self.codes = codes[keep]
+        super().__init__(sets, c[keep], np.empty(self.n_used))
         self.k_eff, self.value_counts = np.minimum(k, counts[keep] - 1), counts[keep]
 
-    def _radii(self, eps: np.ndarray, values: np.ndarray, points: np.ndarray) -> None:
-        """``_kth_distance``'s radii of ``points`` for the rows of the codes set
-        in ``values``."""
-        # one stable sort groups the rows of each value in their original order
-        order = np.argsort(self.codes, kind="stable")
-        starts = np.cumsum(self.sizes) - self.sizes
-        for code in np.flatnonzero(values):
-            m = int(self.sizes[code])
-            rows = order[starts[code]:starts[code] + m]
-            eps[rows] = _kth_distance(points[rows], min(self.k, m - 1))
-
     def take(self, rows: np.ndarray, v: _View) -> None:
-        kth = v.in_class(self.k) if self.waiting and v.classes is not None and \
-            np.array_equal(v.classes[0], self.codes) else None
-        if kth is not None:
-            own = ~np.isnan(kth[:, 0])
-            self.eps[rows[own]] = kth[own, 0]
-        elif self.waiting:  # a twin's view, or another order: the set in its own order
-            self._radii(self.eps, self.sizes >= self.k + 2,
-                        v.points if v.classes is None else v.points[np.argsort(v.classes[1])])
-            self.waiting = False
+        self.eps[rows] = v.in_class(self.k, self.codes)[:, 0]
         super().take(rows, v)
 
     def raw(self) -> float:
@@ -518,6 +492,12 @@ def _prepare(sets: list, a, b, k: int, seed: int, a_discrete: bool | None,
 
 def _result(est) -> MIEstimate:
     raw = est.raw()
+    if not np.isfinite(raw):  # a radius of 0 counts no row, not even its own: digamma(0)
+        tied = np.flatnonzero((est.within if isinstance(est, _Mixed) else est.nx + 1) == 0)
+        raise FloatingPointError(
+            f"the {est.estimator} estimate over {est.n_used} rows is not finite: {len(tied)} "
+            f"of them (first {tied[:3].tolist()}) have their k = {est.k} nearest at distance "
+            "0, as rows equal up to the jitter do")
     return MIEstimate(value=max(raw, 0.0), raw_value=raw, estimator=est.estimator,
                       k_neighbors=est.k, n_samples=est.n, n_used=est.n_used)
 

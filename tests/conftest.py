@@ -1,3 +1,4 @@
+import functools
 import re
 import shlex
 from pathlib import Path
@@ -149,6 +150,21 @@ def evaluate_loss(loss, y_ref, y) -> float:
         q = np.clip(np.asarray(y, float), CROSS_ENTROPY_CLIP, None)
         return float(-(np.asarray(y_ref, float) * np.log(q)).sum())
     raise ContractViolation(f"unknown loss kind {loss.kind!r}")
+
+
+@functools.cache
+def exact_park_restriction_loss(i: int, point=park_module.PARK_POINT) -> float:
+    """The closed form of park's restriction loss e_i under uniform [0, 1)^6
+    with squared error: E[(f(x*) - f(x*; x_i = t))^2] for t uniform on [0, 1),
+    the integral of the expanded square, which sympy takes exactly at the
+    point's exact binary values and evaluates to 30 digits."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x0:6")
+    f = sympy.Rational(2, 3) * sympy.exp(x[0] + x[1]) - x[3] * sympy.sin(x[2]) + x[2]
+    star = dict(zip(x, map(sympy.Rational, point)))
+    clamped = f.subs({s: v for s, v in star.items() if s != x[i]})
+    return float(sympy.integrate(sympy.expand((clamped - f.subs(star)) ** 2),
+                                 (x[i], 0, 1)).evalf(30))
 
 
 def park_value(x) -> float:

@@ -15,6 +15,7 @@ from xmeter.attr_methods import (
 )
 from xmeter.attr_metrics import (
     ExpectationConfig,
+    _restriction_losses,
     attribution_report,
     complexity,
     effective_complexity_detail,
@@ -37,6 +38,7 @@ from xmeter.core import (
 from xmeter.park import PARK_POINT
 from conftest import (
     constant_model,
+    exact_park_restriction_loss,
     park_value,
     reference_attribution_report,
     reference_perturbation_test,
@@ -54,6 +56,26 @@ def quad_restriction_loss(i, point=PARK_POINT):
 
     value, _ = quad(integrand, 0.0, 1.0, limit=200)
     return value
+
+
+class TestExactParkOracle:
+    def test_exact_e_at_the_park_point(self):
+        e = [exact_park_restriction_loss(i) for i in range(6)]
+        assert e == pytest.approx([0.51291, 0.18135, 0.00237, 0.09126, 0, 0], abs=5e-6)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_estimated_e_lies_within_four_standard_errors(self, park, park_point, seed):
+        # each e_i is the mean of its per-row losses, whose spread gives its SE
+        cfg = ExpectationConfig(distribution=FeatureDistribution.uniform(6), loss=SQUARED_ERROR,
+                                n_mc_samples=2000, seed=seed)
+        e = restriction_loss_vector(park, park_point, cfg)
+        y_ref = park.predict_batch(park_point[None])[0]
+        for i in range(6):
+            rows = _restriction_losses(park, park_point, y_ref, [i], cfg.distribution, cfg.loss,
+                                       cfg.n_mc_samples, np.random.default_rng([seed, 3, i]))
+            assert e[i] == np.mean(rows)
+            se = rows.std(ddof=1) / np.sqrt(len(rows))
+            assert abs(e[i] - exact_park_restriction_loss(i)) <= 4 * se
 
 
 class TestExpectedRestrictionLoss:

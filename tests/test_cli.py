@@ -391,6 +391,16 @@ class TestMICommand:
         assert main(["mi", "--dataset", str(path), "--extractors", "identity",
                      "--runs", "1"]) == EXIT_OK
 
+    def test_a_non_finite_estimate_says_why(self, capsys):
+        # the random-ood extractor replaces all 3 columns with 1e308, beside
+        # which the jitter is lost: the target estimate's radii are all 0
+        assert main(["mi", "--dataset", "synth:n=30,features=3,classes=2", "--runs", "1",
+                     "--ood-value", "1e308"]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "numeric failure: the mixed-discrete estimate over 30 rows is not finite: 30 of "
+            "them (first [0, 1, 2]) have their k = 3 nearest at distance 0, as rows equal up "
+            "to the jitter do\n")
+
     def test_needs_labels_or_model(self, tmp_path, capsys):
         path = tmp_path / "plain.csv"
         path.write_text("a,b\n" + "\n".join(f"{i}.0,{i + 1}.0" for i in range(30)) + "\n")
@@ -703,6 +713,46 @@ def test_generated_commands_keep_the_exit_code_contract(argv):
         warnings.simplefilter("ignore")
         code = main(argv)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PROTOCOL, EXIT_NUMERIC), (code, err.getvalue())
+    assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
+
+
+def _adjacent(x, steps):
+    """The double ``steps`` doubles above ``x``, or below it for a negative count."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, math.copysign(math.inf, steps))
+    return float(x)
+
+
+# --point coordinates: the doubles next to 0, to the ends of park's domain, to
+# 1e-300 and to 1.7e308; magnitudes from 1e-300 to 1.7e308 of both signs; -0.0
+POINT_COORDINATES = st.one_of(
+    st.builds(_adjacent, st.sampled_from([0.0, 0.5, 1.0, 1e-300, 1.7e308]), st.integers(-2, 2)),
+    st.builds(lambda m, sign: sign * m, st.floats(1e-300, 1.7e308), st.sampled_from([1, -1])),
+    st.just(-0.0))
+# each model's arity and the options it needs besides its point
+POINT_MODELS = {"park": (6, []), "tokens:seed=0": (30, ["--uniform=0,1"]),
+                "tree:3": (3, ["--dataset=synth:n=40,features=3,seed=0", "--methods=random"])}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(POINT_MODELS)), st.data())
+def test_extreme_points_keep_the_exit_code_contract(model, data):
+    """attr-eval at a point of extreme or adjacent doubles, in process, with a
+    RuntimeWarning an error: exit 0, 2 or 4, no traceback and no non-finite
+    JSON token."""
+    arity, options = POINT_MODELS[model]
+    point = data.draw(st.lists(POINT_COORDINATES, min_size=arity, max_size=arity))
+    argv = ["attr-eval", f"--model={model}", f"--point={_csv(map(repr, point))}",
+            "--n-mc=100"] + options
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", xmeter.park.DomainWarning)
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
     assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,6 @@ from xmeter.mi import (
     EXTRACTORS,
     JITTER_SCALE,
     _discrete_codes,
-    _kth_distance,
     _RadiusCount,
     _sweep,
     apply_extractor,
@@ -336,6 +336,18 @@ class TestEstimateMI:
         assert est.value >= 0.0
         assert est.value == max(est.raw_value, 0.0)
 
+    @pytest.mark.parametrize("scale,b,discrete,tied", [
+        (1e6, np.arange(30) % 2, True, "5 of them (first [1, 9, 11])"),
+        (1e300, np.full((30, 2), 1e300), False, "30 of them (first [0, 1, 2])")])
+    def test_non_finite_estimate_names_its_tied_rows(self, scale, b, discrete, tied):
+        # at these magnitudes the 1e-10 jitter separates few rows or none, so
+        # radii of 0 count no row and digamma(0) is -inf
+        estimator = "mixed-discrete" if discrete else "ksg-continuous"
+        with pytest.raises(FloatingPointError, match=re.escape(
+                f"the {estimator} estimate over 30 rows is not finite: {tied} have their "
+                "k = 3 nearest at distance 0")):
+            estimate_mi(np.full((30, 3), scale), b, b_discrete=discrete)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", ["a", "b"])
     @pytest.mark.parametrize("discrete", [(False, False), (False, True), (True, False),
@@ -398,16 +410,35 @@ class TestCountWithin:
 
 class TestDistanceBlocks:
     @settings(max_examples=60, deadline=None)
-    @given(POINT_SETS, st.integers(0, 299))
-    def test_kth_distance_matches_the_sorted_distances(self, point_set, k):
+    @given(POINT_SETS, st.integers(0, 299), st.integers(1, 8),
+           st.sampled_from(["contiguous", "gathered", "gathered in class order"]))
+    def test_in_class_matches_the_sorted_distances(self, point_set, k, n_classes, path):
         # grid rows repeat, so the k-th distance is often tied with its
-        # neighbours in the sorted row (zero ties included)
-        P, _ = draw_points(point_set)
-        k = k % len(P)
+        # neighbours in the sorted row (zero ties included); classes range
+        # from one row to all rows, read as the sweep's classes or gathered
+        # from an uncoded or a class-ordered sweep
+        P, rng = draw_points(point_set)
+        n = len(P)
+        k = k % n
+        codes, other = rng.integers(0, n_classes, size=(2, n))
+        asked, swept = {"contiguous": (None, codes), "gathered": (codes, None),
+                        "gathered in class order": (codes, other)}[path]
+        kth = np.empty((n, 2))
+
+        class Reader:
+            reads = (0,)
+
+            def take(self, rows, v):
+                kth[rows] = v.in_class(k, asked)
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mi, "BLOCK", point_set[-1] * len(P))
-            kth = _kth_distance(P, k)
-        np.testing.assert_array_equal(kth, np.sort(chebyshev_distances(P), axis=1)[:, k])
+            patch.setattr(mi, "BLOCK", point_set[-1] * n)
+            _sweep([P.copy()], [Reader()], swept)
+        for row, c, got in zip(chebyshev_distances(P), codes, kth):
+            ordered = np.append(np.sort(row[codes == c]), np.inf)  # m distances, then inf
+            m = len(ordered) - 1
+            expected = ordered[[min(k, m - 1), min(k + 1, m)]] if m > 1 else [np.inf] * 2
+            np.testing.assert_array_equal(got, expected)
 
     def test_ksg_matches_the_brute_force_estimate(self, monkeypatch):
         rng = np.random.default_rng(27)
@@ -660,31 +691,26 @@ class TestSweepCost:
         assert sizes == [4]
         assert sorted(swept.count(key) for key in set(swept)) == [blocks, blocks]
 
-    @pytest.mark.parametrize("names,columns", [(("identity", "random-ood"), 26_000_000),
-                                               (EXTRACTORS, 26_042_640)])
-    def test_target_radii_and_shared_columns(self, monkeypatch, names, columns):
+    @pytest.mark.parametrize("names,columns,calls", [(("identity", "random-ood"), 26_000_000, 96),
+                                                     (EXTRACTORS, 26_040_500, 98)])
+    def test_target_radii_and_shared_columns(self, monkeypatch, names, columns, calls):
         # two runs: X + j1 and Zood + j1 share 7 of 10 columns, so a run
         # computes 7 + 3 + 3 columns of 1000 x 1000 entries (20 at one pass
-        # per swept set), and the target estimates take their per-class
-        # radii from the sweep's partitions, not from _kth_distance (at one
-        # pass per set: 53,333,360 and 53,376,000 column-entries)
+        # per swept set) in 16 blocks, and the entropy feature estimate sweeps
+        # its 45 kept rows in one; every mixed estimate takes its radii from
+        # the sweep's partitions (a cdist per class of the entropy codes gave
+        # 26,042,640 column-entries in 138 calls)
         data, y = _mi_bench_setup(0)
-        computed, targets = [], []
-        cdist, kth_distance = mi.cdist, mi._kth_distance
+        computed = []
+        cdist = mi.cdist
 
         def spy(XA, XB, metric, **kwargs):
             computed.append(len(XA) * len(XB) * XA.shape[1])
             return cdist(XA, XB, metric, **kwargs)
 
-        def kth_spy(points, k):
-            targets.append(len(points) > 10)  # the entropy codes' classes have 2 to 4 rows
-            return kth_distance(points, k)
-
         monkeypatch.setattr(mi, "cdist", spy)
-        monkeypatch.setattr(mi, "_kth_distance", kth_spy)
         extractor_table(data, names, y, 2, 3, 0, 3, -10.0, 3)
-        assert sum(computed) == columns
-        assert not any(targets)
+        assert (sum(computed), len(computed)) == (columns, calls)
 
     def test_holds_no_distance_matrix(self):
         data, y = _mi_bench_setup(0)
@@ -829,75 +855,59 @@ class TestSweepAgainstBruteForce:
 # Class-ordered sweeps: point kind (normal columns, or a 0.25 grid whose rows
 # repeat, so distances tie), n, k, width, whether the KSG's side b is a twin
 # of its side a, the smallest class size (1 drops rows from the mixed
-# estimates), the seed and rows per block, so blocks end raggedly.
+# estimates), whether the sweep walks in class order, the seed and rows per
+# block, so blocks end raggedly.
 CLASS_SWEEPS = st.tuples(st.sampled_from(["real", "grid"]), st.integers(20, 90),
                          st.integers(1, 4), st.integers(1, 3), st.booleans(), st.integers(1, 2),
-                         st.integers(0, 2 ** 32 - 1), st.integers(1, 7))
+                         st.booleans(), st.integers(0, 2 ** 32 - 1), st.integers(1, 7))
 
 
-def _class_sweep(case) -> dict:
+def _class_sweep(case) -> None:
     """Sweeps, in the order of labels with a few classes of 1 to k + 2 rows
-    beside one or two larger ones, a mixed estimate, a KSG whose side a is
-    that estimate's set, and a second mixed estimate over a twin of it;
-    checks every count and radius against the brute force and returns how
-    often each path ran."""
-    kind, n, k, width, twin, smallest, seed, block_rows = case
+    beside one or two larger ones or in the rows' own order, a mixed estimate
+    under the labels, a KSG whose side a is that estimate's set, a second
+    mixed estimate over a twin of it, and a third over its set under other
+    codes, with classes of 2 to k + 1 rows; checks every count and radius
+    against the brute force."""
+    kind, n, k, width, twin, smallest, coded, seed, block_rows = case
     rng = np.random.default_rng(seed)
-    sizes = list(rng.integers(smallest, k + 3, size=rng.integers(0, 4)))
-    rest = n - sum(sizes)
-    sizes += [rest // 2, rest - rest // 2] if rest >= 2 * (k + 2) else [rest]
-    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+
+    def classes(low, high, count):  # count classes of low to high - 1 rows, then larger ones
+        sizes = list(rng.integers(low, high, size=count))
+        rest = n - sum(sizes)
+        sizes += [rest // 2, rest - rest // 2] if rest >= 2 * (k + 2) else [rest]
+        return rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
 
     def draw():
         pool = rng.normal(size=(n // 2 + 1, width)) if kind == "real" \
             else rng.integers(0, 4, size=(n // 2 + 1, width)) * 0.25
         return pool[rng.integers(0, len(pool), size=n)]
 
+    labels = classes(smallest, k + 3, rng.integers(0, 4))
+    other = classes(2, k + 2, rng.integers(1, 4))
     a = draw()
     b = a if twin else draw()
     sets = []
     # one jitter stream, so the KSG's side a is the first estimate's set
     readers = [mi._Mixed(sets, a, labels, k, np.random.default_rng([seed, 41])),
                mi._Ksg(sets, a, b, k, np.random.default_rng([seed, 41])),
-               mi._Mixed(sets, a, labels, k, np.random.default_rng([seed, 42]))]
+               mi._Mixed(sets, a, labels, k, np.random.default_rng([seed, 42])),
+               mi._Mixed(sets, a, other, k, np.random.default_rng([seed, 41]))]
     before = [points.copy() for points in sets]
-    paths = dict.fromkeys(["bound", "partition", "kth", "twin"], 0)
-    nearest, kth_distance, take = mi._View.nearest, mi._kth_distance, mi._Mixed.take
-
-    def spy_nearest(view, k):
-        if k not in view.near and view.delta is None:
-            bound = view.in_class(k)
-            paths["bound" if bound is not None and not np.isnan(bound).any()
-                  else "partition"] += 1
-        return nearest(view, k)
-
-    def spy_kth(points, k):
-        paths["kth"] += 1
-        return kth_distance(points, k)
-
-    def spy_take(est, rows, v):
-        paths["twin"] += v.delta is not None
-        take(est, rows, v)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mi._View, "nearest", spy_nearest)
-        patch.setattr(mi, "_kth_distance", spy_kth)
-        patch.setattr(mi._Mixed, "take", spy_take)
         patch.setattr(mi, "BLOCK", block_rows * n)
-        _sweep(sets, readers, labels)
+        _sweep(sets, readers, labels if coded else None)
     ksg = readers[1]
     da, db = (chebyshev_distances(before[i]) for i in ksg.reads)
     eps = np.sort(np.maximum(da, db), axis=1)[:, k, None]
     np.testing.assert_array_equal(ksg.nx, (da < eps).sum(axis=1) - 1)
     np.testing.assert_array_equal(ksg.ny, (db < eps).sum(axis=1) - 1)
-    for est in readers[::2]:
-        kept = labels[np.bincount(labels)[labels] > 1]
+    for est in readers[::2] + readers[3:]:
         D = chebyshev_distances(before[est.reads[0]])
-        radii = [np.sort(row[kept == c])[min(k, np.sum(kept == c) - 1)]
-                 for row, c in zip(D, kept)]
+        radii = [np.sort(row[est.codes == c])[min(k, np.sum(est.codes == c) - 1)]
+                 for row, c in zip(D, est.codes)]
         np.testing.assert_array_equal(est.eps, radii)
         np.testing.assert_array_equal(est.within, (D < est.eps[:, None]).sum(axis=1))
-    return paths
 
 
 class TestClassOrderedSweep:
@@ -906,17 +916,30 @@ class TestClassOrderedSweep:
     def test_counts_and_radii_equal_the_brute_force(self, case):
         _class_sweep(case)
 
-    def test_every_path_runs(self):
-        # the in-class bound, the full partition where a block holds a row of
-        # a class under k + 2 rows, _kth_distance for such classes and for a
-        # twin's mixed estimate, and the twins themselves
-        totals = dict.fromkeys(["bound", "partition", "kth", "twin"], 0)
+    def test_every_path_runs(self, monkeypatch):
+        # in-class distances from the sweep's contiguous classes, gathered
+        # under other codes, and from a twin's exact distances; and the KSG's
+        # partition of a whole block where the sweep has no classes
+        paths = dict.fromkeys(["contiguous", "gathered", "twin", "whole row"], 0)
+        in_class, nearest = mi._View.in_class, mi._View.nearest
+
+        def spy_in_class(view, k, codes=None):
+            own = view.classes is not None and (codes is None
+                                                or np.array_equal(codes, view.classes[0]))
+            paths["contiguous" if own else "gathered"] += 1
+            paths["twin"] += view.delta is not None
+            return in_class(view, k, codes)
+
+        def spy_nearest(view, k):
+            paths["whole row"] += view.classes is None and view.delta is None
+            return nearest(view, k)
+
+        monkeypatch.setattr(mi._View, "in_class", spy_in_class)
+        monkeypatch.setattr(mi._View, "nearest", spy_nearest)
         for seed in range(24):
-            case = ("grid" if seed % 3 else "real", 40 + seed, 1 + seed % 4, 1 + seed % 3,
-                    seed % 2 == 0, 1 + seed // 12, seed, 1 + seed % 5)
-            for path, count in _class_sweep(case).items():
-                totals[path] += count
-        assert all(totals.values()), totals
+            _class_sweep(("grid" if seed % 3 else "real", 40 + seed, 1 + seed % 4, 1 + seed % 3,
+                          seed % 2 == 0, 1 + seed // 12, seed % 4 != 1, seed, 1 + seed % 5))
+        assert all(paths.values()), paths
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 6), st.integers(20, 80), st.booleans(), st.integers(0, 2 ** 32 - 1),
